@@ -120,14 +120,14 @@ class BackendReply:
 class Backend(Protocol):
     """One prover conversation. All methods may raise SessionDead."""
 
-    def init(self, theory: str, statement: str) -> BackendReply: ...
+    def init(self, theory: str, statement: str) -> BackendReply:
+        """Start a fresh context, discarding the previous goal."""
+        ...
 
     def step(self, text: str, timeout_ms: int) -> BackendReply: ...
 
     def hammer(self, timeout_ms: int) -> BackendReply: ...
 
     def check_full(self, proof_text: str, timeout_ms: int) -> BackendReply: ...
-
-    def reset(self) -> BackendReply: ...
 
     def quit(self) -> None: ...

@@ -16,12 +16,14 @@ from enum import Enum
 from typing import Iterator, Union
 
 from ..sketch import (
+    GAP_TOKEN,
     GapSite,
+    InvalidSite,
     SketchAst,
     check_no_cheat,
+    closing_step_text,
     extract_gaps,
-    fill_gap,
-    serialize,
+    render_segments,
 )
 from .config import (
     Backend,
@@ -114,24 +116,31 @@ def open_session(spec: BackendSpec, config: ProverConfig) -> ProverSession:
     return session
 
 
+def _gap_context(text_before_gap: str) -> str:
+    return text_before_gap.rstrip() + "\n"
+
+
 def sketch_prefix(ast: SketchAst, site: GapSite) -> str:
     """Serialized context up to (and including) the gap's step, with the
     justification removed: the text a prover replays to reach the goal."""
-    sentinel = "by sketchprove_goal_sentinel"
-    marked = fill_gap(ast, site, sentinel)
-    text = serialize(marked)
-    cut = text.find(sentinel)
-    assert cut != -1
-    return text[:cut].rstrip() + "\n"
+    try:
+        index = [gap.path for gap in extract_gaps(ast)].index(site.path)
+    except ValueError:
+        raise InvalidSite(site.path, "path does not address a gap") from None
+    return _gap_context(GAP_TOKEN.join(render_segments(ast)[: index + 1]))
 
 
 def close_gap(session: ProverSession, site: GapSite, context: str) -> GapResult:
-    """Run the cascade on one open conjecture. Wall time never exceeds the
-    per-gap budget: attempts that could overrun are not started."""
+    """Run the cascade on one open conjecture, starting from a fresh
+    `context` (the backend sees only that; `site` names the conjecture).
+    Wall time never exceeds the per-gap budget: attempts that could overrun
+    are not started. A context the backend refuses fails the gap without
+    a step, since a step would run against whatever goal it held before."""
     config = session.config
     with session.exclusive() as backend:
-        backend.reset()
-        backend.init(config.theory, context)
+        reply = backend.init(config.theory, context)
+        if reply.status != "ok":
+            return Failed((("init", reply.status),), 0)
         elapsed = 0
         attempts: list[tuple[str, str]] = []
         for index, tactic in enumerate(config.tactic_list):
@@ -168,26 +177,29 @@ class SketchFailure:
 def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | SketchFailure:
     """Close all gaps in document order, substituting each closing step so
     later gaps see earlier closures; abort on the first gap that does not
-    close. A fully closed sketch must also pass end-to-end verification."""
-    report = check_no_cheat(serialize(ast))
+    close. A fully closed sketch must also pass end-to-end verification.
+
+    The sketch is rendered once: filling a gap with a closing step moves no
+    path and no text around it, so each gap's context is the text of the
+    segments before it with the earlier closing steps spliced in."""
+    segments = render_segments(ast)
+    report = check_no_cheat(GAP_TOKEN.join(segments))
     if not report.clean:
         raise CheatViolation(report.offending)
 
     per_gap: list[GapResult] = []
-    current = ast
-    while True:
-        gaps = extract_gaps(current)
-        if not gaps:
-            break
-        site = gaps[0]
-        result = close_gap(session, site, sketch_prefix(current, site))
+    done = ""
+    for site, segment in zip(extract_gaps(ast), segments):
+        text = done + segment
+        result = close_gap(session, site, _gap_context(text))
         per_gap.append(result)
         if not isinstance(result, Closed):
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
             return SketchFailure(site, tuple(per_gap), f"gap {kind}: {site.proposition}")
-        current = fill_gap(current, site, result.closing_step)
+        # as fill_gap would splice it: a step that does not parse raises InvalidSite
+        done = text + closing_step_text(result.closing_step)
 
-    proof_text = serialize(current)
+    proof_text = done + segments[-1]
     verdict = verify_full(session, proof_text)
     if isinstance(verdict, Invalid):
         return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}")
@@ -213,29 +225,13 @@ def verify_full(session: ProverSession, proof_text: str) -> Valid | Invalid:
 def direct_prove(session: ProverSession, formal_statement: str) -> Valid | Invalid:
     """Baseline: attack the whole statement as a single goal with the same
     cascade. The assembled proof still passes the cheat gate."""
-    config = session.config
-    with session.exclusive() as backend:
-        backend.reset()
-        backend.init(config.theory, formal_statement)
-        elapsed = 0
-        closing: str | None = None
-        for tactic in config.tactic_list:
-            if elapsed + config.tactic_timeout_ms > config.per_gap_budget_ms:
-                return Invalid("per-gap budget exhausted")
-            reply = backend.step(step_text(tactic), config.tactic_timeout_ms)
-            elapsed += reply.elapsed_ms
-            if reply.status == "ok":
-                closing = step_text(tactic)
-                break
-        if closing is None:
-            if elapsed + config.hammer_timeout_ms > config.per_gap_budget_ms:
-                return Invalid("per-gap budget exhausted")
-            reply = backend.hammer(config.hammer_timeout_ms)
-            if reply.status == "ok" and reply.reconstruction:
-                closing = reply.reconstruction
-    if closing is None:
+    whole = GapSite((), None, formal_statement, ())
+    result = close_gap(session, whole, formal_statement)
+    if isinstance(result, TimedOut):
+        return Invalid("per-gap budget exhausted")
+    if isinstance(result, Failed):
         return Invalid("cascade exhausted without a proof")
-    proof_text = formal_statement.rstrip() + "\n  " + closing + "\n"
+    proof_text = formal_statement.rstrip() + "\n  " + result.closing_step + "\n"
     if not check_no_cheat(proof_text).clean:
         return Invalid("cheating keyword in assembled proof")
     return Valid(proof_text)

@@ -163,9 +163,16 @@ def load_script(path: str | Path) -> ProverScript:
 def extract_goal(statement: str) -> str:
     """Matcher input for a proof context: the quoted proposition on the last
     nonblank line, a ?thesis/?case target, or the raw line itself."""
-    lines = [line for line in statement.strip().splitlines() if line.strip()]
-    if not lines:
+    text = statement.rstrip()
+    if not text:
         return ""
+    # only the tail is split: contexts grow with the sketch, the last line does not
+    tail = 256
+    while True:
+        lines = text[-tail:].splitlines()
+        if len(lines) > 1 or tail >= len(text):
+            break
+        tail *= 4
     last = lines[-1].strip()
     quoted = re.findall(r'"([^"]*)"', last)
     if quoted:
@@ -236,12 +243,6 @@ class ScriptedBackend:
         if reason is None:
             return self._reply("ok", cost, state_id=self._next_state())
         return self._reply("fail", cost, reason=reason)
-
-    def reset(self) -> BackendReply:
-        self.calls.append(("reset", ""))
-        self._goal = ""
-        self._ordinal = 0
-        return BackendReply("ok", 0, state_id=self._next_state())
 
     def quit(self) -> None:
         self.calls.append(("quit", ""))

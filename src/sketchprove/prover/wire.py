@@ -8,7 +8,7 @@ Commands:
     {"id": n, "cmd": "init", "theory": t, "statement": s}
     {"id": n, "cmd": "step", "text": s, "timeout_ms": ms}
     {"id": n, "cmd": "hammer", "timeout_ms": ms}
-    {"id": n, "cmd": "reset"}
+    {"id": n, "cmd": "check", "text": s, "timeout_ms": ms}
     {"id": n, "cmd": "quit"}
 
 Responses:
@@ -16,10 +16,14 @@ Responses:
     {"id": n, "status": "fail", "reason": r, "elapsed_ms": ms}
     {"id": n, "status": "timeout", "elapsed_ms": ms}
 
-A whole-proof check is expressed with the same five commands: reset, then
-init with the full proof text as the statement, then one step echoing that
-text. A conforming bridge treats a step that echoes the current statement
-and starts with "theorem" as an end-to-end document check.
+`init` starts a fresh context: it replays the statement (a theorem header
+plus any proof text up to the goal) and discards whatever goal the
+connection held before. `step` and `hammer` work on the goal of the
+latest init. `check` is a whole-proof check: the text is a complete
+theory-level proof, checked end to end and independently of the current
+goal. A server answers any other command with status "fail" and the reason
+"unknown command ..."; a client treats that answer to `check` as a lost
+session, not as an invalid proof.
 
 Run the reference server (scripted rules behind the wire protocol) with:
     python -m sketchprove.prover --script rules.json --port 9777
@@ -42,14 +46,6 @@ from .config import BackendReply, ConnectError, SessionDead
 from .scripted import ScriptedBackend, load_script
 
 
-def _is_document_check(text: str, current_statement: str | None) -> bool:
-    return (
-        current_statement is not None
-        and text.strip() == current_statement.strip()
-        and text.lstrip().startswith("theorem")
-    )
-
-
 class WireBackend:
     """Client side of the wire protocol; address is "host:port" for TCP or
     "stdio:<command line>" for a child process."""
@@ -59,7 +55,6 @@ class WireBackend:
         self._lock = threading.Lock()
         self._req_id = 0
         self._proc: subprocess.Popen | None = None
-        self._last_statement: str | None = None
         try:
             if address.startswith("stdio:"):
                 command = shlex.split(address[len("stdio:") :])
@@ -127,7 +122,6 @@ class WireBackend:
         )
 
     def init(self, theory: str, statement: str) -> BackendReply:
-        self._last_statement = statement
         return self._to_reply(self._roundtrip("init", theory=theory, statement=statement))
 
     def step(self, text: str, timeout_ms: int) -> BackendReply:
@@ -143,12 +137,15 @@ class WireBackend:
         )
 
     def check_full(self, proof_text: str, timeout_ms: int) -> BackendReply:
-        self.reset()
-        self.init("Main", proof_text)
-        return self.step(proof_text, timeout_ms)
-
-    def reset(self) -> BackendReply:
-        return self._to_reply(self._roundtrip("reset"))
+        reply = self._to_reply(
+            self._roundtrip(
+                "check", reply_timeout_s=timeout_ms / 1000 + 30, text=proof_text, timeout_ms=timeout_ms
+            )
+        )
+        if reply.status == "fail" and (reply.reason or "").startswith("unknown command"):
+            # a bridge that cannot check proofs must not turn them all invalid
+            raise SessionDead(f"backend does not support 'check': {reply.reason}")
+        return reply
 
     def quit(self) -> None:
         try:
@@ -165,7 +162,6 @@ class WireBackend:
 
 
 def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]) -> None:
-    current_statement: str | None = None
     for line in reader:
         line = line.strip()
         if not line:
@@ -183,20 +179,13 @@ def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]
             writer.flush()
             return
         if cmd == "init":
-            current_statement = frame.get("statement", "")
-            reply = backend.init(frame.get("theory", "Main"), current_statement)
+            reply = backend.init(frame.get("theory", "Main"), frame.get("statement", ""))
         elif cmd == "step":
-            text = frame.get("text", "")
-            timeout_ms = int(frame.get("timeout_ms", 0))
-            if _is_document_check(text, current_statement):
-                reply = backend.check_full(text, timeout_ms)
-            else:
-                reply = backend.step(text, timeout_ms)
+            reply = backend.step(frame.get("text", ""), int(frame.get("timeout_ms", 0)))
         elif cmd == "hammer":
             reply = backend.hammer(int(frame.get("timeout_ms", 0)))
-        elif cmd == "reset":
-            current_statement = None
-            reply = backend.reset()
+        elif cmd == "check":
+            reply = backend.check_full(frame.get("text", ""), int(frame.get("timeout_ms", 0)))
         else:
             reply = BackendReply("fail", 0, reason=f"unknown command {cmd!r}")
         payload = {"id": req_id, "status": reply.status, "elapsed_ms": reply.elapsed_ms}

@@ -43,6 +43,7 @@ from .prompting import (
     select_examples,
 )
 from .prover import (
+    CheatViolation,
     Closed,
     FullProofResult,
     ProverSession,
@@ -52,7 +53,7 @@ from .prover import (
     direct_prove,
     prove_sketch,
 )
-from .sketch import check_no_cheat, count_gaps, parse_sketch, serialize
+from .sketch import count_gaps, parse_sketch
 from .sketch.parser import ParseError
 
 logger = logging.getLogger(__name__)
@@ -229,11 +230,11 @@ def _run_attempt(
         return failed(FailureStage.PARSE, wall_ms=wall_ms)
 
     gaps_total = count_gaps(ast)
-    if not check_no_cheat(serialize(ast)).clean:
-        # invalid regardless of what a prover would say; never consult it
+    try:
+        outcome = prove_sketch(session, ast)
+    except CheatViolation:
+        # invalid regardless of what a prover would say; it was never consulted
         return failed(FailureStage.VERIFY, parse_ok=True, gaps_total=gaps_total, wall_ms=wall_ms)
-
-    outcome = prove_sketch(session, ast)
     if isinstance(outcome, FullProofResult):
         wall_ms += sum(r.elapsed_ms for r in outcome.per_gap if isinstance(r, Closed))
         return AttemptRecord(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _replace
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .nodes import (
@@ -98,7 +99,12 @@ def count_gaps(ast: SketchAst) -> int:
     return len(extract_gaps(ast))
 
 
-def _parse_closing_step(text: str) -> Tactic:
+# Only steps that repeat gain from the cache: a cascade tactic's step (one
+# of a fixed list) always does, a hammer reconstruction usually does not.
+@lru_cache(maxsize=1024)
+def closing_step_text(text: str) -> str:
+    """The canonical text a gap holds once `text` closes it, as the sketch
+    renders it. Raises InvalidSite when `text` is not a concrete closing step."""
     try:
         probe = parse_sketch(f'theorem t: shows "True"\n  {text}\n')
     except ParseError as exc:
@@ -106,13 +112,13 @@ def _parse_closing_step(text: str) -> Tactic:
     just = probe.root_justification
     if not isinstance(just, Tactic):
         raise InvalidSite((), "closing step must be a concrete justification")
-    return just
+    return just.text
 
 
 def fill_gap(ast: SketchAst, site: GapSite, closing_step: str) -> SketchAst:
     """Replace the Gap addressed by `site` with a concrete closing step.
     Raises InvalidSite when the path no longer addresses a gap."""
-    tactic = _parse_closing_step(closing_step)
+    tactic = Tactic(closing_step_text(closing_step))
     if site.path == ():
         if not isinstance(ast.root_justification, Gap):
             raise InvalidSite(site.path, "path does not address a gap")

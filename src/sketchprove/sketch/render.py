@@ -31,7 +31,7 @@ from .nodes import (
 _INDENT = "  "
 
 
-def _render_header(header: TheoremHeader, out: list[str]) -> None:
+def _render_header(header: TheoremHeader, out: list[str | None]) -> None:
     title = "theorem"
     if header.name:
         title += f" {header.name}:"
@@ -60,12 +60,15 @@ def _quote_sort(sort: str) -> str:
     return f'"{sort}"'
 
 
-def _render_justification(just: Justification) -> str:
+def _render_inline(head: str, just: Justification, out: list[str | None]) -> None:
+    """Append a line ending in an inline justification. A gap line ends at
+    `head` and is followed by a None marker where the gap token goes."""
     if isinstance(just, Gap):
-        return GAP_TOKEN
-    if isinstance(just, Tactic):
-        return just.text
-    raise TypeError(f"not an inline justification: {just!r}")
+        out.extend((head, None))
+    elif isinstance(just, Tactic):
+        out.append(head + just.text)
+    else:
+        raise TypeError(f"not an inline justification: {just!r}")
 
 
 def _step_clauses(uses: tuple[str, ...], unfolds: tuple[str, ...]) -> str:
@@ -77,7 +80,7 @@ def _step_clauses(uses: tuple[str, ...], unfolds: tuple[str, ...]) -> str:
     return text
 
 
-def _render_node(node: ProofNode, level: int, out: list[str]) -> None:
+def _render_node(node: ProofNode, level: int, out: list[str | None]) -> None:
     ind = _INDENT * level
     if isinstance(node, Comment):
         out.append(f"{ind}(* {node.text} *)")
@@ -115,10 +118,10 @@ def _render_node(node: ProofNode, level: int, out: list[str]) -> None:
         out.append(ind + line)
         _render_block(node.justification.block, level, out)
     else:
-        out.append(ind + line + " " + _render_justification(node.justification))
+        _render_inline(ind + line + " ", node.justification, out)
 
 
-def _render_block(block: ProofBlock, level: int, out: list[str]) -> None:
+def _render_block(block: ProofBlock, level: int, out: list[str | None]) -> None:
     ind = _INDENT * level
     out.append(f"{ind}proof {block.method}" if block.method else f"{ind}proof")
     for child in block.children:
@@ -132,15 +135,31 @@ def _render_block(block: ProofBlock, level: int, out: list[str]) -> None:
     out.append(f"{ind}qed")
 
 
-def serialize(ast: SketchAst) -> str:
-    """Render the AST to canonical sketch text ending with a newline."""
-    out: list[str] = []
+def render_segments(ast: SketchAst) -> list[str]:
+    """The canonical text between gap tokens, in document order: one more
+    segment than the sketch has gaps, the k-th gap sitting right after
+    segment k."""
+    out: list[str | None] = []
     _render_header(ast.header, out)
     for node in ast.body:
         _render_node(node, 0, out)
     if ast.root_justification is not None:
-        out.append(_INDENT + _render_justification(ast.root_justification))
-    return "\n".join(out) + "\n"
+        _render_inline(_INDENT, ast.root_justification, out)
+    segments: list[str] = []
+    lines: list[str] = []
+    for line in out:
+        if line is None:
+            segments.append("\n".join(lines))
+            lines = [""]  # the next line starts after the gap's line break
+        else:
+            lines.append(line)
+    segments.append("\n".join(lines) + "\n")
+    return segments
+
+
+def serialize(ast: SketchAst) -> str:
+    """Render the AST to canonical sketch text ending with a newline."""
+    return GAP_TOKEN.join(render_segments(ast))
 
 
 def serialize_statement(header: TheoremHeader) -> str:

@@ -2,9 +2,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ast_gen import generate
+from ast_gen import AstGen, generate
 from sketchprove.sketch import (
+    GAP_TOKEN,
     Gap,
     HaveStep,
     Nested,
@@ -20,6 +23,7 @@ from sketchprove.sketch import (
     extract_gaps,
     fill_gap,
     parse_sketch,
+    render_segments,
     serialize,
     strip_comments,
     unresolved_facts,
@@ -358,3 +362,21 @@ def test_atp_span_with_garbage_is_rejected():
     text = 'theorem t: shows "P"\nproof -\n  show ?thesis <ATP> lorem(ipsum </ATP>\nqed\n'
     with pytest.raises(ParseError, match="closing step"):
         parse_sketch(text)
+
+
+# -- segment rendering ---------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_serialize_joins_segments_with_gap_tokens(seed):
+    ast = AstGen(seed).sketch()
+    segments = render_segments(ast)
+    assert serialize(ast) == GAP_TOKEN.join(segments)
+    gaps = extract_gaps(ast)
+    assert len(segments) == len(gaps) + 1
+    # gap k sits right after segment k: filling it alone renders there
+    for k, site in enumerate(gaps):
+        filled = serialize(fill_gap(ast, site, "by auto"))
+        before = GAP_TOKEN.join(segments[: k + 1])
+        assert filled == before + "by auto" + GAP_TOKEN.join(segments[k + 1 :])

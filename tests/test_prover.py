@@ -1,11 +1,16 @@
 import json
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ast_gen import AstGen
 from conftest import minimal_script
 from sketchprove.prover import (
     DEFAULT_TACTICS,
+    BackendReply,
     Closed,
     ConnectError,
     ExternalSpec,
@@ -13,9 +18,13 @@ from sketchprove.prover import (
     FullProofResult,
     Invalid,
     ProverConfig,
+    ProverScript,
+    ProverSession,
+    ScriptedBackend,
     ScriptError,
     ScriptedSpec,
     SessionBusy,
+    SessionDead,
     SessionState,
     SketchFailure,
     TimedOut,
@@ -30,7 +39,8 @@ from sketchprove.prover import (
     verify_full,
 )
 from sketchprove.prover.driver import CheatViolation
-from sketchprove.sketch import extract_gaps, parse_sketch
+from sketchprove.prover.scripted import Outcome, Rule
+from sketchprove.sketch import extract_gaps, fill_gap, parse_sketch, serialize
 
 FAST = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=2000)
 
@@ -406,3 +416,134 @@ def test_cheating_hammer_reconstruction_never_validates(tmp_path):
     assert isinstance(outcome, SketchFailure)
     assert outcome.failed_site is None
     assert "cheating keyword" in outcome.reason
+
+
+# -- init failures ---------------------------------------------------------------------
+
+
+class RefusingInitBackend(ScriptedBackend):
+    """Refuses every context it is given."""
+
+    def init(self, theory, statement):
+        super().init(theory, statement)
+        return BackendReply("fail", 0, reason="context does not parse")
+
+
+def _refusing_session(tmp_path):
+    script = load_script(write_script(tmp_path, close_all_script()))
+    return ProverSession(RefusingInitBackend(script), FAST)
+
+
+def test_failed_init_fails_the_gap_before_any_step(tmp_path):
+    session = _refusing_session(tmp_path)
+    ast, site = _site()
+    for _ in range(2):  # the session stays usable for the next context
+        result = close_gap(session, site, sketch_prefix(ast, site))
+        assert result == Failed((("init", "fail"),), 0)
+        assert session.state is SessionState.IDLE
+    assert [cmd for cmd, _ in session.backend.calls] == ["init", "init"]
+
+
+def test_failed_init_fails_prove_sketch_and_direct_prove(tmp_path, fig2_text):
+    session = _refusing_session(tmp_path)
+    ast = parse_sketch(fig2_text)
+    outcome = prove_sketch(session, ast)
+    assert isinstance(outcome, SketchFailure)
+    assert outcome.failed_site == extract_gaps(ast)[0]
+    assert outcome.partial == (Failed((("init", "fail"),), 0),)
+    assert [cmd for cmd, _ in session.backend.calls] == ["init"]
+    session = _refusing_session(tmp_path)
+    assert direct_prove(session, STATEMENT) == Invalid("cascade exhausted without a proof")
+    assert [cmd for cmd, _ in session.backend.calls] == ["init"]
+
+
+# -- extract_goal ------------------------------------------------------------------------
+
+
+def extract_goal_oracle(statement):
+    """Whole-text reference: split every line, keep the last nonblank one."""
+    lines = [line for line in statement.strip().splitlines() if line.strip()]
+    if not lines:
+        return ""
+    last = lines[-1].strip()
+    quoted = re.findall(r'"([^"]*)"', last)
+    if quoted:
+        return quoted[-1]
+    target = re.search(r"\?[A-Za-z_][A-Za-z0-9_']*", last)
+    if target:
+        return target.group(0)
+    return last
+
+
+# every separator str.splitlines knows
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# whitespace that separates no lines, goal shapes, and lines longer than the
+# tail extract_goal splits first
+_PIECES = _BREAKS + [
+    " ", "\t", "\x1f", "\xa0", "\u3000", "x", '"', '"x = 1"', "?thesis", "?case", "have c0:",
+    "by auto", "(* note *)", "x" * 300, " " * 300, "y\n" * 200,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40))
+def test_extract_goal_matches_whole_text_reference(pieces):
+    statement = "".join(pieces)
+    assert extract_goal(statement) == extract_goal_oracle(statement)
+
+
+# -- prove_sketch against a gap-at-a-time oracle -----------------------------------------------
+
+SENTINEL = "by sketchprove_goal_sentinel"
+
+# mixed outcomes, so that generated sketches close, fail midway or time out;
+# the hammer's step is spaced oddly, so its parsed text differs from the reply
+MIXED_SCRIPT = ProverScript(
+    rules=(
+        Rule("substring", "mod", Outcome("fail")),
+        Rule("substring", "gcd", Outcome("timeout", ms=20)),
+        Rule("exact", "?thesis", Outcome("hammer", step="by  (metis   assms)")),
+        Rule("substring", "x", Outcome("tactic", index=3)),
+    ),
+    default=Outcome("tactic", index=0),
+)
+
+
+def oracle_prove(session, ast):
+    """The gap-at-a-time reference: re-extract, render a sentinel-filled copy
+    for each context, and fill each closing step into the AST."""
+    per_gap = []
+    current = ast
+    while True:
+        gaps = extract_gaps(current)
+        if not gaps:
+            break
+        site = gaps[0]
+        text = serialize(fill_gap(current, site, SENTINEL))
+        context = text[: text.find(SENTINEL)].rstrip() + "\n"
+        result = close_gap(session, site, context)
+        per_gap.append(result)
+        if not isinstance(result, Closed):
+            return site, per_gap, None
+        current = fill_gap(current, site, result.closing_step)
+    return None, per_gap, serialize(current)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_prove_sketch_matches_gap_at_a_time_oracle(seed):
+    ast = AstGen(seed).sketch()
+    fast = ProverSession(ScriptedBackend(MIXED_SCRIPT), FAST)
+    slow = ProverSession(ScriptedBackend(MIXED_SCRIPT), FAST)
+    outcome = prove_sketch(fast, ast)
+    failed_site, per_gap, proof_text = oracle_prove(slow, ast)
+    if proof_text is None:
+        assert isinstance(outcome, SketchFailure)
+        assert outcome.failed_site == failed_site
+        assert list(outcome.partial) == per_gap
+    else:
+        assert isinstance(outcome, FullProofResult)
+        assert outcome.proof_text == proof_text
+        assert list(outcome.per_gap) == per_gap
+        verify_full(slow, proof_text)
+    assert fast.backend.calls == slow.backend.calls  # init contexts included

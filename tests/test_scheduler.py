@@ -6,7 +6,7 @@ from conftest import FIXTURES, minimal_script
 from sketchprove.harness import FailureStage, Problem, Split
 from sketchprove.llm import CacheMode, CompletionCache, CompletionClient
 from sketchprove.prompting import Category, PromptConfig, PromptMode, load_pool
-from sketchprove.prover import ProverConfig, ScriptedSpec, SessionDead, open_session
+from sketchprove.prover import BackendReply, ProverConfig, ScriptedSpec, SessionDead, open_session
 from sketchprove.scheduler import (
     BudgetExceeded,
     BudgetPolicy,
@@ -287,6 +287,29 @@ def test_session_reopened_after_death(tmp_path, monkeypatch):
     result = run_problem(_problem(), policy, components)
     assert result.solved
     assert len(set(opened)) == 2  # one replacement session
+
+
+def test_refused_contexts_fail_the_attempt_not_the_problem(tmp_path, monkeypatch):
+    # a checker that refuses every context (say, a malformed proposition)
+    # costs each attempt a PROVE record; the session is never reopened
+    components = _components(tmp_path, lambda i: GOOD_SKETCH)
+    policy = BudgetPolicy(drafts_per_problem=1, sketches_per_draft=3)
+    opened = []
+    original_get = components.sessions.get
+
+    def refusing_contexts():
+        session = original_get()
+        if session not in opened:
+            session.backend.init = lambda theory, statement: BackendReply("fail", 0, reason="boom")
+            opened.append(session)
+        return session
+
+    monkeypatch.setattr(components.sessions, "get", refusing_contexts)
+    result = run_problem(_problem(), policy, components)
+    assert result.infra_error is None and not result.solved
+    assert [a.failure_stage for a in result.attempts] == [FailureStage.PROVE] * 3
+    assert len(opened) == 1
+    assert not [cmd for cmd, _ in opened[0].backend.calls if cmd == "step"]
 
 
 def test_session_reopen_budget_exhausted(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from sketchprove.prover import (
     FullProofResult,
     Invalid,
     ProverConfig,
+    ProverSession,
     SessionDead,
     SessionState,
     Valid,
@@ -182,4 +183,67 @@ def test_wire_unresponsive_backend_does_not_hang():
         backend._roundtrip("init", reply_timeout_s=0.3, theory="Main", statement="")
     assert time.monotonic() - started < 5
     holder.get("conn") and holder["conn"].close()
+    listener.close()
+
+
+@pytest.mark.parametrize("transport", ["tcp", "stdio"])
+def test_wire_check_full_is_one_round_trip(server, tmp_path, transport):
+    if transport == "tcp":
+        backend = WireBackend(server.address)
+    else:
+        script_path = tmp_path / "stdio_script.json"
+        script_path.write_text(json.dumps(minimal_script(verify={"reject_substrings": ["poison"]})))
+        backend = WireBackend(
+            f"stdio:{sys.executable} -m sketchprove.prover --script {script_path} --stdio"
+        )
+    sent = []
+    roundtrip = backend._roundtrip
+
+    def counting(cmd, *args, **fields):
+        sent.append(cmd)
+        return roundtrip(cmd, *args, **fields)
+
+    backend._roundtrip = counting
+    good = 'theorem t: shows "G"\nproof -\n  show ?thesis by auto\nqed\n'
+    assert backend.check_full(good, 600).status == "ok"
+    assert sent == ["check"]
+    # a whole-proof check is independent of the goal the connection holds
+    backend.init("Main", 'shows "x + 0 = x"')
+    reply = backend.check_full(good.replace("by auto", "(* poison *) by auto"), 600)
+    assert reply.status == "fail" and "poison" in reply.reason
+    assert sent == ["check", "init", "check"]
+    backend.quit()
+
+
+def test_wire_check_unknown_to_the_bridge_is_a_lost_session():
+    # a bridge without `check` must surface as an infrastructure failure,
+    # not quietly turn every closed sketch into an invalid proof
+    import socket
+    import threading
+
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    port = listener.getsockname()[1]
+
+    def bridge_without_check():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("r") as reader, conn.makefile("w") as writer:
+            for line in reader:
+                frame = json.loads(line)
+                reply = {"id": frame["id"], "status": "ok", "elapsed_ms": 0}
+                if frame["cmd"] == "check":
+                    reply = {"id": frame["id"], "status": "fail", "elapsed_ms": 0,
+                             "reason": "unknown command 'check'"}
+                writer.write(json.dumps(reply) + "\n")
+                writer.flush()
+                if frame["cmd"] == "quit":
+                    return
+
+    threading.Thread(target=bridge_without_check, daemon=True).start()
+    session = ProverSession(WireBackend(f"127.0.0.1:{port}"), FAST)
+    with pytest.raises(SessionDead, match="does not support 'check'"):
+        verify_full(session, 'theorem t: shows "G"\nproof -\n  show ?thesis by auto\nqed\n')
+    assert session.state is SessionState.DEAD
+    session.close()
     listener.close()
