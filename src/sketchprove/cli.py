@@ -59,6 +59,7 @@ from .prover import (
     prove_sketch,
 )
 from .scheduler import (
+    BudgetExceeded,
     BudgetPolicy,
     DraftSource,
     PipelineComponents,
@@ -419,7 +420,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config, flag_values)
         return args.func(config, args)
-    except (ConfigError, PoolFormatError, harness.SchemaError, harness.DuplicateId, ValueError) as exc:
+    except (
+        ConfigError,
+        BudgetExceeded,
+        PoolFormatError,
+        harness.SchemaError,
+        harness.DuplicateId,
+        ValueError,
+    ) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Union
 
 # Quick closing tactics tried in order before falling back to the hammer.
@@ -48,6 +48,8 @@ class Closed:
     closing_step: str
     tactic_index: int | None  # None: closed by the hammer
     elapsed_ms: int
+    # the backend's state after the closing step; the next gap resumes there
+    state_id: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,14 @@ class SessionBusy(Exception):
 
 
 @dataclass(frozen=True)
+class ProverState:
+    """A state named by the `state_id` of an earlier ok reply on the same
+    connection: a context can resume there instead of replaying its text."""
+
+    state_id: str
+
+
+@dataclass(frozen=True)
 class BackendReply:
     status: str  # ok | fail | timeout
     elapsed_ms: int = 0
@@ -120,8 +130,10 @@ class BackendReply:
 class Backend(Protocol):
     """One prover conversation. All methods may raise SessionDead."""
 
-    def init(self, theory: str, statement: str) -> BackendReply:
-        """Start a fresh context, discarding the previous goal."""
+    def init(self, base: str | ProverState, statement: str) -> BackendReply:
+        """Start a fresh context, discarding the previous goal: replay
+        `statement` on top of `base`, a theory name or an earlier state.
+        A state the backend does not know raises SessionDead."""
         ...
 
     def step(self, text: str, timeout_ms: int) -> BackendReply: ...

@@ -4,8 +4,9 @@ Each open conjecture is attacked by trying the configured quick tactics in
 order under a short per-step timeout, then falling back to the hammer with
 its long timeout. A strict per-gap wall budget is enforced: an attempt is
 never started if its timeout could overrun the budget. Sketches are closed
-gap by gap in document order, substituting each closing step before moving
-on, and a fully closed sketch gets one final end-to-end verification.
+gap by gap in document order: each gap resumes from the prover state in
+which the previous gap closed, and a fully closed sketch gets one final
+end-to-end verification.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from ..sketch import (
 )
 from .config import (
     Backend,
+    BackendReply,
     Closed,
     ConnectError,
     Failed,
@@ -34,6 +36,7 @@ from .config import (
     HAMMER_NAME,
     Invalid,
     ProverConfig,
+    ProverState,
     SessionBusy,
     SessionDead,
     TimedOut,
@@ -130,15 +133,25 @@ def sketch_prefix(ast: SketchAst, site: GapSite) -> str:
     return _gap_context(GAP_TOKEN.join(render_segments(ast)[: index + 1]))
 
 
-def close_gap(session: ProverSession, site: GapSite, context: str) -> GapResult:
-    """Run the cascade on one open conjecture, starting from a fresh
-    `context` (the backend sees only that; `site` names the conjecture).
-    Wall time never exceeds the per-gap budget: attempts that could overrun
-    are not started. A context the backend refuses fails the gap without
-    a step, since a step would run against whatever goal it held before."""
+def _closing_state(reply: BackendReply) -> str:
+    if reply.state_id is None:
+        # the next gap resumes from this state, so the reply must name it
+        raise SessionDead("an ok closing reply carries no state_id")
+    return reply.state_id
+
+
+def close_gap(
+    session: ProverSession, site: GapSite, context: str, base: ProverState | None = None
+) -> GapResult:
+    """Run the cascade on one open conjecture, starting from `context`
+    replayed on top of `base` (the configured theory when None); the
+    backend sees only that, `site` names the conjecture. Wall time never
+    exceeds the per-gap budget: attempts that could overrun are not
+    started. A context the backend refuses fails the gap without a step,
+    since a step would run against whatever goal it held before."""
     config = session.config
     with session.exclusive() as backend:
-        reply = backend.init(config.theory, context)
+        reply = backend.init(config.theory if base is None else base, context)
         if reply.status != "ok":
             return Failed((("init", reply.status),), 0)
         elapsed = 0
@@ -149,14 +162,14 @@ def close_gap(session: ProverSession, site: GapSite, context: str) -> GapResult:
             reply = backend.step(step_text(tactic), config.tactic_timeout_ms)
             elapsed += reply.elapsed_ms
             if reply.status == "ok":
-                return Closed(step_text(tactic), index, elapsed)
+                return Closed(step_text(tactic), index, elapsed, _closing_state(reply))
             attempts.append((tactic, reply.status))
         if elapsed + config.hammer_timeout_ms > config.per_gap_budget_ms:
             return TimedOut(elapsed)
         reply = backend.hammer(config.hammer_timeout_ms)
         elapsed += reply.elapsed_ms
         if reply.status == "ok" and reply.reconstruction:
-            return Closed(reply.reconstruction, None, elapsed)
+            return Closed(reply.reconstruction, None, elapsed, _closing_state(reply))
         attempts.append((HAMMER_NAME, reply.status))
         return Failed(tuple(attempts), elapsed)
 
@@ -175,31 +188,35 @@ class SketchFailure:
 
 
 def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | SketchFailure:
-    """Close all gaps in document order, substituting each closing step so
-    later gaps see earlier closures; abort on the first gap that does not
-    close. A fully closed sketch must also pass end-to-end verification.
+    """Close all gaps in document order, so later gaps see earlier
+    closures; abort on the first gap that does not close. A fully closed
+    sketch must also pass end-to-end verification.
 
-    The sketch is rendered once: filling a gap with a closing step moves no
-    path and no text around it, so each gap's context is the text of the
-    segments before it with the earlier closing steps spliced in."""
+    The sketch is rendered once into the segments between its gaps. The
+    first gap starts from the theory with the first segment; each later gap
+    resumes from the state in which the previous gap closed and sends only
+    its own segment, so the text sent per gap does not grow with the
+    sketch. A segment ends with its gap's whole head line, so the backend
+    finds the same goal as in the full prefix."""
     segments = render_segments(ast)
     report = check_no_cheat(GAP_TOKEN.join(segments))
     if not report.clean:
         raise CheatViolation(report.offending)
 
     per_gap: list[GapResult] = []
-    done = ""
+    pieces: list[str] = []
+    base: ProverState | None = None
     for site, segment in zip(extract_gaps(ast), segments):
-        text = done + segment
-        result = close_gap(session, site, _gap_context(text))
+        result = close_gap(session, site, _gap_context(segment), base)
         per_gap.append(result)
         if not isinstance(result, Closed):
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
             return SketchFailure(site, tuple(per_gap), f"gap {kind}: {site.proposition}")
         # as fill_gap would splice it: a step that does not parse raises InvalidSite
-        done = text + closing_step_text(result.closing_step)
+        pieces += (segment, closing_step_text(result.closing_step))
+        base = ProverState(result.state_id)
 
-    proof_text = done + segments[-1]
+    proof_text = "".join(pieces) + segments[-1]
     verdict = verify_full(session, proof_text)
     if isinstance(verdict, Invalid):
         return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 
-from .config import BackendReply, ScriptError
+from .config import BackendReply, ProverState, ScriptError, SessionDead
 
 SCRIPT_SCHEMA = "prover-script/1"
 
@@ -204,8 +204,18 @@ class ScriptedBackend:
         self._states += 1
         return f"s{self._states}"
 
-    def init(self, theory: str, statement: str) -> BackendReply:
-        self.calls.append(("init", statement))
+    def _issued(self, state_id: str) -> bool:
+        # ids are issued in order, s1 to s{n}: no per-state memory is needed
+        issued = re.fullmatch(r"s([1-9][0-9]*)", state_id)
+        return issued is not None and int(issued.group(1)) <= self._states
+
+    def init(self, base: str | ProverState, statement: str) -> BackendReply:
+        if isinstance(base, ProverState):
+            if not self._issued(base.state_id):
+                raise SessionDead(f"unknown state {base.state_id!r}")
+            self.calls.append(("resume", statement))
+        else:
+            self.calls.append(("init", statement))
         self._goal = extract_goal(statement)
         self._ordinal = 0
         return BackendReply("ok", 0, state_id=self._next_state())

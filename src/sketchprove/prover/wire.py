@@ -6,6 +6,7 @@ increasing id echoed by the response.
 
 Commands:
     {"id": n, "cmd": "init", "theory": t, "statement": s}
+    {"id": n, "cmd": "resume", "state": s, "text": t}
     {"id": n, "cmd": "step", "text": s, "timeout_ms": ms}
     {"id": n, "cmd": "hammer", "timeout_ms": ms}
     {"id": n, "cmd": "check", "text": s, "timeout_ms": ms}
@@ -18,12 +19,21 @@ Responses:
 
 `init` starts a fresh context: it replays the statement (a theorem header
 plus any proof text up to the goal) and discards whatever goal the
-connection held before. `step` and `hammer` work on the goal of the
-latest init. `check` is a whole-proof check: the text is a complete
-theory-level proof, checked end to end and independently of the current
-goal. A server answers any other command with status "fail" and the reason
-"unknown command ..."; a client treats that answer to `check` as a lost
-session, not as an invalid proof.
+connection held before. `resume` does the same on top of `state`, the
+`state_id` of an earlier ok reply on this connection, and is answered like
+`init`: a client resumes each gap of a sketch from the state in which the
+previous gap closed, sending only the text between the two gaps. Every ok
+reply carries a `state_id`. `step` and `hammer` work on the goal of the
+latest init or resume. `check` is a whole-proof check: the text is a
+complete theory-level proof, checked end to end and independently of the
+current goal.
+
+A server answers any other command with status "fail" and the reason
+"unknown command ...", and a `resume` from a state it never issued with
+the reason "unknown state ...". A client treats either answer to `check`
+or `resume`, and an ok `step` or `hammer` reply without a `state_id`, as a
+lost session, not as an invalid proof or a failed gap. A resumed text the
+prover refuses fails its gap, as a refused `init` does.
 
 Run the reference server (scripted rules behind the wire protocol) with:
     python -m sketchprove.prover --script rules.json --port 9777
@@ -42,7 +52,7 @@ import threading
 import time
 from typing import IO
 
-from .config import BackendReply, ConnectError, SessionDead
+from .config import BackendReply, ConnectError, ProverState, SessionDead
 from .scripted import ScriptedBackend, load_script
 
 
@@ -121,8 +131,19 @@ class WireBackend:
             reason=raw.get("reason"),
         )
 
-    def init(self, theory: str, statement: str) -> BackendReply:
-        return self._to_reply(self._roundtrip("init", theory=theory, statement=statement))
+    @staticmethod
+    def _supported(cmd: str, reply: BackendReply) -> BackendReply:
+        # a bridge that cannot run `cmd` must not turn its answers into verdicts
+        reason = reply.reason or ""
+        if reply.status == "fail" and reason.startswith(("unknown command", "unknown state")):
+            raise SessionDead(f"backend does not support {cmd!r}: {reason}")
+        return reply
+
+    def init(self, base: str | ProverState, statement: str) -> BackendReply:
+        if not isinstance(base, ProverState):
+            return self._to_reply(self._roundtrip("init", theory=base, statement=statement))
+        reply = self._to_reply(self._roundtrip("resume", state=base.state_id, text=statement))
+        return self._supported("resume", reply)
 
     def step(self, text: str, timeout_ms: int) -> BackendReply:
         return self._to_reply(
@@ -142,10 +163,7 @@ class WireBackend:
                 "check", reply_timeout_s=timeout_ms / 1000 + 30, text=proof_text, timeout_ms=timeout_ms
             )
         )
-        if reply.status == "fail" and (reply.reason or "").startswith("unknown command"):
-            # a bridge that cannot check proofs must not turn them all invalid
-            raise SessionDead(f"backend does not support 'check': {reply.reason}")
-        return reply
+        return self._supported("check", reply)
 
     def quit(self) -> None:
         try:
@@ -180,6 +198,11 @@ def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]
             return
         if cmd == "init":
             reply = backend.init(frame.get("theory", "Main"), frame.get("statement", ""))
+        elif cmd == "resume":
+            try:
+                reply = backend.init(ProverState(str(frame.get("state"))), frame.get("text", ""))
+            except SessionDead as exc:
+                reply = BackendReply("fail", 0, reason=exc.detail)
         elif cmd == "step":
             reply = backend.step(frame.get("text", ""), int(frame.get("timeout_ms", 0)))
         elif cmd == "hammer":
@@ -197,6 +220,7 @@ def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]
             payload["reason"] = reply.reason
         writer.write(json.dumps(payload) + "\n")
         writer.flush()
+        backend.calls.clear()  # nothing reads the log here; it would grow per connection
 
 
 class WireServer:
@@ -236,7 +260,10 @@ class WireServer:
         return f"{host}:{port}"
 
     def start(self) -> "WireServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll, so that stop() returns promptly
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         return self
 

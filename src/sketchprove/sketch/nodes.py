@@ -112,12 +112,6 @@ class Comment:
 
 
 @dataclass(frozen=True)
-class QedMarker:
-    """Explicit block terminator; kept for completeness, blocks normally
-    close implicitly when their ProofBlock node ends."""
-
-
-@dataclass(frozen=True)
 class ProofBlock:
     method: str | None
     children: tuple["ProofNode", ...]
@@ -136,9 +130,7 @@ class ProofBlock:
         return tuple(flat)
 
 
-ProofNode = Union[
-    HaveStep, ShowStep, ObtainStep, AssumeStep, Comment, ProofBlock, QedMarker
-]
+ProofNode = Union[HaveStep, ShowStep, ObtainStep, AssumeStep, Comment, ProofBlock]
 StepNode = (HaveStep, ShowStep, ObtainStep)
 
 

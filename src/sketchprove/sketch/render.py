@@ -21,7 +21,6 @@ from .nodes import (
     ObtainStep,
     ProofBlock,
     ProofNode,
-    QedMarker,
     ShowStep,
     SketchAst,
     Tactic,
@@ -84,9 +83,6 @@ def _render_node(node: ProofNode, level: int, out: list[str | None]) -> None:
     ind = _INDENT * level
     if isinstance(node, Comment):
         out.append(f"{ind}(* {node.text} *)")
-        return
-    if isinstance(node, QedMarker):
-        out.append(f"{ind}qed")
         return
     if isinstance(node, ProofBlock):
         _render_block(node, level, out)

@@ -110,6 +110,16 @@ def test_bad_prover_spec_is_a_config_error(tmp_path):
     assert "error[config]" in result.stderr
 
 
+def test_budget_below_the_plan_is_a_config_error(tmp_path):
+    result = run_cli(
+        "--config", str(FIXTURES / "golden" / "config.json"), "--budget", "1",
+        "--out", str(tmp_path), "run",
+    )
+    assert result.returncode == 2
+    assert "error[config]: plan of 10 attempts exceeds the budget of 1" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_cache_is_an_infra_failure(tmp_path):
     flags = golden_flags(tmp_path)
     index = flags.index("--cache-file")

@@ -20,6 +20,7 @@ from sketchprove.prover import (
     ProverConfig,
     ProverScript,
     ProverSession,
+    ProverState,
     ScriptedBackend,
     ScriptError,
     ScriptedSpec,
@@ -40,7 +41,7 @@ from sketchprove.prover import (
 )
 from sketchprove.prover.driver import CheatViolation
 from sketchprove.prover.scripted import Outcome, Rule
-from sketchprove.sketch import extract_gaps, fill_gap, parse_sketch, serialize
+from sketchprove.sketch import closing_step_text, extract_gaps, fill_gap, parse_sketch, serialize
 
 FAST = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=2000)
 
@@ -290,11 +291,32 @@ def test_later_gaps_see_earlier_closures(tmp_path):
         "  show ?thesis using c1 sledgehammer\n"
         "qed\n"
     )
-    session = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
-    prove_sketch(session, parse_sketch(text))
-    contexts = [stmt for cmd, stmt in session.backend.calls if cmd == "init" and stmt]
-    assert len(contexts) == 2  # one init per gap; the final check has its own command
-    assert "by auto" in contexts[1]  # the second gap's context embeds the first closure
+    backend = ScriptedBackend(load_script(write_script(tmp_path, close_all_script())))
+    started, closing = [], []
+    init, step = backend.init, backend.step
+
+    def recording_init(base, statement):
+        started.append((base, statement))
+        return init(base, statement)
+
+    def recording_step(text, timeout_ms):
+        reply = step(text, timeout_ms)
+        closing.append(reply)
+        return reply
+
+    backend.init, backend.step = recording_init, recording_step
+    outcome = prove_sketch(ProverSession(backend, FAST), parse_sketch(text))
+    assert isinstance(outcome, FullProofResult)
+    first, second = outcome.per_gap
+    assert first.state_id == closing[0].state_id and second.state_id == closing[1].state_id
+    # one context per gap: the first from the theory, the second resumes from
+    # the state the first gap closed in and sends only its own segment
+    assert started == [
+        (FAST.theory, 'theorem t:\n  shows "G"\nproof -\n  have c1: "first goal"\n'),
+        (ProverState(first.state_id), "\n  show ?thesis using c1\n"),
+    ]
+    assert [cmd for cmd, _ in backend.calls] == ["init", "step", "resume", "step", "check_full"]
+    assert 'have c1: "first goal" by auto\n  show ?thesis using c1 by auto' in outcome.proof_text
 
 
 def test_prove_sketch_rejects_cheating_input(tmp_path):
@@ -457,6 +479,42 @@ def test_failed_init_fails_prove_sketch_and_direct_prove(tmp_path, fig2_text):
     assert [cmd for cmd, _ in session.backend.calls] == ["init"]
 
 
+class RefusingResumeBackend(ScriptedBackend):
+    """Accepts contexts started from a theory, refuses resumed ones."""
+
+    def init(self, base, statement):
+        reply = super().init(base, statement)
+        if isinstance(base, ProverState):
+            return BackendReply("fail", 0, reason="context does not parse")
+        return reply
+
+
+def test_refused_resume_fails_the_gap_like_a_refused_init(tmp_path, fig2_text):
+    script = load_script(write_script(tmp_path, close_all_script()))
+    session = ProverSession(RefusingResumeBackend(script), FAST)
+    ast = parse_sketch(fig2_text)
+    outcome = prove_sketch(session, ast)
+    assert isinstance(outcome, SketchFailure)
+    assert outcome.failed_site == extract_gaps(ast)[1]
+    assert isinstance(outcome.partial[0], Closed)
+    assert outcome.partial[1] == Failed((("init", "fail"),), 0)
+    assert session.state is SessionState.IDLE
+    assert [cmd for cmd, _ in session.backend.calls] == ["init", "step", "resume"]
+
+
+def test_scripted_backend_resumes_only_issued_states(tmp_path):
+    backend = ScriptedBackend(load_script(write_script(tmp_path, close_all_script())))
+    with pytest.raises(SessionDead, match="unknown state 's1'"):
+        backend.init(ProverState("s1"), 'have c: "g"')  # nothing issued yet
+    assert backend.init("Main", 'have c: "g"').state_id == "s1"
+    assert backend.step("by auto", 50).state_id == "s2"
+    for issued in ("s1", "s2"):
+        assert backend.init(ProverState(issued), 'have c: "g"').status == "ok"
+    for unknown in ("s5", "s0", "s01", "S1", "s1 ", "s", "1", "s\u0661"):
+        with pytest.raises(SessionDead, match="unknown state"):
+            backend.init(ProverState(unknown), 'have c: "g"')
+
+
 # -- extract_goal ------------------------------------------------------------------------
 
 
@@ -546,4 +604,23 @@ def test_prove_sketch_matches_gap_at_a_time_oracle(seed):
         assert outcome.proof_text == proof_text
         assert list(outcome.per_gap) == per_gap
         verify_full(slow, proof_text)
-    assert fast.backend.calls == slow.backend.calls  # init contexts included
+
+    def cascade(calls):
+        return [call for call in calls if call[0] in ("step", "hammer", "check_full")]
+
+    def contexts(calls):
+        return [call for call in calls if call[0] in ("init", "resume")]
+
+    assert cascade(fast.backend.calls) == cascade(slow.backend.calls)
+    sent, oracle = contexts(fast.backend.calls), contexts(slow.backend.calls)
+    assert [cmd for cmd, _ in sent] == ["resume" if k else "init" for k in range(len(oracle))]
+    assert [extract_goal(text) for _, text in sent] == [extract_goal(text) for _, text in oracle]
+    # the replay chain (init text, closing step, next resumed text, ...) is
+    # the oracle's whole-prefix context, up to whitespace
+    results = outcome.per_gap if isinstance(outcome, FullProofResult) else outcome.partial
+    chain = ""
+    for (_, text), (_, context), result in zip(sent, oracle, results):
+        chain += text
+        assert " ".join(chain.split()) == " ".join(context.split())
+        if isinstance(result, Closed):
+            chain += closing_step_text(result.closing_step)

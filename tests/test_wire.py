@@ -1,5 +1,9 @@
+import io
 import json
+import random
+import socket
 import sys
+import threading
 
 import pytest
 
@@ -11,6 +15,8 @@ from sketchprove.prover import (
     Invalid,
     ProverConfig,
     ProverSession,
+    ProverState,
+    ScriptedBackend,
     SessionDead,
     SessionState,
     Valid,
@@ -18,34 +24,84 @@ from sketchprove.prover import (
     WireServer,
     close_gap,
     direct_prove,
+    load_script,
     open_session,
     prove_sketch,
     sketch_prefix,
     verify_full,
 )
-from sketchprove.sketch import extract_gaps, parse_sketch
+from sketchprove.prover.wire import _serve_connection
+from sketchprove.sketch import extract_gaps, parse_sketch, render_segments
 
 FAST = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=2000)
+
+WIRE_SCRIPT = minimal_script(
+    rules=[
+        {"match": {"kind": "substring", "pattern": "first goal"},
+         "outcome": {"kind": "tactic", "index": 0}},
+        {"match": {"kind": "exact", "pattern": "?thesis"},
+         "outcome": {"kind": "hammer", "step": "by (metis assms)"}},
+        {"match": {"kind": "exact", "pattern": "x + 0 = x"},
+         "outcome": {"kind": "tactic", "index": 2}},
+    ],
+    verify={"default": "accept", "reject_substrings": ["poison"]},
+)
+
+
+def write_script(tmp_path, script, name="wire_script.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(script))
+    return str(path)
 
 
 @pytest.fixture()
 def server(tmp_path):
-    script = minimal_script(
-        rules=[
-            {"match": {"kind": "substring", "pattern": "first goal"},
-             "outcome": {"kind": "tactic", "index": 0}},
-            {"match": {"kind": "exact", "pattern": "?thesis"},
-             "outcome": {"kind": "hammer", "step": "by (metis assms)"}},
-            {"match": {"kind": "exact", "pattern": "x + 0 = x"},
-             "outcome": {"kind": "tactic", "index": 2}},
-        ],
-        verify={"default": "accept", "reject_substrings": ["poison"]},
-    )
-    path = tmp_path / "wire_script.json"
-    path.write_text(json.dumps(script))
-    server = WireServer(str(path)).start()
+    server = WireServer(write_script(tmp_path, WIRE_SCRIPT)).start()
     yield server
     server.stop()
+
+
+def transport_backend(transport, server, tmp_path):
+    if transport == "tcp":
+        return WireBackend(server.address)
+    script_path = write_script(tmp_path, WIRE_SCRIPT, "stdio_script.json")
+    return WireBackend(f"stdio:{sys.executable} -m sketchprove.prover --script {script_path} --stdio")
+
+
+def counting_commands(backend):
+    """Wraps the backend's round trip; returns the list of frames it sends."""
+    sent = []
+    roundtrip = backend._roundtrip
+
+    def counting(cmd, *args, **fields):
+        sent.append((cmd, fields))
+        return roundtrip(cmd, *args, **fields)
+
+    backend._roundtrip = counting
+    return sent
+
+
+def fake_bridge(answer):
+    """A bridge on a local port that serves one connection, answering each
+    frame with `answer(frame)`; returns its address."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    port = listener.getsockname()[1]
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("r") as reader, conn.makefile("w") as writer:
+            for line in reader:
+                frame = json.loads(line)
+                writer.write(json.dumps({"id": frame["id"], "elapsed_ms": 0, **answer(frame)}) + "\n")
+                writer.flush()
+                if frame["cmd"] == "quit":
+                    break
+        listener.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return f"127.0.0.1:{port}"
 
 
 SKETCH = (
@@ -188,62 +244,166 @@ def test_wire_unresponsive_backend_does_not_hang():
 
 @pytest.mark.parametrize("transport", ["tcp", "stdio"])
 def test_wire_check_full_is_one_round_trip(server, tmp_path, transport):
-    if transport == "tcp":
-        backend = WireBackend(server.address)
-    else:
-        script_path = tmp_path / "stdio_script.json"
-        script_path.write_text(json.dumps(minimal_script(verify={"reject_substrings": ["poison"]})))
-        backend = WireBackend(
-            f"stdio:{sys.executable} -m sketchprove.prover --script {script_path} --stdio"
-        )
-    sent = []
-    roundtrip = backend._roundtrip
-
-    def counting(cmd, *args, **fields):
-        sent.append(cmd)
-        return roundtrip(cmd, *args, **fields)
-
-    backend._roundtrip = counting
+    backend = transport_backend(transport, server, tmp_path)
+    sent = counting_commands(backend)
     good = 'theorem t: shows "G"\nproof -\n  show ?thesis by auto\nqed\n'
     assert backend.check_full(good, 600).status == "ok"
-    assert sent == ["check"]
+    assert [cmd for cmd, _ in sent] == ["check"]
     # a whole-proof check is independent of the goal the connection holds
     backend.init("Main", 'shows "x + 0 = x"')
     reply = backend.check_full(good.replace("by auto", "(* poison *) by auto"), 600)
     assert reply.status == "fail" and "poison" in reply.reason
-    assert sent == ["check", "init", "check"]
+    assert [cmd for cmd, _ in sent] == ["check", "init", "check"]
     backend.quit()
+
+
+def _unknown(cmd):
+    def answer(frame):
+        if frame["cmd"] == cmd:
+            return {"status": "fail", "reason": f"unknown command {cmd!r}"}
+        return {"status": "ok", "state_id": "s1", "reconstruction": "by (metis assms)"}
+
+    return answer
 
 
 def test_wire_check_unknown_to_the_bridge_is_a_lost_session():
     # a bridge without `check` must surface as an infrastructure failure,
     # not quietly turn every closed sketch into an invalid proof
-    import socket
-    import threading
-
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
-
-    def bridge_without_check():
-        conn, _ = listener.accept()
-        with conn, conn.makefile("r") as reader, conn.makefile("w") as writer:
-            for line in reader:
-                frame = json.loads(line)
-                reply = {"id": frame["id"], "status": "ok", "elapsed_ms": 0}
-                if frame["cmd"] == "check":
-                    reply = {"id": frame["id"], "status": "fail", "elapsed_ms": 0,
-                             "reason": "unknown command 'check'"}
-                writer.write(json.dumps(reply) + "\n")
-                writer.flush()
-                if frame["cmd"] == "quit":
-                    return
-
-    threading.Thread(target=bridge_without_check, daemon=True).start()
-    session = ProverSession(WireBackend(f"127.0.0.1:{port}"), FAST)
+    session = ProverSession(WireBackend(fake_bridge(_unknown("check"))), FAST)
     with pytest.raises(SessionDead, match="does not support 'check'"):
         verify_full(session, 'theorem t: shows "G"\nproof -\n  show ?thesis by auto\nqed\n')
     assert session.state is SessionState.DEAD
     session.close()
-    listener.close()
+
+
+# -- resume ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("transport", ["tcp", "stdio"])
+def test_wire_resume_round_trip(server, tmp_path, transport):
+    backend = transport_backend(transport, server, tmp_path)
+    sent = counting_commands(backend)
+    first = backend.init("Main", 'theorem t: shows "G"\nproof -\n  have c1: "first goal"\n')
+    assert first.status == "ok" and first.state_id
+    closed = backend.step("by auto", 50)
+    assert closed.status == "ok" and closed.state_id not in (None, first.state_id)
+    resumed = backend.init(ProverState(closed.state_id), "\n  show ?thesis using c1\n")
+    assert resumed.status == "ok" and resumed.state_id not in (None, closed.state_id)
+    hammer = backend.hammer(600)  # the goal is the resumed text's
+    assert hammer.status == "ok" and hammer.reconstruction == "by (metis assms)"
+    # any state issued on this connection can be resumed, and resuming
+    # discards the current goal and its cascade position
+    backend.init(ProverState(first.state_id), '\n  have c2: "x + 0 = x"\n')
+    assert [backend.step(step, 50).status for step in ("by auto", "by simp", "by blast")] == [
+        "fail", "fail", "ok"]
+    assert sent[2] == ("resume", {"state": closed.state_id, "text": "\n  show ?thesis using c1\n"})
+    assert [cmd for cmd, _ in sent] == [
+        "init", "step", "resume", "hammer", "resume", "step", "step", "step"]
+    backend.quit()
+
+
+def test_wire_resume_unknown_to_the_bridge_is_a_lost_session():
+    # a bridge written before `resume` must not fail every later gap quietly
+    session = ProverSession(WireBackend(fake_bridge(_unknown("resume"))), FAST)
+    with pytest.raises(SessionDead, match="does not support 'resume'"):
+        prove_sketch(session, parse_sketch(SKETCH))
+    assert session.state is SessionState.DEAD
+    session.close()
+
+
+def test_wire_resume_from_an_unknown_state_is_a_lost_session(server):
+    backend = WireBackend(server.address)
+    with pytest.raises(SessionDead, match="unknown state 's1'"):
+        backend.init(ProverState("s1"), "\n  show ?thesis\n")  # nothing issued yet
+    issued = backend.init("Main", 'shows "x + 0 = x"').state_id
+    assert backend.init(ProverState(issued), "\n  show ?thesis\n").status == "ok"
+    with pytest.raises(SessionDead, match="unknown state 's99'"):
+        backend.init(ProverState("s99"), "\n  show ?thesis\n")
+    backend.quit()
+    other = WireBackend(server.address)  # states belong to their connection
+    with pytest.raises(SessionDead, match="unknown state"):
+        other.init(ProverState(issued), "\n  show ?thesis\n")
+    other.quit()
+
+
+@pytest.mark.parametrize("closer", ["step", "hammer"])
+def test_wire_closing_reply_without_state_id_is_a_lost_session(closer):
+    def answer(frame):
+        if frame["cmd"] == "step" and closer == "hammer":
+            return {"status": "fail", "reason": "step does not close the goal"}
+        if frame["cmd"] in ("step", "hammer"):
+            return {"status": "ok", "reconstruction": "by (metis assms)"}  # no state_id
+        return {"status": "ok", "state_id": "s1"}
+
+    session = ProverSession(WireBackend(fake_bridge(answer)), FAST)
+    ast = parse_sketch(SKETCH)
+    site = extract_gaps(ast)[0]
+    with pytest.raises(SessionDead, match="no state_id"):
+        close_gap(session, site, sketch_prefix(ast, site))
+    assert session.state is SessionState.DEAD
+    session.close()
+
+
+def seeded_sketch(seed, gaps):
+    rng = random.Random(seed)
+    lines = ['theorem big: assumes h0: "P"\n  shows "Q"\nproof -\n']
+    for i in range(gaps - 1):
+        if rng.random() < 0.5:
+            lines.append(f"  (* step {i}: {'w' * rng.randrange(40)} *)\n")
+        lines.append(f'  have c{i}: "x + {rng.randrange(10**6)} = {rng.randrange(10**6)} + x"'
+                     f" using h0 sledgehammer\n")
+    lines.append("  show ?thesis sledgehammer\nqed\n")
+    return parse_sketch("".join(lines))
+
+
+def test_wire_context_bytes_follow_the_segment_not_the_prefix(tmp_path):
+    close_all = minimal_script(
+        rules=[{"match": {"kind": "glob", "pattern": "*"}, "outcome": {"kind": "tactic", "index": 0}}]
+    )
+    server = WireServer(write_script(tmp_path, close_all)).start()
+    try:
+        session = open_session(ExternalSpec(server.address), FAST)
+        sent = counting_commands(session.backend)
+        ast = seeded_sketch(7, 200)
+        outcome = prove_sketch(session, ast)
+        session.close()
+    finally:
+        server.stop()
+    assert isinstance(outcome, FullProofResult) and len(outcome.per_gap) == 200
+
+    def size(text):
+        return len(text.encode("utf-8"))
+
+    context_bytes = sum(
+        size(fields.get("statement", fields.get("text", "")))
+        for cmd, fields in sent if cmd in ("init", "resume")
+    )
+    segments = render_segments(ast)[:-1]
+    contexts = [segment.rstrip() + "\n" for segment in segments]
+    prefixes = ["".join(segments[: k + 1]).rstrip() + "\n" for k in range(len(segments))]
+    assert context_bytes == sum(map(size, contexts))
+    assert 50 * context_bytes < sum(map(size, prefixes))  # about 100 times, on this sketch
+
+
+def test_serve_connection_keeps_no_call_log(tmp_path):
+    backend = ScriptedBackend(load_script(write_script(tmp_path, WIRE_SCRIPT)))
+    requests = [
+        {"cmd": "init", "theory": "Main", "statement": 'have c1: "first goal"'},
+        {"cmd": "step", "text": "by auto", "timeout_ms": 50},
+        {"cmd": "resume", "state": "s2", "text": "\n  show ?thesis using c1\n"},
+        {"cmd": "hammer", "timeout_ms": 600},
+        {"cmd": "check", "text": "theorem t: shows \"G\" by auto", "timeout_ms": 600},
+        {"cmd": "quit"},
+    ]
+
+    def frames():
+        for req_id, request in enumerate(requests, 1):
+            assert backend.calls == []  # each reply dropped its log entry
+            yield json.dumps({"id": req_id, **request}) + "\n"
+
+    writer = io.StringIO()
+    _serve_connection(backend, frames(), writer)
+    replies = [json.loads(line) for line in writer.getvalue().splitlines()]
+    assert [reply["id"] for reply in replies] == [1, 2, 3, 4, 5, 6]
+    assert all(reply["status"] == "ok" for reply in replies)
+    assert backend.calls == []
