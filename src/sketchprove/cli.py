@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 One subcommand per pipeline stage (draft, sketch, prove) plus the full
-experiment loop (run) and evaluation outputs (eval, curve). Values resolve
+experiment loop (run) and evaluation outputs (eval, curve). `sketch` builds
+its prompt with the pipeline's own `scheduler.sketch_prompt` and the same
+prompt settings as `run`, so `--show-prompt` prints what `run` sends for that
+(problem, draft, sketch index). Values resolve
 as: built-in defaults, then the --config file, then explicit flags; the
 effective configuration is echoed into the run manifest together with its
 hash. Exit codes: 0 success, 1 infrastructure failure, 2 configuration
@@ -14,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -36,15 +38,13 @@ from .llm import (
     sketch_preset,
 )
 from .prompting import (
+    MissingFullProof,
     PoolFormatError,
+    PoolTooSmall,
     PromptConfig,
     PromptMode,
-    apply_mode,
     build_draft_prompt,
-    build_sketch_prompt,
-    infer_category,
     load_pool,
-    select_examples,
 )
 from .prover import (
     Closed,
@@ -67,6 +67,7 @@ from .scheduler import (
     derive_seed,
     infra_failures,
     run_experiment,
+    sketch_prompt,
 )
 from .sketch import count_gaps, parse_sketch
 from .sketch.parser import ParseError
@@ -160,20 +161,23 @@ def _prover_config(config: CliConfig) -> ProverConfig:
     )
 
 
+def _prompt_config(config: CliConfig) -> PromptConfig:
+    return PromptConfig(
+        k_examples=config.k_examples,
+        mode=PromptMode(config.mode),
+        rng_seed=config.seed,
+        max_prompt_chars=config.max_prompt_chars,
+    )
+
+
 def _components(config: CliConfig) -> PipelineComponents:
     pool = load_pool(config.pool_path)
     client = _build_client(config)
     spec = _prover_spec(config)
     prover_config = _prover_config(config)
     provider = SessionProvider(lambda: open_session(spec, prover_config))
-    prompt_config = PromptConfig(
-        k_examples=config.k_examples,
-        mode=PromptMode(config.mode),
-        rng_seed=config.seed,
-        max_prompt_chars=config.max_prompt_chars,
-    )
     return PipelineComponents(
-        pool=pool, client=client, sessions=provider, prompt_config=prompt_config
+        pool=pool, client=client, sessions=provider, prompt_config=_prompt_config(config)
     )
 
 
@@ -230,15 +234,8 @@ def cmd_sketch(config: CliConfig, args: argparse.Namespace) -> int:
     draft = draft_file.read_text(encoding="utf-8")
 
     pool = load_pool(config.pool_path)
-    prompt_config = PromptConfig(
-        k_examples=config.k_examples, mode=PromptMode(config.mode), rng_seed=config.seed
-    )
     seed = derive_seed(config.seed, problem.id, args.draft_id, args.sketch_index)
-    examples = select_examples(
-        pool, problem.id, infer_category(problem.id), prompt_config, random.Random(seed)
-    )
-    shown = [apply_mode(q, prompt_config.mode) for q in examples]
-    prompt = build_sketch_prompt(shown, problem, draft, prompt_config)
+    prompt = sketch_prompt(pool, problem, draft, _prompt_config(config), seed)
     if args.show_prompt:
         print("--- prompt ---")
         print(prompt)
@@ -295,19 +292,17 @@ def cmd_run(config: CliConfig, args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / ("records_baseline.jsonl" if args.baseline else "records.jsonl")
     harness.export_records(results, records_path)
+    failures = infra_failures(results)
     harness.write_manifest(
         out_dir / "manifest.json",
         config=config.as_dict() | {"baseline": args.baseline},
         created_at=datetime.now(timezone.utc).isoformat(),
         timings_ms={"total": elapsed_ms},
-        infra_errors=infra_failures(results),
+        infra_errors=failures,
     )
-    for split in harness.Split:
-        rate = harness.success_rate(results, problems, split)
-        total = sum(1 for p in problems if p.split is split)
-        print(f"{split.value}: {int(rate * total)}/{total} solved ({harness.format_rate(rate)})")
+    for split, solved, total, rate in harness.split_tally(results, problems):
+        print(f"{split.value}: {solved}/{total} solved ({harness.format_rate(rate)})")
     print(f"records: {records_path}")
-    failures = infra_failures(results)
     if failures:
         print(f"problems aborted on infrastructure errors: {sorted(failures)}", file=sys.stderr)
         return EXIT_INFRA
@@ -321,10 +316,8 @@ def cmd_eval(config: CliConfig, args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "table.csv"
     harness.export_table_csv(results, problems, table_path)
-    for split in harness.Split:
-        rate = harness.success_rate(results, problems, split)
-        total = sum(1 for p in problems if p.split is split)
-        print(f"{split.value}: {int(rate * total)}/{total} ({harness.format_rate(rate)})")
+    for split, solved, total, rate in harness.split_tally(results, problems):
+        print(f"{split.value}: {solved}/{total} ({harness.format_rate(rate)})")
     print(f"table: {table_path}")
     return EXIT_OK
 
@@ -424,8 +417,11 @@ def main(argv: list[str] | None = None) -> int:
         ConfigError,
         BudgetExceeded,
         PoolFormatError,
+        PoolTooSmall,
+        MissingFullProof,
         harness.SchemaError,
         harness.DuplicateId,
+        harness.MissingResults,
         ValueError,
     ) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)

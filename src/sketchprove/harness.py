@@ -265,6 +265,23 @@ def success_rate(
     return Fraction(solved, len(ids))
 
 
+def split_tally(
+    results: Sequence[ProblemResult], problems: Sequence[Problem]
+) -> list[tuple[Split, int, int, Fraction]]:
+    """(split, solved, total, exact rate) for each split, in Split order.
+    Raises MissingResults naming every problem that has no result."""
+    covered = {r.problem_id for r in results}
+    missing = tuple(p.id for p in problems if p.id not in covered)
+    if missing:
+        raise MissingResults(missing)
+    tally = []
+    for split in Split:
+        rate = success_rate(results, problems, split)
+        total = sum(1 for p in problems if p.split is split)
+        tally.append((split, int(rate * total), total, rate))
+    return tally
+
+
 def format_rate(rate: Fraction) -> str:
     """One-decimal percentage, e.g. Fraction(39, 100) -> '39.0%'."""
     return f"{float(rate) * 100:.1f}%"
@@ -410,13 +427,11 @@ def import_records(path: str | Path) -> list[ProblemResult]:
 def export_table_csv(
     results: Sequence[ProblemResult], problems: Sequence[Problem], path: str | Path
 ) -> None:
+    tally = split_tally(results, problems)  # before the file opens, so a gap leaves no table
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["split", "solved", "total", "fraction", "percent"])
-        for split in Split:
-            rate = success_rate(results, problems, split)
-            total = sum(1 for p in problems if p.split is split)
-            solved = int(rate * total)
+        for split, solved, total, rate in tally:
             writer.writerow(
                 [split.value, solved, total, f"{solved}/{total}", format_rate(rate)]
             )

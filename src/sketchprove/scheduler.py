@@ -6,18 +6,25 @@ seed per entry. Problems run through draft -> sketch -> prove, recording one
 attempt per grid entry; a worker pool runs problems in parallel with one
 prover session per worker, and results are a pure function of inputs, seed,
 caches, and scripts, independent of worker count.
+
+`sketch_prompt` is the one place a sketching prompt is assembled, for the
+pipeline and for the CLI's `sketch` preview alike. Both the pipeline and the
+direct baseline run their prover work through one reopen loop: a lost
+session is replaced and the work run again, until the problem's reopen
+budget is spent and the problem aborts as an infrastructure error.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .harness import AttemptRecord, FailureStage, Problem, ProblemResult
 from .llm import (
@@ -142,20 +149,74 @@ class PipelineComponents:
     max_session_reopens: int = 2
 
 
-def _skipped(problem_id: str, entry: tuple[int, int, int], stage: FailureStage) -> AttemptRecord:
+def _attempt_record(
+    problem_id: str,
+    entry: tuple[int, int, int],
+    stage: FailureStage | None,
+    parse_ok: bool = False,
+    gaps_total: int = 0,
+    gaps_closed: int = 0,
+    wall_ms: int = 0,
+) -> AttemptRecord:
+    """The record of one plan entry; a stage of None marks a success."""
     draft_index, sketch_index, seed = entry
     return AttemptRecord(
         problem_id=problem_id,
         draft_index=draft_index,
         sketch_index=sketch_index,
-        parse_ok=False,
-        gaps_total=0,
-        gaps_closed=0,
-        success=False,
+        parse_ok=parse_ok,
+        gaps_total=gaps_total,
+        gaps_closed=gaps_closed,
+        success=stage is None,
         failure_stage=stage,
-        wall_ms=0,
+        wall_ms=wall_ms,
         prompt_seed=seed,
     )
+
+
+T = TypeVar("T")
+
+
+def _on_session(
+    problem_id: str,
+    components: PipelineComponents,
+    reopens: Iterator[int],
+    work: Callable[[ProverSession], T],
+) -> T:
+    """Run `work` on the worker's prover session, reopening a lost session
+    and running it again. `reopens` numbers the problem's reopens; the loss
+    that spends its budget raises SessionDead."""
+    while True:
+        try:
+            return work(components.sessions.get())
+        except SessionDead as exc:
+            reopen = next(reopens)
+            logger.warning(
+                "problem %s: prover session lost (%s), reopen %d", problem_id, exc, reopen
+            )
+            if reopen > components.max_session_reopens:
+                raise
+
+
+def _session_lost(
+    problem_id: str, attempts: Sequence[AttemptRecord], exc: SessionDead
+) -> ProblemResult:
+    return ProblemResult.from_attempts(
+        problem_id, attempts, infra_error=f"prover session lost: {exc}"
+    )
+
+
+def sketch_prompt(
+    pool: ExamplePool, problem: Problem, draft: str, config: PromptConfig, seed: int
+) -> str:
+    """The sketching prompt for one draft: k examples drawn with the plan
+    entry's seed, rewritten for the ablation mode, then the target problem.
+    Raises PoolTooSmall or MissingFullProof when the pool cannot supply them."""
+    examples = select_examples(
+        pool, problem.id, infer_category(problem.id), config, random.Random(seed)
+    )
+    shown = [apply_mode(quad, config.mode) for quad in examples]
+    return build_sketch_prompt(shown, problem, draft, config)
 
 
 def _obtain_drafts(
@@ -187,32 +248,11 @@ def _run_attempt(
 ) -> AttemptRecord:
     """One (draft, sketch) attempt. Raises SessionDead for the caller's
     reopen logic; every other failure becomes a stage-tagged record."""
-    draft_index, sketch_index, seed = entry
-    config = components.prompt_config
-
-    def failed(stage: FailureStage, parse_ok=False, gaps_total=0, gaps_closed=0, wall_ms=0):
-        return AttemptRecord(
-            problem_id=problem.id,
-            draft_index=draft_index,
-            sketch_index=sketch_index,
-            parse_ok=parse_ok,
-            gaps_total=gaps_total,
-            gaps_closed=gaps_closed,
-            success=False,
-            failure_stage=stage,
-            wall_ms=wall_ms,
-            prompt_seed=seed,
-        )
-
     try:
-        examples = select_examples(
-            components.pool, problem.id, infer_category(problem.id), config, random.Random(seed)
-        )
-        shown = [apply_mode(quad, config.mode) for quad in examples]
-        prompt = build_sketch_prompt(shown, problem, draft, config)
+        prompt = sketch_prompt(components.pool, problem, draft, components.prompt_config, entry[2])
     except (PoolTooSmall, MissingFullProof) as exc:
         logger.warning("problem %s: prompt build failed: %s", problem.id, exc)
-        return failed(FailureStage.PROMPT_BUILD)
+        return _attempt_record(problem.id, entry, FailureStage.PROMPT_BUILD)
 
     request = CompletionRequest(
         prompt=prompt, config=sketch_preset(), endpoint_id=components.client.endpoint_id
@@ -221,38 +261,36 @@ def _run_attempt(
         response = components.client.complete(request)
     except (CacheMiss, EndpointError, Timeout) as exc:
         logger.warning("problem %s: sketch completion failed: %s", problem.id, exc)
-        return failed(FailureStage.INFRA)
+        return _attempt_record(problem.id, entry, FailureStage.INFRA)
     wall_ms = response.latency_ms
 
     try:
         ast = parse_sketch(response.completions[0])
     except ParseError:
-        return failed(FailureStage.PARSE, wall_ms=wall_ms)
+        return _attempt_record(problem.id, entry, FailureStage.PARSE, wall_ms=wall_ms)
 
     gaps_total = count_gaps(ast)
     try:
         outcome = prove_sketch(session, ast)
     except CheatViolation:
         # invalid regardless of what a prover would say; it was never consulted
-        return failed(FailureStage.VERIFY, parse_ok=True, gaps_total=gaps_total, wall_ms=wall_ms)
+        return _attempt_record(
+            problem.id, entry, FailureStage.VERIFY,
+            parse_ok=True, gaps_total=gaps_total, wall_ms=wall_ms,
+        )
     if isinstance(outcome, FullProofResult):
         wall_ms += sum(r.elapsed_ms for r in outcome.per_gap if isinstance(r, Closed))
-        return AttemptRecord(
-            problem_id=problem.id,
-            draft_index=draft_index,
-            sketch_index=sketch_index,
-            parse_ok=True,
-            gaps_total=gaps_total,
-            gaps_closed=gaps_total,
-            success=True,
-            failure_stage=None,
-            wall_ms=wall_ms,
-            prompt_seed=seed,
+        return _attempt_record(
+            problem.id, entry, None,
+            parse_ok=True, gaps_total=gaps_total, gaps_closed=gaps_total, wall_ms=wall_ms,
         )
     closed = sum(1 for r in outcome.partial if isinstance(r, Closed))
     wall_ms += sum(r.elapsed_ms for r in outcome.partial)
     stage = FailureStage.VERIFY if outcome.failed_site is None else FailureStage.PROVE
-    return failed(stage, parse_ok=True, gaps_total=gaps_total, gaps_closed=closed, wall_ms=wall_ms)
+    return _attempt_record(
+        problem.id, entry, stage,
+        parse_ok=True, gaps_total=gaps_total, gaps_closed=closed, wall_ms=wall_ms,
+    )
 
 
 def run_problem(
@@ -273,28 +311,22 @@ def run_problem(
 
     attempts: list[AttemptRecord] = []
     solved = False
-    reopens = 0
+    reopens = itertools.count(1)
     for entry in plan.entries:
         if solved and policy.stop_on_first_success:
-            attempts.append(_skipped(problem.id, entry, FailureStage.NOT_RUN))
+            attempts.append(_attempt_record(problem.id, entry, FailureStage.NOT_RUN))
             continue
         if entry[0] >= len(drafts):
-            attempts.append(_skipped(problem.id, entry, FailureStage.DRAFT))
+            attempts.append(_attempt_record(problem.id, entry, FailureStage.DRAFT))
             continue
-        while True:
-            session = components.sessions.get()
-            try:
-                record = _run_attempt(problem, drafts[entry[0]], entry, components, session)
-                break
-            except SessionDead as exc:
-                reopens += 1
-                logger.warning(
-                    "problem %s: prover session lost (%s), reopen %d", problem.id, exc, reopens
-                )
-                if reopens > components.max_session_reopens:
-                    return ProblemResult.from_attempts(
-                        problem.id, attempts, infra_error=f"prover session lost: {exc}"
-                    )
+        draft = drafts[entry[0]]
+        try:
+            record = _on_session(
+                problem.id, components, reopens,
+                lambda session: _run_attempt(problem, draft, entry, components, session),
+            )
+        except SessionDead as exc:
+            return _session_lost(problem.id, attempts, exc)
         attempts.append(record)
         solved = solved or record.success
     return ProblemResult.from_attempts(problem.id, attempts)
@@ -303,30 +335,17 @@ def run_problem(
 def run_problem_direct(problem: Problem, components: PipelineComponents) -> ProblemResult:
     """Baseline mode: one direct cascade attempt on the formal statement,
     no drafting or sketching."""
-    reopens = 0
-    while True:
-        session = components.sessions.get()
-        try:
-            verdict = direct_prove(session, problem.formal_statement)
-            break
-        except SessionDead as exc:
-            reopens += 1
-            if reopens > components.max_session_reopens:
-                return ProblemResult.from_attempts(
-                    problem.id, [], infra_error=f"prover session lost: {exc}"
-                )
+    try:
+        verdict = _on_session(
+            problem.id, components, itertools.count(1),
+            lambda session: direct_prove(session, problem.formal_statement),
+        )
+    except SessionDead as exc:
+        return _session_lost(problem.id, [], exc)
     ok = isinstance(verdict, Valid)
-    record = AttemptRecord(
-        problem_id=problem.id,
-        draft_index=0,
-        sketch_index=0,
-        parse_ok=True,
-        gaps_total=1,
-        gaps_closed=1 if ok else 0,
-        success=ok,
-        failure_stage=None if ok else FailureStage.PROVE,
-        wall_ms=0,
-        prompt_seed=0,
+    record = _attempt_record(
+        problem.id, (0, 0, 0), None if ok else FailureStage.PROVE,
+        parse_ok=True, gaps_total=1, gaps_closed=int(ok),
     )
     return ProblemResult.from_attempts(problem.id, [record])
 

@@ -184,43 +184,3 @@ def count_comments(ast: SketchAst) -> int:
     visit(ast.body)
     return total
 
-
-def unresolved_facts(ast: SketchAst) -> list[tuple[Path, str]]:
-    """Fact names used by steps that do not resolve to a visible label.
-
-    Permitted (they usually name library lemmas the grammar cannot see) but
-    flagged so callers can log them.
-    """
-    flagged: list[tuple[Path, str]] = []
-    base = {label for label, _ in ast.header.assumes if label} | {"assms"}
-
-    def visit(pairs: Iterable[tuple[Path, ProofNode]], scope: set[str]) -> None:
-        for path, node in pairs:
-            if isinstance(node, StepNode):
-                for name in node.facts_used:
-                    if name not in scope:
-                        flagged.append((path, name))
-                if isinstance(node.justification, Nested):
-                    visit_block(node.justification.block, path + (0,), set(scope))
-                if getattr(node, "label", None):
-                    scope.add(node.label)  # type: ignore[arg-type]
-            elif isinstance(node, AssumeStep):
-                if node.label:
-                    scope.add(node.label)
-            elif isinstance(node, ProofBlock):
-                visit_block(node, path, set(scope))
-
-    def visit_block(block: ProofBlock, path: Path, scope: set[str]) -> None:
-        current = scope
-        entry = frozenset(scope)
-        run: list[tuple[Path, ProofNode]] = []
-        for child_path, node, starts_case in _indexed(block, path):
-            if starts_case:
-                visit(run, current)
-                run = []
-                current = set(entry)
-            run.append((child_path, node))
-        visit(run, current)
-
-    visit([((i,), node) for i, node in enumerate(ast.body)], set(base))
-    return flagged

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import FIXTURES, REPO
 
 
@@ -61,6 +63,23 @@ def test_eval_prints_exact_fractions(tmp_path):
     assert "test: 7/10 (70.0%)" in result.stdout
     table = (tmp_path / "table.csv").read_text().splitlines()
     assert table[0] == "split,solved,total,fraction,percent"
+
+
+def test_eval_on_a_stream_missing_problems_is_a_config_error(tmp_path, problems):
+    first = (FIXTURES / "golden" / "records.jsonl").read_text().splitlines()[0]
+    stream = tmp_path / "partial.jsonl"
+    stream.write_text(first + "\n")
+    result = run_cli(
+        "--dataset", str(FIXTURES / "datasets" / "mini.jsonl"),
+        "--out", str(tmp_path),
+        "eval", "--records", str(stream),
+    )
+    assert result.returncode == 2
+    assert "error[config]: no results for problems: " in result.stderr
+    covered = json.loads(first)["problem_id"]
+    assert all(p.id in result.stderr for p in problems if p.id != covered)
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_curve_row_count(tmp_path):
@@ -171,6 +190,83 @@ def test_sketch_no_comments_mode_prompt_preview(tmp_path):
     assert "(*" not in prompt
     assert result.returncode == 1
     assert "error[infra]" in result.stderr
+
+
+def _stand_in_draft(out, problem_id="algebra_g01"):
+    target = out / "drafts" / problem_id
+    target.mkdir(parents=True)
+    (target / "draft_0000.txt").write_text("Subtract seven from both sides.\n")
+
+
+@pytest.mark.parametrize("cause", ["too_few_examples", "no_full_proof"])
+def test_sketch_prompt_build_failure_is_a_config_error(tmp_path, cause):
+    out = tmp_path / "out"
+    _stand_in_draft(out)
+    flags = golden_flags(out)
+    if cause == "too_few_examples":
+        flags += ["--k-examples", "50"]
+        expected = "need 50 examples"
+    else:
+        quads = json.loads((FIXTURES / "pool" / "examples.json").read_text())
+        for quad in quads:
+            quad.pop("full_proof", None)
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps(quads))
+        flags += ["--pool", str(pool), "--mode", "full-proof"]
+        expected = "has no gap-free full proof"
+    result = run_cli(*flags, "sketch", "--problem-id", "algebra_g01")
+    assert result.returncode == 2
+    assert "error[config]: " in result.stderr and expected in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("max_prompt_chars", [None, 1500])
+def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, max_prompt_chars):
+    from sketchprove import cli, llm
+
+    config = json.loads((FIXTURES / "golden" / "config.json").read_text())
+    for key in ("dataset_path", "pool_path", "cache_file"):
+        config[key] = str(REPO / config[key])
+    config["prover"] = f"scripted:{FIXTURES / 'prover' / 'script.json'}"
+    config["out"] = str(tmp_path / "out")
+    if max_prompt_chars is not None:
+        config["max_prompt_chars"] = max_prompt_chars
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+
+    sent = []
+    complete = llm.CompletionClient.complete
+
+    def recording(client, request):
+        sent.append(request.prompt)
+        return complete(client, request)
+
+    monkeypatch.setattr(llm.CompletionClient, "complete", recording)
+    cli.main(["--config", str(config_path), "--jobs", "1", "run"])
+    # one worker runs the plan in order: the draft prompt, then draft 0's
+    # sketches 0 and 1, then draft 1's
+    run_prompts = [
+        prompt for prompt in sent
+        if "theorem algebra_g01:" in prompt and prompt.endswith("Formal Proof Sketch:\n")
+    ]
+    assert len(run_prompts) == 2 * config["drafts"]
+
+    # the draft files hold run's drafts only when sampled with run's count
+    draft_count = str(config["drafts"])
+    cli.main([
+        "--config", str(config_path), "draft", "--problem-ids", "algebra_g01", "--n", draft_count,
+    ])
+    capsys.readouterr()
+    cli.main([
+        "--config", str(config_path),
+        "sketch", "--problem-id", "algebra_g01", "--draft-id", "1", "--sketch-index", "1",
+        "--show-prompt",
+    ])
+    preview = capsys.readouterr().out
+    shown = preview.split("--- prompt ---\n", 1)[1].split("\n--- end prompt ---")[0]
+    assert shown == run_prompts[3]
+    if max_prompt_chars is not None:
+        assert len(shown) <= max_prompt_chars
 
 
 def test_prove_command_closes_fixture_sketch(tmp_path):

@@ -26,7 +26,6 @@ from sketchprove.sketch import (
     render_segments,
     serialize,
     strip_comments,
-    unresolved_facts,
     walk,
 )
 from sketchprove.sketch.ops import InvalidSite
@@ -299,18 +298,6 @@ def test_spans_cover_source_and_do_not_overlap(fig2_text):
         siblings.sort()
         for (_, a), (_, b) in zip(siblings, siblings[1:]):
             assert a[1] <= b[0], "sibling spans overlap"
-
-
-def test_unresolved_facts_flagged():
-    text = (
-        'theorem t: assumes h0: "A"\n  shows "B"\n'
-        "proof -\n"
-        '  have c0: "x" using h0 sledgehammer\n'
-        '  then show ?thesis using c0 gcd_add2 sledgehammer\n'
-        "qed\n"
-    )
-    flagged = unresolved_facts(parse_sketch(text))
-    assert [name for _, name in flagged] == ["gcd_add2"]
 
 
 def test_fill_gaps_inside_case_bodies():

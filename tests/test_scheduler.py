@@ -336,38 +336,11 @@ def test_empty_problem_list():
     assert run_experiment([], None, None) == []  # type: ignore[arg-type]
 
 
-def test_parallelism_invariance_on_golden_corpus(problems, golden_config):
-    pool = load_pool(FIXTURES / "pool" / "examples.json")
-    policy = BudgetPolicy(
-        drafts_per_problem=golden_config["drafts"],
-        sketches_per_draft=golden_config["sketches_per_draft"],
-        total_budget=golden_config["budget"],
-        stop_on_first_success=False,
-    )
-
-    def fresh_components():
-        client = CompletionClient(
-            mode=CacheMode.REPLAY, cache=CompletionCache(FIXTURES / "cache" / "completions.jsonl")
-        )
-        provider = SessionProvider(
-            lambda: open_session(ScriptedSpec(str(FIXTURES / "prover" / "script.json")), ProverConfig())
-        )
-        return PipelineComponents(
-            pool=pool, client=client, sessions=provider, prompt_config=PromptConfig()
-        )
-
-    seed = golden_config["seed"]
-    sequential = run_experiment(problems, policy, fresh_components(), 1, seed)
-    parallel = run_experiment(problems, policy, fresh_components(), 8, seed)
-    assert sequential == parallel
-    assert [r.problem_id for r in sequential] == [p.id for p in problems]
-
-
-def test_direct_baseline_single_attempt(problems):
+def _golden_components():
     provider = SessionProvider(
         lambda: open_session(ScriptedSpec(str(FIXTURES / "prover" / "script.json")), ProverConfig())
     )
-    components = PipelineComponents(
+    return PipelineComponents(
         pool=load_pool(FIXTURES / "pool" / "examples.json"),
         client=CompletionClient(
             mode=CacheMode.REPLAY, cache=CompletionCache(FIXTURES / "cache" / "completions.jsonl")
@@ -375,6 +348,24 @@ def test_direct_baseline_single_attempt(problems):
         sessions=provider,
         prompt_config=PromptConfig(),
     )
+
+
+def test_parallelism_invariance_on_golden_corpus(problems, golden_config):
+    policy = BudgetPolicy(
+        drafts_per_problem=golden_config["drafts"],
+        sketches_per_draft=golden_config["sketches_per_draft"],
+        total_budget=golden_config["budget"],
+        stop_on_first_success=False,
+    )
+    seed = golden_config["seed"]
+    sequential = run_experiment(problems, policy, _golden_components(), 1, seed)
+    parallel = run_experiment(problems, policy, _golden_components(), 8, seed)
+    assert sequential == parallel
+    assert [r.problem_id for r in sequential] == [p.id for p in problems]
+
+
+def test_direct_baseline_single_attempt(problems):
+    components = _golden_components()
     results = [run_problem_direct(p, components) for p in problems]
     assert all(len(r.attempts) == 1 for r in results)
     solved = {r.problem_id for r in results if r.solved}
@@ -382,3 +373,41 @@ def test_direct_baseline_single_attempt(problems):
         "algebra_g01", "algebra_g03", "numbertheory_g01",
         "algebra_t01", "numbertheory_gcd_consecutive",
     }
+
+
+def _dying_direct_prove(monkeypatch, deaths):
+    """Patch the baseline's prover call to lose its session `deaths` times
+    before it runs for real; returns the sessions it was handed."""
+    import sketchprove.scheduler as scheduler_module
+
+    real = scheduler_module.direct_prove
+    handed = []
+
+    def flaky(session, formal_statement):
+        handed.append(session.session_id)
+        if len(handed) <= deaths:
+            session.state = scheduler_module.SessionState.DEAD
+            raise SessionDead("injected")
+        return real(session, formal_statement)
+
+    monkeypatch.setattr(scheduler_module, "direct_prove", flaky)
+    return handed
+
+
+def test_direct_baseline_session_reopened_after_death(problems, monkeypatch):
+    handed = _dying_direct_prove(monkeypatch, deaths=1)
+    problem = next(p for p in problems if p.id == "algebra_g01")
+    result = run_problem_direct(problem, _golden_components())
+    assert result.infra_error is None and result.solved
+    assert len(result.attempts) == 1
+    assert len(handed) == 2 and len(set(handed)) == 2  # one replacement session
+
+
+def test_direct_baseline_reopen_budget_exhausted(problems, monkeypatch):
+    handed = _dying_direct_prove(monkeypatch, deaths=10)
+    components = _golden_components()
+    components.max_session_reopens = 1
+    result = run_problem_direct(problems[0], components)
+    assert not result.solved and result.attempts == ()
+    assert result.infra_error is not None and "session lost" in result.infra_error
+    assert len(handed) == 2  # the first try and one reopen
