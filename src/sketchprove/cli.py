@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 One subcommand per pipeline stage (draft, sketch, prove) plus the full
-experiment loop (run) and evaluation outputs (eval, curve). `sketch` builds
-its prompt with the pipeline's own `scheduler.sketch_prompt` and the same
-prompt settings as `run`, so `--show-prompt` prints what `run` sends for that
-(problem, draft, sketch index). Values resolve
-as: built-in defaults, then the --config file, then explicit flags; the
-effective configuration is echoed into the run manifest together with its
-hash. Exit codes: 0 success, 1 infrastructure failure, 2 configuration
-error.
+experiment loop (run) and evaluation outputs (eval, curve). `draft` samples
+`drafts` per problem with the request `run` sends, so both use the same
+cached completions. `sketch` builds its prompt with the pipeline's own
+`scheduler.sketch_prompt` and the same prompt settings as `run`, so
+`--show-prompt` prints what `run` sends for that (problem, draft, sketch
+index). Values resolve as: built-in defaults, then the --config file, then
+explicit flags; the effective configuration is echoed into the run manifest
+together with its hash. Exit codes: 0 success, 1 infrastructure failure, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -205,14 +206,14 @@ def cmd_draft(config: CliConfig, args: argparse.Namespace) -> int:
     if missing:
         raise ConfigError(f"unknown problem ids: {missing}")
     out_dir = Path(config.out) / "drafts"
-    if args.n <= 0:
-        print("n=0: nothing to sample")
+    if config.drafts <= 0:
+        print("drafts=0: nothing to sample")
         return EXIT_OK
     client = _build_client(config)
     for pid in wanted:
         prompt = build_draft_prompt(problems[pid])
         response = client.complete(
-            CompletionRequest(prompt, draft_preset(n=args.n), config.endpoint_id)
+            CompletionRequest(prompt, draft_preset(n=config.drafts), config.endpoint_id)
         )
         drafts = dedup(response.completions)
         target = out_dir / pid
@@ -371,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_draft = sub.add_parser("draft", help="sample informal proof drafts")
     p_draft.add_argument("--problem-ids", help="comma-separated ids (default: all)")
-    p_draft.add_argument("--n", type=int, default=100, help="samples per problem")
     p_draft.set_defaults(func=cmd_draft)
 
     p_sketch = sub.add_parser("sketch", help="autoformalize one draft into a sketch")

@@ -242,7 +242,7 @@ def verify_full(session: ProverSession, proof_text: str) -> Valid | Invalid:
 def direct_prove(session: ProverSession, formal_statement: str) -> Valid | Invalid:
     """Baseline: attack the whole statement as a single goal with the same
     cascade. The assembled proof still passes the cheat gate."""
-    whole = GapSite((), None, formal_statement, ())
+    whole = GapSite((), None, formal_statement)
     result = close_gap(session, whole, formal_statement)
     if isinstance(result, TimedOut):
         return Invalid("per-gap budget exhausted")

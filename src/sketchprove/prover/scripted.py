@@ -33,7 +33,7 @@ import json
 import re
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -190,7 +190,6 @@ class ScriptedBackend:
     real_sleep the backend also sleeps them away for wall-clock tests."""
 
     script: ProverScript
-    calls: list[tuple[str, str]] = field(default_factory=list)
     _goal: str = ""
     _ordinal: int = 0
     _states: int = 0
@@ -213,15 +212,11 @@ class ScriptedBackend:
         if isinstance(base, ProverState):
             if not self._issued(base.state_id):
                 raise SessionDead(f"unknown state {base.state_id!r}")
-            self.calls.append(("resume", statement))
-        else:
-            self.calls.append(("init", statement))
         self._goal = extract_goal(statement)
         self._ordinal = 0
         return BackendReply("ok", 0, state_id=self._next_state())
 
     def step(self, text: str, timeout_ms: int) -> BackendReply:
-        self.calls.append(("step", text))
         outcome = self.script.outcome_for(self._goal)
         ordinal = self._ordinal
         self._ordinal += 1
@@ -234,7 +229,6 @@ class ScriptedBackend:
         return self._reply("fail", cost, reason="step does not close the goal")
 
     def hammer(self, timeout_ms: int) -> BackendReply:
-        self.calls.append(("hammer", self._goal))
         outcome = self.script.outcome_for(self._goal)
         cost = min(self.script.latency.hammer_ms, timeout_ms)
         if outcome.kind == "hammer":
@@ -247,7 +241,6 @@ class ScriptedBackend:
         return self._reply("fail", cost, reason="no prover found a proof")
 
     def check_full(self, proof_text: str, timeout_ms: int) -> BackendReply:
-        self.calls.append(("check_full", proof_text))
         reason = self.script.verify_accepts(proof_text)
         cost = min(self.script.latency.step_ms, timeout_ms)
         if reason is None:
@@ -255,7 +248,7 @@ class ScriptedBackend:
         return self._reply("fail", cost, reason=reason)
 
     def quit(self) -> None:
-        self.calls.append(("quit", ""))
+        """Nothing to release: the backend holds no per-call state."""
 
 
 def new_session_id() -> str:

@@ -220,7 +220,6 @@ def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]
             payload["reason"] = reply.reason
         writer.write(json.dumps(payload) + "\n")
         writer.flush()
-        backend.calls.clear()  # nothing reads the log here; it would grow per connection
 
 
 class WireServer:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .parser import comment_end
+
 CHEAT_KEYWORDS = ("sorry", "oops")
 
 _KEYWORD_RE = re.compile(r"\b(sorry|oops)\b")
@@ -37,25 +39,10 @@ def check_no_cheat(source: str) -> CheatReport:
         if boundary == n:
             break
         if boundary == next_comment:
-            pos = _skip_comment(source, boundary)
+            end = comment_end(source, boundary)
+            pos = n if end == -1 else end  # unterminated: rest of input is comment
         else:
             close = source.find('"', boundary + 1)
             pos = n if close == -1 else close + 1
     return CheatReport(not offending, tuple(offending))
 
-
-def _skip_comment(source: str, open_pos: int) -> int:
-    depth = 1
-    pos = open_pos + 2
-    while depth:
-        next_open = source.find("(*", pos)
-        next_close = source.find("*)", pos)
-        if next_close == -1:
-            return len(source)  # unterminated: rest of input is comment
-        if next_open != -1 and next_open < next_close:
-            depth += 1
-            pos = next_open + 2
-        else:
-            depth -= 1
-            pos = next_close + 2
-    return pos

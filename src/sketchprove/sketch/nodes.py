@@ -173,14 +173,22 @@ class SketchAst:
 
 @dataclass(frozen=True)
 class GapSite:
-    """One open conjecture: where it sits, what it claims, and which labels
-    are visible to a prover working on it."""
+    """One open conjecture: where it sits (its `walk` path, or () for the
+    whole theorem) and what it claims. The facts in scope are left to the
+    prover: they hold in the state the gap starts from."""
 
     path: tuple[int, ...]
     label: str | None
     proposition: str
-    facts_in_scope: tuple[str, ...]
-    preceding_comment: str | None = None
+
+
+@dataclass
+class InvalidSite(Exception):
+    path: tuple[int, ...]
+    reason: str
+
+    def __str__(self) -> str:
+        return f"{self.reason} (path {list(self.path)})"
 
 
 def child_nodes(node: ProofNode) -> tuple[ProofNode, ...]:

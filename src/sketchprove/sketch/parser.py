@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .nodes import (
@@ -19,6 +20,7 @@ from .nodes import (
     Comment,
     Gap,
     HaveStep,
+    InvalidSite,
     Justification,
     Nested,
     ObtainStep,
@@ -93,23 +95,23 @@ _SYMBOL_GROUPS = {
 }
 
 
-def _scan_comment(source: str, open_pos: int) -> tuple[str, int]:
-    """Scan a possibly nested (* ... *) comment starting at `open_pos`.
-    Returns (inner text, end position past the closing marker)."""
+def comment_end(source: str, open_pos: int) -> int:
+    """Where the possibly nested (* ... *) comment opened at `open_pos`
+    ends: just past its closing marker, or -1 when it is unterminated."""
     depth = 1
     pos = open_pos + 2
     while depth:
         next_open = source.find("(*", pos)
         next_close = source.find("*)", pos)
         if next_close == -1:
-            raise _RawParseError(open_pos, "unterminated comment")
+            return -1
         if next_open != -1 and next_open < next_close:
             depth += 1
             pos = next_open + 2
         else:
             depth -= 1
             pos = next_close + 2
-    return source[open_pos + 2 : pos - 2], pos
+    return pos
 
 
 class _RawParseError(Exception):
@@ -141,8 +143,10 @@ def _tokenize(source: str) -> list[_Token]:
             pos = match.end()
             continue
         if kind == "comment_open":
-            text, end = _scan_comment(source, pos)
-            tokens.append(_Token("comment", text.strip(), pos, end))
+            end = comment_end(source, pos)
+            if end == -1:
+                raise _RawParseError(pos, "unterminated comment")
+            tokens.append(_Token("comment", source[pos + 2 : end - 2].strip(), pos, end))
             pos = end
             continue
         if kind == "string":
@@ -158,16 +162,6 @@ def _tokenize(source: str) -> list[_Token]:
 
 def _squash(text: str) -> str:
     return " ".join(text.split())
-
-
-def _is_closing_step(text: str) -> bool:
-    """True when `text` stands alone as a concrete justification (serialized
-    ATP span contents must reparse)."""
-    try:
-        probe = _Parser(f'theorem t: shows "True"\n  {text}\n').parse()
-    except _RawParseError:
-        return False
-    return isinstance(probe.root_justification, Tactic)
 
 
 class _Parser:
@@ -351,11 +345,12 @@ class _Parser:
             inner = _squash(self.source[inner_start:inner_end])
             if not inner:
                 return Gap()
-            if not _is_closing_step(inner):
+            try:
+                return Tactic(closing_step_text(inner))
+            except InvalidSite:
                 raise _RawParseError(
                     open_tok.start, "<ATP> span does not hold a closing step"
-                )
-            return Tactic(inner)
+                ) from None
         if self.at_ident("sorry", "oops"):
             return Tactic(self.advance().text)
         if self.at_ident("by"):
@@ -584,3 +579,20 @@ def parse_sketch(source: str | bytes) -> SketchAst:
         raise ParseError(offset, exc.message, exc.expected) from None
     except RecursionError:
         raise ParseError(0, "input nests too deeply") from None
+
+
+# Only steps that repeat gain from the cache: a cascade tactic's step (one
+# of a fixed list) always does, a hammer reconstruction usually does not.
+@lru_cache(maxsize=1024)
+def closing_step_text(text: str) -> str:
+    """The canonical text a gap holds once `text` closes it, as the sketch
+    renders it; an <ATP> span holds the same. Raises InvalidSite when `text`
+    is not a concrete closing step."""
+    try:
+        probe = parse_sketch(f'theorem t: shows "True"\n  {text}\n')
+    except ParseError as exc:
+        raise InvalidSite((), f"closing step does not parse: {exc}") from None
+    just = probe.root_justification
+    if not isinstance(just, Tactic):
+        raise InvalidSite((), "closing step must be a concrete justification")
+    return just.text

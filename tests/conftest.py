@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,58 @@ def minimal_script(rules: list | None = None, default: dict | None = None, **ext
     }
     script.update(extra)
     return script
+
+
+class RecordingBackend:
+    """`Backend` proxy that logs each call as (command, text sent): init or
+    resume with its context, step with its tactic, check_full with the
+    proof, hammer and quit with ""."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[tuple[str, str]] = []
+
+    def init(self, base, statement):
+        from sketchprove.prover import ProverState
+
+        self.calls.append(("resume" if isinstance(base, ProverState) else "init", statement))
+        return self.inner.init(base, statement)
+
+    def step(self, text, timeout_ms):
+        self.calls.append(("step", text))
+        return self.inner.step(text, timeout_ms)
+
+    def hammer(self, timeout_ms):
+        self.calls.append(("hammer", ""))
+        return self.inner.hammer(timeout_ms)
+
+    def check_full(self, proof_text, timeout_ms):
+        self.calls.append(("check_full", proof_text))
+        return self.inner.check_full(proof_text, timeout_ms)
+
+    def quit(self):
+        self.calls.append(("quit", ""))
+        return self.inner.quit()
+
+
+def recording(session):
+    """`session` with its backend wrapped in a RecordingBackend, whose log
+    starts after the session was opened."""
+    session.backend = RecordingBackend(session.backend)
+    return session
+
+
+def retained_bytes(root) -> int:
+    """Bytes of every object reachable from `root`, each counted once;
+    classes, modules and functions are left out."""
+    seen: set[int] = set()
+    stack = [root]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total

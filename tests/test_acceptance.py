@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from ast_gen import generate
-from conftest import FIXTURES, minimal_script
+from conftest import FIXTURES, minimal_script, recording
 from sketchprove.harness import (
     CoverageError,
     budget_grid,
@@ -150,8 +150,7 @@ def test_cheat_gate(tmp_path):
     with stopwatch("cheat-gate", 10.0):
         script_path = tmp_path / "accepting.json"
         script_path.write_text(json.dumps(minimal_script()))
-        session = open_session(ScriptedSpec(str(script_path)), ProverConfig())
-        session.backend.calls.clear()
+        session = recording(open_session(ScriptedSpec(str(script_path)), ProverConfig()))
 
         cases = _fuzz_proofs(dirty_count=10_000, clean_count=1_000, seed=4242)
         dirty_total = 0
@@ -208,8 +207,7 @@ def test_cascade_contract(tmp_path):
         for index, (outcome, expected_type, expected_steps) in enumerate(scenarios):
             path = tmp_path / f"cascade{index}.json"
             path.write_text(json.dumps(_latency_script(outcome)))
-            session = open_session(ScriptedSpec(str(path)), config)
-            session.backend.calls.clear()
+            session = recording(open_session(ScriptedSpec(str(path)), config))
             started = time.monotonic()
             result = close_gap(session, site, context)
             wall_ms = (time.monotonic() - started) * 1000

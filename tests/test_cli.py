@@ -149,14 +149,25 @@ def test_missing_cache_is_an_infra_failure(tmp_path):
 
 
 def test_draft_zero_samples_is_fine(tmp_path):
-    result = run_cli(*golden_flags(tmp_path), "draft", "--problem-ids", "algebra_g01", "--n", "0")
+    result = run_cli(*golden_flags(tmp_path), "--drafts", "0", "draft", "--problem-ids", "algebra_g01")
     assert result.returncode == 0
     assert "nothing to sample" in result.stdout
 
 
+def test_draft_samples_the_configured_drafts(tmp_path):
+    # with no count given, draft asks for the config's drafts, the request
+    # run sends, so a replay finds run's cached completions
+    result = run_cli(
+        "--config", str(FIXTURES / "golden" / "config.json"), "--out", str(tmp_path),
+        "draft", "--problem-ids", "algebra_g01",
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(list((tmp_path / "drafts" / "algebra_g01").glob("draft_*.txt"))) == 5
+
+
 def test_draft_then_sketch_replay(tmp_path):
     out = tmp_path / "out"
-    result = run_cli(*golden_flags(out), "draft", "--problem-ids", "algebra_g01", "--n", "5")
+    result = run_cli(*golden_flags(out), "--drafts", "5", "draft", "--problem-ids", "algebra_g01")
     assert result.returncode == 0, result.stderr
     drafts = sorted((out / "drafts" / "algebra_g01").glob("draft_*.txt"))
     assert len(drafts) == 5
@@ -168,7 +179,7 @@ def test_draft_then_sketch_replay(tmp_path):
 
 def test_sketch_parse_failure_still_exits_zero(tmp_path):
     out = tmp_path / "out"
-    run_cli(*golden_flags(out), "draft", "--problem-ids", "algebra_g03", "--n", "5")
+    run_cli(*golden_flags(out), "--drafts", "5", "draft", "--problem-ids", "algebra_g03")
     result = run_cli(*golden_flags(out), "sketch", "--problem-id", "algebra_g03", "--draft-id", "0")
     assert result.returncode == 0, result.stderr
     assert "parse: FAILED" in result.stdout
@@ -177,7 +188,7 @@ def test_sketch_parse_failure_still_exits_zero(tmp_path):
 
 def test_sketch_no_comments_mode_prompt_preview(tmp_path):
     out = tmp_path / "out"
-    run_cli(*golden_flags(out), "draft", "--problem-ids", "algebra_g01", "--n", "5")
+    run_cli(*golden_flags(out), "--drafts", "5", "draft", "--problem-ids", "algebra_g01")
     result = run_cli(
         *golden_flags(out), "--mode", "no-comments",
         "sketch", "--problem-id", "algebra_g01", "--draft-id", "0", "--show-prompt",
@@ -251,10 +262,10 @@ def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, m
     ]
     assert len(run_prompts) == 2 * config["drafts"]
 
-    # the draft files hold run's drafts only when sampled with run's count
+    # the draft files hold run's drafts when sampled with run's count
     draft_count = str(config["drafts"])
     cli.main([
-        "--config", str(config_path), "draft", "--problem-ids", "algebra_g01", "--n", draft_count,
+        "--config", str(config_path), "--drafts", draft_count, "draft", "--problem-ids", "algebra_g01",
     ])
     capsys.readouterr()
     cli.main([
@@ -298,7 +309,7 @@ def test_live_mode_endpoint_failure_is_infra(tmp_path):
     flags[index + 1] = "live"
     result = run_cli(
         *flags, "--endpoint-url", "http://127.0.0.1:1/v1/completions",
-        "draft", "--problem-ids", "algebra_g01", "--n", "2",
+        "--drafts", "2", "draft", "--problem-ids", "algebra_g01",
     )
     assert result.returncode == 1
     assert "error[infra]" in result.stderr

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ast_gen import AstGen
-from conftest import minimal_script
+from conftest import RecordingBackend, minimal_script, recording, retained_bytes
 from sketchprove.prover import (
     DEFAULT_TACTICS,
     BackendReply,
@@ -153,7 +153,7 @@ def test_hammer_fallback_returns_reconstruction(tmp_path):
         rules=[{"match": {"kind": "glob", "pattern": "*x = 168*"},
                 "outcome": {"kind": "hammer", "step": "by (smt (z3) assms mult.commute)"}}]
     )
-    session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
     ast, site = _site()
     result = close_gap(session, site, sketch_prefix(ast, site))
     assert isinstance(result, Closed)
@@ -178,7 +178,7 @@ def test_short_circuit_skips_later_tactics(tmp_path):
         rules=[{"match": {"kind": "substring", "pattern": "x = 168"},
                 "outcome": {"kind": "tactic", "index": 1}}]
     )
-    session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
     ast, site = _site()
     result = close_gap(session, site, sketch_prefix(ast, site))
     assert result.closing_step == "by simp" and result.tactic_index == 1
@@ -193,7 +193,8 @@ def test_attempt_log_is_cascade_prefix(tmp_path):
             rules=[{"match": {"kind": "substring", "pattern": "x = 168"},
                     "outcome": {"kind": "tactic", "index": index}}]
         )
-        session = open_session(ScriptedSpec(write_script(tmp_path, script, f"s{index}.json")), FAST)
+        path = write_script(tmp_path, script, f"s{index}.json")
+        session = recording(open_session(ScriptedSpec(path), FAST))
         ast, site = _site()
         result = close_gap(session, site, sketch_prefix(ast, site))
         sent = [text for cmd, text in session.backend.calls if cmd == "step"]
@@ -254,7 +255,7 @@ def test_prove_sketch_closes_figure_sketch(tmp_path, fig2_text):
 
 
 def test_prove_sketch_gap_free_runs_only_final_check(tmp_path, fig3_text):
-    session = open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST)
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST))
     outcome = prove_sketch(session, parse_sketch(fig3_text))
     assert isinstance(outcome, FullProofResult)
     assert outcome.per_gap == ()
@@ -305,7 +306,8 @@ def test_later_gaps_see_earlier_closures(tmp_path):
         return reply
 
     backend.init, backend.step = recording_init, recording_step
-    outcome = prove_sketch(ProverSession(backend, FAST), parse_sketch(text))
+    recorder = RecordingBackend(backend)
+    outcome = prove_sketch(ProverSession(recorder, FAST), parse_sketch(text))
     assert isinstance(outcome, FullProofResult)
     first, second = outcome.per_gap
     assert first.state_id == closing[0].state_id and second.state_id == closing[1].state_id
@@ -315,14 +317,13 @@ def test_later_gaps_see_earlier_closures(tmp_path):
         (FAST.theory, 'theorem t:\n  shows "G"\nproof -\n  have c1: "first goal"\n'),
         (ProverState(first.state_id), "\n  show ?thesis using c1\n"),
     ]
-    assert [cmd for cmd, _ in backend.calls] == ["init", "step", "resume", "step", "check_full"]
+    assert [cmd for cmd, _ in recorder.calls] == ["init", "step", "resume", "step", "check_full"]
     assert 'have c1: "first goal" by auto\n  show ?thesis using c1 by auto' in outcome.proof_text
 
 
 def test_prove_sketch_rejects_cheating_input(tmp_path):
     text = 'theorem t: shows "G"\nproof -\n  show ?thesis sorry\nqed\n'
-    session = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
-    session.backend.calls.clear()  # drop the open_session handshake
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST))
     with pytest.raises(CheatViolation):
         prove_sketch(session, parse_sketch(text))
     assert session.backend.calls == []  # precondition failure, backend untouched
@@ -338,6 +339,18 @@ def test_final_verification_failure_reported(tmp_path, fig2_text):
     assert len(outcome.partial) == 7
 
 
+def test_scripted_backend_keeps_no_per_call_history(tmp_path, fig2_text):
+    # an in-process session lives as long as its worker, so anything the
+    # backend kept per call would grow with every sketch it proves
+    session = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
+    ast = parse_sketch(fig2_text)
+    retained = []
+    for _ in range(40):
+        assert isinstance(prove_sketch(session, ast), FullProofResult)
+        retained.append(retained_bytes(session.backend))
+    assert retained[-1] == retained[0]
+
+
 # -- verify_full ---------------------------------------------------------------------
 
 
@@ -347,8 +360,7 @@ def test_verify_accepts_scripted(tmp_path, fig3_text):
 
 
 def test_verify_rejects_cheat_without_backend(tmp_path):
-    session = open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST)
-    session.backend.calls.clear()  # drop the open_session handshake
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST))
     verdict = verify_full(session, 'theorem t: "P"\n  sorry\n')
     assert isinstance(verdict, Invalid)
     assert "cheating keyword" in verdict.reason
@@ -381,7 +393,7 @@ def test_direct_prove_valid(tmp_path):
 
 
 def test_direct_prove_invalid_after_full_cascade(tmp_path):
-    session = open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST)
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST))
     verdict = direct_prove(session, STATEMENT)
     assert isinstance(verdict, Invalid)
     steps = [c for c in session.backend.calls if c[0] == "step"]
@@ -394,7 +406,7 @@ def test_direct_prove_cascade_ordering(tmp_path):
         rules=[{"match": {"kind": "exact", "pattern": "x + 0 = x"},
                 "outcome": {"kind": "tactic", "index": 1}}]
     )
-    session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
     verdict = direct_prove(session, STATEMENT)
     assert isinstance(verdict, Valid) and "by simp" in verdict.proof_text
     sent = [text for cmd, text in session.backend.calls if cmd == "step"]
@@ -453,7 +465,7 @@ class RefusingInitBackend(ScriptedBackend):
 
 def _refusing_session(tmp_path):
     script = load_script(write_script(tmp_path, close_all_script()))
-    return ProverSession(RefusingInitBackend(script), FAST)
+    return ProverSession(RecordingBackend(RefusingInitBackend(script)), FAST)
 
 
 def test_failed_init_fails_the_gap_before_any_step(tmp_path):
@@ -491,7 +503,7 @@ class RefusingResumeBackend(ScriptedBackend):
 
 def test_refused_resume_fails_the_gap_like_a_refused_init(tmp_path, fig2_text):
     script = load_script(write_script(tmp_path, close_all_script()))
-    session = ProverSession(RefusingResumeBackend(script), FAST)
+    session = ProverSession(RecordingBackend(RefusingResumeBackend(script)), FAST)
     ast = parse_sketch(fig2_text)
     outcome = prove_sketch(session, ast)
     assert isinstance(outcome, SketchFailure)
@@ -591,8 +603,8 @@ def oracle_prove(session, ast):
 @given(st.integers(0, 2**32))
 def test_prove_sketch_matches_gap_at_a_time_oracle(seed):
     ast = AstGen(seed).sketch()
-    fast = ProverSession(ScriptedBackend(MIXED_SCRIPT), FAST)
-    slow = ProverSession(ScriptedBackend(MIXED_SCRIPT), FAST)
+    fast = ProverSession(RecordingBackend(ScriptedBackend(MIXED_SCRIPT)), FAST)
+    slow = ProverSession(RecordingBackend(ScriptedBackend(MIXED_SCRIPT)), FAST)
     outcome = prove_sketch(fast, ast)
     failed_site, per_gap, proof_text = oracle_prove(slow, ast)
     if proof_text is None:

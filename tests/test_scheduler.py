@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, minimal_script
+from conftest import FIXTURES, RecordingBackend, minimal_script
 from sketchprove.harness import FailureStage, Problem, Split
 from sketchprove.llm import CacheMode, CompletionCache, CompletionClient
 from sketchprove.prompting import Category, PromptConfig, PromptMode, load_pool
@@ -301,6 +301,7 @@ def test_refused_contexts_fail_the_attempt_not_the_problem(tmp_path, monkeypatch
         session = original_get()
         if session not in opened:
             session.backend.init = lambda theory, statement: BackendReply("fail", 0, reason="boom")
+            session.backend = RecordingBackend(session.backend)
             opened.append(session)
         return session
 

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from conftest import minimal_script
+from conftest import minimal_script, retained_bytes
 from sketchprove.prover import (
     Closed,
     ExternalSpec,
@@ -393,17 +393,19 @@ def test_serve_connection_keeps_no_call_log(tmp_path):
         {"cmd": "resume", "state": "s2", "text": "\n  show ?thesis using c1\n"},
         {"cmd": "hammer", "timeout_ms": 600},
         {"cmd": "check", "text": "theorem t: shows \"G\" by auto", "timeout_ms": 600},
-        {"cmd": "quit"},
     ]
+    retained = []
 
     def frames():
-        for req_id, request in enumerate(requests, 1):
-            assert backend.calls == []  # each reply dropped its log entry
-            yield json.dumps({"id": req_id, **request}) + "\n"
+        for round_ in range(10):
+            for req_id, request in enumerate(requests, 5 * round_ + 1):
+                yield json.dumps({"id": req_id, **request}) + "\n"
+            retained.append(retained_bytes(backend))  # every reply of the round is out
+        yield json.dumps({"id": 51, "cmd": "quit"}) + "\n"
 
     writer = io.StringIO()
     _serve_connection(backend, frames(), writer)
     replies = [json.loads(line) for line in writer.getvalue().splitlines()]
-    assert [reply["id"] for reply in replies] == [1, 2, 3, 4, 5, 6]
+    assert [reply["id"] for reply in replies] == list(range(1, 52))
     assert all(reply["status"] == "ok" for reply in replies)
-    assert backend.calls == []
+    assert len(set(retained)) == 1  # the connection's backend keeps nothing per call
