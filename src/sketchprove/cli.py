@@ -48,6 +48,7 @@ from .prompting import (
     load_pool,
 )
 from .prover import (
+    CheatViolation,
     Closed,
     ConnectError,
     ExternalSpec,
@@ -266,7 +267,13 @@ def cmd_prove(config: CliConfig, args: argparse.Namespace) -> int:
         print(f"parse: FAILED ({exc})")
         return EXIT_OK
     session = open_session(_prover_spec(config), _prover_config(config))
-    outcome = prove_sketch(session, ast)
+    try:
+        outcome = prove_sketch(session, ast)
+    except CheatViolation as exc:
+        print(f"not proved (cheat gate): {exc}")
+        return EXIT_OK
+    finally:
+        session.close()
     if isinstance(outcome, FullProofResult):
         print(f"proved: {len(outcome.per_gap)} gaps closed")
         print(outcome.proof_text)
@@ -275,7 +282,6 @@ def cmd_prove(config: CliConfig, args: argparse.Namespace) -> int:
         print(f"not proved ({where}): {outcome.reason}")
         closed = sum(1 for r in outcome.partial if isinstance(r, Closed))
         print(f"gaps closed before failure: {closed}")
-    session.close()
     return EXIT_OK
 
 
@@ -304,10 +310,16 @@ def cmd_run(config: CliConfig, args: argparse.Namespace) -> int:
     for split, solved, total, rate in harness.split_tally(results, problems):
         print(f"{split.value}: {solved}/{total} solved ({harness.format_rate(rate)})")
     print(f"records: {records_path}")
+    attempts = [a for r in results for a in r.attempts]
+    infra = sum(a.failure_stage is harness.FailureStage.INFRA for a in attempts)
+    if infra:
+        print(
+            f"attempts failed on infrastructure errors: {infra} of {len(attempts)}",
+            file=sys.stderr,
+        )
     if failures:
         print(f"problems aborted on infrastructure errors: {sorted(failures)}", file=sys.stderr)
-        return EXIT_INFRA
-    return EXIT_OK
+    return EXIT_INFRA if infra or failures else EXIT_OK
 
 
 def cmd_eval(config: CliConfig, args: argparse.Namespace) -> int:
@@ -386,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.set_defaults(func=cmd_prove)
 
     p_run = sub.add_parser("run", help="full pipeline over the dataset")
-    p_run.add_argument("--baseline", action="store_true", help="direct prover baseline, no sketching")
+    p_run.add_argument(
+        "--baseline", action="store_true",
+        help="direct baseline: each statement proved as a one-gap sketch",
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="success-rate tables from a records stream")

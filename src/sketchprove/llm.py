@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
@@ -19,6 +20,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 CACHE_MODE_ENV = "DSP_CACHE_MODE"
+
+logger = logging.getLogger(__name__)
 
 
 class CacheMode(str, Enum):
@@ -127,20 +130,35 @@ def cache_key(request: CompletionRequest, sample_index: int) -> str:
 
 class CompletionCache:
     """Append-only JSONL store of (key, text) records with an in-memory
-    index. Reads are lock-free; appends are serialized."""
+    index. Reads are lock-free; appends are serialized, one write per
+    record. A final line that a crash cut short (no newline, not JSON) is
+    ignored with a warning and cut off by the next append; a bad line
+    anywhere else fails the load. A whole final record without its newline
+    gets one before the next append."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
+        self._torn_bytes = 0  # length of the torn final line, if any
+        self._open_line = False  # the file ends in a whole record without a newline
         if self.path.exists():
-            with self.path.open(encoding="utf-8") as handle:
+            with self.path.open("rb") as handle:
                 for line in handle:
-                    line = line.strip()
-                    if not line:
+                    if not line.strip():
                         continue
-                    record = json.loads(line)
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        if line.endswith(b"\n"):
+                            raise
+                        logger.warning(
+                            "%s: ignoring a torn final line of %d bytes", self.path, len(line)
+                        )
+                        self._torn_bytes = len(line)
+                        break
                     self._entries[record["key"]] = record["text"]
+                    self._open_line = not line.endswith(b"\n")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -149,13 +167,19 @@ class CompletionCache:
         return self._entries.get(key)
 
     def put(self, key: str, text: str) -> None:
+        line = json.dumps({"key": key, "text": text}, ensure_ascii=True) + "\n"
         with self._lock:
             if self._entries.get(key) == text:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps({"key": key, "text": text}, ensure_ascii=True))
-                handle.write("\n")
+            with self.path.open("ab") as handle:
+                if self._torn_bytes:
+                    handle.truncate(handle.seek(0, os.SEEK_END) - self._torn_bytes)
+                    self._torn_bytes = 0
+                if self._open_line:
+                    line = "\n" + line
+                    self._open_line = False
+                handle.write(line.encode("ascii"))
             self._entries[key] = text
 
 

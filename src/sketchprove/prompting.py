@@ -105,7 +105,7 @@ POOL_FIELDS = (
 )
 
 
-def load_pool(path: str | Path, validate: bool = True) -> ExamplePool:
+def load_pool(path: str | Path) -> ExamplePool:
     """Load the example pool from its JSON document and check the quad
     invariants (sketch parses, has gaps and in-line comments; any full
     proof parses gap-free)."""
@@ -135,8 +135,7 @@ def load_pool(path: str | Path, validate: bool = True) -> ExamplePool:
             formal_sketch=entry["formal_sketch"],
             full_proof=entry.get("full_proof"),
         )
-        if validate:
-            _validate_quad(quad)
+        _validate_quad(quad)
         quads.append(quad)
     return ExamplePool(tuple(quads))
 

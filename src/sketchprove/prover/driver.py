@@ -123,16 +123,6 @@ def _gap_context(text_before_gap: str) -> str:
     return text_before_gap.rstrip() + "\n"
 
 
-def sketch_prefix(ast: SketchAst, site: GapSite) -> str:
-    """Serialized context up to (and including) the gap's step, with the
-    justification removed: the text a prover replays to reach the goal."""
-    try:
-        index = [gap.path for gap in extract_gaps(ast)].index(site.path)
-    except ValueError:
-        raise InvalidSite(site.path, "path does not address a gap") from None
-    return _gap_context(GAP_TOKEN.join(render_segments(ast)[: index + 1]))
-
-
 def _closing_state(reply: BackendReply) -> str:
     if reply.state_id is None:
         # the next gap resumes from this state, so the reply must name it
@@ -141,11 +131,10 @@ def _closing_state(reply: BackendReply) -> str:
 
 
 def close_gap(
-    session: ProverSession, site: GapSite, context: str, base: ProverState | None = None
+    session: ProverSession, context: str, base: ProverState | None = None
 ) -> GapResult:
-    """Run the cascade on one open conjecture, starting from `context`
-    replayed on top of `base` (the configured theory when None); the
-    backend sees only that, `site` names the conjecture. Wall time never
+    """Run the cascade on the open conjecture that `context`, replayed on
+    top of `base` (the configured theory when None), ends in. Wall time never
     exceeds the per-gap budget: attempts that could overrun are not
     started. A context the backend refuses fails the gap without a step,
     since a step would run against whatever goal it held before."""
@@ -207,13 +196,18 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     pieces: list[str] = []
     base: ProverState | None = None
     for site, segment in zip(extract_gaps(ast), segments):
-        result = close_gap(session, site, _gap_context(segment), base)
-        per_gap.append(result)
+        result = close_gap(session, _gap_context(segment), base)
         if not isinstance(result, Closed):
+            per_gap.append(result)
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
             return SketchFailure(site, tuple(per_gap), f"gap {kind}: {site.proposition}")
-        # as fill_gap would splice it: a step that does not parse raises InvalidSite
-        pieces += (segment, closing_step_text(result.closing_step))
+        try:
+            pieces += (segment, closing_step_text(result.closing_step))
+        except InvalidSite as exc:
+            # the proof text cannot hold the step, so the gap stays open
+            per_gap.append(Failed((("closing_step", "unparseable"),), result.elapsed_ms))
+            return SketchFailure(site, tuple(per_gap), f"{exc.reason} (gap: {site.proposition})")
+        per_gap.append(result)
         base = ProverState(result.state_id)
 
     proof_text = "".join(pieces) + segments[-1]
@@ -238,17 +232,3 @@ def verify_full(session: ProverSession, proof_text: str) -> Valid | Invalid:
         return Invalid("verification timed out")
     return Invalid(reply.reason or "backend rejected the proof")
 
-
-def direct_prove(session: ProverSession, formal_statement: str) -> Valid | Invalid:
-    """Baseline: attack the whole statement as a single goal with the same
-    cascade. The assembled proof still passes the cheat gate."""
-    whole = GapSite((), None, formal_statement)
-    result = close_gap(session, whole, formal_statement)
-    if isinstance(result, TimedOut):
-        return Invalid("per-gap budget exhausted")
-    if isinstance(result, Failed):
-        return Invalid("cascade exhausted without a proof")
-    proof_text = formal_statement.rstrip() + "\n  " + result.closing_step + "\n"
-    if not check_no_cheat(proof_text).clean:
-        return Invalid("cheating keyword in assembled proof")
-    return Valid(proof_text)

@@ -8,10 +8,12 @@ prover session per worker, and results are a pure function of inputs, seed,
 caches, and scripts, independent of worker count.
 
 `sketch_prompt` is the one place a sketching prompt is assembled, for the
-pipeline and for the CLI's `sketch` preview alike. Both the pipeline and the
-direct baseline run their prover work through one reopen loop: a lost
-session is replaced and the work run again, until the problem's reopen
-budget is spent and the problem aborts as an infrastructure error.
+pipeline and for the CLI's `sketch` preview alike. The direct baseline
+proves the formal statement as a sketch whose whole proof is one gap, so
+both arms close gaps and check whole proofs through `prove_sketch`, and
+both run their prover work through one reopen loop: a lost session is
+replaced and the work run again, until the problem's reopen budget is spent
+and the problem aborts as an infrastructure error.
 """
 
 from __future__ import annotations
@@ -56,11 +58,9 @@ from .prover import (
     ProverSession,
     SessionDead,
     SessionState,
-    Valid,
-    direct_prove,
     prove_sketch,
 )
-from .sketch import count_gaps, parse_sketch
+from .sketch import Gap, SketchAst, count_gaps, parse_sketch
 from .sketch.parser import ParseError
 
 logger = logging.getLogger(__name__)
@@ -332,20 +332,38 @@ def run_problem(
     return ProblemResult.from_attempts(problem.id, attempts)
 
 
+def baseline_sketch(formal_statement: str) -> SketchAst:
+    """The direct baseline's sketch: the statement's theorem with its whole
+    proof left as one gap. Raises ParseError when the statement does not
+    parse."""
+    return SketchAst(parse_sketch(formal_statement).header, root_justification=Gap())
+
+
 def run_problem_direct(problem: Problem, components: PipelineComponents) -> ProblemResult:
-    """Baseline mode: one direct cascade attempt on the formal statement,
-    no drafting or sketching."""
+    """Baseline mode: one attempt that proves the formal statement as a
+    one-gap sketch, with no drafting or sketching. It succeeds or fails as
+    one `prove` record; a statement that does not parse fails as `parse`,
+    one the cheat gate refuses as `verify`."""
+    entry = (0, 0, 0)
     try:
-        verdict = _on_session(
+        ast = baseline_sketch(problem.formal_statement)
+    except ParseError:
+        return ProblemResult.from_attempts(
+            problem.id, [_attempt_record(problem.id, entry, FailureStage.PARSE)]
+        )
+    try:
+        outcome = _on_session(
             problem.id, components, itertools.count(1),
-            lambda session: direct_prove(session, problem.formal_statement),
+            lambda session: prove_sketch(session, ast),
         )
     except SessionDead as exc:
         return _session_lost(problem.id, [], exc)
-    ok = isinstance(verdict, Valid)
+    except CheatViolation:
+        stage: FailureStage | None = FailureStage.VERIFY
+    else:
+        stage = None if isinstance(outcome, FullProofResult) else FailureStage.PROVE
     record = _attempt_record(
-        problem.id, (0, 0, 0), None if ok else FailureStage.PROVE,
-        parse_ok=True, gaps_total=1, gaps_closed=int(ok),
+        problem.id, entry, stage, parse_ok=True, gaps_total=1, gaps_closed=int(stage is None)
     )
     return ProblemResult.from_attempts(problem.id, [record])
 

@@ -1,13 +1,13 @@
 """AST for declarative proof sketches.
 
-Nodes are immutable; structural equality ignores source spans. A sketch is a
-theorem header plus a proof body, where any step's justification may be an
-open gap, a concrete closing tactic, or a nested proof block.
+Nodes are immutable and compare structurally. A sketch is a theorem header
+plus a proof body, where any step's justification may be an open gap, a
+concrete closing tactic, or a nested proof block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 # Rendered for every Gap justification; parse_sketch also accepts the
@@ -62,10 +62,6 @@ class HaveStep:
     chain: str | None = None
     preceding_comment: str | None = None
 
-    @property
-    def facts_used(self) -> tuple[str, ...]:
-        return self.uses + self.unfolds
-
 
 @dataclass(frozen=True)
 class ShowStep:
@@ -75,10 +71,6 @@ class ShowStep:
     justification: Justification
     chain: str | None = None
     preceding_comment: str | None = None
-
-    @property
-    def facts_used(self) -> tuple[str, ...]:
-        return self.uses + self.unfolds
 
 
 @dataclass(frozen=True)
@@ -91,10 +83,6 @@ class ObtainStep:
     justification: Justification
     chain: str | None = None
     preceding_comment: str | None = None
-
-    @property
-    def facts_used(self) -> tuple[str, ...]:
-        return self.uses + self.unfolds
 
 
 @dataclass(frozen=True)
@@ -147,28 +135,12 @@ class SketchAst:
     header: TheoremHeader
     body: tuple[ProofNode, ...] = ()
     root_justification: Justification | None = None
-    spans: dict[tuple[int, ...], tuple[int, int]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.root_justification is not None and any(
             not isinstance(n, Comment) for n in self.body
         ):
             raise ValueError("proof body and direct closing step are exclusive")
-
-    def child_at(self, path: tuple[int, ...]) -> ProofNode:
-        node: ProofNode | None = None
-        children = self.body
-        for index in path:
-            try:
-                node = children[index]
-            except IndexError:
-                raise KeyError(path) from None
-            children = child_nodes(node)
-        if node is None:
-            raise KeyError(path)
-        return node
 
 
 @dataclass(frozen=True)
@@ -211,49 +183,3 @@ def walk(ast: SketchAst) -> Iterator[tuple[tuple[int, ...], ProofNode]]:
             yield from visit(child_nodes(node), path)
 
     yield from visit(ast.body, ())
-
-
-def replace_at(ast: SketchAst, path: tuple[int, ...], new_node: ProofNode) -> SketchAst:
-    """Return a copy of `ast` with the node at `path` swapped out."""
-    if not path:
-        raise KeyError(path)
-
-    def rebuild(nodes: tuple[ProofNode, ...], rest: tuple[int, ...]) -> tuple[ProofNode, ...]:
-        index = rest[0]
-        if index >= len(nodes):
-            raise KeyError(path)
-        out = list(nodes)
-        if len(rest) == 1:
-            out[index] = new_node
-        else:
-            out[index] = _rebuild_node(nodes[index], rest[1:])
-        return tuple(out)
-
-    def _rebuild_node(node: ProofNode, rest: tuple[int, ...]) -> ProofNode:
-        if isinstance(node, ProofBlock):
-            index = rest[0]
-            n_plain = len(node.children)
-            if index < n_plain:
-                return replace(node, children=rebuild(node.children, rest))
-            offset = n_plain
-            for case_pos, (name, body) in enumerate(node.cases):
-                if index < offset + len(body):
-                    new_body = rebuild(body, (index - offset,) + rest[1:])
-                    new_cases = list(node.cases)
-                    new_cases[case_pos] = (name, new_body)
-                    return replace(node, cases=tuple(new_cases))
-                offset += len(body)
-            raise KeyError(path)
-        if isinstance(node, StepNode) and isinstance(node.justification, Nested):
-            if rest[0] != 0:
-                raise KeyError(path)
-            if len(rest) == 1:
-                if not isinstance(new_node, ProofBlock):
-                    raise KeyError(path)
-                return replace(node, justification=Nested(new_node))
-            inner = _rebuild_node(node.justification.block, rest[1:])
-            assert isinstance(inner, ProofBlock)
-            return replace(node, justification=Nested(inner))
-        raise KeyError(path)
-
-    return replace(ast, body=rebuild(ast.body, path), spans={})

@@ -1,4 +1,4 @@
-"""Gap extraction and sketch transformations."""
+"""Gap extraction, gap and comment counts, and comment stripping."""
 
 from __future__ import annotations
 
@@ -9,18 +9,14 @@ from .nodes import (
     Comment,
     Gap,
     GapSite,
-    InvalidSite,
     Nested,
     ProofBlock,
     ProofNode,
     ShowStep,
     SketchAst,
     StepNode,
-    Tactic,
-    replace_at,
     walk,
 )
-from .parser import closing_step_text
 
 
 def extract_gaps(ast: SketchAst) -> list[GapSite]:
@@ -41,23 +37,6 @@ def extract_gaps(ast: SketchAst) -> list[GapSite]:
 
 def count_gaps(ast: SketchAst) -> int:
     return len(extract_gaps(ast))
-
-
-def fill_gap(ast: SketchAst, site: GapSite, closing_step: str) -> SketchAst:
-    """Replace the Gap addressed by `site` with a concrete closing step.
-    Raises InvalidSite when the path no longer addresses a gap."""
-    tactic = Tactic(closing_step_text(closing_step))
-    if site.path == ():
-        if not isinstance(ast.root_justification, Gap):
-            raise InvalidSite(site.path, "path does not address a gap")
-        return _replace(ast, root_justification=tactic, spans={})
-    try:
-        node = ast.child_at(site.path)
-    except KeyError:
-        raise InvalidSite(site.path, "path does not address a node") from None
-    if not isinstance(node, StepNode) or not isinstance(node.justification, Gap):
-        raise InvalidSite(site.path, "path does not address a gap")
-    return replace_at(ast, site.path, _replace(node, justification=tactic))
 
 
 def strip_comments(ast: SketchAst) -> SketchAst:
@@ -87,7 +66,7 @@ def strip_comments(ast: SketchAst) -> SketchAst:
             return _replace(node, preceding_comment=None)
         return node
 
-    return _replace(ast, body=strip_nodes(ast.body), spans={})
+    return _replace(ast, body=strip_nodes(ast.body))
 
 
 def count_comments(ast: SketchAst) -> int:

@@ -30,7 +30,6 @@ from .nodes import (
     SketchAst,
     Tactic,
     TheoremHeader,
-    walk,
 )
 
 MAX_BLOCK_DEPTH = 200
@@ -169,9 +168,6 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
-        # (node, start, end) in creation order; resolved to path-keyed spans
-        # once the tree is assembled.
-        self.span_records: list[tuple[ProofNode, int, int]] = []
 
     # -- token plumbing ----------------------------------------------------
     # advance() never moves past the eof sentinel, so self.i always indexes
@@ -208,9 +204,6 @@ class _Parser:
         if self.peek().kind != "string":
             raise self.fail(f"expected quoted {what}", ('"..."',))
         return self.advance()
-
-    def record_span(self, node: ProofNode, start: int, end: int) -> None:
-        self.span_records.append((node, start, end))
 
     # -- header ------------------------------------------------------------
 
@@ -390,7 +383,7 @@ class _Parser:
             return label
         return None
 
-    def parse_step(self, depth: int, comment: str | None, start: int) -> ProofNode:
+    def parse_step(self, depth: int, comment: str | None) -> ProofNode:
         chain = None
         if self.at_ident(*CHAIN_WORDS):
             chain = self.advance().text
@@ -440,36 +433,27 @@ class _Parser:
             raise self.fail(
                 "expected proof step", ("have", "show", "obtain", "assume")
             )
-        self.record_span(node, start, self.tokens[self.i - 1].end)
         return node
 
     def parse_statements(self, depth: int, stop_words: tuple[str, ...]) -> list[ProofNode]:
         """Parse a statement run until one of `stop_words`; attaches a comment
         to the step right after it, otherwise keeps it standalone."""
         nodes: list[ProofNode] = []
-        pending: _Token | None = None
-
-        def flush_pending() -> None:
-            nonlocal pending
-            if pending is not None:
-                node = Comment(pending.text)
-                self.record_span(node, pending.start, pending.end)
-                nodes.append(node)
-                pending = None
+        pending: str | None = None  # a comment not yet attached or kept
 
         while True:
             tok = self.peek()
-            if tok.kind == "eof" or (tok.kind == "ident" and tok.text in stop_words):
-                flush_pending()
+            at_end = tok.kind == "eof" or (tok.kind == "ident" and tok.text in stop_words)
+            if pending is not None and (at_end or tok.kind == "comment"):
+                nodes.append(Comment(pending))
+                pending = None
+            if at_end:
                 return nodes
             if tok.kind == "comment":
-                flush_pending()
-                pending = self.advance()
+                pending = self.advance().text
                 continue
-            comment_text = pending.text if pending is not None else None
-            start = pending.start if pending is not None else tok.start
+            nodes.append(self.parse_step(depth, pending))
             pending = None
-            nodes.append(self.parse_step(depth, comment_text, start))
 
     def parse_case_name(self) -> str:
         tok = self.peek()
@@ -482,7 +466,7 @@ class _Parser:
     def parse_block(self, depth: int) -> ProofBlock:
         if depth >= MAX_BLOCK_DEPTH:
             raise _RawParseError(self.peek().start, "proof nesting too deep")
-        start = self.expect_ident("proof").start
+        self.expect_ident("proof")
         method = None
         if self.at_symbol("-"):
             self.advance()
@@ -503,10 +487,8 @@ class _Parser:
                     raise self.fail("expected another case after 'next'", ("case",))
         if self.at_ident("next"):
             raise self.fail("'next' outside a case list", ("qed",))
-        end_tok = self.expect_ident("qed")
-        node = ProofBlock(method, tuple(children), tuple(cases))
-        self.record_span(node, start, end_tok.end)
-        return node
+        self.expect_ident("qed")
+        return ProofBlock(method, tuple(children), tuple(cases))
 
     # -- entry point ---------------------------------------------------------
 
@@ -517,10 +499,7 @@ class _Parser:
 
         def take_comments() -> None:
             while self.peek().kind == "comment":
-                tok = self.advance()
-                node = Comment(tok.text)
-                self.record_span(node, tok.start, tok.end)
-                body.append(node)
+                body.append(Comment(self.advance().text))
 
         take_comments()
         if self.at_ident("proof"):
@@ -530,36 +509,7 @@ class _Parser:
         take_comments()
         if self.peek().kind != "eof":
             raise self.fail("trailing input after proof", ("end of input",))
-        ast = SketchAst(header, tuple(body), root_just)
-        ast.spans.update(self.resolve_spans(ast))
-        return ast
-
-    def resolve_spans(self, ast: SketchAst) -> dict[tuple[int, ...], tuple[int, int]]:
-        by_identity = {id(node): (s, e) for node, s, e in self.span_records}
-        node_spans = {}
-        for path, node in walk(ast):
-            char_span = by_identity.get(id(node))
-            if char_span is not None:
-                node_spans[path] = char_span
-        if self.source.isascii():
-            return node_spans  # byte offsets coincide with char offsets
-        positions = sorted({p for span in node_spans.values() for p in span})
-        byte_of = _byte_offsets_at(self.source, positions)
-        return {
-            path: (byte_of[span[0]], byte_of[span[1]]) for path, span in node_spans.items()
-        }
-
-
-def _byte_offsets_at(source: str, positions: list[int]) -> dict[int, int]:
-    """Byte offsets for the given sorted char positions, one pass."""
-    offsets: dict[int, int] = {}
-    previous = 0
-    total = 0
-    for pos in positions:
-        total += len(source[previous:pos].encode("utf-8"))
-        offsets[pos] = total
-        previous = pos
-    return offsets
+        return SketchAst(header, tuple(body), root_just)
 
 
 def parse_sketch(source: str | bytes) -> SketchAst:

@@ -157,9 +157,3 @@ def serialize(ast: SketchAst) -> str:
     """Render the AST to canonical sketch text ending with a newline."""
     return GAP_TOKEN.join(render_segments(ast))
 
-
-def serialize_statement(header: TheoremHeader) -> str:
-    """Render just the theorem statement (no proof)."""
-    out: list[str] = []
-    _render_header(header, out)
-    return "\n".join(out) + "\n"

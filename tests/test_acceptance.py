@@ -40,10 +40,10 @@ from sketchprove.prover import (
     ScriptedSpec,
     TimedOut,
     Valid,
+    FullProofResult,
     close_gap,
-    direct_prove,
     open_session,
-    sketch_prefix,
+    prove_sketch,
     verify_full,
 )
 from sketchprove.scheduler import (
@@ -52,6 +52,7 @@ from sketchprove.scheduler import (
     DraftSource,
     PipelineComponents,
     SessionProvider,
+    baseline_sketch,
     make_plan,
     run_experiment,
 )
@@ -61,6 +62,7 @@ from sketchprove.sketch import (
     count_gaps,
     extract_gaps,
     parse_sketch,
+    render_segments,
     serialize,
     walk,
 )
@@ -193,9 +195,8 @@ def test_cascade_contract(tmp_path):
             tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=11 * 50 + 600 + 50
         )
         text = 'theorem t: shows "G"\nproof -\n  have c0: "goal text" sledgehammer\n  show ?thesis sledgehammer\nqed\n'
-        ast = parse_sketch(text)
-        site = extract_gaps(ast)[0]
-        context = sketch_prefix(ast, site)
+        # the context prove_sketch sends for the first gap
+        context = render_segments(parse_sketch(text))[0].rstrip() + "\n"
 
         scenarios = [
             ({"kind": "tactic", "index": 0}, Closed, 1),
@@ -209,7 +210,7 @@ def test_cascade_contract(tmp_path):
             path.write_text(json.dumps(_latency_script(outcome)))
             session = recording(open_session(ScriptedSpec(str(path)), config))
             started = time.monotonic()
-            result = close_gap(session, site, context)
+            result = close_gap(session, context)
             wall_ms = (time.monotonic() - started) * 1000
             assert isinstance(result, expected_type)
             sent = [t for cmd, t in session.backend.calls if cmd == "step"]
@@ -225,7 +226,7 @@ def test_cascade_contract(tmp_path):
         path.write_text(json.dumps(_latency_script({"kind": "timeout"})))
         session = open_session(ScriptedSpec(str(path)), tight)
         started = time.monotonic()
-        result = close_gap(session, site, context)
+        result = close_gap(session, context)
         wall_ms = (time.monotonic() - started) * 1000
         assert isinstance(result, TimedOut)
         assert result.elapsed_ms <= tight.per_gap_budget_ms
@@ -400,6 +401,6 @@ def test_live_prover_smoke():
     config = ProverConfig()  # the real 120 s hammer cap
     with stopwatch("live-smoke", 125.0):
         session = open_session(ExternalSpec(address), config)
-        verdict = direct_prove(session, 'theorem smoke:\n  shows "True"')
+        outcome = prove_sketch(session, baseline_sketch('theorem smoke:\n  shows "True"'))
         session.close()
-        assert isinstance(verdict, Valid)
+        assert isinstance(outcome, FullProofResult)

@@ -324,3 +324,111 @@ def test_golden_config_file_reproduces_golden(tmp_path):
     assert (tmp_path / "records.jsonl").read_bytes() == (
         FIXTURES / "golden" / "records.jsonl"
     ).read_bytes()
+
+
+# -- the golden invariant on every backend and worker count ---------------------------
+
+
+@pytest.fixture(scope="module")
+def golden_wire_server():
+    from sketchprove.prover import WireServer
+
+    server = WireServer(str(FIXTURES / "prover" / "script.json")).start()
+    yield server
+    server.stop()
+
+
+@pytest.mark.parametrize("jobs", [1, 8])
+@pytest.mark.parametrize("prover", ["scripted", "wire"])
+@pytest.mark.parametrize("records", ["records.jsonl", "records_baseline.jsonl"])
+def test_run_reproduces_golden_on_every_backend_and_worker_count(
+    tmp_path, golden_wire_server, records, prover, jobs
+):
+    from sketchprove.cli import main
+
+    flags = golden_flags(tmp_path, jobs=jobs)
+    if prover == "wire":
+        flags[flags.index("--prover") + 1] = f"external:{golden_wire_server.address}"
+    command = ["run", "--baseline"] if records == "records_baseline.jsonl" else ["run"]
+    assert main([*flags, *command]) == 0
+    assert (tmp_path / records).read_bytes() == (FIXTURES / "golden" / records).read_bytes()
+
+
+# -- failures the run reports -----------------------------------------------------------
+
+
+def _script_with_default(tmp_path, default):
+    script = json.loads((FIXTURES / "prover" / "script.json").read_text())
+    script["default"] = default
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    return str(path)
+
+
+def test_unparseable_hammer_step_fails_the_gap_not_the_run(tmp_path):
+    flags = golden_flags(tmp_path)
+    script = _script_with_default(tmp_path, {"kind": "hammer", "step": "apply auto"})
+    flags[flags.index("--prover") + 1] = f"scripted:{script}"
+    for command, records in ((["run"], "records.jsonl"), (["run", "--baseline"], "records_baseline.jsonl")):
+        result = run_cli(*flags, *command)
+        assert result.returncode == 0, result.stderr
+        stages = [json.loads(line)["failure_stage"] for line in (tmp_path / records).open()]
+        assert "prove" in stages
+    sketch_path = tmp_path / "sketch.thy"
+    sketch_path.write_text('theorem t: shows "no rule matches this"\n  sledgehammer\n')
+    result = run_cli(*flags, "prove", str(sketch_path))
+    assert result.returncode == 0, result.stderr
+    assert "not proved (gap [])" in result.stdout
+    assert "closing step does not parse" in result.stdout
+
+
+def test_sketch_cache_misses_fail_the_run(tmp_path):
+    # another seed draws other examples, so most sketch prompts miss the cache
+    result = run_cli(
+        "--config", str(FIXTURES / "golden" / "config.json"), "--seed", "99",
+        "--out", str(tmp_path), "run",
+    )
+    assert result.returncode == 1
+    assert "attempts failed on infrastructure errors: 194 of 200" in result.stderr
+    assert "aborted" not in result.stderr  # every problem still has its records
+
+
+def test_torn_cache_tail_still_replays_golden(tmp_path):
+    cache = tmp_path / "completions.jsonl"
+    cache.write_bytes((FIXTURES / "cache" / "completions.jsonl").read_bytes() + b'{"key": "abc", "te')
+    flags = golden_flags(tmp_path)
+    flags[flags.index("--cache-file") + 1] = str(cache)
+    result = run_cli(*flags, "run")
+    assert result.returncode == 0, result.stderr
+    assert "torn final line" in result.stderr
+    assert (tmp_path / "records.jsonl").read_bytes() == (FIXTURES / "golden" / "records.jsonl").read_bytes()
+
+
+def test_prove_closes_its_session_when_proving_raises(tmp_path, monkeypatch):
+    import sketchprove.cli as cli
+    from sketchprove.prover import SessionDead, SessionState
+
+    opened = []
+    real_open = cli.open_session
+
+    def open_and_keep(spec, config):
+        opened.append(real_open(spec, config))
+        return opened[-1]
+
+    def lost(session, ast):
+        raise SessionDead("injected")
+
+    monkeypatch.setattr(cli, "open_session", open_and_keep)
+    monkeypatch.setattr(cli, "prove_sketch", lost)
+    sketch_path = tmp_path / "sketch.thy"
+    sketch_path.write_text('theorem t: shows "True"\n  sledgehammer\n')
+    assert cli.main([*golden_flags(tmp_path), "prove", str(sketch_path)]) == 1
+    assert [session.state for session in opened] == [SessionState.DEAD]
+
+
+def test_prove_reports_a_cheating_sketch(tmp_path):
+    sketch_path = tmp_path / "sketch.thy"
+    sketch_path.write_text('theorem t: shows "True"\n  sorry\n')
+    result = run_cli(*golden_flags(tmp_path), "prove", str(sketch_path))
+    assert result.returncode == 0, result.stderr
+    assert "not proved (cheat gate): proof contains cheating keywords: sorry" in result.stdout

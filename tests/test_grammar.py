@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ast_gen import AstGen, generate
+from gap_fill import fill
 from sketchprove.sketch import (
     GAP_TOKEN,
     CheatReport,
@@ -22,17 +23,17 @@ from sketchprove.sketch import (
     Tactic,
     TheoremHeader,
     check_no_cheat,
+    closing_step_text,
     count_comments,
     count_gaps,
     extract_gaps,
-    fill_gap,
     parse_sketch,
     render_segments,
     serialize,
     strip_comments,
     walk,
 )
-from sketchprove.sketch.ops import InvalidSite
+from sketchprove.sketch.nodes import InvalidSite
 
 
 # -- parsing the transcribed figures -------------------------------------------
@@ -137,7 +138,7 @@ def test_roundtrip_generated_asts():
         assert parse_sketch(serialize(ast)) == ast
 
 
-# -- gap extraction and filling ---------------------------------------------------
+# -- gap extraction and filling (filled by the test-side oracle) ------------------
 
 
 def test_gap_free_proof_has_no_sites(fig3_text):
@@ -147,7 +148,7 @@ def test_gap_free_proof_has_no_sites(fig3_text):
 def test_fill_gap_counts_down(fig2_text):
     ast = parse_sketch(fig2_text)
     site = extract_gaps(ast)[0]
-    filled = fill_gap(ast, site, "by auto")
+    filled = fill(ast, site, "by auto")
     assert count_gaps(filled) == 6
     assert count_gaps(ast) == 7  # original untouched
 
@@ -155,7 +156,7 @@ def test_fill_gap_counts_down(fig2_text):
 def test_fill_all_gaps_removes_token(fig2_text):
     ast = parse_sketch(fig2_text)
     while gaps := extract_gaps(ast):
-        ast = fill_gap(ast, gaps[0], "by auto")
+        ast = fill(ast, gaps[0], "by auto")
     assert "sledgehammer" not in serialize(ast)
     assert extract_gaps(ast) == []
 
@@ -163,7 +164,7 @@ def test_fill_all_gaps_removes_token(fig2_text):
 def test_fill_order_stability(fig2_text):
     ast = parse_sketch(fig2_text)
     before = extract_gaps(ast)
-    filled = fill_gap(ast, before[2], "by simp")
+    filled = fill(ast, before[2], "by simp")
     after = extract_gaps(filled)
     assert [s.path for s in after] == [s.path for s in before if s.path != before[2].path]
 
@@ -171,18 +172,16 @@ def test_fill_order_stability(fig2_text):
 def test_stale_site_rejected(fig2_text):
     ast = parse_sketch(fig2_text)
     site = extract_gaps(ast)[0]
-    filled = fill_gap(ast, site, "by auto")
+    filled = fill(ast, site, "by auto")
     with pytest.raises(InvalidSite):
-        fill_gap(filled, site, "by auto")
+        fill(filled, site, "by auto")
 
 
-def test_fill_rejects_non_step_text(fig2_text):
-    ast = parse_sketch(fig2_text)
-    site = extract_gaps(ast)[0]
-    with pytest.raises(InvalidSite):
-        fill_gap(ast, site, "((not a step")
-    with pytest.raises(InvalidSite):
-        fill_gap(ast, site, "sledgehammer")  # a gap is not a closing step
+def test_fill_rejects_non_step_text():
+    with pytest.raises(InvalidSite, match="does not parse"):
+        closing_step_text("((not a step")
+    with pytest.raises(InvalidSite, match="concrete"):
+        closing_step_text("sledgehammer")  # a gap is not a closing step
 
 
 def test_root_justification_gap():
@@ -190,7 +189,7 @@ def test_root_justification_gap():
     (site,) = extract_gaps(ast)
     assert site.path == ()
     assert site.proposition == "1 + 1 = 2"
-    filled = fill_gap(ast, site, "by auto")
+    filled = fill(ast, site, "by auto")
     assert count_gaps(filled) == 0
     assert "by auto" in serialize(filled)
 
@@ -341,19 +340,6 @@ def test_large_input_parses_quickly():
     assert peak < 20_000_000  # gap sites copy nothing per gap
 
 
-def test_spans_cover_source_and_do_not_overlap(fig2_text):
-    ast = parse_sketch(fig2_text)
-    total = len(fig2_text.encode())
-    by_parent: dict[tuple, list[tuple]] = {}
-    for path, span in ast.spans.items():
-        assert 0 <= span[0] <= span[1] <= total
-        by_parent.setdefault(path[:-1], []).append((path[-1], span))
-    for siblings in by_parent.values():
-        siblings.sort()
-        for (_, a), (_, b) in zip(siblings, siblings[1:]):
-            assert a[1] <= b[0], "sibling spans overlap"
-
-
 def test_fill_gaps_inside_case_bodies():
     text = (
         'theorem t:\n  fixes a :: int\n  shows "P a"\n'
@@ -371,7 +357,7 @@ def test_fill_gaps_inside_case_bodies():
     assert len(sites) == 3
     assert sites[0].label == "c0"
     for _ in range(3):
-        ast = fill_gap(ast, extract_gaps(ast)[0], "by auto")
+        ast = fill(ast, extract_gaps(ast)[0], "by auto")
     assert count_gaps(ast) == 0
     assert "sledgehammer" not in serialize(ast)
     assert parse_sketch(serialize(ast)) == ast
@@ -383,11 +369,11 @@ def test_gap_conservation_on_generated_asts(seed):
     ast = AstGen(seed).sketch()
     gaps = extract_gaps(ast)
     if gaps:
-        remaining = extract_gaps(fill_gap(ast, gaps[0], "by auto"))
+        remaining = extract_gaps(fill(ast, gaps[0], "by auto"))
         assert [s.path for s in remaining] == [s.path for s in gaps[1:]]
     filled = ast
     for site in reversed(gaps):
-        filled = fill_gap(filled, site, "by auto")
+        filled = fill(filled, site, "by auto")
     assert extract_gaps(filled) == []
     assert filled == parse_sketch("by auto".join(render_segments(ast)))
     # each gap now holds the step; every node with no gap below it is kept
@@ -428,6 +414,6 @@ def test_serialize_joins_segments_with_gap_tokens(seed):
     assert len(segments) == len(gaps) + 1
     # gap k sits right after segment k: filling it alone renders there
     for k, site in enumerate(gaps):
-        filled = serialize(fill_gap(ast, site, "by auto"))
+        filled = serialize(fill(ast, site, "by auto"))
         before = GAP_TOKEN.join(segments[: k + 1])
         assert filled == before + "by auto" + GAP_TOKEN.join(segments[k + 1 :])

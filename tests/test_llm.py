@@ -69,6 +69,37 @@ def test_cache_persists_and_reloads(tmp_path):
     assert len(reloaded) == 2
 
 
+def test_cache_ignores_a_torn_final_line_and_cuts_it_on_append(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    CompletionCache(path).put("k1", "text one")
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"key": "k2", "te')
+    cache = CompletionCache(path)
+    assert len(cache) == 1 and "torn final line" in caplog.text
+    cache.put("k3", "text three")
+    reloaded = CompletionCache(path)
+    assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == (
+        "text one", None, "text three"
+    )
+    assert path.read_bytes().startswith(whole) and path.read_bytes().count(b"\n") == 2
+
+
+def test_cache_keeps_a_whole_final_line_without_newline(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b'{"key": "k1", "text": "one"}')
+    cache = CompletionCache(path)
+    cache.put("k2", "two")
+    reloaded = CompletionCache(path)
+    assert (reloaded.get("k1"), reloaded.get("k2")) == ("one", "two")
+
+
+def test_cache_fails_on_a_bad_line_before_the_last(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b'{"key": "k1", "te\n{"key": "k2", "text": "two"}\n')
+    with pytest.raises(ValueError):
+        CompletionCache(path)
+
+
 def _ok_transport(texts):
     def transport(url, headers, payload, timeout_s):
         return 200, {"choices": [{"text": t} for t in texts[: payload["n"]]]}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ast_gen import AstGen
+from gap_fill import fill
 from conftest import RecordingBackend, minimal_script, recording, retained_bytes
 from sketchprove.prover import (
     DEFAULT_TACTICS,
@@ -31,17 +32,22 @@ from sketchprove.prover import (
     TimedOut,
     Valid,
     close_gap,
-    direct_prove,
     extract_goal,
     load_script,
     open_session,
     prove_sketch,
-    sketch_prefix,
     verify_full,
 )
 from sketchprove.prover.driver import CheatViolation
 from sketchprove.prover.scripted import Outcome, Rule
-from sketchprove.sketch import closing_step_text, extract_gaps, fill_gap, parse_sketch, serialize
+from sketchprove.scheduler import baseline_sketch
+from sketchprove.sketch import (
+    closing_step_text,
+    extract_gaps,
+    parse_sketch,
+    render_segments,
+    serialize,
+)
 
 FAST = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=2000)
 
@@ -130,10 +136,10 @@ def test_busy_session_rejects_reentry(tmp_path):
 # -- close_gap ------------------------------------------------------------------
 
 
-def _site(prop="4 * x = 168"):
+def _context(prop="4 * x = 168"):
+    """The context `prove_sketch` sends for the first gap, `have c0: prop`."""
     text = f'theorem t: shows "G"\nproof -\n  have c0: "{prop}" sledgehammer\n  show ?thesis sledgehammer\nqed\n'
-    ast = parse_sketch(text)
-    return ast, extract_gaps(ast)[0]
+    return render_segments(parse_sketch(text))[0].rstrip() + "\n"
 
 
 def test_close_at_first_tactic(tmp_path):
@@ -142,8 +148,7 @@ def test_close_at_first_tactic(tmp_path):
                 "outcome": {"kind": "tactic", "index": 0}}]
     )
     session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
-    ast, site = _site()
-    result = close_gap(session, site, sketch_prefix(ast, site))
+    result = close_gap(session, _context())
     assert result == Closed("by auto", 0, result.elapsed_ms)
     assert session.state is SessionState.IDLE
 
@@ -154,8 +159,7 @@ def test_hammer_fallback_returns_reconstruction(tmp_path):
                 "outcome": {"kind": "hammer", "step": "by (smt (z3) assms mult.commute)"}}]
     )
     session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
-    ast, site = _site()
-    result = close_gap(session, site, sketch_prefix(ast, site))
+    result = close_gap(session, _context())
     assert isinstance(result, Closed)
     assert result.tactic_index is None
     assert result.closing_step == "by (smt (z3) assms mult.commute)"
@@ -165,8 +169,7 @@ def test_hammer_fallback_returns_reconstruction(tmp_path):
 
 def test_everything_fails_records_twelve_attempts(tmp_path):
     session = open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST)
-    ast, site = _site()
-    result = close_gap(session, site, sketch_prefix(ast, site))
+    result = close_gap(session, _context())
     assert isinstance(result, Failed)
     assert len(result.attempts) == 12
     assert [name for name, _ in result.attempts[:-1]] == list(DEFAULT_TACTICS)
@@ -179,8 +182,7 @@ def test_short_circuit_skips_later_tactics(tmp_path):
                 "outcome": {"kind": "tactic", "index": 1}}]
     )
     session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
-    ast, site = _site()
-    result = close_gap(session, site, sketch_prefix(ast, site))
+    result = close_gap(session, _context())
     assert result.closing_step == "by simp" and result.tactic_index == 1
     sent = [text for cmd, text in session.backend.calls if cmd == "step"]
     assert sent == ["by auto", "by simp"]
@@ -195,8 +197,7 @@ def test_attempt_log_is_cascade_prefix(tmp_path):
         )
         path = write_script(tmp_path, script, f"s{index}.json")
         session = recording(open_session(ScriptedSpec(path), FAST))
-        ast, site = _site()
-        result = close_gap(session, site, sketch_prefix(ast, site))
+        result = close_gap(session, _context())
         sent = [text for cmd, text in session.backend.calls if cmd == "step"]
         expected = ["by auto", "by simp", "by blast", "by fastforce", "by force", "by eval",
                     "by presburger", "by sos", "by arith", "by linarith",
@@ -213,9 +214,8 @@ def test_budget_enforced_with_real_latencies(tmp_path):
     )
     config = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=260)
     session = open_session(ScriptedSpec(write_script(tmp_path, script)), config)
-    ast, site = _site()
     started = time.monotonic()
-    result = close_gap(session, site, sketch_prefix(ast, site))
+    result = close_gap(session, _context())
     wall_ms = (time.monotonic() - started) * 1000
     assert isinstance(result, TimedOut)
     assert result.elapsed_ms <= 260
@@ -228,8 +228,7 @@ def test_timeout_outcomes_recorded_but_cascade_continues(tmp_path):
                 "outcome": {"kind": "timeout", "ms": 1}}],
     )
     session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
-    ast, site = _site()
-    result = close_gap(session, site, sketch_prefix(ast, site))
+    result = close_gap(session, _context())
     assert isinstance(result, Failed)
     assert all(outcome == "timeout" for _, outcome in result.attempts)
 
@@ -375,7 +374,7 @@ def test_verify_scripted_rejection(tmp_path):
     assert "marker" in verdict.reason
 
 
-# -- direct_prove ---------------------------------------------------------------------
+# -- the direct baseline: the statement as a one-gap sketch -----------------------------
 
 
 STATEMENT = 'theorem t:\n  fixes x :: real\n  shows "x + 0 = x"'
@@ -386,19 +385,25 @@ def test_direct_prove_valid(tmp_path):
         rules=[{"match": {"kind": "exact", "pattern": "x + 0 = x"},
                 "outcome": {"kind": "hammer", "step": "by (metis add_0_right)"}}]
     )
-    session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
-    verdict = direct_prove(session, STATEMENT)
-    assert isinstance(verdict, Valid)
-    assert verdict.proof_text.endswith("by (metis add_0_right)\n")
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
+    outcome = prove_sketch(session, baseline_sketch(STATEMENT))
+    assert isinstance(outcome, FullProofResult)
+    assert outcome.proof_text == STATEMENT + "\n  by (metis add_0_right)\n"
+    # the statement is the one context, and the proof is checked end to end once
+    assert session.backend.calls[0] == ("init", STATEMENT + "\n")
+    assert [text for cmd, text in session.backend.calls if cmd == "check_full"] == [
+        outcome.proof_text
+    ]
 
 
 def test_direct_prove_invalid_after_full_cascade(tmp_path):
     session = recording(open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST))
-    verdict = direct_prove(session, STATEMENT)
-    assert isinstance(verdict, Invalid)
+    outcome = prove_sketch(session, baseline_sketch(STATEMENT))
+    assert isinstance(outcome, SketchFailure) and outcome.failed_site.path == ()
     steps = [c for c in session.backend.calls if c[0] == "step"]
     hammers = [c for c in session.backend.calls if c[0] == "hammer"]
     assert len(steps) == 11 and len(hammers) == 1
+    assert not any(cmd == "check_full" for cmd, _ in session.backend.calls)
 
 
 def test_direct_prove_cascade_ordering(tmp_path):
@@ -407,8 +412,8 @@ def test_direct_prove_cascade_ordering(tmp_path):
                 "outcome": {"kind": "tactic", "index": 1}}]
     )
     session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
-    verdict = direct_prove(session, STATEMENT)
-    assert isinstance(verdict, Valid) and "by simp" in verdict.proof_text
+    outcome = prove_sketch(session, baseline_sketch(STATEMENT))
+    assert isinstance(outcome, FullProofResult) and "by simp" in outcome.proof_text
     sent = [text for cmd, text in session.backend.calls if cmd == "step"]
     assert sent == ["by auto", "by simp"]
 
@@ -418,10 +423,41 @@ def test_direct_prove_gates_cheating_reconstruction(tmp_path):
         rules=[{"match": {"kind": "exact", "pattern": "x + 0 = x"},
                 "outcome": {"kind": "hammer", "step": "sorry"}}]
     )
-    session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
-    verdict = direct_prove(session, STATEMENT)
-    assert isinstance(verdict, Invalid)
-    assert "cheating" in verdict.reason
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
+    outcome = prove_sketch(session, baseline_sketch(STATEMENT))
+    # the whole-proof check's gate refuses it before the backend sees it
+    assert isinstance(outcome, SketchFailure) and outcome.failed_site is None
+    assert "cheating keyword: sorry" in outcome.reason
+    assert not any(cmd == "check_full" for cmd, _ in session.backend.calls)
+
+
+def test_baseline_sketch_keeps_only_the_statement():
+    ast = baseline_sketch('theorem t: shows "P"\nproof -\n  show ?thesis by auto\nqed')
+    assert serialize(ast) == 'theorem t:\n  shows "P"\n  sledgehammer\n'
+    assert [site.path for site in extract_gaps(ast)] == [()]
+
+
+# -- closing steps the proof text cannot hold --------------------------------------------
+
+
+def test_unparseable_closing_step_fails_the_gap(tmp_path):
+    script = minimal_script(default={"kind": "hammer", "step": "apply auto"})
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
+    text = (
+        'theorem t: shows "G"\nproof -\n  have c1: "a" sledgehammer\n'
+        "  show ?thesis using c1 sledgehammer\nqed\n"
+    )
+    ast = parse_sketch(text)
+    outcome = prove_sketch(session, ast)
+    assert isinstance(outcome, SketchFailure)
+    assert outcome.failed_site == extract_gaps(ast)[0]
+    (result,) = outcome.partial
+    assert result == Failed((("closing_step", "unparseable"),), result.elapsed_ms)
+    assert "closing step does not parse" in outcome.reason
+    # the later gap is not attempted and no whole proof is checked
+    assert [cmd for cmd, _ in session.backend.calls].count("init") == 1
+    assert not any(cmd in ("resume", "check_full") for cmd, _ in session.backend.calls)
+    assert session.state is SessionState.IDLE
 
 
 # -- deterministic elapsed times -------------------------------------------------------
@@ -470,15 +506,15 @@ def _refusing_session(tmp_path):
 
 def test_failed_init_fails_the_gap_before_any_step(tmp_path):
     session = _refusing_session(tmp_path)
-    ast, site = _site()
     for _ in range(2):  # the session stays usable for the next context
-        result = close_gap(session, site, sketch_prefix(ast, site))
+        result = close_gap(session, _context())
         assert result == Failed((("init", "fail"),), 0)
         assert session.state is SessionState.IDLE
     assert [cmd for cmd, _ in session.backend.calls] == ["init", "init"]
 
 
 def test_failed_init_fails_prove_sketch_and_direct_prove(tmp_path, fig2_text):
+    # the baseline's one-gap sketch fails like any other sketch
     session = _refusing_session(tmp_path)
     ast = parse_sketch(fig2_text)
     outcome = prove_sketch(session, ast)
@@ -487,7 +523,9 @@ def test_failed_init_fails_prove_sketch_and_direct_prove(tmp_path, fig2_text):
     assert outcome.partial == (Failed((("init", "fail"),), 0),)
     assert [cmd for cmd, _ in session.backend.calls] == ["init"]
     session = _refusing_session(tmp_path)
-    assert direct_prove(session, STATEMENT) == Invalid("cascade exhausted without a proof")
+    outcome = prove_sketch(session, baseline_sketch(STATEMENT))
+    assert isinstance(outcome, SketchFailure) and outcome.failed_site.path == ()
+    assert outcome.partial == (Failed((("init", "fail"),), 0),)
     assert [cmd for cmd, _ in session.backend.calls] == ["init"]
 
 
@@ -589,13 +627,13 @@ def oracle_prove(session, ast):
         if not gaps:
             break
         site = gaps[0]
-        text = serialize(fill_gap(current, site, SENTINEL))
+        text = serialize(fill(current, site, SENTINEL))
         context = text[: text.find(SENTINEL)].rstrip() + "\n"
-        result = close_gap(session, site, context)
+        result = close_gap(session, context)
         per_gap.append(result)
         if not isinstance(result, Closed):
             return site, per_gap, None
-        current = fill_gap(current, site, result.closing_step)
+        current = fill(current, site, result.closing_step)
     return None, per_gap, serialize(current)
 
 

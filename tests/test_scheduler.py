@@ -376,22 +376,44 @@ def test_direct_baseline_single_attempt(problems):
     }
 
 
+@pytest.mark.parametrize(
+    "statement, stage, parse_ok",
+    [
+        ('theorem broken:\n  fixes x\n  shows "x = 40 - 7"', FailureStage.PARSE, False),
+        ('theorem t.sorry: shows "x = 40 - 7"', FailureStage.VERIFY, True),  # the name trips the gate
+        ('theorem t: shows "x = 40 - 7" sorry', None, True),  # its own proof is not used
+        ('theorem t: shows "x = 40 - 7"', None, True),
+        ('theorem t: shows "x = 41"', FailureStage.PROVE, True),
+    ],
+)
+def test_direct_baseline_records_one_attempt_per_statement(tmp_path, statement, stage, parse_ok):
+    components = _components(tmp_path, lambda i: GOOD_SKETCH)
+    problem = Problem(
+        id="p", split=Split.VALID, category=Category.ALGEBRA, informal_statement="s",
+        informal_proof=None, formal_statement=statement,
+    )
+    result = run_problem_direct(problem, components)
+    (record,) = result.attempts
+    assert (record.failure_stage, record.parse_ok, record.wall_ms) == (stage, parse_ok, 0)
+    assert record.success == (stage is None) and result.infra_error is None
+
+
 def _dying_direct_prove(monkeypatch, deaths):
     """Patch the baseline's prover call to lose its session `deaths` times
     before it runs for real; returns the sessions it was handed."""
     import sketchprove.scheduler as scheduler_module
 
-    real = scheduler_module.direct_prove
+    real = scheduler_module.prove_sketch
     handed = []
 
-    def flaky(session, formal_statement):
+    def flaky(session, ast):
         handed.append(session.session_id)
         if len(handed) <= deaths:
             session.state = scheduler_module.SessionState.DEAD
             raise SessionDead("injected")
-        return real(session, formal_statement)
+        return real(session, ast)
 
-    monkeypatch.setattr(scheduler_module, "direct_prove", flaky)
+    monkeypatch.setattr(scheduler_module, "prove_sketch", flaky)
     return handed
 
 

@@ -23,15 +23,14 @@ from sketchprove.prover import (
     WireBackend,
     WireServer,
     close_gap,
-    direct_prove,
     load_script,
     open_session,
     prove_sketch,
-    sketch_prefix,
     verify_full,
 )
 from sketchprove.prover.wire import _serve_connection
-from sketchprove.sketch import extract_gaps, parse_sketch, render_segments
+from sketchprove.scheduler import baseline_sketch
+from sketchprove.sketch import parse_sketch, render_segments
 
 FAST = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=2000)
 
@@ -111,6 +110,8 @@ SKETCH = (
     "  show ?thesis using c1 sledgehammer\n"
     "qed\n"
 )
+# the context prove_sketch sends for SKETCH's first gap
+FIRST_CONTEXT = render_segments(parse_sketch(SKETCH))[0].rstrip() + "\n"
 
 
 def test_wire_round_trip_frames(server):
@@ -135,17 +136,15 @@ def test_wire_prove_sketch_end_to_end(server):
 
 def test_wire_close_gap(server):
     session = open_session(ExternalSpec(server.address), FAST)
-    ast = parse_sketch(SKETCH)
-    site = extract_gaps(ast)[0]
-    result = close_gap(session, site, sketch_prefix(ast, site))
+    result = close_gap(session, FIRST_CONTEXT)
     assert isinstance(result, Closed) and result.tactic_index == 0
 
 
 def test_wire_direct_prove(server):
     session = open_session(ExternalSpec(server.address), FAST)
-    verdict = direct_prove(session, 'theorem t:\n  shows "x + 0 = x"')
-    assert isinstance(verdict, Valid)
-    assert "by blast" in verdict.proof_text
+    outcome = prove_sketch(session, baseline_sketch('theorem t:\n  shows "x + 0 = x"'))
+    assert isinstance(outcome, FullProofResult)
+    assert "by blast" in outcome.proof_text
 
 
 def test_wire_whole_proof_check(server):
@@ -177,13 +176,11 @@ def test_wire_connection_loss_marks_session_dead():
 
     threading.Thread(target=one_shot_then_hang_up, daemon=True).start()
     session = open_session(ExternalSpec(f"127.0.0.1:{port}"), FAST)
-    ast = parse_sketch(SKETCH)
-    site = extract_gaps(ast)[0]
     with pytest.raises(SessionDead):
-        close_gap(session, site, sketch_prefix(ast, site))
+        close_gap(session, FIRST_CONTEXT)
     assert session.state is SessionState.DEAD
     with pytest.raises(SessionDead):
-        close_gap(session, site, sketch_prefix(ast, site))  # stays dead until reopened
+        close_gap(session, FIRST_CONTEXT)  # stays dead until reopened
 
 
 def test_wire_sessions_isolated(server):
@@ -212,8 +209,8 @@ def test_wire_stdio_backend(tmp_path):
     )
     address = f"stdio:{sys.executable} -m sketchprove.prover --script {script_path} --stdio"
     session = open_session(ExternalSpec(address), FAST)
-    verdict = direct_prove(session, 'theorem t:\n  shows "x + 0 = x"')
-    assert isinstance(verdict, Valid)
+    outcome = prove_sketch(session, baseline_sketch('theorem t:\n  shows "x + 0 = x"'))
+    assert isinstance(outcome, FullProofResult)
     session.close()
 
 
@@ -336,10 +333,8 @@ def test_wire_closing_reply_without_state_id_is_a_lost_session(closer):
         return {"status": "ok", "state_id": "s1"}
 
     session = ProverSession(WireBackend(fake_bridge(answer)), FAST)
-    ast = parse_sketch(SKETCH)
-    site = extract_gaps(ast)[0]
     with pytest.raises(SessionDead, match="no state_id"):
-        close_gap(session, site, sketch_prefix(ast, site))
+        close_gap(session, FIRST_CONTEXT)
     assert session.state is SessionState.DEAD
     session.close()
 

@@ -34,7 +34,14 @@ from sketchprove.scheduler import (  # noqa: E402
     SessionProvider,
     run_experiment,
 )
-from sketchprove.sketch import fill_gap, extract_gaps, parse_sketch, serialize, serialize_statement  # noqa: E402
+from sketchprove.sketch import (  # noqa: E402
+    SketchAst,
+    closing_step_text,
+    extract_gaps,
+    parse_sketch,
+    render_segments,
+    serialize,
+)
 
 FIXTURES = ROOT / "fixtures"
 
@@ -45,26 +52,33 @@ POLICY = dict(drafts_per_problem=5, sketches_per_draft=2, total_budget=100)
 # -- example pool ---------------------------------------------------------------
 
 
+def statement_text(ast: SketchAst) -> str:
+    """The theorem statement of a sketch, without its proof."""
+    return serialize(SketchAst(ast.header))
+
+
 def build_pool() -> None:
     meta = json.loads((FIXTURES / "pool" / "pool_meta.json").read_text(encoding="utf-8"))
     quads = []
     for entry in meta:
         sketch_text = (FIXTURES / "sketches" / f"{entry['id']}.thy").read_text(encoding="utf-8")
         ast = parse_sketch(sketch_text)
-        full = ast
-        for step in entry["fill_steps"]:
-            gaps = extract_gaps(full)
-            full = fill_gap(full, gaps[0], step)
-        assert not extract_gaps(full), f"{entry['id']}: fill_steps left gaps"
+        # each gap holds its step's canonical text, as prove_sketch splices it
+        segments = render_segments(ast)
+        steps = entry["fill_steps"]
+        assert len(steps) == len(segments) - 1, f"{entry['id']}: one fill step per gap"
+        full_proof = "".join(
+            segment + closing_step_text(step) for segment, step in zip(segments, steps)
+        ) + segments[-1]
         quads.append(
             {
                 "id": entry["id"],
                 "category": entry["category"],
                 "informal_statement": entry["informal_statement"],
                 "informal_proof": entry["informal_proof"],
-                "formal_statement": serialize_statement(ast.header),
+                "formal_statement": statement_text(ast),
                 "formal_sketch": sketch_text,
-                "full_proof": serialize(full),
+                "full_proof": full_proof,
             }
         )
     out = FIXTURES / "pool" / "examples.json"
@@ -149,7 +163,7 @@ def statement_for(spec: Spec) -> str:
     if spec.kind == "imo":
         return f'theorem {spec.id}:\n  fixes n :: nat\n  shows "(2*n + {spec.a}) mod 2 = 1"\n'
     sketch = (FIXTURES / "sketches" / f"{spec.id}.thy").read_text(encoding="utf-8")
-    return serialize_statement(parse_sketch(sketch).header)
+    return statement_text(parse_sketch(sketch))
 
 
 def good_gap_prop(spec: Spec) -> str:
