@@ -178,8 +178,9 @@ class SketchFailure:
 
 def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | SketchFailure:
     """Close all gaps in document order, so later gaps see earlier
-    closures; abort on the first gap that does not close. A fully closed
-    sketch must also pass end-to-end verification.
+    closures; abort on the first gap that does not close, or that closes
+    with a step the proof text cannot hold. A fully closed sketch must also
+    pass end-to-end verification.
 
     The sketch is rendered once into the segments between its gaps. The
     first gap starts from the theory with the first segment; each later gap
