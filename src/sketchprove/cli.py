@@ -2,9 +2,9 @@
 
 One subcommand per pipeline stage (draft, sketch, prove) plus the full
 experiment loop (run) and evaluation outputs (eval, curve). `draft` samples
-`drafts` per problem with the request `run` sends, so both use the same
-cached completions. `sketch` builds its prompt with the pipeline's own
-`scheduler.sketch_prompt` and the same prompt settings as `run`, so
+`drafts` per problem with the pipeline's own `scheduler.sample_drafts`, and
+`sketch` builds its request with `scheduler.sketch_request` and the same
+prompt settings as `run`, so both use `run`'s cached completions and
 `--show-prompt` prints what `run` sends for that (problem, draft, sketch
 index). Values resolve as: built-in defaults, then the --config file, then
 explicit flags; the effective configuration is echoed into the run manifest
@@ -30,13 +30,9 @@ from .llm import (
     CacheMode,
     CompletionCache,
     CompletionClient,
-    CompletionRequest,
     EndpointError,
     Timeout,
     cache_mode_from_env,
-    dedup,
-    draft_preset,
-    sketch_preset,
 )
 from .prompting import (
     MissingFullProof,
@@ -44,11 +40,9 @@ from .prompting import (
     PoolTooSmall,
     PromptConfig,
     PromptMode,
-    build_draft_prompt,
     load_pool,
 )
 from .prover import (
-    CheatViolation,
     Closed,
     ConnectError,
     ExternalSpec,
@@ -69,7 +63,8 @@ from .scheduler import (
     derive_seed,
     infra_failures,
     run_experiment,
-    sketch_prompt,
+    sample_drafts,
+    sketch_request,
 )
 from .sketch import count_gaps, parse_sketch
 from .sketch.parser import ParseError
@@ -212,16 +207,12 @@ def cmd_draft(config: CliConfig, args: argparse.Namespace) -> int:
         return EXIT_OK
     client = _build_client(config)
     for pid in wanted:
-        prompt = build_draft_prompt(problems[pid])
-        response = client.complete(
-            CompletionRequest(prompt, draft_preset(n=config.drafts), config.endpoint_id)
-        )
-        drafts = dedup(response.completions)
+        drafts, sampled = sample_drafts(client, problems[pid], config.drafts)
         target = out_dir / pid
         target.mkdir(parents=True, exist_ok=True)
         for i, text in enumerate(drafts):
             (target / f"draft_{i:04d}.txt").write_text(text, encoding="utf-8")
-        print(f"{pid}: {len(drafts)} drafts ({len(response.completions) - len(drafts)} duplicates dropped)")
+        print(f"{pid}: {len(drafts)} drafts ({sampled - len(drafts)} duplicates dropped)")
     return EXIT_OK
 
 
@@ -237,14 +228,14 @@ def cmd_sketch(config: CliConfig, args: argparse.Namespace) -> int:
 
     pool = load_pool(config.pool_path)
     seed = derive_seed(config.seed, problem.id, args.draft_id, args.sketch_index)
-    prompt = sketch_prompt(pool, problem, draft, _prompt_config(config), seed)
+    client = _build_client(config)
+    request = sketch_request(pool, problem, draft, _prompt_config(config), seed, client.endpoint_id)
     if args.show_prompt:
         print("--- prompt ---")
-        print(prompt)
+        print(request.prompt)
         print("--- end prompt ---")
 
-    client = _build_client(config)
-    response = client.complete(CompletionRequest(prompt, sketch_preset(), config.endpoint_id))
+    response = client.complete(request)
     sketch_text = response.completions[0]
     print(sketch_text)
     try:
@@ -269,17 +260,15 @@ def cmd_prove(config: CliConfig, args: argparse.Namespace) -> int:
     session = open_session(_prover_spec(config), _prover_config(config))
     try:
         outcome = prove_sketch(session, ast)
-    except CheatViolation as exc:
-        print(f"not proved (cheat gate): {exc}")
-        return EXIT_OK
     finally:
         session.close()
     if isinstance(outcome, FullProofResult):
         print(f"proved: {len(outcome.per_gap)} gaps closed")
         print(outcome.proof_text)
     else:
-        where = "final check" if outcome.failed_site is None else f"gap {list(outcome.failed_site.path)}"
-        print(f"not proved ({where}): {outcome.reason}")
+        # a whole-proof failure names its check (cheat gate or final check) in its reason
+        where = "" if outcome.failed_site is None else f" (gap {list(outcome.failed_site.path)})"
+        print(f"not proved{where}: {outcome.reason}")
         closed = sum(1 for r in outcome.partial if isinstance(r, Closed))
         print(f"gaps closed before failure: {closed}")
     return EXIT_OK

@@ -122,39 +122,25 @@ class AttemptRecord:
 
 @dataclass(frozen=True)
 class ProblemResult:
+    """One problem's attempt records in plan order and, if it aborted, why;
+    everything else derives from them."""
+
     problem_id: str
     attempts: tuple[AttemptRecord, ...]
-    solved: bool
-    first_success_index: int | None
-    draft_shortfall: int = 0
     infra_error: str | None = None
 
-    def __post_init__(self) -> None:
-        successes = [i for i, a in enumerate(self.attempts) if a.success]
-        if self.solved != bool(successes):
-            raise ValueError("solved flag disagrees with attempt records")
-        expected_first = successes[0] if successes else None
-        if self.first_success_index != expected_first:
-            raise ValueError("first_success_index disagrees with attempt records")
+    @property
+    def solved(self) -> bool:
+        return self.first_success_index is not None
 
-    @classmethod
-    def from_attempts(
-        cls,
-        problem_id: str,
-        attempts: Sequence[AttemptRecord],
-        infra_error: str | None = None,
-    ) -> "ProblemResult":
-        attempts = tuple(attempts)
-        successes = [i for i, a in enumerate(attempts) if a.success]
-        shortfall = sum(1 for a in attempts if a.failure_stage is FailureStage.DRAFT)
-        return cls(
-            problem_id=problem_id,
-            attempts=attempts,
-            solved=bool(successes),
-            first_success_index=successes[0] if successes else None,
-            draft_shortfall=shortfall,
-            infra_error=infra_error,
-        )
+    @property
+    def first_success_index(self) -> int | None:
+        return next((i for i, a in enumerate(self.attempts) if a.success), None)
+
+    @property
+    def draft_shortfall(self) -> int:
+        """Plan entries left without a draft after deduplication."""
+        return sum(1 for a in self.attempts if a.failure_stage is FailureStage.DRAFT)
 
 
 # -- dataset ----------------------------------------------------------------
@@ -418,10 +404,7 @@ def import_records(path: str | Path) -> list[ProblemResult]:
     grouped: dict[str, list[AttemptRecord]] = {}
     for record in import_attempts(path):
         grouped.setdefault(record.problem_id, []).append(record)
-    return [
-        ProblemResult.from_attempts(problem_id, attempts)
-        for problem_id, attempts in grouped.items()
-    ]
+    return [ProblemResult(problem_id, tuple(attempts)) for problem_id, attempts in grouped.items()]
 
 
 def export_table_csv(

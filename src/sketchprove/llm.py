@@ -109,7 +109,6 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class CompletionResponse:
     completions: tuple[str, ...]
-    usage: tuple[int, int]  # (prompt_units, completion_units)
     latency_ms: int
 
 
@@ -247,11 +246,7 @@ class CompletionClient:
             if text is None:
                 raise CacheMiss(key)
             completions.append(text)
-        return CompletionResponse(
-            completions=tuple(completions),
-            usage=_usage(request.prompt, completions),
-            latency_ms=0,
-        )
+        return CompletionResponse(completions=tuple(completions), latency_ms=0)
 
     def _call_endpoint(self, request: CompletionRequest) -> CompletionResponse:
         payload = {
@@ -293,16 +288,10 @@ class CompletionClient:
             choices = body.get("choices", [])
             completions = tuple(c.get("text", "") for c in choices)[: request.config.n]
             return CompletionResponse(
-                completions=completions,
-                usage=_usage(request.prompt, completions),
-                latency_ms=int((time.monotonic() - started) * 1000),
+                completions=completions, latency_ms=int((time.monotonic() - started) * 1000)
             )
         assert last_error is not None
         raise last_error
-
-
-def _usage(prompt: str, completions: Sequence[str]) -> tuple[int, int]:
-    return len(prompt.split()), sum(len(c.split()) for c in completions)
 
 
 def dedup(completions: Sequence[str]) -> list[str]:

@@ -66,15 +66,6 @@ class SessionState(Enum):
     DEAD = "dead"
 
 
-@dataclass
-class CheatViolation(Exception):
-    offending: tuple[tuple[str, int], ...]
-
-    def __str__(self) -> str:
-        words = ", ".join(sorted({kw for kw, _ in self.offending}))
-        return f"proof contains cheating keywords: {words}"
-
-
 class ProverSession:
     """One prover conversation; exactly one command in flight at a time."""
 
@@ -83,6 +74,7 @@ class ProverSession:
         self.backend = backend
         self.config = config
         self.state = SessionState.IDLE
+        self._closed = False
 
     @contextlib.contextmanager
     def exclusive(self) -> Iterator[Backend]:
@@ -100,6 +92,10 @@ class ProverSession:
             self.state = SessionState.IDLE
 
     def close(self) -> None:
+        """End the conversation; closing a closed session does nothing."""
+        if self._closed:
+            return
+        self._closed = True
         with contextlib.suppress(SessionDead):
             self.backend.quit()
         self.state = SessionState.DEAD
@@ -171,16 +167,25 @@ class FullProofResult:
 
 @dataclass(frozen=True)
 class SketchFailure:
-    failed_site: GapSite | None  # None: the final whole-proof check failed
+    failed_site: GapSite | None  # None: the whole proof failed (cheat gate or final check)
     partial: tuple[GapResult, ...]
     reason: str
+
+
+def _cheat_reason(text: str) -> str | None:
+    """Why the cheat gate refuses `text`, or None when it is clean."""
+    report = check_no_cheat(text)
+    if report.clean:
+        return None
+    return "cheating keyword: " + ", ".join(sorted({kw for kw, _ in report.offending}))
 
 
 def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | SketchFailure:
     """Close all gaps in document order, so later gaps see earlier
     closures; abort on the first gap that does not close, or that closes
     with a step the proof text cannot hold. A fully closed sketch must also
-    pass end-to-end verification.
+    pass end-to-end verification. A sketch the cheat gate refuses fails as
+    a whole proof before any backend call, like a failed final check.
 
     The sketch is rendered once into the segments between its gaps. The
     first gap starts from the theory with the first segment; each later gap
@@ -189,9 +194,9 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     sketch. A segment ends with its gap's whole head line, so the backend
     finds the same goal as in the full prefix."""
     segments = render_segments(ast)
-    report = check_no_cheat(GAP_TOKEN.join(segments))
-    if not report.clean:
-        raise CheatViolation(report.offending)
+    cheat = _cheat_reason(GAP_TOKEN.join(segments))
+    if cheat is not None:
+        return SketchFailure(None, (), f"cheat gate: {cheat}")
 
     per_gap: list[GapResult] = []
     pieces: list[str] = []
@@ -221,10 +226,9 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
 def verify_full(session: ProverSession, proof_text: str) -> Valid | Invalid:
     """End-to-end acceptance of a complete proof. Proofs with cheating
     keywords are Invalid outright; the backend is never consulted."""
-    report = check_no_cheat(proof_text)
-    if not report.clean:
-        words = ", ".join(sorted({kw for kw, _ in report.offending}))
-        return Invalid(f"cheating keyword: {words}")
+    cheat = _cheat_reason(proof_text)
+    if cheat is not None:
+        return Invalid(cheat)
     with session.exclusive() as backend:
         reply = backend.check_full(proof_text, session.config.hammer_timeout_ms)
     if reply.status == "ok":

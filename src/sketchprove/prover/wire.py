@@ -42,6 +42,7 @@ Run the reference server (scripted rules behind the wire protocol) with:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shlex
 import socket
@@ -65,6 +66,7 @@ class WireBackend:
         self._lock = threading.Lock()
         self._req_id = 0
         self._proc: subprocess.Popen | None = None
+        self._broken = False  # the last round trip got no well-formed reply
         try:
             if address.startswith("stdio:"):
                 command = shlex.split(address[len("stdio:") :])
@@ -94,6 +96,7 @@ class WireBackend:
             self._req_id += 1
             req_id = self._req_id
             frame = {"id": req_id, "cmd": cmd, **fields}
+            self._broken = True  # until the reply arrives and echoes req_id
             started = time.monotonic()
             try:
                 if self._proc is None:
@@ -119,6 +122,7 @@ class WireBackend:
                     f"response id {reply.get('id')} does not echo request id {req_id}"
                 )
             reply.setdefault("elapsed_ms", int((time.monotonic() - started) * 1000))
+            self._broken = False
             return reply
 
     @staticmethod
@@ -166,8 +170,12 @@ class WireBackend:
         return self._supported("check", reply)
 
     def quit(self) -> None:
+        """End the conversation and release the socket or child process;
+        any later command raises SessionDead. A conversation that already
+        broke gets no `quit` frame, since its peer may never answer."""
         try:
-            self._roundtrip("quit", reply_timeout_s=5.0)
+            if not self._broken:
+                self._roundtrip("quit", reply_timeout_s=5.0)
         except SessionDead:
             pass
         finally:
@@ -177,6 +185,11 @@ class WireBackend:
                     self._proc.wait(timeout=5)
                 except subprocess.TimeoutExpired:
                     self._proc.kill()
+            for stream in (self._writer, self._reader):
+                with contextlib.suppress(OSError):
+                    stream.close()
+            if self._proc is None:
+                self._sock.close()
 
 
 def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]) -> None:

@@ -7,13 +7,13 @@ attempt per grid entry; a worker pool runs problems in parallel with one
 prover session per worker, and results are a pure function of inputs, seed,
 caches, and scripts, independent of worker count.
 
-`sketch_prompt` is the one place a sketching prompt is assembled, for the
-pipeline and for the CLI's `sketch` preview alike. The direct baseline
-proves the formal statement as a sketch whose whole proof is one gap, so
-both arms close gaps and check whole proofs through `prove_sketch`, and
-both run their prover work through one reopen loop: a lost session is
-replaced and the work run again, until the problem's reopen budget is spent
-and the problem aborts as an infrastructure error.
+`sample_drafts` and `sketch_request` build each LLM stage's request for the
+pipeline and for the CLI's `draft` and `sketch` alike, so all of them use
+the same cache keys. The direct baseline proves the formal statement as a
+sketch whose whole proof is one gap, so both arms prove and record through
+`_prove_attempt`, and both run their prover work through one reopen loop: a
+lost session is replaced and the work run again, until the problem's reopen
+budget is spent and the problem aborts as an infrastructure error.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .prompting import (
     select_examples,
 )
 from .prover import (
-    CheatViolation,
     Closed,
     FullProofResult,
     ProverSession,
@@ -123,19 +122,32 @@ def make_plan(policy: BudgetPolicy, experiment_seed: int, problem_id: str) -> At
 
 
 class SessionProvider:
-    """One prover session per worker thread; a dead session is replaced on
-    the next request."""
+    """One prover session per worker thread; a dead session is closed and
+    replaced on the next request, and `close` closes every open one."""
 
     def __init__(self, factory: Callable[[], ProverSession]):
         self._factory = factory
         self._local = threading.local()
+        self._lock = threading.Lock()  # worker threads open sessions concurrently
+        self._open: set[ProverSession] = set()
 
     def get(self) -> ProverSession:
         session = getattr(self._local, "session", None)
         if session is None or session.state is SessionState.DEAD:
-            session = self._factory()
+            if session is not None:
+                session.close()  # a dead stdio backend still has a child process
+            replaced, session = session, self._factory()
+            with self._lock:
+                self._open.discard(replaced)
+                self._open.add(session)
             self._local.session = session
         return session
+
+    def close(self) -> None:
+        with self._lock:
+            sessions, self._open = self._open, set()
+        for session in sessions:
+            session.close()
 
 
 @dataclass
@@ -144,8 +156,6 @@ class PipelineComponents:
     client: CompletionClient
     sessions: SessionProvider
     prompt_config: PromptConfig
-    draft_examples: tuple[tuple[str, str], ...] = ()
-    draft_max_tokens: int = 1024
     max_session_reopens: int = 2
 
 
@@ -201,22 +211,34 @@ def _on_session(
 def _session_lost(
     problem_id: str, attempts: Sequence[AttemptRecord], exc: SessionDead
 ) -> ProblemResult:
-    return ProblemResult.from_attempts(
-        problem_id, attempts, infra_error=f"prover session lost: {exc}"
+    return ProblemResult(problem_id, tuple(attempts), infra_error=f"prover session lost: {exc}")
+
+
+def sample_drafts(client: CompletionClient, problem: Problem, n: int) -> tuple[list[str], int]:
+    """Sample `n` informal drafts for a problem. Returns the distinct drafts
+    in sampling order and the number of completions the endpoint gave."""
+    request = CompletionRequest(
+        prompt=build_draft_prompt(problem),
+        config=draft_preset(n=n),
+        endpoint_id=client.endpoint_id,
     )
+    completions = client.complete(request).completions
+    return dedup(completions), len(completions)
 
 
-def sketch_prompt(
-    pool: ExamplePool, problem: Problem, draft: str, config: PromptConfig, seed: int
-) -> str:
-    """The sketching prompt for one draft: k examples drawn with the plan
-    entry's seed, rewritten for the ablation mode, then the target problem.
-    Raises PoolTooSmall or MissingFullProof when the pool cannot supply them."""
+def sketch_request(
+    pool: ExamplePool, problem: Problem, draft: str, config: PromptConfig, seed: int, endpoint_id: str
+) -> CompletionRequest:
+    """The sketching request for one draft. Its prompt holds k examples drawn
+    with the plan entry's seed, rewritten for the ablation mode, then the
+    target problem. Raises PoolTooSmall or MissingFullProof when the pool
+    cannot supply them."""
     examples = select_examples(
         pool, problem.id, infer_category(problem.id), config, random.Random(seed)
     )
     shown = [apply_mode(quad, config.mode) for quad in examples]
-    return build_sketch_prompt(shown, problem, draft, config)
+    prompt = build_sketch_prompt(shown, problem, draft, config)
+    return CompletionRequest(prompt=prompt, config=sketch_preset(), endpoint_id=endpoint_id)
 
 
 def _obtain_drafts(
@@ -229,14 +251,30 @@ def _obtain_drafts(
     if components.prompt_config.mode is PromptMode.NO_INFORMAL_PROOF:
         # this ablation never shows the draft, so don't sample any
         return [""]
-    prompt = build_draft_prompt(problem, components.draft_examples)
-    request = CompletionRequest(
-        prompt=prompt,
-        config=draft_preset(n=policy.drafts_per_problem, max_tokens=components.draft_max_tokens),
-        endpoint_id=components.client.endpoint_id,
+    return sample_drafts(components.client, problem, policy.drafts_per_problem)[0]
+
+
+def _prove_attempt(
+    problem_id: str, entry: tuple[int, int, int], ast: SketchAst, session: ProverSession,
+    wall_ms: int = 0,
+) -> AttemptRecord:
+    """Prove a parsed sketch and record the outcome, adding each gap's
+    prover time to the `wall_ms` spent before. A whole-proof failure (cheat
+    gate or final check) records `verify`, a gap that stays open `prove`."""
+    gaps_total = count_gaps(ast)
+    outcome = prove_sketch(session, ast)
+    if isinstance(outcome, FullProofResult):
+        stage, per_gap = None, outcome.per_gap
+    else:
+        stage = FailureStage.VERIFY if outcome.failed_site is None else FailureStage.PROVE
+        per_gap = outcome.partial
+    return _attempt_record(
+        problem_id, entry, stage,
+        parse_ok=True,
+        gaps_total=gaps_total,
+        gaps_closed=sum(1 for r in per_gap if isinstance(r, Closed)),
+        wall_ms=wall_ms + sum(r.elapsed_ms for r in per_gap),
     )
-    response = components.client.complete(request)
-    return dedup(response.completions)
 
 
 def _run_attempt(
@@ -249,48 +287,24 @@ def _run_attempt(
     """One (draft, sketch) attempt. Raises SessionDead for the caller's
     reopen logic; every other failure becomes a stage-tagged record."""
     try:
-        prompt = sketch_prompt(components.pool, problem, draft, components.prompt_config, entry[2])
+        request = sketch_request(
+            components.pool, problem, draft, components.prompt_config, entry[2],
+            components.client.endpoint_id,
+        )
     except (PoolTooSmall, MissingFullProof) as exc:
         logger.warning("problem %s: prompt build failed: %s", problem.id, exc)
         return _attempt_record(problem.id, entry, FailureStage.PROMPT_BUILD)
 
-    request = CompletionRequest(
-        prompt=prompt, config=sketch_preset(), endpoint_id=components.client.endpoint_id
-    )
     try:
         response = components.client.complete(request)
     except (CacheMiss, EndpointError, Timeout) as exc:
         logger.warning("problem %s: sketch completion failed: %s", problem.id, exc)
         return _attempt_record(problem.id, entry, FailureStage.INFRA)
-    wall_ms = response.latency_ms
-
     try:
         ast = parse_sketch(response.completions[0])
     except ParseError:
-        return _attempt_record(problem.id, entry, FailureStage.PARSE, wall_ms=wall_ms)
-
-    gaps_total = count_gaps(ast)
-    try:
-        outcome = prove_sketch(session, ast)
-    except CheatViolation:
-        # invalid regardless of what a prover would say; it was never consulted
-        return _attempt_record(
-            problem.id, entry, FailureStage.VERIFY,
-            parse_ok=True, gaps_total=gaps_total, wall_ms=wall_ms,
-        )
-    if isinstance(outcome, FullProofResult):
-        wall_ms += sum(r.elapsed_ms for r in outcome.per_gap if isinstance(r, Closed))
-        return _attempt_record(
-            problem.id, entry, None,
-            parse_ok=True, gaps_total=gaps_total, gaps_closed=gaps_total, wall_ms=wall_ms,
-        )
-    closed = sum(1 for r in outcome.partial if isinstance(r, Closed))
-    wall_ms += sum(r.elapsed_ms for r in outcome.partial)
-    stage = FailureStage.VERIFY if outcome.failed_site is None else FailureStage.PROVE
-    return _attempt_record(
-        problem.id, entry, stage,
-        parse_ok=True, gaps_total=gaps_total, gaps_closed=closed, wall_ms=wall_ms,
-    )
+        return _attempt_record(problem.id, entry, FailureStage.PARSE, wall_ms=response.latency_ms)
+    return _prove_attempt(problem.id, entry, ast, session, response.latency_ms)
 
 
 def run_problem(
@@ -307,7 +321,7 @@ def run_problem(
         drafts = _obtain_drafts(problem, policy, components)
     except (CacheMiss, EndpointError, Timeout) as exc:
         logger.error("problem %s: drafting failed: %s", problem.id, exc)
-        return ProblemResult.from_attempts(problem.id, [], infra_error=f"draft stage: {exc}")
+        return ProblemResult(problem.id, (), infra_error=f"draft stage: {exc}")
 
     attempts: list[AttemptRecord] = []
     solved = False
@@ -329,7 +343,7 @@ def run_problem(
             return _session_lost(problem.id, attempts, exc)
         attempts.append(record)
         solved = solved or record.success
-    return ProblemResult.from_attempts(problem.id, attempts)
+    return ProblemResult(problem.id, tuple(attempts))
 
 
 def baseline_sketch(formal_statement: str) -> SketchAst:
@@ -341,31 +355,23 @@ def baseline_sketch(formal_statement: str) -> SketchAst:
 
 def run_problem_direct(problem: Problem, components: PipelineComponents) -> ProblemResult:
     """Baseline mode: one attempt that proves the formal statement as a
-    one-gap sketch, with no drafting or sketching. It succeeds or fails as
-    one `prove` record; a statement that does not parse fails as `parse`,
-    one the cheat gate refuses as `verify`."""
+    one-gap sketch, with no drafting or sketching. Its record is made by
+    the pipeline's rule: `prove` when the gap stays open, `verify` when the
+    cheat gate or the final check refuses the proof, and a `wall_ms` of the
+    prover's time. A statement that does not parse fails as `parse`."""
     entry = (0, 0, 0)
     try:
         ast = baseline_sketch(problem.formal_statement)
     except ParseError:
-        return ProblemResult.from_attempts(
-            problem.id, [_attempt_record(problem.id, entry, FailureStage.PARSE)]
-        )
+        return ProblemResult(problem.id, (_attempt_record(problem.id, entry, FailureStage.PARSE),))
     try:
-        outcome = _on_session(
+        record = _on_session(
             problem.id, components, itertools.count(1),
-            lambda session: prove_sketch(session, ast),
+            lambda session: _prove_attempt(problem.id, entry, ast, session),
         )
     except SessionDead as exc:
         return _session_lost(problem.id, [], exc)
-    except CheatViolation:
-        stage: FailureStage | None = FailureStage.VERIFY
-    else:
-        stage = None if isinstance(outcome, FullProofResult) else FailureStage.PROVE
-    record = _attempt_record(
-        problem.id, entry, stage, parse_ok=True, gaps_total=1, gaps_closed=int(stage is None)
-    )
-    return ProblemResult.from_attempts(problem.id, [record])
+    return ProblemResult(problem.id, (record,))
 
 
 def run_experiment(
@@ -377,7 +383,8 @@ def run_experiment(
 ) -> list[ProblemResult]:
     """Run the pipeline (or, with policy=None, the direct baseline) over a
     problem list with a bounded worker pool. Results come back in input
-    order and do not depend on the worker count."""
+    order and do not depend on the worker count. Every prover session the
+    run opened is closed when it returns or raises."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
@@ -386,10 +393,13 @@ def run_experiment(
             return run_problem_direct(problem, components)
         return run_problem(problem, policy, components, experiment_seed)
 
-    if parallelism == 1 or len(problems) <= 1:
-        return [run_one(p) for p in problems]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(run_one, problems))
+    try:
+        if parallelism == 1 or len(problems) <= 1:
+            return [run_one(p) for p in problems]
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            return list(pool.map(run_one, problems))
+    finally:
+        components.sessions.close()
 
 
 def infra_failures(results: Sequence[ProblemResult]) -> dict[str, str]:

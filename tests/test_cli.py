@@ -280,6 +280,30 @@ def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, m
         assert len(shown) <= max_prompt_chars
 
 
+def test_draft_and_sketch_request_the_cache_keys_run_requests(tmp_path, monkeypatch):
+    from sketchprove import cli, harness, llm
+
+    problem = next(p for p in harness.load_dataset(FIXTURES / "datasets" / "mini.jsonl") if p.id == "algebra_g01")
+    dataset = tmp_path / "one.jsonl"
+    harness.save_dataset([problem], dataset)
+    flags = [*golden_flags(tmp_path / "out"), "--dataset", str(dataset)]
+
+    requested = []
+    get = llm.CompletionCache.get
+    monkeypatch.setattr(llm.CompletionCache, "get", lambda cache, key: requested.append(key) or get(cache, key))
+    assert cli.main([*flags, "run"]) == 0
+    run_keys, requested[:] = list(requested), []
+
+    assert cli.main([*flags, "draft", "--problem-ids", problem.id]) == 0
+    for draft_id in range(5):
+        for sketch_index in range(2):
+            assert cli.main([
+                *flags, "sketch", "--problem-id", problem.id,
+                "--draft-id", str(draft_id), "--sketch-index", str(sketch_index),
+            ]) == 0
+    assert requested == run_keys
+
+
 def test_prove_command_closes_fixture_sketch(tmp_path):
     sketch_path = tmp_path / "sketch.thy"
     sketch_path.write_text(
@@ -431,4 +455,4 @@ def test_prove_reports_a_cheating_sketch(tmp_path):
     sketch_path.write_text('theorem t: shows "True"\n  sorry\n')
     result = run_cli(*golden_flags(tmp_path), "prove", str(sketch_path))
     assert result.returncode == 0, result.stderr
-    assert "not proved (cheat gate): proof contains cheating keywords: sorry" in result.stdout
+    assert "not proved: cheat gate: cheating keyword: sorry" in result.stdout

@@ -51,7 +51,7 @@ def _result(pid, outcomes):
     attempts = [
         _attempt(pid, i // 2, i % 2, ok) for i, ok in enumerate(outcomes)
     ]
-    return ProblemResult.from_attempts(pid, attempts)
+    return ProblemResult(pid, tuple(attempts))
 
 
 # -- dataset ------------------------------------------------------------------
@@ -261,12 +261,22 @@ def test_attempt_record_invariants():
 
 
 def test_problem_result_invariants():
+    # solved, first_success_index and draft_shortfall derive from the attempts,
+    # so a result cannot disagree with its own records
     good = _attempt("p", 0, 0, True)
     bad = _attempt("p", 0, 1, False)
-    with pytest.raises(ValueError):
-        ProblemResult("p", (good, bad), solved=False, first_success_index=None)
-    with pytest.raises(ValueError):
-        ProblemResult("p", (bad, good), solved=True, first_success_index=0)
+    short = _attempt("p", 1, 0, False, stage=FailureStage.DRAFT)
+    cases = [
+        ((), False, None, 0),
+        ((bad, short), False, None, 1),
+        ((good, bad), True, 0, 0),
+        ((bad, short, good, good), True, 2, 1),
+    ]
+    for attempts, solved, first, shortfall in cases:
+        result = ProblemResult("p", attempts)
+        assert (result.solved, result.first_success_index, result.draft_shortfall) == (
+            solved, first, shortfall
+        )
 
 
 # -- export / import -------------------------------------------------------------------

@@ -38,7 +38,6 @@ from sketchprove.prover import (
     prove_sketch,
     verify_full,
 )
-from sketchprove.prover.driver import CheatViolation
 from sketchprove.prover.scripted import Outcome, Rule
 from sketchprove.scheduler import baseline_sketch
 from sketchprove.sketch import (
@@ -323,8 +322,10 @@ def test_later_gaps_see_earlier_closures(tmp_path):
 def test_prove_sketch_rejects_cheating_input(tmp_path):
     text = 'theorem t: shows "G"\nproof -\n  show ?thesis sorry\nqed\n'
     session = recording(open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST))
-    with pytest.raises(CheatViolation):
-        prove_sketch(session, parse_sketch(text))
+    outcome = prove_sketch(session, parse_sketch(text))
+    assert isinstance(outcome, SketchFailure)
+    assert (outcome.failed_site, outcome.partial) == (None, ())
+    assert outcome.reason == "cheat gate: cheating keyword: sorry"
     assert session.backend.calls == []  # precondition failure, backend untouched
 
 

@@ -1,12 +1,27 @@
+import contextlib
 import json
+import shlex
+import sys
+import threading
 
 import pytest
 
-from conftest import FIXTURES, RecordingBackend, minimal_script
+from conftest import FIXTURES, RecordingBackend, minimal_script, recording
 from sketchprove.harness import FailureStage, Problem, Split
 from sketchprove.llm import CacheMode, CompletionCache, CompletionClient
 from sketchprove.prompting import Category, PromptConfig, PromptMode, load_pool
-from sketchprove.prover import BackendReply, ProverConfig, ScriptedSpec, SessionDead, open_session
+from sketchprove.prover import (
+    DEFAULT_TACTICS,
+    BackendReply,
+    ExternalSpec,
+    ProverConfig,
+    ProverSession,
+    ScriptedSpec,
+    SessionDead,
+    SessionState,
+    WireBackend,
+    open_session,
+)
 from sketchprove.scheduler import (
     BudgetExceeded,
     BudgetPolicy,
@@ -333,8 +348,50 @@ def test_session_reopen_budget_exhausted(tmp_path, monkeypatch):
 # -- experiment loop -----------------------------------------------------------------
 
 
-def test_empty_problem_list():
-    assert run_experiment([], None, None) == []  # type: ignore[arg-type]
+def test_provider_closes_a_dead_session_when_it_replaces_it(tmp_path):
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(minimal_script()))
+    provider = SessionProvider(
+        lambda: recording(open_session(ScriptedSpec(str(script_path)), ProverConfig()))
+    )
+    first = provider.get()
+    first.state = SessionState.DEAD
+    second = provider.get()
+    assert second is not first
+    assert first.backend.calls == [("quit", "")]
+    provider.close()
+    provider.close()
+    second.close()
+    assert second.backend.calls == [("quit", "")]  # a closed session sends no second quit
+
+
+# answers its first frame with a line that is not JSON, then never again
+STALLING_CHILD = "import sys, time; sys.stdin.readline(); print('garbage', flush=True); time.sleep(600)"
+
+
+def test_provider_replaces_a_garbled_stdio_session_without_waiting_on_it():
+    address = f"stdio:{sys.executable} -c {shlex.quote(STALLING_CHILD)}"
+    provider = SessionProvider(lambda: ProverSession(WireBackend(address), ProverConfig()))
+    sessions = []
+
+    def garble_then_replace():  # sessions are per thread, so all of it runs in one
+        sessions.append(provider.get())
+        with contextlib.suppress(SessionDead), sessions[0].exclusive() as backend:
+            backend.step("by auto", 50)
+        sessions.append(provider.get())
+
+    worker = threading.Thread(target=garble_then_replace, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    first = sessions[0]
+    try:
+        assert len(sessions) == 2, "replacing the dead session waited on its silent child"
+        assert sessions[1] is not first
+        assert first.backend._proc.poll() is not None
+    finally:
+        first.backend._proc.kill()
+        worker.join(timeout=5)
+        provider.close()
 
 
 def _golden_components():
@@ -349,6 +406,27 @@ def _golden_components():
         sessions=provider,
         prompt_config=PromptConfig(),
     )
+
+
+def test_empty_problem_list():
+    assert run_experiment([], None, _golden_components()) == []
+
+
+def test_run_experiment_leaves_no_prover_process_behind(problems):
+    script = FIXTURES / "prover" / "script.json"
+    address = f"stdio:{sys.executable} -m sketchprove.prover --script {script} --stdio"
+    opened = []
+
+    def open_child():
+        opened.append(open_session(ExternalSpec(address), ProverConfig()))
+        return opened[-1]
+
+    components = _golden_components()
+    components.sessions = SessionProvider(open_child)
+    results = run_experiment(problems[:4], None, components, parallelism=2)
+    assert [len(r.attempts) for r in results] == [1] * 4
+    assert opened
+    assert all(session.backend._proc.poll() is not None for session in opened)
 
 
 def test_parallelism_invariance_on_golden_corpus(problems, golden_config):
@@ -388,14 +466,41 @@ def test_direct_baseline_single_attempt(problems):
 )
 def test_direct_baseline_records_one_attempt_per_statement(tmp_path, statement, stage, parse_ok):
     components = _components(tmp_path, lambda i: GOOD_SKETCH)
-    problem = Problem(
-        id="p", split=Split.VALID, category=Category.ALGEBRA, informal_statement="s",
-        informal_proof=None, formal_statement=statement,
-    )
-    result = run_problem_direct(problem, components)
+    result = run_problem_direct(_statement_problem(statement), components)
     (record,) = result.attempts
     assert (record.failure_stage, record.parse_ok, record.wall_ms) == (stage, parse_ok, 0)
     assert record.success == (stage is None) and result.infra_error is None
+
+
+def _statement_problem(statement):
+    return Problem(
+        id="p", split=Split.VALID, category=Category.ALGEBRA, informal_statement="s",
+        informal_proof=None, formal_statement=statement,
+    )
+
+
+_CLOSES_THIRD_TACTIC = {"match": {"kind": "exact", "pattern": "x = 40 - 7"}, "outcome": {"kind": "tactic", "index": 2}}
+
+
+def test_direct_baseline_wall_ms_is_the_provers_time(tmp_path):
+    script = minimal_script(rules=[_CLOSES_THIRD_TACTIC], latency={"step_ms": 7, "hammer_ms": 40})
+    components = _components(tmp_path, lambda i: GOOD_SKETCH, script=script)
+    closed = run_problem_direct(_statement_problem('theorem t: shows "x = 40 - 7"'), components)
+    left_open = run_problem_direct(_statement_problem('theorem t: shows "x = 41"'), components)
+    assert closed.attempts[0].success and closed.attempts[0].wall_ms == 3 * 7
+    assert left_open.attempts[0].failure_stage is FailureStage.PROVE
+    assert left_open.attempts[0].wall_ms == len(DEFAULT_TACTICS) * 7 + 40
+
+
+def test_direct_baseline_rejected_final_check_records_verify(tmp_path):
+    script = minimal_script(
+        rules=[_CLOSES_THIRD_TACTIC], verify={"default": "accept", "reject_substrings": ["40 - 7"]}
+    )
+    components = _components(tmp_path, lambda i: GOOD_SKETCH, script=script)
+    result = run_problem_direct(_statement_problem('theorem t: shows "x = 40 - 7"'), components)
+    (record,) = result.attempts
+    assert (record.failure_stage, record.gaps_total, record.gaps_closed) == (FailureStage.VERIFY, 1, 1)
+    assert not result.solved and result.infra_error is None
 
 
 def _dying_direct_prove(monkeypatch, deaths):

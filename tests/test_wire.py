@@ -254,6 +254,20 @@ def test_wire_check_full_is_one_round_trip(server, tmp_path, transport):
     backend.quit()
 
 
+@pytest.mark.parametrize("transport", ["tcp", "stdio"])
+def test_wire_quit_releases_the_connection(server, tmp_path, transport):
+    backend = transport_backend(transport, server, tmp_path)
+    assert backend.init("Main", 'shows "x + 0 = x"').status == "ok"
+    backend.quit()
+    assert backend._reader.closed and backend._writer.closed
+    if transport == "tcp":
+        assert backend._sock.fileno() == -1
+    else:
+        assert backend._proc.poll() is not None
+    with pytest.raises(SessionDead):
+        backend.step("by auto", 50)
+
+
 def _unknown(cmd):
     def answer(frame):
         if frame["cmd"] == cmd:
