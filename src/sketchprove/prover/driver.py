@@ -7,12 +7,21 @@ never started if its timeout could overrun the budget. Sketches are closed
 gap by gap in document order: each gap resumes from the prover state in
 which the previous gap closed, and a fully closed sketch gets one final
 end-to-end verification.
+
+Every sketch of a problem states the same theorem, and sketches of one
+draft often share their opening steps, so a session memoises its prover
+work (`ProverMemo`): a gap context it has already closed, failed or timed
+out, and a proof text it has already checked, cost no backend call. The
+memo is exact for a deterministic checker: a context is keyed by the state
+it resumes from, so equal keys replay the same prover work. A memoised
+`TimedOut` is replayed, not retried. The memo holds one theorem's work at a
+time, and a dead session drops it, so no state id outlives its connection.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Union
 
@@ -21,6 +30,7 @@ from ..sketch import (
     GapSite,
     InvalidSite,
     SketchAst,
+    TheoremHeader,
     check_no_cheat,
     closing_step_text,
     extract_gaps,
@@ -66,14 +76,28 @@ class SessionState(Enum):
     DEAD = "dead"
 
 
+@dataclass
+class ProverMemo:
+    """Prover work already done on a session for the theorem `header`:
+    gap results keyed by (the state the context resumes from, or None for
+    the theory; the context), and whole-proof verdicts keyed by proof
+    text. A Closed result's `state_id` is where the next gap resumes."""
+
+    header: TheoremHeader | None = None
+    gaps: dict[tuple[ProverState | None, str], GapResult] = field(default_factory=dict)
+    verdicts: dict[str, Valid | Invalid] = field(default_factory=dict)
+
+
 class ProverSession:
-    """One prover conversation; exactly one command in flight at a time."""
+    """One prover conversation; exactly one command in flight at a time.
+    A session that dies, or is closed, drops its memo."""
 
     def __init__(self, backend: Backend, config: ProverConfig, session_id: str | None = None):
         self.session_id = session_id or new_session_id()
         self.backend = backend
         self.config = config
         self.state = SessionState.IDLE
+        self.memo = ProverMemo()
         self._closed = False
 
     @contextlib.contextmanager
@@ -87,6 +111,7 @@ class ProverSession:
             yield self.backend
         except SessionDead:
             self.state = SessionState.DEAD
+            self.memo = ProverMemo()  # its state ids died with the connection
             raise
         else:
             self.state = SessionState.IDLE
@@ -99,6 +124,7 @@ class ProverSession:
         with contextlib.suppress(SessionDead):
             self.backend.quit()
         self.state = SessionState.DEAD
+        self.memo = ProverMemo()
 
 
 def open_session(spec: BackendSpec, config: ProverConfig) -> ProverSession:
@@ -192,17 +218,32 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     resumes from the state in which the previous gap closed and sends only
     its own segment, so the text sent per gap does not grow with the
     sketch. A segment ends with its gap's whole head line, so the backend
-    finds the same goal as in the full prefix."""
+    finds the same goal as in the full prefix.
+
+    Work already in the session's memo is not sent again: a gap whose
+    (base, context) was seen earlier in this theorem gets the memoised
+    result, elapsed time included, and the next gap resumes from its
+    memoised state; a proof text already checked gets its memoised
+    verdict. This is exact for a deterministic checker, and a memoised
+    TimedOut is replayed, not retried. A sketch of another theorem drops
+    the memo first, so it holds one theorem's work; a dead session drops
+    it too."""
     segments = render_segments(ast)
     cheat = _cheat_reason(GAP_TOKEN.join(segments))
     if cheat is not None:
         return SketchFailure(None, (), f"cheat gate: {cheat}")
 
+    memo = session.memo
+    if memo.header != ast.header:
+        memo = session.memo = ProverMemo(ast.header)
     per_gap: list[GapResult] = []
     pieces: list[str] = []
     base: ProverState | None = None
     for site, segment in zip(extract_gaps(ast), segments):
-        result = close_gap(session, _gap_context(segment), base)
+        context = _gap_context(segment)
+        result = memo.gaps.get((base, context))
+        if result is None:
+            result = memo.gaps[base, context] = close_gap(session, context, base)
         if not isinstance(result, Closed):
             per_gap.append(result)
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
@@ -217,7 +258,9 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
         base = ProverState(result.state_id)
 
     proof_text = "".join(pieces) + segments[-1]
-    verdict = verify_full(session, proof_text)
+    verdict = memo.verdicts.get(proof_text)
+    if verdict is None:
+        verdict = memo.verdicts[proof_text] = verify_full(session, proof_text)
     if isinstance(verdict, Invalid):
         return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}")
     return FullProofResult(proof_text, tuple(per_gap))

@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import select
 import shlex
 import socket
 import socketserver
@@ -59,7 +60,9 @@ from .scripted import ScriptedBackend, load_script
 
 class WireBackend:
     """Client side of the wire protocol; address is "host:port" for TCP or
-    "stdio:<command line>" for a child process."""
+    "stdio:<command line>" for a child process. Every round trip has a
+    reply deadline on both transports; a reply that misses it raises
+    SessionDead."""
 
     def __init__(self, address: str, connect_timeout_s: float = 5.0):
         self.address = address
@@ -67,18 +70,15 @@ class WireBackend:
         self._req_id = 0
         self._proc: subprocess.Popen | None = None
         self._broken = False  # the last round trip got no well-formed reply
+        self._inbox = bytearray()  # bytes read past the last complete frame
         try:
             if address.startswith("stdio:"):
                 command = shlex.split(address[len("stdio:") :])
                 self._proc = subprocess.Popen(
-                    command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    bufsize=1,
+                    command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
                 )
-                self._writer: IO[str] = self._proc.stdin  # type: ignore[assignment]
-                self._reader: IO[str] = self._proc.stdout  # type: ignore[assignment]
+                self._writer: IO[bytes] = self._proc.stdin  # type: ignore[assignment]
+                self._reader: IO[bytes] = self._proc.stdout  # type: ignore[assignment]
             else:
                 host, _, port = address.rpartition(":")
                 sock = socket.create_connection(
@@ -86,10 +86,37 @@ class WireBackend:
                 )
                 sock.settimeout(None)
                 self._sock = sock
-                self._writer = sock.makefile("w", encoding="utf-8")
-                self._reader = sock.makefile("r", encoding="utf-8")
+                self._writer = sock.makefile("wb", buffering=0)
+                self._reader = sock.makefile("rb", buffering=0)
         except (OSError, ValueError) as exc:
             raise ConnectError(address, str(exc)) from None
+        # Both streams are unbuffered, so a reply is either in `_inbox` or
+        # still unread on the descriptor, where poll sees it.
+        self._poll = select.poll()
+        self._poll.register(self._reader.fileno(), select.POLLIN)
+
+    def _send(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[self._writer.write(view) :]
+
+    def _read_frame(self, deadline: float) -> bytes:
+        """The next newline-terminated frame, or b"" when the peer closed
+        the stream; raises TimeoutError when none is complete by
+        `deadline` (a time.monotonic() value)."""
+        while True:
+            end = self._inbox.find(b"\n") + 1
+            if end:
+                frame = bytes(self._inbox[:end])
+                del self._inbox[:end]
+                return frame
+            wait_ms = (deadline - time.monotonic()) * 1000
+            if wait_ms <= 0 or not self._poll.poll(wait_ms):
+                raise TimeoutError
+            chunk = self._reader.read(65536)
+            if not chunk:
+                return b""
+            self._inbox += chunk
 
     def _roundtrip(self, cmd: str, reply_timeout_s: float = 30.0, **fields) -> dict:
         with self._lock:
@@ -99,13 +126,10 @@ class WireBackend:
             self._broken = True  # until the reply arrives and echoes req_id
             started = time.monotonic()
             try:
-                if self._proc is None:
-                    # an unresponsive bridge must not stall the gap budget
-                    self._sock.settimeout(reply_timeout_s)
-                self._writer.write(json.dumps(frame) + "\n")
-                self._writer.flush()
-                line = self._reader.readline()
-            except socket.timeout:
+                self._send(json.dumps(frame).encode() + b"\n")
+                # an unresponsive bridge must not stall the gap budget
+                line = self._read_frame(started + reply_timeout_s)
+            except TimeoutError:
                 raise SessionDead(
                     f"backend did not answer {cmd!r} within {reply_timeout_s:.0f}s"
                 ) from None
@@ -115,7 +139,7 @@ class WireBackend:
                 raise SessionDead("backend closed the connection")
             try:
                 reply = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or not UTF-8
                 raise SessionDead(f"unparseable frame: {line[:120]!r}") from None
             if reply.get("id") != req_id:
                 raise SessionDead(

@@ -1,6 +1,8 @@
 import json
 import re
 import time
+import zlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,8 @@ from sketchprove.prover import (
 from sketchprove.prover.scripted import Outcome, Rule
 from sketchprove.scheduler import baseline_sketch
 from sketchprove.sketch import (
+    HaveStep,
+    ProofBlock,
     closing_step_text,
     extract_gaps,
     parse_sketch,
@@ -675,3 +679,151 @@ def test_prove_sketch_matches_gap_at_a_time_oracle(seed):
         assert " ".join(chain.split()) == " ".join(context.split())
         if isinstance(result, Closed):
             chain += closing_step_text(result.closing_step)
+
+
+# -- the session memo ------------------------------------------------------------------
+
+# MIXED_SCRIPT, with a final check that refuses hammer-closed proofs, so that
+# verdicts of both kinds are memoised too
+MEMO_SCRIPT = ProverScript(
+    rules=MIXED_SCRIPT.rules,
+    default=MIXED_SCRIPT.default,
+    verify_reject_substrings=("metis",),
+)
+
+
+class ChainBackend:
+    """The scripted prover, with step and hammer times that depend on the
+    whole chain of texts replayed before the current goal, as a real
+    checker's answers may."""
+
+    def __init__(self, script):
+        self.inner = ScriptedBackend(script)
+        self.chain_of: dict[str, str] = {}  # state id -> the texts that led to it
+        self.chain = ""
+
+    def _answer(self, reply, text):
+        self.chain += text
+        if reply.state_id is not None:
+            self.chain_of[reply.state_id] = self.chain
+        return replace(reply, elapsed_ms=reply.elapsed_ms + zlib.crc32(self.chain.encode()) % 97)
+
+    def init(self, base, statement):
+        reply = self.inner.init(base, statement)
+        self.chain = self.chain_of[base.state_id] if isinstance(base, ProverState) else ""
+        return self._answer(reply, statement)
+
+    def step(self, text, timeout_ms):
+        return self._answer(self.inner.step(text, timeout_ms), text)
+
+    def hammer(self, timeout_ms):
+        reply = self.inner.hammer(timeout_ms)
+        return self._answer(reply, reply.reconstruction or "")
+
+    def check_full(self, proof_text, timeout_ms):
+        return self.inner.check_full(proof_text, timeout_ms)
+
+    def quit(self):
+        pass
+
+
+def _theorem_family(seed):
+    """Sketches of one theorem that share steps: an AstGen sketch, the same
+    sketch again, each prefix of its top-level block's steps, the sketch
+    with one of those steps restated (so the steps after it follow another
+    chain of states), and a second AstGen sketch under the same header."""
+    gen = AstGen(seed)
+    first, second = gen.sketch(), gen.sketch()
+    family = [first, first, replace(second, header=first.header)]
+    body = first.body[0] if first.body else None
+    if isinstance(body, ProofBlock) and not body.cases:
+        steps = body.children
+        for cut in range(1, len(steps)):
+            family.append(replace(first, body=(replace(body, children=steps[:cut]),)))
+        for i, step in enumerate(steps):
+            if isinstance(step, HaveStep):
+                restated = replace(step, proposition=step.proposition + " + 0")
+                children = steps[:i] + (restated,) + steps[i + 1 :]
+                family.append(replace(first, body=(replace(body, children=children),)))
+                break
+    return family
+
+
+def _interleave(groups, rng):
+    """The sketches of `groups` (one list per theorem) in random order: runs
+    of random length from one theorem, the theorems interleaved."""
+    groups = [rng.sample(group, len(group)) for group in groups]
+    order = []
+    while groups:
+        group = rng.choice(groups)
+        run = rng.randint(1, len(group))
+        order += group[:run]
+        del group[:run]
+        groups = [g for g in groups if g]
+    return order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2**32), min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_memo_session_matches_a_fresh_session_per_sketch(sketch_files, seeds, rng):
+    groups = [_theorem_family(seed) for seed in seeds]
+    groups += [[parse_sketch(path.read_text())] * 2 for path in rng.sample(sketch_files, 4)]
+    # every theorem comes back after the others, so its memo is refilled
+    sketches = _interleave(groups, rng) + _interleave(groups, rng)
+    memo = ProverSession(ChainBackend(MEMO_SCRIPT), FAST)
+    for ast in sketches:
+        fresh = ProverSession(ChainBackend(MEMO_SCRIPT), FAST)
+        assert prove_sketch(memo, ast) == prove_sketch(fresh, ast)
+        assert memo.state is SessionState.IDLE
+
+
+def test_repeated_sketch_sends_no_backend_call(tmp_path, fig2_text):
+    script = minimal_script(
+        rules=[
+            {"match": {"kind": "substring", "pattern": "stalls"}, "outcome": {"kind": "timeout"}},
+            {"match": {"kind": "glob", "pattern": "*"}, "outcome": {"kind": "tactic", "index": 1}},
+        ]
+    )
+    tight = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=300)
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), tight))
+    closing = parse_sketch(fig2_text)
+    # the third gap times out; the two before it are shared with `closing`
+    timing_out = parse_sketch(fig2_text.replace('((5/28)^2)"', '((5/28)^2) + stalls"', 1))
+    assert timing_out.header == closing.header
+    for ast in (closing, timing_out):
+        first = prove_sketch(session, ast)
+        sent = len(session.backend.calls)
+        # a memoised TimedOut is replayed, elapsed time included, not retried
+        assert prove_sketch(session, ast) == first
+        assert len(session.backend.calls) == sent
+    assert isinstance(prove_sketch(session, closing), FullProofResult)
+    assert prove_sketch(session, timing_out).partial[-1] == TimedOut(300)
+    assert len(session.backend.calls) == sent
+    # the timing-out sketch resumed from the memoised state of its second gap
+    assert [cmd for cmd, _ in session.backend.calls].count("init") == 1
+
+
+def test_memo_holds_one_theorem(tmp_path, fig2_text):
+    session = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
+    ast = parse_sketch(fig2_text)
+    gaps = len(extract_gaps(ast))
+    for n in range(20):
+        renamed = replace(ast, header=replace(ast.header, name=f"t{n}"))
+        assert isinstance(prove_sketch(session, renamed), FullProofResult)
+        assert session.memo.header == renamed.header
+        assert len(session.memo.gaps) == gaps and len(session.memo.verdicts) == 1
+
+
+def test_dead_or_closed_session_drops_its_memo(tmp_path, fig2_text):
+    session = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
+    prove_sketch(session, parse_sketch(fig2_text))
+    assert session.memo.gaps and session.memo.verdicts
+    with pytest.raises(SessionDead), session.exclusive():
+        raise SessionDead("injected")
+    assert session.state is SessionState.DEAD
+    assert not session.memo.gaps and not session.memo.verdicts
+
+    live = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
+    prove_sketch(live, parse_sketch(fig2_text))
+    live.close()
+    assert not live.memo.gaps and not live.memo.verdicts

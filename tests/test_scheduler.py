@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import shlex
 import sys
@@ -7,15 +8,17 @@ import threading
 import pytest
 
 from conftest import FIXTURES, RecordingBackend, minimal_script, recording
-from sketchprove.harness import FailureStage, Problem, Split
+from sketchprove.harness import FailureStage, Problem, Split, export_records
 from sketchprove.llm import CacheMode, CompletionCache, CompletionClient
 from sketchprove.prompting import Category, PromptConfig, PromptMode, load_pool
 from sketchprove.prover import (
     DEFAULT_TACTICS,
     BackendReply,
+    Closed,
     ExternalSpec,
     ProverConfig,
     ProverSession,
+    ProverState,
     ScriptedSpec,
     SessionDead,
     SessionState,
@@ -394,10 +397,21 @@ def test_provider_replaces_a_garbled_stdio_session_without_waiting_on_it():
         provider.close()
 
 
-def _golden_components():
-    provider = SessionProvider(
-        lambda: open_session(ScriptedSpec(str(FIXTURES / "prover" / "script.json")), ProverConfig())
+def _open_golden_session():
+    return open_session(ScriptedSpec(str(FIXTURES / "prover" / "script.json")), ProverConfig())
+
+
+def _golden_policy(golden_config):
+    return BudgetPolicy(
+        drafts_per_problem=golden_config["drafts"],
+        sketches_per_draft=golden_config["sketches_per_draft"],
+        total_budget=golden_config["budget"],
+        stop_on_first_success=golden_config["stop_on_first_success"],
     )
+
+
+def _golden_components():
+    provider = SessionProvider(_open_golden_session)
     return PipelineComponents(
         pool=load_pool(FIXTURES / "pool" / "examples.json"),
         client=CompletionClient(
@@ -430,17 +444,110 @@ def test_run_experiment_leaves_no_prover_process_behind(problems):
 
 
 def test_parallelism_invariance_on_golden_corpus(problems, golden_config):
-    policy = BudgetPolicy(
-        drafts_per_problem=golden_config["drafts"],
-        sketches_per_draft=golden_config["sketches_per_draft"],
-        total_budget=golden_config["budget"],
-        stop_on_first_success=False,
-    )
+    policy = _golden_policy(golden_config)
     seed = golden_config["seed"]
     sequential = run_experiment(problems, policy, _golden_components(), 1, seed)
     parallel = run_experiment(problems, policy, _golden_components(), 8, seed)
     assert sequential == parallel
     assert [r.problem_id for r in sequential] == [p.id for p in problems]
+
+
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_golden_replay_backend_calls_stay_memoised(tmp_path, problems, golden_config, jobs):
+    # the session memo answers the prover work that recurs across a
+    # problem's attempts; without it the golden replay sends 3,420 calls
+    opened = []
+
+    def open_recorded():
+        opened.append(recording(_open_golden_session()))
+        return opened[-1]
+
+    components = _golden_components()
+    components.sessions = SessionProvider(open_recorded)
+    results = run_experiment(problems, _golden_policy(golden_config), components, jobs, golden_config["seed"])
+    export_records(results, tmp_path / "records.jsonl")
+    assert (tmp_path / "records.jsonl").read_bytes() == (FIXTURES / "golden" / "records.jsonl").read_bytes()
+    sent = [cmd for session in opened for cmd, _ in session.backend.calls if cmd != "quit"]
+    assert len(sent) <= 500
+
+
+class DyingBackend:
+    """Backend that raises SessionDead on its k-th call. The state ids it
+    issues carry a "dead-" prefix, so that a memo entry naming one shows."""
+
+    def __init__(self, inner, k):
+        self.inner = inner
+        self.left = k
+
+    def _answer(self, reply):
+        self.left -= 1
+        if self.left == 0:
+            raise SessionDead("injected crash")
+        if reply.state_id is None:
+            return reply
+        return dataclasses.replace(reply, state_id="dead-" + reply.state_id)
+
+    def init(self, base, statement):
+        if isinstance(base, ProverState):
+            base = ProverState(base.state_id.removeprefix("dead-"))
+        return self._answer(self.inner.init(base, statement))
+
+    def step(self, text, timeout_ms):
+        return self._answer(self.inner.step(text, timeout_ms))
+
+    def hammer(self, timeout_ms):
+        return self._answer(self.inner.hammer(timeout_ms))
+
+    def check_full(self, proof_text, timeout_ms):
+        return self._answer(self.inner.check_full(proof_text, timeout_ms))
+
+    def quit(self):
+        self.inner.quit()
+
+
+def _memo_state_ids(session):
+    memo = session.memo
+    return {base.state_id for base, _ in memo.gaps if base is not None} | {
+        result.state_id for result in memo.gaps.values() if isinstance(result, Closed)
+    }
+
+
+def test_crash_mid_problem_reopens_and_records_as_uninterrupted(problems, golden_config):
+    policy = _golden_policy(golden_config)
+    seed = golden_config["seed"]
+    # the uninterrupted runs; the crash goes to the problem with the most
+    # resumed gaps, at its last resume: partway through a later sketch,
+    # once earlier attempts have filled the memo
+    runs = {}
+    for problem in problems:
+        components = _golden_components()
+        session = recording(_open_golden_session())
+        components.sessions = SessionProvider(lambda: session)
+        runs[problem.id] = (problem, run_problem(problem, policy, components, seed), session.backend.calls)
+    problem, uninterrupted, calls = max(
+        runs.values(), key=lambda run: [cmd for cmd, _ in run[2]].count("resume")
+    )
+    k = max(i for i, (cmd, _) in enumerate(calls, 1) if cmd == "resume")
+    assert 0 < [cmd for cmd, _ in calls[:k]].count("check_full")
+
+    opened = []
+
+    def open_dying_first():
+        session = _open_golden_session()
+        if not opened:
+            session.backend = DyingBackend(session.backend, k)
+        opened.append(session)
+        return session
+
+    components = _golden_components()
+    components.sessions = SessionProvider(open_dying_first)
+    crashed = run_problem(problem, policy, components, seed)
+    assert len(opened) == 2 and opened[0].state is SessionState.DEAD
+    assert crashed == uninterrupted and crashed.infra_error is None
+    assert not opened[0].memo.gaps and not opened[0].memo.verdicts
+    replacing = _memo_state_ids(opened[1])
+    assert replacing and not any(state_id.startswith("dead-") for state_id in replacing)
+    components.sessions.close()
 
 
 def test_direct_baseline_single_attempt(problems):

@@ -1,9 +1,11 @@
 import io
 import json
 import random
+import shlex
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
@@ -237,6 +239,64 @@ def test_wire_unresponsive_backend_does_not_hang():
     assert time.monotonic() - started < 5
     holder.get("conn") and holder["conn"].close()
     listener.close()
+
+
+# reads one frame, then answers nothing
+SILENT_CHILD = "import sys, time; sys.stdin.readline(); time.sleep(600)"
+# answers the first frame and, in the same write, the second one ahead of
+# time; then answers nothing
+EAGER_CHILD = (
+    "import sys, time; sys.stdin.readline(); "
+    "sys.stdout.write('{\"id\": 1, \"status\": \"ok\", \"state_id\": \"s1\"}\\n"
+    "{\"id\": 2, \"status\": \"fail\", \"reason\": \"early\"}\\n'); "
+    "sys.stdout.flush(); time.sleep(600)"
+)
+
+
+def _in_thread(call, join_s):
+    """Run `call` in a daemon thread; returns its result or exception, or
+    None when it did not finish within `join_s`."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=join_s)
+    return outcome[0] if outcome else None
+
+
+def test_wire_unresponsive_stdio_backend_does_not_hang():
+    backend = WireBackend(f"stdio:{sys.executable} -c {shlex.quote(SILENT_CHILD)}")
+    try:
+        started = time.monotonic()
+        got = _in_thread(
+            lambda: backend._roundtrip("step", reply_timeout_s=0.5, text="by auto", timeout_ms=50), 5
+        )
+        assert isinstance(got, SessionDead), "a silent stdio bridge blocked the round trip"
+        assert "did not answer 'step'" in str(got)
+        assert time.monotonic() - started < 2
+    finally:
+        backend.quit()
+    assert backend._proc.poll() is not None
+
+
+def test_wire_stdio_reply_read_ahead_is_not_lost():
+    backend = WireBackend(f"stdio:{sys.executable} -c {shlex.quote(EAGER_CHILD)}")
+    try:
+        first = _in_thread(lambda: backend.init("Main", ""), 5)
+        assert first is not None and first.state_id == "s1"
+        # the second reply arrived with the first one; the deadline must not
+        # wait on the pipe for a frame that was already read
+        second = _in_thread(lambda: backend._roundtrip("step", reply_timeout_s=0.5, text="by auto"), 5)
+        assert isinstance(second, dict) and (second["id"], second["reason"]) == (2, "early")
+    finally:
+        backend._proc.kill()  # it would not answer `quit`
+        backend.quit()
 
 
 @pytest.mark.parametrize("transport", ["tcp", "stdio"])
