@@ -1,4 +1,4 @@
-"""Prover cascade configuration, result types, and errors."""
+"""Prover cascade configuration, the cascade itself, result types, and errors."""
 
 from __future__ import annotations
 
@@ -128,7 +128,11 @@ class BackendReply:
 
 
 class Backend(Protocol):
-    """One prover conversation. All methods may raise SessionDead."""
+    """One prover conversation. All methods may raise SessionDead.
+
+    A backend may also offer `cascade(base, context, config) -> GapResult`,
+    which answers what `run_cascade(backend, base, context, config)` would
+    in one call; `close_gap` uses it when it is there."""
 
     def init(self, base: str | ProverState, statement: str) -> BackendReply:
         """Start a fresh context, discarding the previous goal: replay
@@ -143,3 +147,43 @@ class Backend(Protocol):
     def check_full(self, proof_text: str, timeout_ms: int) -> BackendReply: ...
 
     def quit(self) -> None: ...
+
+
+def _closing_state(reply: BackendReply) -> str:
+    if reply.state_id is None:
+        # the next gap resumes from this state, so the reply must name it
+        raise SessionDead("an ok closing reply carries no state_id")
+    return reply.state_id
+
+
+def run_cascade(
+    backend: Backend, base: str | ProverState, context: str, config: ProverConfig
+) -> GapResult:
+    """Run the cascade, one backend command at a time, on the open
+    conjecture that `context`, replayed on top of `base` (a theory name or
+    an earlier state), ends in. Wall time never exceeds the per-gap budget:
+    attempts that could overrun are not started. A context the backend
+    refuses fails the gap without a step, since a step would run against
+    whatever goal it held before. An ok closing reply without a state_id
+    raises SessionDead."""
+    reply = backend.init(base, context)
+    if reply.status != "ok":
+        return Failed((("init", reply.status),), 0)
+    elapsed = 0
+    attempts: list[tuple[str, str]] = []
+    for index, tactic in enumerate(config.tactic_list):
+        if elapsed + config.tactic_timeout_ms > config.per_gap_budget_ms:
+            return TimedOut(elapsed)
+        reply = backend.step(step_text(tactic), config.tactic_timeout_ms)
+        elapsed += reply.elapsed_ms
+        if reply.status == "ok":
+            return Closed(step_text(tactic), index, elapsed, _closing_state(reply))
+        attempts.append((tactic, reply.status))
+    if elapsed + config.hammer_timeout_ms > config.per_gap_budget_ms:
+        return TimedOut(elapsed)
+    reply = backend.hammer(config.hammer_timeout_ms)
+    elapsed += reply.elapsed_ms
+    if reply.status == "ok" and reply.reconstruction:
+        return Closed(reply.reconstruction, None, elapsed, _closing_state(reply))
+    attempts.append((HAMMER_NAME, reply.status))
+    return Failed(tuple(attempts), elapsed)

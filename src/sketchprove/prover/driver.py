@@ -8,6 +8,14 @@ gap by gap in document order: each gap resumes from the prover state in
 which the previous gap closed, and a fully closed sketch gets one final
 end-to-end verification.
 
+The cascade is `run_cascade`, one implementation for every backend. The
+wire client sends each gap as one `cascade` frame (its base, context,
+tactic list, timeouts and per-gap budget), and the bridge runs the cascade
+next to the prover and answers with the gap's result: closed (closing
+step, tactic index, elapsed time, `state_id`), failed (the attempts and
+their outcomes) or timed out. In-process backends, and any backend that
+only speaks `init`/`step`/`hammer`, are driven one command at a time.
+
 Every sketch of a problem states the same theorem, and sketches of one
 draft often share their opening steps, so a session memoises its prover
 work (`ProverMemo`): a gap context it has already closed, failed or timed
@@ -38,12 +46,10 @@ from ..sketch import (
 )
 from .config import (
     Backend,
-    BackendReply,
     Closed,
     ConnectError,
     Failed,
     GapResult,
-    HAMMER_NAME,
     Invalid,
     ProverConfig,
     ProverState,
@@ -51,7 +57,7 @@ from .config import (
     SessionDead,
     TimedOut,
     Valid,
-    step_text,
+    run_cascade,
 )
 from .scripted import ScriptedBackend, load_script, new_session_id
 from .wire import WireBackend
@@ -145,44 +151,20 @@ def _gap_context(text_before_gap: str) -> str:
     return text_before_gap.rstrip() + "\n"
 
 
-def _closing_state(reply: BackendReply) -> str:
-    if reply.state_id is None:
-        # the next gap resumes from this state, so the reply must name it
-        raise SessionDead("an ok closing reply carries no state_id")
-    return reply.state_id
-
-
 def close_gap(
     session: ProverSession, context: str, base: ProverState | None = None
 ) -> GapResult:
-    """Run the cascade on the open conjecture that `context`, replayed on
-    top of `base` (the configured theory when None), ends in. Wall time never
-    exceeds the per-gap budget: attempts that could overrun are not
-    started. A context the backend refuses fails the gap without a step,
-    since a step would run against whatever goal it held before."""
+    """Run the cascade (`run_cascade`) on the open conjecture that
+    `context`, replayed on top of `base` (the configured theory when None),
+    ends in. A backend with a `cascade` command runs it next to the prover
+    in one call; any other backend is driven one command at a time."""
     config = session.config
+    start = config.theory if base is None else base
     with session.exclusive() as backend:
-        reply = backend.init(config.theory if base is None else base, context)
-        if reply.status != "ok":
-            return Failed((("init", reply.status),), 0)
-        elapsed = 0
-        attempts: list[tuple[str, str]] = []
-        for index, tactic in enumerate(config.tactic_list):
-            if elapsed + config.tactic_timeout_ms > config.per_gap_budget_ms:
-                return TimedOut(elapsed)
-            reply = backend.step(step_text(tactic), config.tactic_timeout_ms)
-            elapsed += reply.elapsed_ms
-            if reply.status == "ok":
-                return Closed(step_text(tactic), index, elapsed, _closing_state(reply))
-            attempts.append((tactic, reply.status))
-        if elapsed + config.hammer_timeout_ms > config.per_gap_budget_ms:
-            return TimedOut(elapsed)
-        reply = backend.hammer(config.hammer_timeout_ms)
-        elapsed += reply.elapsed_ms
-        if reply.status == "ok" and reply.reconstruction:
-            return Closed(reply.reconstruction, None, elapsed, _closing_state(reply))
-        attempts.append((HAMMER_NAME, reply.status))
-        return Failed(tuple(attempts), elapsed)
+        cascade = getattr(backend, "cascade", None)
+        if cascade is not None:
+            return cascade(start, context, config)
+        return run_cascade(backend, start, context, config)
 
 
 @dataclass(frozen=True)

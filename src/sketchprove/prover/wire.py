@@ -10,12 +10,23 @@ Commands:
     {"id": n, "cmd": "step", "text": s, "timeout_ms": ms}
     {"id": n, "cmd": "hammer", "timeout_ms": ms}
     {"id": n, "cmd": "check", "text": s, "timeout_ms": ms}
+    {"id": n, "cmd": "cascade", "theory": t | "state": s, "text": c,
+     "tactics": [tactic, ...], "tactic_timeout_ms": ms,
+     "hammer_timeout_ms": ms, "budget_ms": ms}
     {"id": n, "cmd": "quit"}
 
 Responses:
     {"id": n, "status": "ok", "state_id": s, "reconstruction": r?, "elapsed_ms": ms}
     {"id": n, "status": "fail", "reason": r, "elapsed_ms": ms}
     {"id": n, "status": "timeout", "elapsed_ms": ms}
+    {"id": n, "status": "ok", "result": g, "elapsed_ms": ms}   (to `cascade`)
+
+where the gap result `g` of a cascade is one of
+    {"kind": "closed", "closing_step": s, "tactic_index": i | null,
+     "elapsed_ms": ms, "state_id": s}
+    {"kind": "failed", "attempts": [[tactic or "sledgehammer", outcome], ...],
+     "elapsed_ms": ms}
+    {"kind": "timed_out", "elapsed_ms": ms}
 
 `init` starts a fresh context: it replays the statement (a theorem header
 plus any proof text up to the goal) and discards whatever goal the
@@ -28,12 +39,27 @@ latest init or resume. `check` is a whole-proof check: the text is a
 complete theory-level proof, checked end to end and independently of the
 current goal.
 
+`cascade` closes one gap in one round trip: the bridge replays `text` on
+top of `theory` or `state` (as `init` or `resume` would), runs the tactics
+in order under `tactic_timeout_ms` each and then the hammer under
+`hammer_timeout_ms`, never starting an attempt that could overrun
+`budget_ms`, and answers with the gap's result. A closed gap names the
+state its closing step left in `state_id`, where the next gap resumes;
+`tactic_index` is null when the hammer closed it, and then `closing_step`
+is its reconstruction. A context the prover refuses fails with the one
+attempt `["init", status]`. The reference server runs `run_cascade`, the
+client's own cascade, on its scripted backend.
+
 A server answers any other command with status "fail" and the reason
-"unknown command ...", and a `resume` from a state it never issued with
-the reason "unknown state ...". A client treats either answer to `check`
-or `resume`, and an ok `step` or `hammer` reply without a `state_id`, as a
-lost session, not as an invalid proof or a failed gap. A resumed text the
-prover refuses fails its gap, as a refused `init` does.
+"unknown command ...", a `resume` or `cascade` from a state it never
+issued with the reason "unknown state ...", and a frame it cannot read (not
+UTF-8, not a JSON object with an id and a cmd, or a field of the wrong
+type) with the reason "bad frame ..."; it keeps serving after each. A client treats a
+failed `check`, `resume` or `cascade`, an ok `step` or `hammer` reply or a
+closed cascade result without a `state_id`, and a reply that is not a
+well-formed object, as a lost session, not as an invalid proof or a failed
+gap. A resumed text the prover refuses fails its gap, as a refused `init`
+does.
 
 Run the reference server (scripted rules behind the wire protocol) with:
     python -m sketchprove.prover --script rules.json --port 9777
@@ -44,6 +70,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import select
 import shlex
 import socket
@@ -54,8 +81,69 @@ import threading
 import time
 from typing import IO
 
-from .config import BackendReply, ConnectError, ProverState, SessionDead
+from .config import (
+    BackendReply,
+    Closed,
+    ConnectError,
+    Failed,
+    GapResult,
+    ProverConfig,
+    ProverState,
+    SessionDead,
+    TimedOut,
+    run_cascade,
+)
 from .scripted import ScriptedBackend, load_script
+
+# A reply may take this long beyond the prover time the command allows.
+REPLY_GRACE_S = 30.0
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ms(value: object) -> int:
+    """A reply's elapsed time in whole milliseconds."""
+    if _is_int(value) or isinstance(value, float) and math.isfinite(value):
+        return int(value)  # type: ignore[arg-type]
+    raise SessionDead(f"elapsed_ms is not a number: {value!r}")
+
+
+def encode_gap_result(result: GapResult) -> dict:
+    """The `result` object of a reply to `cascade`."""
+    if isinstance(result, Closed):
+        return {"kind": "closed", "closing_step": result.closing_step,
+                "tactic_index": result.tactic_index, "elapsed_ms": result.elapsed_ms,
+                "state_id": result.state_id}
+    if isinstance(result, Failed):
+        return {"kind": "failed", "attempts": [list(a) for a in result.attempts],
+                "elapsed_ms": result.elapsed_ms}
+    return {"kind": "timed_out", "elapsed_ms": result.elapsed_ms}
+
+
+def decode_gap_result(raw: object) -> GapResult:
+    """The gap result a reply to `cascade` carries; anything else raises
+    SessionDead."""
+    if not isinstance(raw, dict):
+        raise SessionDead(f"a cascade reply carries no result object: {raw!r:.120}")
+    kind = raw.get("kind")
+    if kind == "closed":
+        step, index, state_id = raw.get("closing_step"), raw.get("tactic_index"), raw.get("state_id")
+        if state_id is None:  # the next gap resumes there
+            raise SessionDead("an ok closing reply carries no state_id")
+        if isinstance(step, str) and isinstance(state_id, str) and (index is None or _is_int(index)):
+            return Closed(step, index, _ms(raw.get("elapsed_ms")), state_id)
+    elif kind == "failed":
+        attempts = raw.get("attempts")
+        if isinstance(attempts, list) and all(
+            isinstance(a, list) and len(a) == 2 and all(isinstance(x, str) for x in a)
+            for a in attempts
+        ):
+            return Failed(tuple((a[0], a[1]) for a in attempts), _ms(raw.get("elapsed_ms")))
+    elif kind == "timed_out":
+        return TimedOut(_ms(raw.get("elapsed_ms")))
+    raise SessionDead(f"malformed cascade result: {json.dumps(raw)[:120]}")
 
 
 class WireBackend:
@@ -118,7 +206,7 @@ class WireBackend:
                 return b""
             self._inbox += chunk
 
-    def _roundtrip(self, cmd: str, reply_timeout_s: float = 30.0, **fields) -> dict:
+    def _roundtrip(self, cmd: str, reply_timeout_s: float = REPLY_GRACE_S, **fields) -> dict:
         with self._lock:
             self._req_id += 1
             req_id = self._req_id
@@ -141,6 +229,8 @@ class WireBackend:
                 reply = json.loads(line)
             except ValueError:  # not JSON, or not UTF-8
                 raise SessionDead(f"unparseable frame: {line[:120]!r}") from None
+            if not isinstance(reply, dict):
+                raise SessionDead(f"frame is not a JSON object: {line[:120]!r}")
             if reply.get("id") != req_id:
                 raise SessionDead(
                     f"response id {reply.get('id')} does not echo request id {req_id}"
@@ -151,13 +241,11 @@ class WireBackend:
 
     @staticmethod
     def _to_reply(raw: dict) -> BackendReply:
-        return BackendReply(
-            status=raw.get("status", "fail"),
-            elapsed_ms=int(raw.get("elapsed_ms", 0)),
-            state_id=raw.get("state_id"),
-            reconstruction=raw.get("reconstruction"),
-            reason=raw.get("reason"),
-        )
+        status = raw.get("status", "fail")
+        texts = [raw.get(key) for key in ("state_id", "reconstruction", "reason")]
+        if not isinstance(status, str) or not all(t is None or isinstance(t, str) for t in texts):
+            raise SessionDead(f"malformed reply: {json.dumps(raw)[:120]}")
+        return BackendReply(status, _ms(raw.get("elapsed_ms", 0)), *texts)
 
     @staticmethod
     def _supported(cmd: str, reply: BackendReply) -> BackendReply:
@@ -176,22 +264,42 @@ class WireBackend:
     def step(self, text: str, timeout_ms: int) -> BackendReply:
         return self._to_reply(
             self._roundtrip(
-                "step", reply_timeout_s=timeout_ms / 1000 + 30, text=text, timeout_ms=timeout_ms
+                "step", reply_timeout_s=timeout_ms / 1000 + REPLY_GRACE_S, text=text,
+                timeout_ms=timeout_ms,
             )
         )
 
     def hammer(self, timeout_ms: int) -> BackendReply:
         return self._to_reply(
-            self._roundtrip("hammer", reply_timeout_s=timeout_ms / 1000 + 30, timeout_ms=timeout_ms)
+            self._roundtrip(
+                "hammer", reply_timeout_s=timeout_ms / 1000 + REPLY_GRACE_S, timeout_ms=timeout_ms
+            )
         )
 
     def check_full(self, proof_text: str, timeout_ms: int) -> BackendReply:
         reply = self._to_reply(
             self._roundtrip(
-                "check", reply_timeout_s=timeout_ms / 1000 + 30, text=proof_text, timeout_ms=timeout_ms
+                "check", reply_timeout_s=timeout_ms / 1000 + REPLY_GRACE_S, text=proof_text,
+                timeout_ms=timeout_ms,
             )
         )
         return self._supported("check", reply)
+
+    def cascade(self, base: str | ProverState, context: str, config: ProverConfig) -> GapResult:
+        """`run_cascade(self, base, context, config)` in one round trip: the
+        bridge runs the cascade next to the prover. Its reply deadline is the
+        per-gap budget plus the grace."""
+        where = {"state": base.state_id} if isinstance(base, ProverState) else {"theory": base}
+        raw = self._roundtrip(
+            "cascade", reply_timeout_s=config.per_gap_budget_ms / 1000 + REPLY_GRACE_S,
+            **where, text=context, tactics=config.tactic_list,
+            tactic_timeout_ms=config.tactic_timeout_ms,
+            hammer_timeout_ms=config.hammer_timeout_ms, budget_ms=config.per_gap_budget_ms,
+        )
+        reply = self._supported("cascade", self._to_reply(raw))
+        if reply.status != "ok":
+            raise SessionDead(f"backend could not run the cascade: {reply.reason or reply.status}")
+        return decode_gap_result(raw.get("result"))
 
     def quit(self) -> None:
         """End the conversation and release the socket or child process;
@@ -216,47 +324,90 @@ class WireBackend:
                 self._sock.close()
 
 
+class _BadFrame(Exception):
+    """A frame the server cannot act on; it is answered, not fatal."""
+
+
+def _field(frame: dict, name: str, kind: type, default: object = None):
+    """`frame[name]` (or `default`), checked to be a `kind`; an int must be positive."""
+    value = frame.get(name, default)
+    if not isinstance(value, kind) or kind is int and (isinstance(value, bool) or value <= 0):
+        wanted = "a positive integer" if kind is int else f"a {kind.__name__}"
+        raise _BadFrame(f"{name!r} must be {wanted}")
+    return value
+
+
+def _cascade_config(frame: dict) -> ProverConfig:
+    tactics = _field(frame, "tactics", list)
+    if not tactics or not all(isinstance(t, str) and t for t in tactics):
+        raise _BadFrame("'tactics' must be a nonempty list of tactic names")
+    return ProverConfig(
+        tactic_list=tuple(tactics),
+        tactic_timeout_ms=_field(frame, "tactic_timeout_ms", int),
+        hammer_timeout_ms=_field(frame, "hammer_timeout_ms", int),
+        per_gap_budget_ms=_field(frame, "budget_ms", int),
+    )
+
+
+def _answer(backend: ScriptedBackend, frame: dict) -> dict:
+    """The reply to one well-formed frame, without its id."""
+    cmd = frame["cmd"]
+    try:
+        if cmd == "cascade":
+            if "state" in frame:
+                base: str | ProverState = ProverState(_field(frame, "state", str))
+            else:
+                base = _field(frame, "theory", str, "Main")
+            config = _cascade_config(frame)
+            result = run_cascade(backend, base, _field(frame, "text", str, ""), config)
+            return {"status": "ok", "result": encode_gap_result(result),
+                    "elapsed_ms": result.elapsed_ms}
+        if cmd == "init":
+            theory = _field(frame, "theory", str, "Main")
+            reply = backend.init(theory, _field(frame, "statement", str, ""))
+        elif cmd == "resume":
+            state = ProverState(_field(frame, "state", str))
+            reply = backend.init(state, _field(frame, "text", str, ""))
+        elif cmd == "step":
+            reply = backend.step(_field(frame, "text", str, ""), _field(frame, "timeout_ms", int))
+        elif cmd == "hammer":
+            reply = backend.hammer(_field(frame, "timeout_ms", int))
+        elif cmd == "check":
+            text = _field(frame, "text", str, "")
+            reply = backend.check_full(text, _field(frame, "timeout_ms", int))
+        elif cmd == "quit":
+            reply = BackendReply("ok", 0)
+        else:
+            reply = BackendReply("fail", 0, reason=f"unknown command {cmd!r}")
+    except SessionDead as exc:  # a resume or cascade from a state never issued
+        reply = BackendReply("fail", 0, reason=exc.detail)
+    payload: dict = {"status": reply.status, "elapsed_ms": reply.elapsed_ms}
+    for key in ("state_id", "reconstruction", "reason"):
+        value = getattr(reply, key)
+        if value is not None:
+            payload[key] = value
+    return payload
+
+
 def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]) -> None:
     for line in reader:
         line = line.strip()
         if not line:
             continue
+        req_id = cmd = None
         try:
             frame = json.loads(line)
+            req_id = frame.get("id") if isinstance(frame, dict) else None
+            if req_id is None or not isinstance(frame.get("cmd"), str):
+                raise _BadFrame("a frame is a JSON object with an id and a cmd")
             cmd = frame["cmd"]
-            req_id = frame["id"]
-        except (json.JSONDecodeError, KeyError):
-            writer.write(json.dumps({"id": None, "status": "fail", "reason": "bad frame"}) + "\n")
-            writer.flush()
-            continue
-        if cmd == "quit":
-            writer.write(json.dumps({"id": req_id, "status": "ok", "elapsed_ms": 0}) + "\n")
-            writer.flush()
-            return
-        if cmd == "init":
-            reply = backend.init(frame.get("theory", "Main"), frame.get("statement", ""))
-        elif cmd == "resume":
-            try:
-                reply = backend.init(ProverState(str(frame.get("state"))), frame.get("text", ""))
-            except SessionDead as exc:
-                reply = BackendReply("fail", 0, reason=exc.detail)
-        elif cmd == "step":
-            reply = backend.step(frame.get("text", ""), int(frame.get("timeout_ms", 0)))
-        elif cmd == "hammer":
-            reply = backend.hammer(int(frame.get("timeout_ms", 0)))
-        elif cmd == "check":
-            reply = backend.check_full(frame.get("text", ""), int(frame.get("timeout_ms", 0)))
-        else:
-            reply = BackendReply("fail", 0, reason=f"unknown command {cmd!r}")
-        payload = {"id": req_id, "status": reply.status, "elapsed_ms": reply.elapsed_ms}
-        if reply.state_id is not None:
-            payload["state_id"] = reply.state_id
-        if reply.reconstruction is not None:
-            payload["reconstruction"] = reply.reconstruction
-        if reply.reason is not None:
-            payload["reason"] = reply.reason
+            payload = {"id": req_id, **_answer(backend, frame)}
+        except (json.JSONDecodeError, _BadFrame) as exc:
+            payload = {"id": req_id, "status": "fail", "reason": f"bad frame: {exc}"}
         writer.write(json.dumps(payload) + "\n")
         writer.flush()
+        if cmd == "quit":
+            return
 
 
 class WireServer:
@@ -273,7 +424,8 @@ class WireServer:
                 import io
 
                 backend = ScriptedBackend(script)
-                reader = io.TextIOWrapper(self.rfile, encoding="utf-8")
+                # bytes that are not UTF-8 make a bad frame, not a dropped connection
+                reader = io.TextIOWrapper(self.rfile, encoding="utf-8", errors="surrogateescape")
                 writer = io.TextIOWrapper(self.wfile, encoding="utf-8", write_through=True)
                 try:
                     _serve_connection(backend, reader, writer)
@@ -319,6 +471,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.stdio:
         backend = ScriptedBackend(load_script(args.script))
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         _serve_connection(backend, sys.stdin, sys.stdout)
         return 0
     server = WireServer(args.script, port=args.port)

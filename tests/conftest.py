@@ -118,6 +118,17 @@ def recording(session):
     return session
 
 
+def memo_state_ids(session) -> set[str]:
+    """Every state id in the session's memo: the bases gaps resumed from
+    and the states closed gaps left."""
+    from sketchprove.prover import Closed
+
+    memo = session.memo
+    return {base.state_id for base, _ in memo.gaps if base is not None} | {
+        result.state_id for result in memo.gaps.values() if isinstance(result, Closed)
+    }
+
+
 def retained_bytes(root) -> int:
     """Bytes of every object reachable from `root`, each counted once;
     classes, modules and functions are left out."""

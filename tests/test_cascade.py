@@ -1,0 +1,279 @@
+"""The `cascade` wire command: one frame per gap, the same results as the
+cascade driven one command at a time, and a lost session on every fault."""
+
+import json
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ast_gen import AstGen
+from bridges import FAULTS, RelayBridge, serve_backend
+from conftest import FIXTURES, memo_state_ids, minimal_script
+from sketchprove.llm import CacheMode, CompletionCache, CompletionClient
+from sketchprove.prompting import PromptConfig, load_pool
+from sketchprove.prover import (
+    DEFAULT_TACTICS,
+    BackendReply,
+    Closed,
+    ExternalSpec,
+    FullProofResult,
+    ProverConfig,
+    ProverState,
+    ScriptedBackend,
+    ScriptedSpec,
+    SessionDead,
+    SessionState,
+    WireBackend,
+    WireServer,
+    load_script,
+    open_session,
+    prove_sketch,
+    run_cascade,
+)
+from sketchprove.prover import wire
+from sketchprove.prover.scripted import Outcome, ProverScript, Rule
+from sketchprove.scheduler import BudgetPolicy, PipelineComponents, SessionProvider, run_problem
+from sketchprove.sketch import parse_sketch, render_segments
+
+GOLDEN_SCRIPT = FIXTURES / "prover" / "script.json"
+
+# mixed outcomes for generated contexts: closes at several tactics and by the
+# hammer, fails, and steps that time out after a while or at their timeout
+GENERATED_SCRIPT = ProverScript(
+    rules=(
+        Rule("substring", "mod", Outcome("fail")),
+        Rule("substring", "gcd", Outcome("timeout", ms=20)),
+        Rule("substring", "even", Outcome("timeout")),
+        Rule("exact", "?thesis", Outcome("hammer", step="by (metis assms)")),
+        Rule("substring", "x", Outcome("tactic", index=3)),
+        Rule("substring", "y", Outcome("tactic", index=9)),
+    ),
+    default=Outcome("tactic", index=0),
+)
+SCRIPTS = (load_script(GOLDEN_SCRIPT), GENERATED_SCRIPT)
+
+
+class RefusingBackend(ScriptedBackend):
+    """The scripted prover, refusing about a quarter of the contexts it is
+    given (a fixed choice per context text)."""
+
+    def init(self, base, statement):
+        reply = super().init(base, statement)
+        if zlib.crc32(statement.encode()) % 4 == 0:
+            return BackendReply("fail", 0, reason="context does not parse")
+        return reply
+
+
+def _contexts(ast):
+    return [segment.rstrip() + "\n" for segment in render_segments(ast)[:-1]]
+
+
+def _outcome(call):
+    """What a cascade gives: the result with its state id, or the
+    SessionDead it raises."""
+    try:
+        result = call()
+    except SessionDead as exc:
+        return exc
+    return result, getattr(result, "state_id", None)
+
+
+def _same_cascades(script, cases):
+    """Runs each (base, context, config) case with `WireBackend.cascade`
+    against the reference server's frame loop and with `run_cascade` on an
+    in-process twin of its backend, and checks that they agree, state ids
+    included. A base of "closed" resumes from the last closed gap."""
+    local = RefusingBackend(script)
+    remote = WireBackend(serve_backend(RefusingBackend(script)))
+    last_closed = {}
+    try:
+        for base, context, config in cases:
+            if base == "closed":
+                base = last_closed.get("state", "Main")
+            got = _outcome(lambda: remote.cascade(base, context, config))
+            want = _outcome(lambda: run_cascade(local, base, context, config))
+            if isinstance(want, SessionDead):
+                assert isinstance(got, SessionDead) and want.detail in got.detail
+                continue
+            assert got == want
+            if isinstance(want[0], Closed):
+                last_closed["state"] = ProverState(want[1])
+    finally:
+        remote.quit()
+
+
+configs = st.builds(
+    lambda n, tactic, hammer, budget: ProverConfig(DEFAULT_TACTICS[:n], tactic, hammer, budget),
+    st.integers(1, len(DEFAULT_TACTICS)),
+    st.integers(1, 200),
+    st.integers(1, 2000),
+    st.integers(1, 3000),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, len(SCRIPTS) - 1),
+    st.integers(0, 2**32),
+    st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.sampled_from(["Main", "closed", "closed", ProverState("s999999")]),
+            configs,
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_wire_cascade_matches_run_cascade_in_process(sketch_files, script, seed, draws):
+    gen = AstGen(seed)
+    pool = _contexts(gen.sketch()) + _contexts(gen.sketch())
+    pool += _contexts(parse_sketch(sketch_files[seed % len(sketch_files)].read_text()))
+    pool.append("  show ?thesis\n")  # no sketch drawn may have a gap
+    cases = [(base, pool[pick % len(pool)], config) for pick, base, config in draws]
+    _same_cascades(SCRIPTS[script], cases)
+
+
+def test_wire_cascade_matches_run_cascade_on_each_ending():
+    fast = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=2000)
+    tight = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=500)
+
+    def context(line, refused=False):
+        """`line` with trailing blanks that make RefusingBackend refuse it,
+        or accept it."""
+        return next(text for text in (line + " " * i + "\n" for i in range(100))
+                    if (zlib.crc32(text.encode()) % 4 == 0) == refused)
+
+    cases = [
+        ("Main", context('have c0: "x = 1"', refused=True), fast),  # one attempt, no step
+        ("Main", context('have c1: "1 = 0"'), fast),  # closed at the first tactic
+        ("closed", context('have c2: "x = 2"'), fast),  # closed at the fourth tactic, resumed
+        ("closed", context("show ?thesis"), fast),  # closed by the hammer
+        ("closed", context('have c3: "n mod 2 = 0"'), fast),  # every attempt fails
+        ("Main", context('have c4: "gcd a b = 1"'), fast),  # steps and the hammer time out
+        ("Main", context('have c5: "even n"'), tight),  # the budget ends the tactics early
+        ("Main", context('have c6: "n mod 3 = 0"'), tight),  # it ends them before the hammer
+        (ProverState("s999999"), context('have c1: "1 = 0"'), fast),  # a state never issued
+    ]
+    _same_cascades(GENERATED_SCRIPT, cases)
+
+
+# -- one frame per gap -------------------------------------------------------------
+
+
+def _large_sketch(gaps):
+    lines = ['theorem big: assumes h0: "P"\n  shows "Q"\nproof -\n']
+    for i in range(gaps - 1):
+        lines.append(f'  have c{i}: "k + {i * 7919 % 1000} = {i % 10} + z" using h0 sledgehammer\n')
+    lines.append("  show ?thesis sledgehammer\nqed\n")
+    return parse_sketch("".join(lines))
+
+
+def test_one_cascade_frame_per_gap_on_a_large_sketch(tmp_path):
+    script = minimal_script(
+        rules=[
+            {"match": {"kind": "substring", "pattern": "= 3 + z"}, "outcome": {"kind": "tactic", "index": 4}},
+            {"match": {"kind": "substring", "pattern": "= 7 + z"},
+             "outcome": {"kind": "hammer", "step": "by (metis h0)"}},
+        ],
+        default={"kind": "tactic", "index": 0},
+    )
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    config = ProverConfig()
+    ast = _large_sketch(300)
+    server = WireServer(str(path)).start()
+    relay = RelayBridge(server.address)
+    try:
+        session = open_session(ExternalSpec(relay.address), config)
+        outcome = prove_sketch(session, ast)
+        session.close()
+    finally:
+        relay.close()
+        server.stop()
+    assert isinstance(outcome, FullProofResult) and len(outcome.per_gap) == 300
+    assert dict(relay.commands) == {"init": 1, "cascade": 300, "check": 1, "quit": 1}
+    assert relay.cascade_bases == ["theory"] + ["state"] * 299
+    # the one-frame path gives what the in-process step-by-step path gives
+    in_process = prove_sketch(open_session(ScriptedSpec(str(path)), config), ast)
+    assert in_process == outcome
+    assert [r.state_id for r in in_process.per_gap] == [r.state_id for r in outcome.per_gap]
+    assert {r.tactic_index for r in outcome.per_gap} == {0, 4, None}
+
+
+# -- a bridge that fails on a cascade frame ------------------------------------------
+
+# a per-gap budget small enough that a stalled bridge misses its deadline soon
+SMALL = ProverConfig(tactic_timeout_ms=100, hammer_timeout_ms=500, per_gap_budget_ms=1000)
+
+
+@pytest.fixture(scope="module")
+def golden_server():
+    server = WireServer(str(GOLDEN_SCRIPT)).start()
+    yield server
+    server.stop()
+
+
+def _golden_run(problem, golden_config, open_one):
+    components = PipelineComponents(
+        pool=load_pool(FIXTURES / "pool" / "examples.json"),
+        client=CompletionClient(
+            mode=CacheMode.REPLAY, cache=CompletionCache(FIXTURES / "cache" / "completions.jsonl")
+        ),
+        sessions=SessionProvider(open_one),
+        prompt_config=PromptConfig(),
+    )
+    policy = BudgetPolicy(
+        drafts_per_problem=golden_config["drafts"],
+        sketches_per_draft=golden_config["sketches_per_draft"],
+        total_budget=golden_config["budget"],
+        stop_on_first_success=golden_config["stop_on_first_success"],
+    )
+    return run_problem(problem, policy, components, golden_config["seed"]), components.sessions
+
+
+@pytest.fixture(scope="module")
+def clean_run(golden_server, problems, golden_config):
+    """The problem with the most resumed cascades, run over a clean relay:
+    (the problem, its result, the cascade frames' bases)."""
+    runs = []
+    for problem in problems:
+        relay = RelayBridge(golden_server.address)
+        result, sessions = _golden_run(
+            problem, golden_config, lambda: open_session(ExternalSpec(relay.address), SMALL)
+        )
+        sessions.close()
+        relay.close()
+        runs.append((problem, result, relay.cascade_bases))
+    return max(runs, key=lambda run: run[2].count("state"))
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_cascade_fault_reopens_the_session_and_records_match_a_clean_run(
+    golden_server, clean_run, golden_config, monkeypatch, fault
+):
+    problem, uninterrupted, bases = clean_run
+    # the fault hits the last resumed cascade, once the memo holds earlier work
+    at = max(i for i, base in enumerate(bases, 1) if base == "state")
+    monkeypatch.setattr(wire, "REPLY_GRACE_S", 0.5)  # the stall's deadline: 1.5 s
+    relay = RelayBridge(golden_server.address, fault=fault, at=at, tag="dead-")
+    opened = []
+
+    def open_faulty_first():
+        address = golden_server.address if opened else relay.address
+        opened.append(open_session(ExternalSpec(address), SMALL))
+        return opened[-1]
+
+    faulty, sessions = _golden_run(problem, golden_config, open_faulty_first)
+    try:
+        assert len(relay.cascade_bases) == at  # the fault came where it was aimed
+        assert len(opened) == 2 and opened[0].state is SessionState.DEAD
+        assert faulty == uninterrupted and faulty.infra_error is None
+        assert not opened[0].memo.gaps and not opened[0].memo.verdicts
+        replacing = memo_state_ids(opened[1])
+        assert replacing and not any(state_id.startswith("dead-") for state_id in replacing)
+    finally:
+        sessions.close()
+        relay.close()

@@ -363,7 +363,7 @@ def golden_wire_server():
 
 
 @pytest.mark.parametrize("jobs", [1, 8])
-@pytest.mark.parametrize("prover", ["scripted", "wire"])
+@pytest.mark.parametrize("prover", ["scripted", "wire", "stdio"])
 @pytest.mark.parametrize("records", ["records.jsonl", "records_baseline.jsonl"])
 def test_run_reproduces_golden_on_every_backend_and_worker_count(
     tmp_path, golden_wire_server, records, prover, jobs
@@ -373,6 +373,10 @@ def test_run_reproduces_golden_on_every_backend_and_worker_count(
     flags = golden_flags(tmp_path, jobs=jobs)
     if prover == "wire":
         flags[flags.index("--prover") + 1] = f"external:{golden_wire_server.address}"
+    elif prover == "stdio":
+        script = FIXTURES / "prover" / "script.json"
+        bridge = f"{sys.executable} -m sketchprove.prover --script {script} --stdio"
+        flags[flags.index("--prover") + 1] = f"external:stdio:{bridge}"
     command = ["run", "--baseline"] if records == "records_baseline.jsonl" else ["run"]
     assert main([*flags, *command]) == 0
     assert (tmp_path / records).read_bytes() == (FIXTURES / "golden" / records).read_bytes()

@@ -7,14 +7,13 @@ import threading
 
 import pytest
 
-from conftest import FIXTURES, RecordingBackend, minimal_script, recording
+from conftest import FIXTURES, RecordingBackend, memo_state_ids, minimal_script, recording
 from sketchprove.harness import FailureStage, Problem, Split, export_records
 from sketchprove.llm import CacheMode, CompletionCache, CompletionClient
 from sketchprove.prompting import Category, PromptConfig, PromptMode, load_pool
 from sketchprove.prover import (
     DEFAULT_TACTICS,
     BackendReply,
-    Closed,
     ExternalSpec,
     ProverConfig,
     ProverSession,
@@ -505,13 +504,6 @@ class DyingBackend:
         self.inner.quit()
 
 
-def _memo_state_ids(session):
-    memo = session.memo
-    return {base.state_id for base, _ in memo.gaps if base is not None} | {
-        result.state_id for result in memo.gaps.values() if isinstance(result, Closed)
-    }
-
-
 def test_crash_mid_problem_reopens_and_records_as_uninterrupted(problems, golden_config):
     policy = _golden_policy(golden_config)
     seed = golden_config["seed"]
@@ -545,7 +537,7 @@ def test_crash_mid_problem_reopens_and_records_as_uninterrupted(problems, golden
     assert len(opened) == 2 and opened[0].state is SessionState.DEAD
     assert crashed == uninterrupted and crashed.infra_error is None
     assert not opened[0].memo.gaps and not opened[0].memo.verdicts
-    replacing = _memo_state_ids(opened[1])
+    replacing = memo_state_ids(opened[1])
     assert replacing and not any(state_id.startswith("dead-") for state_id in replacing)
     components.sessions.close()
 

@@ -3,6 +3,7 @@ import json
 import random
 import shlex
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -28,9 +29,10 @@ from sketchprove.prover import (
     load_script,
     open_session,
     prove_sketch,
+    run_cascade,
     verify_full,
 )
-from sketchprove.prover.wire import _serve_connection
+from sketchprove.prover.wire import _serve_connection, encode_gap_result
 from sketchprove.scheduler import baseline_sketch
 from sketchprove.sketch import parse_sketch, render_segments
 
@@ -84,7 +86,8 @@ def counting_commands(backend):
 
 def fake_bridge(answer):
     """A bridge on a local port that serves one connection, answering each
-    frame with `answer(frame)`; returns its address."""
+    frame with `answer(frame)`: the fields of a reply, or a whole reply line
+    when it is a string; returns its address."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -95,7 +98,10 @@ def fake_bridge(answer):
         with conn, conn.makefile("r") as reader, conn.makefile("w") as writer:
             for line in reader:
                 frame = json.loads(line)
-                writer.write(json.dumps({"id": frame["id"], "elapsed_ms": 0, **answer(frame)}) + "\n")
+                reply = answer(frame)
+                if not isinstance(reply, str):
+                    reply = json.dumps({"id": frame["id"], "elapsed_ms": 0, **reply})
+                writer.write(reply + "\n")
                 writer.flush()
                 if frame["cmd"] == "quit":
                     break
@@ -374,10 +380,36 @@ def test_wire_resume_round_trip(server, tmp_path, transport):
 
 
 def test_wire_resume_unknown_to_the_bridge_is_a_lost_session():
-    # a bridge written before `resume` must not fail every later gap quietly
-    session = ProverSession(WireBackend(fake_bridge(_unknown("resume"))), FAST)
-    with pytest.raises(SessionDead, match="does not support 'resume'"):
+    # a bridge that cannot resume a gap's cascade from the state the previous
+    # gap closed in must not fail every later gap quietly
+    bases = []
+
+    def answer(frame):
+        if frame["cmd"] != "cascade":
+            return {"status": "ok", "state_id": "s1"}
+        bases.append(frame.get("state", frame.get("theory")))
+        if "state" in frame:
+            return {"status": "fail", "reason": f"unknown state {frame['state']!r}"}
+        return {"status": "ok", "result": {"kind": "closed", "closing_step": "by auto",
+                                           "tactic_index": 0, "elapsed_ms": 0, "state_id": "s2"}}
+
+    session = ProverSession(WireBackend(fake_bridge(answer)), FAST)
+    with pytest.raises(SessionDead, match="does not support 'cascade': unknown state 's2'"):
         prove_sketch(session, parse_sketch(SKETCH))
+    assert bases == ["Main", "s2"]
+    assert session.state is SessionState.DEAD
+    session.close()
+
+
+def test_wire_cascade_unknown_to_the_bridge_is_a_lost_session():
+    # a bridge written before `cascade` ends the session; the client does not
+    # fall back to the step-by-step commands
+    backend = WireBackend(fake_bridge(_unknown("cascade")))
+    sent = counting_commands(backend)
+    session = ProverSession(backend, FAST)
+    with pytest.raises(SessionDead, match="does not support 'cascade'"):
+        close_gap(session, FIRST_CONTEXT)
+    assert [cmd for cmd, _ in sent] == ["cascade"]
     assert session.state is SessionState.DEAD
     session.close()
 
@@ -399,11 +431,13 @@ def test_wire_resume_from_an_unknown_state_is_a_lost_session(server):
 
 @pytest.mark.parametrize("closer", ["step", "hammer"])
 def test_wire_closing_reply_without_state_id_is_a_lost_session(closer):
+    closed = {"kind": "closed", "closing_step": "by auto", "tactic_index": 0, "elapsed_ms": 0}
+    if closer == "hammer":
+        closed.update(closing_step="by (metis assms)", tactic_index=None)
+
     def answer(frame):
-        if frame["cmd"] == "step" and closer == "hammer":
-            return {"status": "fail", "reason": "step does not close the goal"}
-        if frame["cmd"] in ("step", "hammer"):
-            return {"status": "ok", "reconstruction": "by (metis assms)"}  # no state_id
+        if frame["cmd"] == "cascade":
+            return {"status": "ok", "result": closed}  # no state_id
         return {"status": "ok", "state_id": "s1"}
 
     session = ProverSession(WireBackend(fake_bridge(answer)), FAST)
@@ -411,6 +445,25 @@ def test_wire_closing_reply_without_state_id_is_a_lost_session(closer):
         close_gap(session, FIRST_CONTEXT)
     assert session.state is SessionState.DEAD
     session.close()
+
+
+@pytest.mark.parametrize("closer", ["step", "hammer"])
+def test_step_by_step_closing_reply_without_state_id_is_a_lost_session(closer):
+    # the step protocol's closing replies, read by run_cascade over the wire
+    def answer(frame):
+        if frame["cmd"] == "step" and closer == "hammer":
+            return {"status": "fail", "reason": "step does not close the goal"}
+        if frame["cmd"] in ("step", "hammer"):
+            return {"status": "ok", "reconstruction": "by (metis assms)"}  # no state_id
+        return {"status": "ok", "state_id": "s1"}
+
+    backend = WireBackend(fake_bridge(answer))
+    sent = counting_commands(backend)
+    with pytest.raises(SessionDead, match="no state_id"):
+        run_cascade(backend, "Main", FIRST_CONTEXT, FAST)
+    assert [cmd for cmd, _ in sent] == ["init", "step"] + ["step"] * 10 * (closer == "hammer") + [
+        "hammer"] * (closer == "hammer")
+    backend.quit()
 
 
 def seeded_sketch(seed, gaps):
@@ -443,10 +496,8 @@ def test_wire_context_bytes_follow_the_segment_not_the_prefix(tmp_path):
     def size(text):
         return len(text.encode("utf-8"))
 
-    context_bytes = sum(
-        size(fields.get("statement", fields.get("text", "")))
-        for cmd, fields in sent if cmd in ("init", "resume")
-    )
+    assert [cmd for cmd, _ in sent] == ["cascade"] * 200 + ["check", "quit"]
+    context_bytes = sum(size(fields["text"]) for cmd, fields in sent if cmd == "cascade")
     segments = render_segments(ast)[:-1]
     contexts = [segment.rstrip() + "\n" for segment in segments]
     prefixes = ["".join(segments[: k + 1]).rstrip() + "\n" for k in range(len(segments))]
@@ -462,19 +513,154 @@ def test_serve_connection_keeps_no_call_log(tmp_path):
         {"cmd": "resume", "state": "s2", "text": "\n  show ?thesis using c1\n"},
         {"cmd": "hammer", "timeout_ms": 600},
         {"cmd": "check", "text": "theorem t: shows \"G\" by auto", "timeout_ms": 600},
+        {"cmd": "cascade", "state": "s2", "text": "\n  show ?thesis using c1\n",
+         "tactics": list(FAST.tactic_list), "tactic_timeout_ms": 50, "hammer_timeout_ms": 600,
+         "budget_ms": 2000},
     ]
     retained = []
 
     def frames():
         for round_ in range(10):
-            for req_id, request in enumerate(requests, 5 * round_ + 1):
+            for req_id, request in enumerate(requests, 6 * round_ + 1):
                 yield json.dumps({"id": req_id, **request}) + "\n"
             retained.append(retained_bytes(backend))  # every reply of the round is out
-        yield json.dumps({"id": 51, "cmd": "quit"}) + "\n"
+        yield json.dumps({"id": 61, "cmd": "quit"}) + "\n"
 
     writer = io.StringIO()
     _serve_connection(backend, frames(), writer)
     replies = [json.loads(line) for line in writer.getvalue().splitlines()]
-    assert [reply["id"] for reply in replies] == list(range(1, 52))
+    assert [reply["id"] for reply in replies] == list(range(1, 62))
     assert all(reply["status"] == "ok" for reply in replies)
     assert len(set(retained)) == 1  # the connection's backend keeps nothing per call
+
+
+# -- malformed replies and frames ----------------------------------------------------
+
+
+@pytest.mark.parametrize("line", ["[1]", "7", '"ok"', "null", "true", "[]"])
+def test_wire_reply_that_is_not_an_object_is_a_lost_session(line):
+    backend = WireBackend(fake_bridge(lambda frame: line))
+    with pytest.raises(SessionDead, match="not a JSON object"):
+        backend.init("Main", 'shows "x + 0 = x"')
+    backend.quit()
+
+
+@pytest.mark.parametrize("fields", [
+    {"status": 7},
+    {"status": "ok", "elapsed_ms": "abc"},
+    {"status": "ok", "elapsed_ms": None},
+    {"status": "ok", "elapsed_ms": True},
+    {"status": "ok", "state_id": 5},
+    {"status": "fail", "reason": ["no"]},
+])
+def test_wire_reply_with_a_badly_typed_field_is_a_lost_session(fields):
+    line = json.dumps({"id": 1, **fields})
+    backend = WireBackend(fake_bridge(lambda frame: line))
+    with pytest.raises(SessionDead):
+        backend.step("by auto", 50)
+    backend.quit()
+
+
+CLOSED = {"kind": "closed", "closing_step": "by auto", "tactic_index": 0, "elapsed_ms": 3,
+          "state_id": "s2"}
+
+
+@pytest.mark.parametrize("result", [
+    {"kind": "failed", "attempts": [["auto", "fail"], ["sledgehammer", "timeout"]], "elapsed_ms": 7},
+    {"kind": "timed_out", "elapsed_ms": 12},
+    CLOSED,
+    {**CLOSED, "tactic_index": None, "closing_step": "by (metis assms)"},
+])
+def test_wire_cascade_reply_decodes_each_result_kind(result):
+    backend = WireBackend(fake_bridge(lambda frame: {"status": "ok", "result": result}))
+    got = backend.cascade("Main", FIRST_CONTEXT, FAST)
+    assert encode_gap_result(got) == result
+    backend.quit()
+
+
+@pytest.mark.parametrize("reply", [
+    {"status": "ok"},
+    {"status": "ok", "result": None},
+    {"status": "ok", "result": []},
+    {"status": "ok", "result": "closed"},
+    {"status": "ok", "result": {}},
+    {"status": "ok", "result": {"kind": "proved", "elapsed_ms": 0}},
+    {"status": "ok", "result": {**CLOSED, "closing_step": None}},
+    {"status": "ok", "result": {**CLOSED, "tactic_index": "0"}},
+    {"status": "ok", "result": {**CLOSED, "tactic_index": False}},
+    {"status": "ok", "result": {**CLOSED, "state_id": 2}},
+    {"status": "ok", "result": {**CLOSED, "elapsed_ms": "3"}},
+    {"status": "ok", "result": {"kind": "failed", "attempts": "auto", "elapsed_ms": 0}},
+    {"status": "ok", "result": {"kind": "failed", "attempts": [["auto"]], "elapsed_ms": 0}},
+    {"status": "ok", "result": {"kind": "failed", "attempts": [["auto", 1]], "elapsed_ms": 0}},
+    {"status": "ok", "result": {"kind": "failed", "attempts": []}},
+    {"status": "ok", "result": {"kind": "timed_out", "elapsed_ms": float("nan")}},
+    {"status": "fail", "reason": "bad frame: 'tactics' must be a list"},
+    {"status": "timeout"},
+])
+def test_wire_cascade_reply_without_a_well_formed_result_is_a_lost_session(reply):
+    # never a KeyError or TypeError, and never a verdict on the gap
+    session = ProverSession(WireBackend(fake_bridge(lambda frame: reply)), FAST)
+    with pytest.raises(SessionDead):
+        close_gap(session, FIRST_CONTEXT)
+    assert session.state is SessionState.DEAD
+    session.close()
+
+
+def cascade_frame(req_id, drop=(), **fields):
+    """A `cascade` frame with `fields` changed and the fields in `drop` left out."""
+    frame = {"id": req_id, "cmd": "cascade", "theory": "Main", "text": "", "tactics": ["auto"],
+             "tactic_timeout_ms": 50, "hammer_timeout_ms": 600, "budget_ms": 2000, **fields}
+    return json.dumps({key: value for key, value in frame.items() if key not in drop}).encode()
+
+
+# (a frame the reference server cannot read, the id its reply echoes)
+BAD_FRAMES = [
+    (b"\xff\xfe not UTF-8", None),
+    (b"[1]", None),
+    (b"7", None),
+    (b'"ok"', None),
+    (b"not json", None),
+    (b'{"id": 1}', 1),
+    (b'{"cmd": "init"}', None),
+    (b'{"id": 2, "cmd": 5}', 2),
+    (b'{"id": 3, "cmd": "step", "text": "by auto", "timeout_ms": "abc"}', 3),
+    (b'{"id": 4, "cmd": "hammer", "timeout_ms": -1}', 4),
+    (b'{"id": 5, "cmd": "resume", "state": 1, "text": ""}', 5),
+    (b'{"id": 6, "cmd": "check", "text": null, "timeout_ms": 50}', 6),
+    (cascade_frame(7, tactics="auto"), 7),
+    (cascade_frame(8, tactics=[]), 8),
+    (cascade_frame(9, tactics=["auto", 3]), 9),
+    (cascade_frame(10, drop=("theory",), state=5), 10),
+    (cascade_frame(11, budget_ms="2000"), 11),
+    (cascade_frame(12, text=4), 12),
+    (cascade_frame(13, drop=("tactic_timeout_ms",)), 13),
+]
+
+
+@pytest.mark.parametrize("transport", ["tcp", "stdio"])
+def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport):
+    good = cascade_frame(20, text='shows "x + 0 = x"', tactics=["auto", "simp", "blast"])
+    lines = [line for line, _ in BAD_FRAMES] + [good, b'{"id": 21, "cmd": "quit"}']
+    data = b"".join(line + b"\n" for line in lines)
+    if transport == "tcp":
+        host, _, port = server.address.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            conn.sendall(data)
+            out = conn.makefile("rb").read()
+    else:
+        script_path = write_script(tmp_path, WIRE_SCRIPT, "stdio_script.json")
+        child = subprocess.run(
+            [sys.executable, "-m", "sketchprove.prover", "--script", script_path, "--stdio"],
+            input=data, capture_output=True, timeout=60,
+        )
+        assert child.returncode == 0 and not child.stderr
+        out = child.stdout
+    replies = [json.loads(line) for line in out.splitlines()]
+    assert len(replies) == len(lines)
+    *bad, answered, quit_reply = replies
+    assert [reply["id"] for reply in bad] == [req_id for _, req_id in BAD_FRAMES]
+    assert all(reply["status"] == "fail" and reply["reason"].startswith("bad frame") for reply in bad)
+    assert answered["id"] == 20 and answered["result"]["kind"] == "closed"
+    assert answered["result"]["closing_step"] == "by blast"
+    assert quit_reply == {"id": 21, "status": "ok", "elapsed_ms": 0}
