@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -205,14 +206,14 @@ def cmd_draft(config: CliConfig, args: argparse.Namespace) -> int:
     if config.drafts <= 0:
         print("drafts=0: nothing to sample")
         return EXIT_OK
-    client = _build_client(config)
-    for pid in wanted:
-        drafts, sampled = sample_drafts(client, problems[pid], config.drafts)
-        target = out_dir / pid
-        target.mkdir(parents=True, exist_ok=True)
-        for i, text in enumerate(drafts):
-            (target / f"draft_{i:04d}.txt").write_text(text, encoding="utf-8")
-        print(f"{pid}: {len(drafts)} drafts ({sampled - len(drafts)} duplicates dropped)")
+    with closing(_build_client(config)) as client:
+        for pid in wanted:
+            drafts, sampled = sample_drafts(client, problems[pid], config.drafts)
+            target = out_dir / pid
+            target.mkdir(parents=True, exist_ok=True)
+            for i, text in enumerate(drafts):
+                (target / f"draft_{i:04d}.txt").write_text(text, encoding="utf-8")
+            print(f"{pid}: {len(drafts)} drafts ({sampled - len(drafts)} duplicates dropped)")
     return EXIT_OK
 
 
@@ -228,14 +229,13 @@ def cmd_sketch(config: CliConfig, args: argparse.Namespace) -> int:
 
     pool = load_pool(config.pool_path)
     seed = derive_seed(config.seed, problem.id, args.draft_id, args.sketch_index)
-    client = _build_client(config)
-    request = sketch_request(pool, problem, draft, _prompt_config(config), seed, client.endpoint_id)
-    if args.show_prompt:
-        print("--- prompt ---")
-        print(request.prompt)
-        print("--- end prompt ---")
-
-    response = client.complete(request)
+    with closing(_build_client(config)) as client:
+        request = sketch_request(pool, problem, draft, _prompt_config(config), seed, client.endpoint_id)
+        if args.show_prompt:
+            print("--- prompt ---")
+            print(request.prompt)
+            print("--- end prompt ---")
+        response = client.complete(request)
     sketch_text = response.completions[0]
     print(sketch_text)
     try:
@@ -279,9 +279,10 @@ def cmd_run(config: CliConfig, args: argparse.Namespace) -> int:
     components = _components(config)
     policy = None if args.baseline else _policy(config)
     started = time.monotonic()
-    results = run_experiment(
-        problems, policy, components, parallelism=config.jobs, experiment_seed=config.seed
-    )
+    with closing(components.client):
+        results = run_experiment(
+            problems, policy, components, parallelism=config.jobs, experiment_seed=config.seed
+        )
     elapsed_ms = int((time.monotonic() - started) * 1000)
 
     out_dir = Path(config.out)

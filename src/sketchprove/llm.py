@@ -4,6 +4,12 @@ Any endpoint speaking the common completion shape (POST {prompt, max_tokens,
 temperature, top_p, n, stop} -> {choices: [{text}]}) can back the pipeline.
 Every completion is cached under a content key of (endpoint, prompt, config,
 sample index), so a recorded run can be replayed offline byte-for-byte.
+
+A request is submitted and later collected: `submit` starts it on a pool of
+`max_in_flight` threads (replay starts nothing and answers in `collect`), and
+`collect` waits for its response and, in record mode, writes it to the cache
+on the collecting thread. A caller can so keep several requests in flight
+while the cache is still written in the order it collects them.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import logging
 import os
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -206,8 +213,10 @@ _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
 
 @dataclass
 class CompletionClient:
-    """Thread-safe client; at most `max_in_flight` requests hit the endpoint
-    concurrently, and transient failures retry with exponential backoff."""
+    """Thread-safe client. Endpoint requests run on a pool of
+    `max_in_flight` threads, so at most that many hit the endpoint at once,
+    and transient failures retry with exponential backoff. `close` stops
+    the pool."""
 
     endpoint_url: str | None = None
     endpoint_id: str = "default"
@@ -225,17 +234,49 @@ class CompletionClient:
             raise ValueError(f"{self.mode.value} mode needs a cache")
         if self.mode is not CacheMode.REPLAY and not self.endpoint_url:
             raise ValueError(f"{self.mode.value} mode needs an endpoint URL")
-        self._gate = threading.BoundedSemaphore(self.max_in_flight)
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        # threads start on the first submit, so a replay client has none
+        self._pool = ThreadPoolExecutor(self.max_in_flight, thread_name_prefix="completion")
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
+    @property
+    def fetch_ahead(self) -> int:
+        """How many requests a caller should keep submitted ahead of the one
+        it is consuming: `max_in_flight` when they go to the endpoint, none
+        in replay, which answers inline."""
+        return 0 if self.mode is CacheMode.REPLAY else self.max_in_flight
+
+    def submit(self, request: CompletionRequest) -> Future[CompletionResponse] | None:
+        """Start a request on the pool and return its future, for `collect`.
+        Replay has nothing to start: it returns None, and `collect` looks
+        the answer up, so a replayed request costs no future."""
         if self.mode is CacheMode.REPLAY:
+            return None
+        return self._pool.submit(self._call_endpoint, request)
+
+    def collect(
+        self, request: CompletionRequest, future: Future[CompletionResponse] | None
+    ) -> CompletionResponse:
+        """The response to a submitted request, raising its error; in record
+        mode it is added to the cache."""
+        if future is None:
             return self._replay(request)
-        response = self._call_endpoint(request)
+        response = future.result()
         if self.mode is CacheMode.RECORD:
             assert self.cache is not None
             for i, text in enumerate(response.completions):
                 self.cache.put(cache_key(request, i), text)
         return response
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        return self.collect(request, self.submit(request))
+
+    def close(self) -> None:
+        """Drop the requests not yet started and wait for the running ones;
+        the pool's threads are gone when it returns."""
+        self._pool.shutdown(cancel_futures=True)
 
     def _replay(self, request: CompletionRequest) -> CompletionResponse:
         assert self.cache is not None
@@ -265,15 +306,12 @@ class CompletionClient:
 
         assert self.endpoint_url is not None
         last_error: Exception | None = None
-        started = time.monotonic()
+        started = time.monotonic()  # a pool thread: the request waited its turn already
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(min(self.backoff_s * 2 ** (attempt - 1), 10.0))
             try:
-                with self._gate:
-                    status, body = self.transport(
-                        self.endpoint_url, headers, payload, self.timeout_s
-                    )
+                status, body = self.transport(self.endpoint_url, headers, payload, self.timeout_s)
             except Timeout as exc:
                 last_error = exc
                 continue

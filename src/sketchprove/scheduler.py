@@ -7,23 +7,32 @@ attempt per grid entry; a worker pool runs problems in parallel with one
 prover session per worker, and results are a pure function of inputs, seed,
 caches, and scripts, independent of worker count.
 
+A sketch prompt depends only on the problem, the draft and the entry's
+seed, so while a worker proves one attempt it keeps the next
+`max_in_flight` sketch requests in flight at the endpoint. It still
+consumes their completions in plan order (so record mode writes the cache
+in plan order), and an early stop cancels the requests not yet started.
+
 `sample_drafts` and `sketch_request` build each LLM stage's request for the
 pipeline and for the CLI's `draft` and `sketch` alike, so all of them use
 the same cache keys. The direct baseline proves the formal statement as a
 sketch whose whole proof is one gap, so both arms prove and record through
 `_prove_attempt`, and both run their prover work through one reopen loop: a
-lost session is replaced and the work run again, until the problem's reopen
-budget is spent and the problem aborts as an infrastructure error.
+lost session is replaced and the proof run again (never the completion
+request), until the problem's reopen budget is spent and the problem aborts
+as an infrastructure error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import logging
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -33,6 +42,7 @@ from .llm import (
     CacheMiss,
     CompletionClient,
     CompletionRequest,
+    CompletionResponse,
     EndpointError,
     Timeout,
     dedup,
@@ -277,34 +287,75 @@ def _prove_attempt(
     )
 
 
-def _run_attempt(
-    problem: Problem,
-    draft: str,
-    entry: tuple[int, int, int],
-    components: PipelineComponents,
-    session: ProverSession,
-) -> AttemptRecord:
-    """One (draft, sketch) attempt. Raises SessionDead for the caller's
-    reopen logic; every other failure becomes a stage-tagged record."""
-    try:
-        request = sketch_request(
-            components.pool, problem, draft, components.prompt_config, entry[2],
-            components.client.endpoint_id,
-        )
-    except (PoolTooSmall, MissingFullProof) as exc:
-        logger.warning("problem %s: prompt build failed: %s", problem.id, exc)
-        return _attempt_record(problem.id, entry, FailureStage.PROMPT_BUILD)
+# a plan entry's sketch request and what `submit` gave for it, or its
+# record when it needs no completion
+Fetched = AttemptRecord | tuple[CompletionRequest, Future[CompletionResponse] | None]
 
+
+def _fetch_sketches(
+    problem: Problem, drafts: Sequence[str], entries: Sequence[tuple[int, int, int]],
+    components: PipelineComponents,
+) -> Iterator[Fetched]:
+    """Each plan entry's `Fetched`, in plan order: a record when the entry
+    has no such draft or no prompt. Keeps the client's `fetch_ahead` later
+    entries started, so their completions arrive while this one is proved;
+    closing the generator cancels the requests not yet started."""
+    client = components.client
+
+    def start(entry: tuple[int, int, int]) -> Fetched:
+        if entry[0] >= len(drafts):
+            return _attempt_record(problem.id, entry, FailureStage.DRAFT)
+        try:
+            request = sketch_request(
+                components.pool, problem, drafts[entry[0]], components.prompt_config, entry[2],
+                client.endpoint_id,
+            )
+        except (PoolTooSmall, MissingFullProof) as exc:
+            logger.warning("problem %s: prompt build failed: %s", problem.id, exc)
+            return _attempt_record(problem.id, entry, FailureStage.PROMPT_BUILD)
+        return request, client.submit(request)
+
+    upcoming = map(start, entries)
+    started = deque(itertools.islice(upcoming, client.fetch_ahead))
     try:
-        response = components.client.complete(request)
+        for fetched in upcoming:
+            started.append(fetched)
+            yield started.popleft()
+        while started:
+            yield started.popleft()
+    finally:
+        for fetched in started:
+            if isinstance(fetched, tuple) and fetched[1] is not None:
+                fetched[1].cancel()
+
+
+def _run_attempt(
+    problem_id: str,
+    entry: tuple[int, int, int],
+    fetched: Fetched,
+    components: PipelineComponents,
+    reopens: Iterator[int],
+) -> AttemptRecord:
+    """One (draft, sketch) attempt: collect its completion, parse it and
+    prove it, reopening a lost session for the proof alone. Raises
+    SessionDead once the problem's reopen budget is spent; every other
+    failure becomes a stage-tagged record."""
+    if isinstance(fetched, AttemptRecord):
+        return fetched
+    request, future = fetched
+    try:
+        response = components.client.collect(request, future)
     except (CacheMiss, EndpointError, Timeout) as exc:
-        logger.warning("problem %s: sketch completion failed: %s", problem.id, exc)
-        return _attempt_record(problem.id, entry, FailureStage.INFRA)
+        logger.warning("problem %s: sketch completion failed: %s", problem_id, exc)
+        return _attempt_record(problem_id, entry, FailureStage.INFRA)
     try:
         ast = parse_sketch(response.completions[0])
     except ParseError:
-        return _attempt_record(problem.id, entry, FailureStage.PARSE, wall_ms=response.latency_ms)
-    return _prove_attempt(problem.id, entry, ast, session, response.latency_ms)
+        return _attempt_record(problem_id, entry, FailureStage.PARSE, wall_ms=response.latency_ms)
+    return _on_session(
+        problem_id, components, reopens,
+        lambda session: _prove_attempt(problem_id, entry, ast, session, response.latency_ms),
+    )
 
 
 def run_problem(
@@ -313,9 +364,10 @@ def run_problem(
     components: PipelineComponents,
     experiment_seed: int = 0,
 ) -> ProblemResult:
-    """Execute the attempt plan for one problem. Early stop (when enabled)
-    marks the remaining entries as NotRun; infrastructure trouble aborts the
-    problem with an error note instead of fake attempt records."""
+    """Execute the attempt plan for one problem, in plan order, with later
+    sketch completions fetched ahead. Early stop (when enabled) marks the
+    remaining entries as NotRun; infrastructure trouble aborts the problem
+    with an error note instead of fake attempt records."""
     plan = make_plan(policy, experiment_seed, problem.id)
     try:
         drafts = _obtain_drafts(problem, policy, components)
@@ -324,25 +376,20 @@ def run_problem(
         return ProblemResult(problem.id, (), infra_error=f"draft stage: {exc}")
 
     attempts: list[AttemptRecord] = []
-    solved = False
     reopens = itertools.count(1)
-    for entry in plan.entries:
-        if solved and policy.stop_on_first_success:
-            attempts.append(_attempt_record(problem.id, entry, FailureStage.NOT_RUN))
-            continue
-        if entry[0] >= len(drafts):
-            attempts.append(_attempt_record(problem.id, entry, FailureStage.DRAFT))
-            continue
-        draft = drafts[entry[0]]
-        try:
-            record = _on_session(
-                problem.id, components, reopens,
-                lambda session: _run_attempt(problem, draft, entry, components, session),
-            )
-        except SessionDead as exc:
-            return _session_lost(problem.id, attempts, exc)
-        attempts.append(record)
-        solved = solved or record.success
+    with contextlib.closing(_fetch_sketches(problem, drafts, plan.entries, components)) as fetches:
+        for entry, fetched in zip(plan.entries, fetches):
+            try:
+                record = _run_attempt(problem.id, entry, fetched, components, reopens)
+            except SessionDead as exc:
+                return _session_lost(problem.id, attempts, exc)
+            attempts.append(record)
+            if record.success and policy.stop_on_first_success:
+                break
+    attempts += (
+        _attempt_record(problem.id, entry, FailureStage.NOT_RUN)
+        for entry in plan.entries[len(attempts):]
+    )
     return ProblemResult(problem.id, tuple(attempts))
 
 

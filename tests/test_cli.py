@@ -245,14 +245,15 @@ def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, m
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
 
+    # every request, drafts and sketches fetched ahead alike, is submitted
     sent = []
-    complete = llm.CompletionClient.complete
+    submit = llm.CompletionClient.submit
 
     def recording(client, request):
         sent.append(request.prompt)
-        return complete(client, request)
+        return submit(client, request)
 
-    monkeypatch.setattr(llm.CompletionClient, "complete", recording)
+    monkeypatch.setattr(llm.CompletionClient, "submit", recording)
     cli.main(["--config", str(config_path), "--jobs", "1", "run"])
     # one worker runs the plan in order: the draft prompt, then draft 0's
     # sketches 0 and 1, then draft 1's
@@ -278,6 +279,19 @@ def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, m
     assert shown == run_prompts[3]
     if max_prompt_chars is not None:
         assert len(shown) <= max_prompt_chars
+
+
+def test_each_command_closes_its_completion_client(tmp_path, monkeypatch):
+    from sketchprove import cli, llm
+
+    closed = []
+    close = llm.CompletionClient.close
+    monkeypatch.setattr(llm.CompletionClient, "close", lambda client: closed.append(client) or close(client))
+    flags = golden_flags(tmp_path)
+    assert cli.main([*flags, "run"]) == 0
+    assert cli.main([*flags, "draft", "--problem-ids", "algebra_g01"]) == 0
+    assert cli.main([*flags, "sketch", "--problem-id", "algebra_g01"]) == 0
+    assert len(closed) == 3
 
 
 def test_draft_and_sketch_request_the_cache_keys_run_requests(tmp_path, monkeypatch):
@@ -400,7 +414,7 @@ def test_unparseable_hammer_step_fails_the_gap_not_the_run(tmp_path):
     for command, records in ((["run"], "records.jsonl"), (["run", "--baseline"], "records_baseline.jsonl")):
         result = run_cli(*flags, *command)
         assert result.returncode == 0, result.stderr
-        stages = [json.loads(line)["failure_stage"] for line in (tmp_path / records).open()]
+        stages = [json.loads(line)["failure_stage"] for line in (tmp_path / records).read_text().splitlines()]
         assert "prove" in stages
     sketch_path = tmp_path / "sketch.thy"
     sketch_path.write_text('theorem t: shows "no rule matches this"\n  sledgehammer\n')

@@ -1,3 +1,4 @@
+import json
 import threading
 import time
 
@@ -259,6 +260,97 @@ def test_in_flight_requests_bounded():
 def test_replay_requires_cache():
     with pytest.raises(ValueError):
         CompletionClient(mode=CacheMode.REPLAY, cache=None)
+
+
+@pytest.mark.parametrize(
+    "setting, message", [(dict(max_in_flight=0), "max_in_flight"), (dict(retries=-1), "retries")]
+)
+def test_client_settings_validated(setting, message):
+    # rejected when built: max_in_flight=0 would leave every request waiting
+    # for a slot, retries=-1 would send none and fail on an assertion
+    with pytest.raises(ValueError, match=message):
+        CompletionClient(endpoint_url="x://y", mode=CacheMode.LIVE, **setting)
+
+
+def test_latency_excludes_the_wait_for_a_slot():
+    def slow(url, headers, payload, timeout_s):
+        time.sleep(0.1)
+        return 200, {"choices": [{"text": "t"}]}
+
+    client = CompletionClient(endpoint_url="x://y", mode=CacheMode.LIVE, max_in_flight=1, transport=slow)
+    latencies = []
+    threads = [
+        threading.Thread(
+            target=lambda: latencies.append(
+                client.complete(CompletionRequest("p", SamplingConfig(temperature=0.5))).latency_ms
+            )
+        )
+        for _ in range(3)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    client.close()
+    # queued behind one another they would read about 100, 200 and 300 ms
+    assert len(latencies) == 3 and all(95 <= ms < 190 for ms in latencies)
+
+
+def test_record_cache_written_in_collect_order(tmp_path):
+    def answer_backwards(url, headers, payload, timeout_s):
+        time.sleep(0.01 * (5 - int(payload["prompt"])))  # later prompts answer first
+        return 200, {"choices": [{"text": "reply " + payload["prompt"]}]}
+
+    path = tmp_path / "cache.jsonl"
+    client = CompletionClient(
+        endpoint_url="x://y", mode=CacheMode.RECORD, cache=CompletionCache(path),
+        transport=answer_backwards,
+    )
+    requests = [CompletionRequest(str(i), SamplingConfig(temperature=0.5)) for i in range(5)]
+    futures = [client.submit(request) for request in requests]
+    assert len(client.cache) == 0  # nothing is cached before it is collected
+    texts = [client.collect(r, f).completions[0] for r, f in zip(requests, futures)]
+    client.close()
+    assert texts == [f"reply {i}" for i in range(5)]
+    written = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [w["key"] for w in written] == [cache_key(r, 0) for r in requests]
+
+
+def test_replay_answers_inline_and_starts_no_thread(tmp_path):
+    before = set(threading.enumerate())
+    client = CompletionClient(mode=CacheMode.REPLAY, cache=CompletionCache(tmp_path / "c.jsonl"))
+    request = CompletionRequest("never seen", SamplingConfig(temperature=0.6))
+    assert client.submit(request) is None and client.fetch_ahead == 0
+    with pytest.raises(CacheMiss):
+        client.collect(request, None)
+    assert set(threading.enumerate()) == before
+    client.close()
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("completion")]
+
+
+def test_close_leaves_no_pool_thread_and_drops_queued_requests():
+    release = threading.Event()
+    sent = []
+
+    def held(url, headers, payload, timeout_s):
+        sent.append(payload["prompt"])
+        release.wait(5)
+        return 200, {"choices": [{"text": "t"}]}
+
+    others = _pool_threads()  # other clients' threads, on their way out
+    client = CompletionClient(endpoint_url="x://y", mode=CacheMode.LIVE, max_in_flight=2, transport=held)
+    futures = [client.submit(CompletionRequest(str(i), SamplingConfig(temperature=0.5))) for i in range(5)]
+    assert len(set(_pool_threads()) - set(others)) == 2
+    while len(sent) < 2:
+        time.sleep(0.001)
+    threading.Timer(0.05, release.set).start()
+    client.close()
+    assert set(_pool_threads()) <= set(others)
+    assert sorted(sent) == ["0", "1"]  # the three queued requests never went out
+    assert [f.cancelled() for f in futures] == [False, False, True, True, True]
 
 
 # -- dedup ---------------------------------------------------------------------

@@ -9,7 +9,14 @@ import pytest
 
 from conftest import FIXTURES, RecordingBackend, memo_state_ids, minimal_script, recording
 from sketchprove.harness import FailureStage, Problem, Split, export_records
-from sketchprove.llm import CacheMode, CompletionCache, CompletionClient
+from sketchprove.llm import (
+    CacheMode,
+    CompletionCache,
+    CompletionClient,
+    CompletionRequest,
+    SamplingConfig,
+    cache_key,
+)
 from sketchprove.prompting import Category, PromptConfig, PromptMode, load_pool
 from sketchprove.prover import (
     DEFAULT_TACTICS,
@@ -119,8 +126,13 @@ GOOD_SKETCH = (
 BAD_SKETCH = GOOD_SKETCH.replace("40 - 7", "40 + 1")
 
 
-def _components(tmp_path, sketch_by_draft, drafts=None, mode=PromptMode.FULL, script=None):
-    """Record-mode components around a canned transport."""
+def _components(
+    tmp_path, sketch_by_draft, drafts=None, mode=PromptMode.FULL, script=None, sketch_calls=None,
+    **client_options,
+):
+    """Record-mode components around a canned transport; `sketch_by_draft`
+    gives a draft's sketch completion, or an (HTTP status, body) pair to
+    answer with instead. Sketch prompts are appended to `sketch_calls`."""
     pool = load_pool(FIXTURES / "pool" / "examples.json")
     drafts = drafts or [f"draft variant {i}" for i in range(8)]
 
@@ -128,14 +140,17 @@ def _components(tmp_path, sketch_by_draft, drafts=None, mode=PromptMode.FULL, sc
         prompt = payload["prompt"]
         if prompt.rstrip().endswith("Proof:"):
             return 200, {"choices": [{"text": t} for t in drafts[: payload["n"]]]}
+        if sketch_calls is not None:
+            sketch_calls.append(prompt)
         for i, text in enumerate(drafts):
             if text in prompt:
-                return 200, {"choices": [{"text": sketch_by_draft(i)}]}
+                sketch = sketch_by_draft(i)
+                return sketch if isinstance(sketch, tuple) else (200, {"choices": [{"text": sketch}]})
         raise AssertionError("prompt does not contain any canned draft")
 
     client = CompletionClient(
         endpoint_url="canned://x", mode=CacheMode.RECORD,
-        cache=CompletionCache(tmp_path / "cache.jsonl"), transport=transport,
+        cache=CompletionCache(tmp_path / "cache.jsonl"), transport=transport, **client_options,
     )
     script = script or minimal_script(
         rules=[
@@ -347,6 +362,39 @@ def test_session_reopen_budget_exhausted(tmp_path, monkeypatch):
     assert result.infra_error is not None and "session lost" in result.infra_error
 
 
+# -- sketch completions fetched ahead -------------------------------------------------
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 3])
+def test_early_stop_bounds_the_sketches_fetched_ahead(tmp_path, max_in_flight):
+    calls = []
+    components = _components(
+        tmp_path, lambda i: GOOD_SKETCH, sketch_calls=calls, max_in_flight=max_in_flight
+    )
+    policy = BudgetPolicy(drafts_per_problem=5, sketches_per_draft=2, stop_on_first_success=True)
+    with contextlib.closing(components.client):
+        result = run_problem(_problem(), policy, components)
+    assert result.first_success_index == 0
+    assert [a.failure_stage for a in result.attempts[1:]] == [FailureStage.NOT_RUN] * 9
+    assert 1 <= len(calls) <= 1 + max_in_flight
+    # five draft samples and the one sketch a record used
+    assert len(CompletionCache(tmp_path / "cache.jsonl")) == 5 + 1
+
+
+def test_endpoint_error_on_a_sketch_fetched_ahead_fails_that_attempt_only(tmp_path):
+    components = _components(
+        tmp_path, lambda i: (403, {"error": "refused"}) if i == 2 else BAD_SKETCH
+    )
+    policy = BudgetPolicy(drafts_per_problem=4, sketches_per_draft=1, stop_on_first_success=False)
+    assert components.client.fetch_ahead >= 2  # attempt 2 is requested while attempt 0 is proved
+    with contextlib.closing(components.client):
+        result = run_problem(_problem(), policy, components)
+    assert result.infra_error is None
+    assert [a.failure_stage for a in result.attempts] == [
+        FailureStage.PROVE, FailureStage.PROVE, FailureStage.INFRA, FailureStage.PROVE,
+    ]
+
+
 # -- experiment loop -----------------------------------------------------------------
 
 
@@ -540,6 +588,130 @@ def test_crash_mid_problem_reopens_and_records_as_uninterrupted(problems, golden
     replacing = memo_state_ids(opened[1])
     assert replacing and not any(state_id.startswith("dead-") for state_id in replacing)
     components.sessions.close()
+
+
+def _fixture_endpoint(calls):
+    """A transport that answers as the endpoint that recorded the fixture
+    cache did; appends each prompt it is sent to `calls`."""
+    fixture = CompletionCache(FIXTURES / "cache" / "completions.jsonl")
+
+    def transport(url, headers, payload, timeout_s):
+        calls.append(payload["prompt"])
+        config = SamplingConfig(
+            temperature=payload["temperature"], top_p=payload["top_p"],
+            max_tokens=payload["max_tokens"], n=payload["n"], stop_sequences=tuple(payload["stop"]),
+        )
+        request = CompletionRequest(payload["prompt"], config)
+        texts = [fixture.get(cache_key(request, i)) for i in range(config.n)]
+        if None in texts:
+            return 404, {"error": "not in the fixture cache"}
+        return 200, {"choices": [{"text": text} for text in texts]}
+
+    return transport
+
+
+def _recording_golden_components(cache_path, calls):
+    components = _golden_components()
+    components.client = CompletionClient(
+        endpoint_url="fixture://", mode=CacheMode.RECORD, cache=CompletionCache(cache_path),
+        transport=_fixture_endpoint(calls),
+    )
+    return components
+
+
+def _sans_wall_ms(results):
+    # a record-mode wall_ms includes the endpoint latency measured on the clock
+    return [
+        dataclasses.replace(r, attempts=tuple(dataclasses.replace(a, wall_ms=0) for a in r.attempts))
+        for r in results
+    ]
+
+
+def _cache_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("jobs", [1, 8])
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_fetching_ahead_records_what_a_sequential_run_records(
+    tmp_path, monkeypatch, problems, golden_config, early_stop, jobs
+):
+    # eight workers (more than the cores) share one client's pool and cache,
+    # with frequent thread switches to expose a lost update
+    policy = dataclasses.replace(_golden_policy(golden_config), stop_on_first_success=early_stop)
+    seed = golden_config["seed"]
+    runs = {}
+
+    def record(name):
+        calls = []
+        components = _recording_golden_components(tmp_path / f"{name}.jsonl", calls)
+        with contextlib.closing(components.client):
+            results = run_experiment(problems, policy, components, jobs, seed)
+        runs[name] = (_sans_wall_ms(results), calls, _cache_lines(tmp_path / f"{name}.jsonl"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for name in ("ahead", "sequential"):
+            if name == "sequential":
+                monkeypatch.setattr(CompletionClient, "fetch_ahead", property(lambda client: 0))
+            worker = threading.Thread(target=record, args=(name,), daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive() and name in runs
+    finally:
+        sys.setswitchinterval(interval)
+    (ahead, ahead_calls, ahead_cache), (sequential, sequential_calls, sequential_cache) = runs.values()
+    assert ahead == sequential
+    # the cache holds exactly the completions the records used, in plan order
+    # when one worker runs the plan
+    by_key = lambda lines: sorted(lines, key=lambda line: line["key"])  # noqa: E731
+    assert (ahead_cache if jobs == 1 else by_key(ahead_cache)) == (
+        sequential_cache if jobs == 1 else by_key(sequential_cache)
+    )
+    assert len(sequential_calls) == len(sequential_cache) - len(problems) * (golden_config["drafts"] - 1)
+    if early_stop:
+        assert set(ahead_calls) >= set(sequential_calls)
+    else:
+        assert sorted(ahead_calls) == sorted(sequential_calls)
+
+
+def test_lost_session_reproves_without_requesting_the_sketch_again(tmp_path, problems, golden_config):
+    policy = _golden_policy(golden_config)
+    seed = golden_config["seed"]
+    problem = next(p for p in problems if p.id == "algebra_g01")
+    clean_calls = []
+    components = _recording_golden_components(tmp_path / "clean.jsonl", clean_calls)
+    session = recording(_open_golden_session())
+    components.sessions = SessionProvider(lambda: session)
+    with contextlib.closing(components.client):
+        clean = run_problem(problem, policy, components, seed)
+    session.close()
+    # the crash comes halfway through the problem's backend calls, mid-proof
+    k = len(session.backend.calls) // 2
+    assert session.backend.calls[k - 1][0] in ("resume", "step", "hammer")
+
+    opened = []
+
+    def open_dying_first():
+        session = _open_golden_session()
+        if not opened:
+            session.backend = DyingBackend(session.backend, k)
+        opened.append(session)
+        return session
+
+    calls = []
+    components = _recording_golden_components(tmp_path / "crashed.jsonl", calls)
+    components.sessions = SessionProvider(open_dying_first)
+    with contextlib.closing(components.client):
+        crashed = run_problem(problem, policy, components, seed)
+    components.sessions.close()
+    assert len(opened) == 2 and crashed.infra_error is None
+    assert _sans_wall_ms([crashed]) == _sans_wall_ms([clean])
+    # one endpoint call for the drafts and one per sketch request, as in the clean run
+    requested = sum(a.failure_stage is not FailureStage.DRAFT for a in clean.attempts)
+    assert len(calls) == 1 + requested and sorted(calls) == sorted(clean_calls)
+    assert (tmp_path / "crashed.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
 
 
 def test_direct_baseline_single_attempt(problems):

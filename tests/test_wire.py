@@ -145,12 +145,14 @@ def test_wire_prove_sketch_end_to_end(server):
 def test_wire_close_gap(server):
     session = open_session(ExternalSpec(server.address), FAST)
     result = close_gap(session, FIRST_CONTEXT)
+    session.close()
     assert isinstance(result, Closed) and result.tactic_index == 0
 
 
 def test_wire_direct_prove(server):
     session = open_session(ExternalSpec(server.address), FAST)
     outcome = prove_sketch(session, baseline_sketch('theorem t:\n  shows "x + 0 = x"'))
+    session.close()
     assert isinstance(outcome, FullProofResult)
     assert "by blast" in outcome.proof_text
 
@@ -161,6 +163,7 @@ def test_wire_whole_proof_check(server):
     assert isinstance(verify_full(session, good), Valid)
     poisoned = 'theorem t: shows "G"\nproof -\n  (* poison *)\n  show ?thesis by auto\nqed\n'
     verdict = verify_full(session, poisoned)
+    session.close()
     assert isinstance(verdict, Invalid) and "poison" in verdict.reason
 
 
@@ -175,11 +178,10 @@ def test_wire_connection_loss_marks_session_dead():
 
     def one_shot_then_hang_up():
         conn, _ = listener.accept()
-        reader = conn.makefile("r")
-        reader.readline()  # the open_session handshake
-        conn.sendall(b'{"id": 1, "status": "ok", "state_id": "s0", "elapsed_ms": 0}\n')
-        reader.readline()  # next command: drop the connection instead of answering
-        conn.close()
+        with conn, conn.makefile("r") as reader:
+            reader.readline()  # the open_session handshake
+            conn.sendall(b'{"id": 1, "status": "ok", "state_id": "s0", "elapsed_ms": 0}\n')
+            reader.readline()  # next command: drop the connection instead of answering
         listener.close()
 
     threading.Thread(target=one_shot_then_hang_up, daemon=True).start()
@@ -189,6 +191,7 @@ def test_wire_connection_loss_marks_session_dead():
     assert session.state is SessionState.DEAD
     with pytest.raises(SessionDead):
         close_gap(session, FIRST_CONTEXT)  # stays dead until reopened
+    session.close()
 
 
 def test_wire_sessions_isolated(server):
@@ -243,6 +246,7 @@ def test_wire_unresponsive_backend_does_not_hang():
     with pytest.raises(SessionDead, match="did not answer"):
         backend._roundtrip("init", reply_timeout_s=0.3, theory="Main", statement="")
     assert time.monotonic() - started < 5
+    backend.quit()
     holder.get("conn") and holder["conn"].close()
     listener.close()
 
