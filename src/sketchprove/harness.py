@@ -10,6 +10,7 @@ sidecar manifest so replayed runs produce byte-identical records.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -197,10 +198,17 @@ def load_dataset(path: str | Path) -> list[Problem]:
     )
     logger.info("loaded %d problems (valid=%d, test=%d)", len(problems), *counts)
     if counts != REFERENCE_SPLIT_SIZES:
-        logger.warning(
-            "split sizes %s differ from the %s reference benchmark", counts, REFERENCE_SPLIT_SIZES
-        )
+        _warn_split_sizes(counts)
     return problems
+
+
+@functools.cache
+def _warn_split_sizes(counts: tuple[int, int]) -> None:
+    """Warns once per process for each pair of split sizes: a desk corpus
+    is loaded by every run and replay, and one warning says it all."""
+    logger.warning(
+        "split sizes %s differ from the %s reference benchmark", counts, REFERENCE_SPLIT_SIZES
+    )
 
 
 def save_dataset(problems: Iterable[Problem], path: str | Path) -> None:

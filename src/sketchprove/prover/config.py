@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Union
+from typing import Protocol, Sequence, Union
+
+from ..sketch import InvalidSite, closing_step_text
 
 # Quick closing tactics tried in order before falling back to the hammer.
 DEFAULT_TACTICS = (
@@ -130,9 +132,15 @@ class BackendReply:
 class Backend(Protocol):
     """One prover conversation. All methods may raise SessionDead.
 
-    A backend may also offer `cascade(base, context, config) -> GapResult`,
-    which answers what `run_cascade(backend, base, context, config)` would
-    in one call; `close_gap` uses it when it is there."""
+    A backend may also offer `cascade(base, contexts, config) ->
+    list[GapResult]`, which answers what `run_cascades(backend, base,
+    contexts, config)` would in one call; `close_gap` uses it when it is
+    there. Its answer is one result per gap attempted, in order, and at
+    least one: it may stop short of where `run_cascades` stops (the caller
+    sends the rest again) but never goes on past a gap that did not close.
+    One that goes on past a closed gap whose closing step
+    `closing_step_text` rejects only wastes prover work, since the caller
+    fails the sketch at that gap and discards the rest."""
 
     def init(self, base: str | ProverState, statement: str) -> BackendReply:
         """Start a fresh context, discarding the previous goal: replay
@@ -187,3 +195,30 @@ def run_cascade(
         return Closed(reply.reconstruction, None, elapsed, _closing_state(reply))
     attempts.append((HAMMER_NAME, reply.status))
     return Failed(tuple(attempts), elapsed)
+
+
+def _fits_the_proof(closing_step: str) -> bool:
+    try:
+        closing_step_text(closing_step)
+    except InvalidSite:
+        return False
+    return True
+
+
+def run_cascades(
+    backend: Backend, base: str | ProverState, contexts: Sequence[str], config: ProverConfig
+) -> list[GapResult]:
+    """Run the cascade (`run_cascade`) on a run of consecutive gaps: the
+    first of `contexts` replayed on top of `base`, each later one resumed
+    from the state in which the previous gap closed. Returns one result per
+    gap attempted. Stops after the first gap that does not close, and after
+    a gap whose closing step the proof text cannot hold (`closing_step_text`
+    rejects it), since the sketch fails at either."""
+    results: list[GapResult] = []
+    for context in contexts:
+        result = run_cascade(backend, base, context, config)
+        results.append(result)
+        if not isinstance(result, Closed) or not _fits_the_proof(result.closing_step):
+            break
+        base = ProverState(result.state_id)
+    return results

@@ -8,13 +8,22 @@ gap by gap in document order: each gap resumes from the prover state in
 which the previous gap closed, and a fully closed sketch gets one final
 end-to-end verification.
 
-The cascade is `run_cascade`, one implementation for every backend. The
-wire client sends each gap as one `cascade` frame (its base, context,
-tactic list, timeouts and per-gap budget), and the bridge runs the cascade
-next to the prover and answers with the gap's result: closed (closing
-step, tactic index, elapsed time, `state_id`), failed (the attempts and
-their outcomes) or timed out. In-process backends, and any backend that
-only speaks `init`/`step`/`hammer`, are driven one command at a time.
+The cascade is `run_cascade`, one implementation for every backend, and
+`run_cascades` runs it over a run of consecutive gaps: each gap resumes
+where the previous one closed, and the run stops after the first gap that
+does not close, or whose closing step the proof text cannot hold. The wire
+client sends a whole run as one `cascade` frame (its base, the gap
+contexts as `texts`, the tactic list, timeouts and per-gap budget), whose
+reply deadline is the per-gap budget times the number of contexts plus a
+grace. The bridge runs `run_cascades` next to the prover and answers with
+`results`, one per gap attempted: closed (closing step, tactic index,
+elapsed time, `state_id`), failed (the attempts and their outcomes) or
+timed out. A bridge may answer fewer results than the run would give; the
+client sends the rest as the next run. A bridge that does not stop at a
+closing step the proof cannot hold only wastes prover work: the client
+fails the sketch at that gap and discards the later results. In-process
+backends, and any backend that only speaks `init`/`step`/`hammer`, are
+driven one command at a time by the same `run_cascades`.
 
 Every sketch of a problem states the same theorem, and sketches of one
 draft often share their opening steps, so a session memoises its prover
@@ -31,7 +40,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from ..sketch import (
     GAP_TOKEN,
@@ -57,7 +66,7 @@ from .config import (
     SessionDead,
     TimedOut,
     Valid,
-    run_cascade,
+    run_cascades,
 )
 from .scripted import ScriptedBackend, load_script, new_session_id
 from .wire import WireBackend
@@ -152,19 +161,22 @@ def _gap_context(text_before_gap: str) -> str:
 
 
 def close_gap(
-    session: ProverSession, context: str, base: ProverState | None = None
-) -> GapResult:
-    """Run the cascade (`run_cascade`) on the open conjecture that
-    `context`, replayed on top of `base` (the configured theory when None),
-    ends in. A backend with a `cascade` command runs it next to the prover
-    in one call; any other backend is driven one command at a time."""
+    session: ProverSession, contexts: Sequence[str], base: ProverState | None = None
+) -> list[GapResult]:
+    """Run the cascade on a run of consecutive gaps (`run_cascades`): the
+    first of `contexts` replayed on top of `base` (the configured theory
+    when None), each later one resumed where the previous gap closed.
+    Returns one result per gap attempted, at least one. A backend with a
+    `cascade` command runs the whole run next to the prover in one call and
+    may answer fewer results; any other backend is driven one command at a
+    time."""
     config = session.config
     start = config.theory if base is None else base
     with session.exclusive() as backend:
         cascade = getattr(backend, "cascade", None)
         if cascade is not None:
-            return cascade(start, context, config)
-        return run_cascade(backend, start, context, config)
+            return cascade(start, contexts, config)
+        return run_cascades(backend, start, contexts, config)
 
 
 @dataclass(frozen=True)
@@ -209,7 +221,15 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     verdict. This is exact for a deterministic checker, and a memoised
     TimedOut is replayed, not retried. A sketch of another theorem drops
     the memo first, so it holds one theorem's work; a dead session drops
-    it too."""
+    it too.
+
+    At the first gap the memo does not hold, every remaining gap goes to
+    the prover in one `close_gap` call, since each later gap resumes from
+    a state the memo has not seen. Each result that comes back is memoised
+    under its own (base, context), and the walk goes on through the memo.
+    A reply that stops at a closed gap leaves the next gap a miss, so the
+    rest goes out as the next run; results after a gap whose closing step
+    the proof cannot hold are never reached."""
     segments = render_segments(ast)
     cheat = _cheat_reason(GAP_TOKEN.join(segments))
     if cheat is not None:
@@ -221,11 +241,13 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     per_gap: list[GapResult] = []
     pieces: list[str] = []
     base: ProverState | None = None
-    for site, segment in zip(extract_gaps(ast), segments):
+    for index, (site, segment) in enumerate(zip(extract_gaps(ast), segments)):
         context = _gap_context(segment)
         result = memo.gaps.get((base, context))
         if result is None:
-            result = memo.gaps[base, context] = close_gap(session, context, base)
+            run = [context, *map(_gap_context, segments[index + 1 : -1])]
+            _memoise(memo, base, run, close_gap(session, run, base))
+            result = memo.gaps[base, context]
         if not isinstance(result, Closed):
             per_gap.append(result)
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
@@ -246,6 +268,17 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     if isinstance(verdict, Invalid):
         return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}")
     return FullProofResult(proof_text, tuple(per_gap))
+
+
+def _memoise(
+    memo: ProverMemo, base: ProverState | None, contexts: Sequence[str],
+    results: Sequence[GapResult],
+) -> None:
+    """Memoise a run's results, each under the state its gap resumed from."""
+    for context, result in zip(contexts, results):
+        memo.gaps[base, context] = result
+        if isinstance(result, Closed):
+            base = ProverState(result.state_id)
 
 
 def verify_full(session: ProverSession, proof_text: str) -> Valid | Invalid:

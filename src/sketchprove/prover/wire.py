@@ -10,7 +10,7 @@ Commands:
     {"id": n, "cmd": "step", "text": s, "timeout_ms": ms}
     {"id": n, "cmd": "hammer", "timeout_ms": ms}
     {"id": n, "cmd": "check", "text": s, "timeout_ms": ms}
-    {"id": n, "cmd": "cascade", "theory": t | "state": s, "text": c,
+    {"id": n, "cmd": "cascade", "theory": t | "state": s, "texts": [c, ...],
      "tactics": [tactic, ...], "tactic_timeout_ms": ms,
      "hammer_timeout_ms": ms, "budget_ms": ms}
     {"id": n, "cmd": "quit"}
@@ -19,9 +19,9 @@ Responses:
     {"id": n, "status": "ok", "state_id": s, "reconstruction": r?, "elapsed_ms": ms}
     {"id": n, "status": "fail", "reason": r, "elapsed_ms": ms}
     {"id": n, "status": "timeout", "elapsed_ms": ms}
-    {"id": n, "status": "ok", "result": g, "elapsed_ms": ms}   (to `cascade`)
+    {"id": n, "status": "ok", "results": [g, ...], "elapsed_ms": ms}   (to `cascade`)
 
-where the gap result `g` of a cascade is one of
+where each gap result `g` of a cascade is one of
     {"kind": "closed", "closing_step": s, "tactic_index": i | null,
      "elapsed_ms": ms, "state_id": s}
     {"kind": "failed", "attempts": [[tactic or "sledgehammer", outcome], ...],
@@ -39,27 +39,40 @@ latest init or resume. `check` is a whole-proof check: the text is a
 complete theory-level proof, checked end to end and independently of the
 current goal.
 
-`cascade` closes one gap in one round trip: the bridge replays `text` on
-top of `theory` or `state` (as `init` or `resume` would), runs the tactics
-in order under `tactic_timeout_ms` each and then the hammer under
+`cascade` closes a run of consecutive gaps in one round trip. `texts` is
+a nonempty list of gap contexts. The bridge replays the first on top of
+`theory` or `state` (as `init` or `resume` would), runs the tactics in
+order under `tactic_timeout_ms` each and then the hammer under
 `hammer_timeout_ms`, never starting an attempt that could overrun
-`budget_ms`, and answers with the gap's result. A closed gap names the
-state its closing step left in `state_id`, where the next gap resumes;
-`tactic_index` is null when the hammer closed it, and then `closing_step`
-is its reconstruction. A context the prover refuses fails with the one
-attempt `["init", status]`. The reference server runs `run_cascade`, the
-client's own cascade, on its scripted backend.
+`budget_ms`; each later context resumes from the state in which the
+previous gap closed. It stops after the first gap that does not close,
+and after a gap whose closing step the proof text cannot hold (the
+sketch grammar's `closing_step_text` rejects it), and answers with
+`results`, one per gap attempted, in order. A one-gap cascade is a list
+of one. A closed gap names the state its closing step left in
+`state_id`, where the next gap resumes; `tactic_index` is null when the
+hammer closed it, and then `closing_step` is its reconstruction. A context
+the prover refuses fails with the one attempt `["init", status]`. The
+reference server runs `run_cascades`, the client's own loop, on its
+scripted backend. A bridge may answer fewer results than that, and the
+client sends the rest as its next `cascade`. A bridge that does not apply
+the closing-step rule only wastes prover work after such a gap: the client
+fails the sketch there and discards the later results. The client waits
+for the reply for the per-gap budget times the number of texts, plus a
+grace of `REPLY_GRACE_S`.
 
 A server answers any other command with status "fail" and the reason
 "unknown command ...", a `resume` or `cascade` from a state it never
 issued with the reason "unknown state ...", and a frame it cannot read (not
 UTF-8, not a JSON object with an id and a cmd, or a field of the wrong
-type) with the reason "bad frame ..."; it keeps serving after each. A client treats a
-failed `check`, `resume` or `cascade`, an ok `step` or `hammer` reply or a
-closed cascade result without a `state_id`, and a reply that is not a
-well-formed object, as a lost session, not as an invalid proof or a failed
-gap. A resumed text the prover refuses fails its gap, as a refused `init`
-does.
+type, or `texts` that is not a nonempty list of strings) with the reason
+"bad frame ..."; it keeps serving after each. A client treats a failed
+`check`, `resume` or `cascade`, an ok `step` or `hammer` reply or a closed
+cascade result without a `state_id`, `results` that is not a nonempty
+list no longer than `texts`, a result after one that is not closed, and a
+reply that is not a well-formed object, as a lost session, not as an
+invalid proof or a failed gap. A resumed text the prover refuses fails its
+gap, as a refused `init` does.
 
 Run the reference server (scripted rules behind the wire protocol) with:
     python -m sketchprove.prover --script rules.json --port 9777
@@ -79,7 +92,7 @@ import subprocess
 import sys
 import threading
 import time
-from typing import IO
+from typing import IO, Sequence
 
 from .config import (
     BackendReply,
@@ -91,7 +104,7 @@ from .config import (
     ProverState,
     SessionDead,
     TimedOut,
-    run_cascade,
+    run_cascades,
 )
 from .scripted import ScriptedBackend, load_script
 
@@ -111,7 +124,7 @@ def _ms(value: object) -> int:
 
 
 def encode_gap_result(result: GapResult) -> dict:
-    """The `result` object of a reply to `cascade`."""
+    """One gap's object in the `results` of a reply to `cascade`."""
     if isinstance(result, Closed):
         return {"kind": "closed", "closing_step": result.closing_step,
                 "tactic_index": result.tactic_index, "elapsed_ms": result.elapsed_ms,
@@ -123,7 +136,7 @@ def encode_gap_result(result: GapResult) -> dict:
 
 
 def decode_gap_result(raw: object) -> GapResult:
-    """The gap result a reply to `cascade` carries; anything else raises
+    """One gap result of a reply to `cascade`; anything else raises
     SessionDead."""
     if not isinstance(raw, dict):
         raise SessionDead(f"a cascade reply carries no result object: {raw!r:.120}")
@@ -144,6 +157,20 @@ def decode_gap_result(raw: object) -> GapResult:
     elif kind == "timed_out":
         return TimedOut(_ms(raw.get("elapsed_ms")))
     raise SessionDead(f"malformed cascade result: {json.dumps(raw)[:120]}")
+
+
+def decode_gap_results(raw: object, sent: int) -> list[GapResult]:
+    """The gap results of a reply to a `cascade` of `sent` contexts: a
+    nonempty list, no longer than the contexts sent, in which only the last
+    result may be open. Anything else raises SessionDead."""
+    if not isinstance(raw, list) or not 0 < len(raw) <= sent:
+        raise SessionDead(
+            f"a cascade of {sent} contexts needs a list of 1 to {sent} results: {json.dumps(raw)[:120]}"
+        )
+    results = [decode_gap_result(item) for item in raw]
+    if any(not isinstance(result, Closed) for result in results[:-1]):
+        raise SessionDead("a cascade reply goes on past a gap that did not close")
+    return results
 
 
 class WireBackend:
@@ -285,21 +312,24 @@ class WireBackend:
         )
         return self._supported("check", reply)
 
-    def cascade(self, base: str | ProverState, context: str, config: ProverConfig) -> GapResult:
-        """`run_cascade(self, base, context, config)` in one round trip: the
-        bridge runs the cascade next to the prover. Its reply deadline is the
-        per-gap budget plus the grace."""
+    def cascade(
+        self, base: str | ProverState, contexts: Sequence[str], config: ProverConfig
+    ) -> list[GapResult]:
+        """`run_cascades(self, base, contexts, config)` in one round trip: the
+        bridge runs the cascades next to the prover. Its reply deadline is
+        the per-gap budget for each context plus the grace."""
         where = {"state": base.state_id} if isinstance(base, ProverState) else {"theory": base}
         raw = self._roundtrip(
-            "cascade", reply_timeout_s=config.per_gap_budget_ms / 1000 + REPLY_GRACE_S,
-            **where, text=context, tactics=config.tactic_list,
+            "cascade",
+            reply_timeout_s=len(contexts) * config.per_gap_budget_ms / 1000 + REPLY_GRACE_S,
+            **where, texts=contexts, tactics=config.tactic_list,
             tactic_timeout_ms=config.tactic_timeout_ms,
             hammer_timeout_ms=config.hammer_timeout_ms, budget_ms=config.per_gap_budget_ms,
         )
         reply = self._supported("cascade", self._to_reply(raw))
         if reply.status != "ok":
             raise SessionDead(f"backend could not run the cascade: {reply.reason or reply.status}")
-        return decode_gap_result(raw.get("result"))
+        return decode_gap_results(raw.get("results"), len(contexts))
 
     def quit(self) -> None:
         """End the conversation and release the socket or child process;
@@ -358,10 +388,12 @@ def _answer(backend: ScriptedBackend, frame: dict) -> dict:
                 base: str | ProverState = ProverState(_field(frame, "state", str))
             else:
                 base = _field(frame, "theory", str, "Main")
-            config = _cascade_config(frame)
-            result = run_cascade(backend, base, _field(frame, "text", str, ""), config)
-            return {"status": "ok", "result": encode_gap_result(result),
-                    "elapsed_ms": result.elapsed_ms}
+            texts = _field(frame, "texts", list)
+            if not texts or not all(isinstance(text, str) for text in texts):
+                raise _BadFrame("'texts' must be a nonempty list of gap contexts")
+            results = run_cascades(backend, base, texts, _cascade_config(frame))
+            return {"status": "ok", "results": [encode_gap_result(r) for r in results],
+                    "elapsed_ms": sum(r.elapsed_ms for r in results)}
         if cmd == "init":
             theory = _field(frame, "theory", str, "Main")
             reply = backend.init(theory, _field(frame, "statement", str, ""))

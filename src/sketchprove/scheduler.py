@@ -13,6 +13,11 @@ seed, so while a worker proves one attempt it keeps the next
 consumes their completions in plan order (so record mode writes the cache
 in plan order), and an early stop cancels the requests not yet started.
 
+A sketch must state the problem's own theorem: one whose header differs
+from the parsed formal statement is refused before any prover work, since
+a weakened statement (say, an added false assumption) would count as a
+proof of something else.
+
 `sample_drafts` and `sketch_request` build each LLM stage's request for the
 pipeline and for the CLI's `draft` and `sketch` alike, so all of them use
 the same cache keys. The direct baseline proves the formal statement as a
@@ -69,7 +74,7 @@ from .prover import (
     SessionState,
     prove_sketch,
 )
-from .sketch import Gap, SketchAst, count_gaps, parse_sketch
+from .sketch import Gap, SketchAst, TheoremHeader, count_gaps, parse_sketch
 from .sketch.parser import ParseError
 
 logger = logging.getLogger(__name__)
@@ -335,11 +340,15 @@ def _run_attempt(
     fetched: Fetched,
     components: PipelineComponents,
     reopens: Iterator[int],
+    statement: TheoremHeader | None,
 ) -> AttemptRecord:
     """One (draft, sketch) attempt: collect its completion, parse it and
-    prove it, reopening a lost session for the proof alone. Raises
-    SessionDead once the problem's reopen budget is spent; every other
-    failure becomes a stage-tagged record."""
+    prove it, reopening a lost session for the proof alone. A sketch whose
+    theorem header is not exactly `statement`, the header of the problem's
+    formal statement (None when that does not parse), proves another
+    theorem: it fails as `verify` before any backend call, like a sketch
+    the cheat gate refuses. Raises SessionDead once the problem's reopen
+    budget is spent; every other failure becomes a stage-tagged record."""
     if isinstance(fetched, AttemptRecord):
         return fetched
     request, future = fetched
@@ -352,6 +361,11 @@ def _run_attempt(
         ast = parse_sketch(response.completions[0])
     except ParseError:
         return _attempt_record(problem_id, entry, FailureStage.PARSE, wall_ms=response.latency_ms)
+    if ast.header != statement:
+        return _attempt_record(
+            problem_id, entry, FailureStage.VERIFY, parse_ok=True, gaps_total=count_gaps(ast),
+            wall_ms=response.latency_ms,
+        )
     return _on_session(
         problem_id, components, reopens,
         lambda session: _prove_attempt(problem_id, entry, ast, session, response.latency_ms),
@@ -367,8 +381,13 @@ def run_problem(
     """Execute the attempt plan for one problem, in plan order, with later
     sketch completions fetched ahead. Early stop (when enabled) marks the
     remaining entries as NotRun; infrastructure trouble aborts the problem
-    with an error note instead of fake attempt records."""
+    with an error note instead of fake attempt records. Only a sketch of
+    the problem's own theorem header is proved."""
     plan = make_plan(policy, experiment_seed, problem.id)
+    try:
+        statement: TheoremHeader | None = parse_sketch(problem.formal_statement).header
+    except ParseError:
+        statement = None  # no sketch proves a statement that does not parse
     try:
         drafts = _obtain_drafts(problem, policy, components)
     except (CacheMiss, EndpointError, Timeout) as exc:
@@ -380,7 +399,7 @@ def run_problem(
     with contextlib.closing(_fetch_sketches(problem, drafts, plan.entries, components)) as fetches:
         for entry, fetched in zip(plan.entries, fetches):
             try:
-                record = _run_attempt(problem.id, entry, fetched, components, reopens)
+                record = _run_attempt(problem.id, entry, fetched, components, reopens, statement)
             except SessionDead as exc:
                 return _session_lost(problem.id, attempts, exc)
             attempts.append(record)

@@ -46,20 +46,28 @@ def serve_backend(backend) -> str:
 class RelayBridge:
     """Relays each connection to the server at `upstream`, one frame and
     its reply at a time. It counts the commands it relays, logs each
-    `cascade` frame's base ("theory" or "state"), and prefixes every state
-    id it hands out with `tag` (stripping it again from the states clients
-    send). With a `fault`, the `at`-th cascade frame is not relayed: the
-    bridge closes the connection, answers with a wrong id, answers with a
-    line that is not JSON, or stalls."""
+    `cascade` frame's base ("theory" or "state") and number of gap
+    contexts, and prefixes every state id it hands out with `tag`
+    (stripping it again from the states clients send). With a `fault`,
+    the `at`-th cascade frame is not relayed: the bridge closes the
+    connection, answers with a wrong id, answers with a line that is not
+    JSON, or stalls. With `one_gap`, each cascade frame is relayed with its
+    first gap context only, so its reply is short whenever the client sent
+    more, and the client sends the rest as a resumed frame."""
 
-    def __init__(self, upstream: str, fault: str | None = None, at: int = 1, tag: str = ""):
+    def __init__(
+        self, upstream: str, fault: str | None = None, at: int = 1, tag: str = "",
+        one_gap: bool = False,
+    ):
         assert fault is None or fault in FAULTS
         self.upstream = upstream
         self.fault = fault
         self.at = at
         self.tag = tag
+        self.one_gap = one_gap
         self.commands: Counter = Counter()
         self.cascade_bases: list[str] = []
+        self.cascade_texts: list[int] = []
         self._listener, self.address = _listener()
         self._conns: list[socket.socket] = []
         threading.Thread(target=self._accept, daemon=True).start()
@@ -74,9 +82,9 @@ class RelayBridge:
             threading.Thread(target=self._relay, args=(conn,), daemon=True).start()
 
     def _retag(self, reply: dict) -> None:
-        result = reply.get("result")
-        for holder in (reply, result if isinstance(result, dict) else {}):
-            if isinstance(holder.get("state_id"), str):
+        results = reply.get("results")
+        for holder in [reply, *(results if isinstance(results, list) else [])]:
+            if isinstance(holder, dict) and isinstance(holder.get("state_id"), str):
                 holder["state_id"] = self.tag + holder["state_id"]
 
     def _relay(self, conn: socket.socket) -> None:
@@ -92,6 +100,7 @@ class RelayBridge:
                 self.commands[cmd] += 1
                 if cmd == "cascade":
                     self.cascade_bases.append("state" if "state" in frame else "theory")
+                    self.cascade_texts.append(len(frame["texts"]))
                     if self.fault is not None and len(self.cascade_bases) == self.at:
                         if self.fault == "close":
                             break
@@ -104,6 +113,8 @@ class RelayBridge:
                         continue  # a stalled bridge answers nothing
                 if "state" in frame:
                     frame["state"] = frame["state"].removeprefix(self.tag)
+                if cmd == "cascade" and self.one_gap:
+                    frame["texts"] = frame["texts"][:1]
                 up_writer.write(json.dumps(frame).encode() + b"\n")
                 up_writer.flush()
                 reply = json.loads(up_reader.readline())

@@ -210,7 +210,7 @@ def test_cascade_contract(tmp_path):
             path.write_text(json.dumps(_latency_script(outcome)))
             session = recording(open_session(ScriptedSpec(str(path)), config))
             started = time.monotonic()
-            result = close_gap(session, context)
+            [result] = close_gap(session, [context])
             wall_ms = (time.monotonic() - started) * 1000
             assert isinstance(result, expected_type)
             sent = [t for cmd, t in session.backend.calls if cmd == "step"]
@@ -226,7 +226,7 @@ def test_cascade_contract(tmp_path):
         path.write_text(json.dumps(_latency_script({"kind": "timeout"})))
         session = open_session(ScriptedSpec(str(path)), tight)
         started = time.monotonic()
-        result = close_gap(session, context)
+        [result] = close_gap(session, [context])
         wall_ms = (time.monotonic() - started) * 1000
         assert isinstance(result, TimedOut)
         assert result.elapsed_ms <= tight.per_gap_budget_ms

@@ -1,5 +1,6 @@
-"""The `cascade` wire command: one frame per gap, the same results as the
-cascade driven one command at a time, and a lost session on every fault."""
+"""The `cascade` wire command: one frame per run of gaps, the same results
+and state ids as `run_cascades` in process, and a lost session on every
+fault."""
 
 import json
 import zlib
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ast_gen import AstGen
 from bridges import FAULTS, RelayBridge, serve_backend
 from conftest import FIXTURES, memo_state_ids, minimal_script
+from sketchprove import scheduler
 from sketchprove.llm import CacheMode, CompletionCache, CompletionClient
 from sketchprove.prompting import PromptConfig, load_pool
 from sketchprove.prover import (
@@ -30,7 +32,7 @@ from sketchprove.prover import (
     load_script,
     open_session,
     prove_sketch,
-    run_cascade,
+    run_cascades,
 )
 from sketchprove.prover import wire
 from sketchprove.prover.scripted import Outcome, ProverScript, Rule
@@ -40,12 +42,14 @@ from sketchprove.sketch import parse_sketch, render_segments
 GOLDEN_SCRIPT = FIXTURES / "prover" / "script.json"
 
 # mixed outcomes for generated contexts: closes at several tactics and by the
-# hammer, fails, and steps that time out after a while or at their timeout
+# hammer, a hammer step the proof text cannot hold, fails, and steps that
+# time out after a while or at their timeout
 GENERATED_SCRIPT = ProverScript(
     rules=(
         Rule("substring", "mod", Outcome("fail")),
         Rule("substring", "gcd", Outcome("timeout", ms=20)),
         Rule("substring", "even", Outcome("timeout")),
+        Rule("substring", "abs", Outcome("hammer", step="by (metis")),
         Rule("exact", "?thesis", Outcome("hammer", step="by (metis assms)")),
         Rule("substring", "x", Outcome("tactic", index=3)),
         Rule("substring", "y", Outcome("tactic", index=9)),
@@ -71,37 +75,42 @@ def _contexts(ast):
 
 
 def _outcome(call):
-    """What a cascade gives: the result with its state id, or the
+    """What a run of cascades gives: each result with its state id, or the
     SessionDead it raises."""
     try:
-        result = call()
+        results = call()
     except SessionDead as exc:
         return exc
-    return result, getattr(result, "state_id", None)
+    return [(result, getattr(result, "state_id", None)) for result in results]
 
 
 def _same_cascades(script, cases):
-    """Runs each (base, context, config) case with `WireBackend.cascade`
-    against the reference server's frame loop and with `run_cascade` on an
+    """Runs each (base, contexts, config) case with `WireBackend.cascade`
+    against the reference server's frame loop and with `run_cascades` on an
     in-process twin of its backend, and checks that they agree, state ids
-    included. A base of "closed" resumes from the last closed gap."""
+    included. A base of "closed" resumes from the last closed gap. Returns
+    the in-process outcomes."""
     local = RefusingBackend(script)
     remote = WireBackend(serve_backend(RefusingBackend(script)))
     last_closed = {}
+    outcomes = []
     try:
-        for base, context, config in cases:
+        for base, contexts, config in cases:
             if base == "closed":
                 base = last_closed.get("state", "Main")
-            got = _outcome(lambda: remote.cascade(base, context, config))
-            want = _outcome(lambda: run_cascade(local, base, context, config))
+            got = _outcome(lambda: remote.cascade(base, contexts, config))
+            want = _outcome(lambda: run_cascades(local, base, contexts, config))
+            outcomes.append(want)
             if isinstance(want, SessionDead):
                 assert isinstance(got, SessionDead) and want.detail in got.detail
                 continue
             assert got == want
-            if isinstance(want[0], Closed):
-                last_closed["state"] = ProverState(want[1])
+            closed = [state for result, state in want if isinstance(result, Closed)]
+            if closed:
+                last_closed["state"] = ProverState(closed[-1])
     finally:
         remote.quit()
+    return outcomes
 
 
 configs = st.builds(
@@ -119,12 +128,12 @@ configs = st.builds(
     st.integers(0, 2**32),
     st.lists(
         st.tuples(
-            st.integers(0, 10**6),
+            st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
             st.sampled_from(["Main", "closed", "closed", ProverState("s999999")]),
             configs,
         ),
         min_size=1,
-        max_size=8,
+        max_size=6,
     ),
 )
 def test_wire_cascade_matches_run_cascade_in_process(sketch_files, script, seed, draws):
@@ -132,7 +141,9 @@ def test_wire_cascade_matches_run_cascade_in_process(sketch_files, script, seed,
     pool = _contexts(gen.sketch()) + _contexts(gen.sketch())
     pool += _contexts(parse_sketch(sketch_files[seed % len(sketch_files)].read_text()))
     pool.append("  show ?thesis\n")  # no sketch drawn may have a gap
-    cases = [(base, pool[pick % len(pool)], config) for pick, base, config in draws]
+    cases = [
+        (base, [pool[pick % len(pool)] for pick in picks], config) for picks, base, config in draws
+    ]
     _same_cascades(SCRIPTS[script], cases)
 
 
@@ -146,21 +157,28 @@ def test_wire_cascade_matches_run_cascade_on_each_ending():
         return next(text for text in (line + " " * i + "\n" for i in range(100))
                     if (zlib.crc32(text.encode()) % 4 == 0) == refused)
 
+    c1, c2, c3 = (
+        context(f'have c{i}: "{prop}"') for i, prop in enumerate(["1 = 0", "x = 2", "n mod 2 = 0"], 1)
+    )
+    thesis, refused = context("show ?thesis"), context('have c0: "x = 1"', refused=True)
+    unfit = context('have c4: "abs x + 1 > 0"')
     cases = [
-        ("Main", context('have c0: "x = 1"', refused=True), fast),  # one attempt, no step
-        ("Main", context('have c1: "1 = 0"'), fast),  # closed at the first tactic
-        ("closed", context('have c2: "x = 2"'), fast),  # closed at the fourth tactic, resumed
-        ("closed", context("show ?thesis"), fast),  # closed by the hammer
-        ("closed", context('have c3: "n mod 2 = 0"'), fast),  # every attempt fails
-        ("Main", context('have c4: "gcd a b = 1"'), fast),  # steps and the hammer time out
-        ("Main", context('have c5: "even n"'), tight),  # the budget ends the tactics early
-        ("Main", context('have c6: "n mod 3 = 0"'), tight),  # it ends them before the hammer
-        (ProverState("s999999"), context('have c1: "1 = 0"'), fast),  # a state never issued
+        # closed at the first tactic, at the fourth (resumed), then refused
+        # without a step: the run stops there
+        ("Main", [c1, c2, refused, c1], fast),
+        ("closed", [thesis, c3, c1], fast),  # closed by the hammer, then every attempt fails
+        ("closed", [c1, unfit, c2], fast),  # a hammer step the proof cannot hold stops the run
+        ("Main", [context('have c5: "gcd a b = 1"'), c1], fast),  # steps and the hammer time out
+        ("Main", [c1, context('have c6: "even n"')], tight),  # the budget ends the tactics early
+        ("Main", [context('have c7: "n mod 3 = 0"')], tight),  # it ends them before the hammer
+        ("closed", [c1] * 5, fast),  # a whole run closes
+        (ProverState("s999999"), [c1, c2], fast),  # a state never issued
     ]
-    _same_cascades(GENERATED_SCRIPT, cases)
+    outcomes = _same_cascades(GENERATED_SCRIPT, cases)
+    assert [len(o) if isinstance(o, list) else None for o in outcomes] == [3, 2, 2, 1, 2, 1, 5, None]
 
 
-# -- one frame per gap -------------------------------------------------------------
+# -- one frame per run of gaps ---------------------------------------------------------
 
 
 def _large_sketch(gaps):
@@ -171,7 +189,7 @@ def _large_sketch(gaps):
     return parse_sketch("".join(lines))
 
 
-def test_one_cascade_frame_per_gap_on_a_large_sketch(tmp_path):
+def test_one_cascade_frame_per_sketch_on_a_large_sketch(tmp_path):
     script = minimal_script(
         rules=[
             {"match": {"kind": "substring", "pattern": "= 3 + z"}, "outcome": {"kind": "tactic", "index": 4}},
@@ -194,8 +212,8 @@ def test_one_cascade_frame_per_gap_on_a_large_sketch(tmp_path):
         relay.close()
         server.stop()
     assert isinstance(outcome, FullProofResult) and len(outcome.per_gap) == 300
-    assert dict(relay.commands) == {"init": 1, "cascade": 300, "check": 1, "quit": 1}
-    assert relay.cascade_bases == ["theory"] + ["state"] * 299
+    assert dict(relay.commands) == {"init": 1, "cascade": 1, "check": 1, "quit": 1}
+    assert relay.cascade_bases == ["theory"] and relay.cascade_texts == [300]
     # the one-frame path gives what the in-process step-by-step path gives
     in_process = prove_sketch(open_session(ScriptedSpec(str(path)), config), ast)
     assert in_process == outcome
@@ -236,11 +254,13 @@ def _golden_run(problem, golden_config, open_one):
 
 @pytest.fixture(scope="module")
 def clean_run(golden_server, problems, golden_config):
-    """The problem with the most resumed cascades, run over a clean relay:
-    (the problem, its result, the cascade frames' bases)."""
+    """The problem with the most resumed cascades, run over a clean relay
+    that answers each frame for its first gap only, so that each sketch's
+    later gaps go out as resumed frames: (the problem, its result, the
+    cascade frames' bases)."""
     runs = []
     for problem in problems:
-        relay = RelayBridge(golden_server.address)
+        relay = RelayBridge(golden_server.address, one_gap=True)
         result, sessions = _golden_run(
             problem, golden_config, lambda: open_session(ExternalSpec(relay.address), SMALL)
         )
@@ -258,7 +278,7 @@ def test_cascade_fault_reopens_the_session_and_records_match_a_clean_run(
     # the fault hits the last resumed cascade, once the memo holds earlier work
     at = max(i for i, base in enumerate(bases, 1) if base == "state")
     monkeypatch.setattr(wire, "REPLY_GRACE_S", 0.5)  # the stall's deadline: 1.5 s
-    relay = RelayBridge(golden_server.address, fault=fault, at=at, tag="dead-")
+    relay = RelayBridge(golden_server.address, fault=fault, at=at, tag="dead-", one_gap=True)
     opened = []
 
     def open_faulty_first():
@@ -277,3 +297,47 @@ def test_cascade_fault_reopens_the_session_and_records_match_a_clean_run(
     finally:
         sessions.close()
         relay.close()
+
+
+# -- the frame count of a golden run -------------------------------------------------
+
+
+def _golden_frames(server, problems, golden_config, one_gap):
+    """The golden run over a relay to `server`: (its results, the relay, the
+    number of `prove_sketch` calls that missed the session memo)."""
+    relay = RelayBridge(server.address, one_gap=one_gap)
+    missed = []
+
+    def counting(session, ast):
+        before = session.memo.gaps
+        size = len(before)
+        outcome = prove_sketch(session, ast)
+        after = session.memo.gaps
+        missed.append(len(after) > (size if after is before else 0))
+        return outcome
+
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "prove_sketch", counting)
+        for problem in problems:
+            result, sessions = _golden_run(
+                problem, golden_config, lambda: open_session(ExternalSpec(relay.address), SMALL)
+            )
+            sessions.close()
+            results.append(result)
+    relay.close()
+    return results, relay, sum(missed)
+
+
+def test_golden_run_sends_one_cascade_frame_per_sketch_that_misses_the_memo(
+    golden_server, problems, golden_config
+):
+    results, relay, missed = _golden_frames(golden_server, problems, golden_config, one_gap=False)
+    assert missed and relay.commands["cascade"] <= missed
+    assert set(relay.cascade_bases) == {"theory"}
+    # a bridge that answers one gap per frame gets the rest as resumed
+    # frames, and the records do not change
+    short, one_gap_relay, _ = _golden_frames(golden_server, problems, golden_config, one_gap=True)
+    assert short == results
+    assert one_gap_relay.commands["cascade"] > missed and "state" in one_gap_relay.cascade_bases
+    assert set(one_gap_relay.cascade_texts) != {1}

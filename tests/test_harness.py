@@ -1,9 +1,11 @@
 import json
+import logging
 from fractions import Fraction
 
 import pytest
 
 from conftest import FIXTURES
+from sketchprove import harness
 from sketchprove.harness import (
     AttemptRecord,
     CoverageError,
@@ -322,3 +324,12 @@ def test_manifest_excludes_timestamps_from_config_hash(tmp_path):
     m2 = json.loads((tmp_path / "m2.json").read_text())
     assert m1["config_hash"] == m2["config_hash"] == config_hash(config)
     assert m1["created_at"] != m2["created_at"]
+
+
+def test_split_size_warning_is_logged_once_per_process(caplog):
+    harness._warn_split_sizes.cache_clear()  # an earlier test may have loaded the corpus
+    with caplog.at_level(logging.WARNING, logger="sketchprove.harness"):
+        for _ in range(2):
+            assert len(load_dataset(FIXTURES / "datasets" / "mini.jsonl")) == 20
+    warned = [r for r in caplog.records if "split sizes" in r.getMessage()]
+    assert len(warned) == 1 and "(10, 10)" in warned[0].getMessage()

@@ -151,7 +151,7 @@ def test_close_at_first_tactic(tmp_path):
                 "outcome": {"kind": "tactic", "index": 0}}]
     )
     session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
-    result = close_gap(session, _context())
+    [result] = close_gap(session, [_context()])
     assert result == Closed("by auto", 0, result.elapsed_ms)
     assert session.state is SessionState.IDLE
 
@@ -162,7 +162,7 @@ def test_hammer_fallback_returns_reconstruction(tmp_path):
                 "outcome": {"kind": "hammer", "step": "by (smt (z3) assms mult.commute)"}}]
     )
     session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
-    result = close_gap(session, _context())
+    [result] = close_gap(session, [_context()])
     assert isinstance(result, Closed)
     assert result.tactic_index is None
     assert result.closing_step == "by (smt (z3) assms mult.commute)"
@@ -172,7 +172,7 @@ def test_hammer_fallback_returns_reconstruction(tmp_path):
 
 def test_everything_fails_records_twelve_attempts(tmp_path):
     session = open_session(ScriptedSpec(write_script(tmp_path, minimal_script())), FAST)
-    result = close_gap(session, _context())
+    [result] = close_gap(session, [_context()])
     assert isinstance(result, Failed)
     assert len(result.attempts) == 12
     assert [name for name, _ in result.attempts[:-1]] == list(DEFAULT_TACTICS)
@@ -185,7 +185,7 @@ def test_short_circuit_skips_later_tactics(tmp_path):
                 "outcome": {"kind": "tactic", "index": 1}}]
     )
     session = recording(open_session(ScriptedSpec(write_script(tmp_path, script)), FAST))
-    result = close_gap(session, _context())
+    [result] = close_gap(session, [_context()])
     assert result.closing_step == "by simp" and result.tactic_index == 1
     sent = [text for cmd, text in session.backend.calls if cmd == "step"]
     assert sent == ["by auto", "by simp"]
@@ -200,7 +200,7 @@ def test_attempt_log_is_cascade_prefix(tmp_path):
         )
         path = write_script(tmp_path, script, f"s{index}.json")
         session = recording(open_session(ScriptedSpec(path), FAST))
-        result = close_gap(session, _context())
+        [result] = close_gap(session, [_context()])
         sent = [text for cmd, text in session.backend.calls if cmd == "step"]
         expected = ["by auto", "by simp", "by blast", "by fastforce", "by force", "by eval",
                     "by presburger", "by sos", "by arith", "by linarith",
@@ -218,7 +218,7 @@ def test_budget_enforced_with_real_latencies(tmp_path):
     config = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=260)
     session = open_session(ScriptedSpec(write_script(tmp_path, script)), config)
     started = time.monotonic()
-    result = close_gap(session, _context())
+    [result] = close_gap(session, [_context()])
     wall_ms = (time.monotonic() - started) * 1000
     assert isinstance(result, TimedOut)
     assert result.elapsed_ms <= 260
@@ -231,7 +231,7 @@ def test_timeout_outcomes_recorded_but_cascade_continues(tmp_path):
                 "outcome": {"kind": "timeout", "ms": 1}}],
     )
     session = open_session(ScriptedSpec(write_script(tmp_path, script)), FAST)
-    result = close_gap(session, _context())
+    [result] = close_gap(session, [_context()])
     assert isinstance(result, Failed)
     assert all(outcome == "timeout" for _, outcome in result.attempts)
 
@@ -512,7 +512,7 @@ def _refusing_session(tmp_path):
 def test_failed_init_fails_the_gap_before_any_step(tmp_path):
     session = _refusing_session(tmp_path)
     for _ in range(2):  # the session stays usable for the next context
-        result = close_gap(session, _context())
+        [result] = close_gap(session, [_context()])
         assert result == Failed((("init", "fail"),), 0)
         assert session.state is SessionState.IDLE
     assert [cmd for cmd, _ in session.backend.calls] == ["init", "init"]
@@ -634,7 +634,7 @@ def oracle_prove(session, ast):
         site = gaps[0]
         text = serialize(fill(current, site, SENTINEL))
         context = text[: text.find(SENTINEL)].rstrip() + "\n"
-        result = close_gap(session, context)
+        [result] = close_gap(session, [context])
         per_gap.append(result)
         if not isinstance(result, Closed):
             return site, per_gap, None

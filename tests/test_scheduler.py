@@ -3,10 +3,15 @@ import dataclasses
 import json
 import shlex
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ast_gen import AstGen
 from conftest import FIXTURES, RecordingBackend, memo_state_ids, minimal_script, recording
 from sketchprove.harness import FailureStage, Problem, Split, export_records
 from sketchprove.llm import (
@@ -22,6 +27,7 @@ from sketchprove.prover import (
     DEFAULT_TACTICS,
     BackendReply,
     ExternalSpec,
+    FullProofResult,
     ProverConfig,
     ProverSession,
     ProverState,
@@ -30,6 +36,7 @@ from sketchprove.prover import (
     SessionState,
     WireBackend,
     open_session,
+    prove_sketch,
 )
 from sketchprove.scheduler import (
     BudgetExceeded,
@@ -44,6 +51,7 @@ from sketchprove.scheduler import (
     run_problem,
     run_problem_direct,
 )
+from sketchprove.sketch import SketchAst, count_gaps, parse_sketch, serialize
 
 
 # -- plans ---------------------------------------------------------------------
@@ -241,6 +249,95 @@ def test_cheating_sketch_never_reaches_the_prover(tmp_path):
     result = run_problem(_problem(), policy, components)
     assert result.attempts[0].failure_stage is FailureStage.VERIFY
     assert result.attempts[0].parse_ok
+
+
+def _logging_sessions(components):
+    """Gives `components` a session provider that logs each session it
+    opens; returns that log."""
+    opened = []
+    factory = components.sessions._factory
+
+    def open_one():
+        opened.append(recording(factory()))
+        return opened[-1]
+
+    components.sessions = SessionProvider(open_one)
+    return opened
+
+
+def test_sketch_that_changes_the_theorem_never_reaches_the_prover(tmp_path):
+    # with an assumption of False a real prover proves anything; this script
+    # closes both gaps of the weakened sketch, so only the header check keeps
+    # it from counting as a proof of the problem
+    weakened = GOOD_SKETCH.replace('"x + 7 = 40"\n', '"x + 7 = 40" and h1: "False"\n')
+    assert weakened != GOOD_SKETCH
+    script = minimal_script(
+        rules=[
+            {"match": {"kind": "exact", "pattern": "x = 40 - 7"}, "outcome": {"kind": "tactic", "index": 0}},
+            {"match": {"kind": "exact", "pattern": "?thesis"}, "outcome": {"kind": "hammer", "step": "by (metis c0)"}},
+        ],
+        latency={"step_ms": 5000, "hammer_ms": 5000},
+    )
+    components = _components(tmp_path, lambda i: weakened, script=script)
+    proved = prove_sketch(components.sessions.get(), parse_sketch(weakened))
+    components.sessions.close()
+    assert isinstance(proved, FullProofResult)
+    opened = _logging_sessions(components)
+    policy = BudgetPolicy(drafts_per_problem=2, sketches_per_draft=1, stop_on_first_success=False)
+    result = run_problem(_problem(), policy, components)
+    assert [a.failure_stage for a in result.attempts] == [FailureStage.VERIFY] * 2
+    assert all(a.parse_ok and a.gaps_total == 2 and a.gaps_closed == 0 for a in result.attempts)
+    assert all(a.wall_ms < 5000 for a in result.attempts)  # no prover time
+    assert not opened
+
+
+def _mutated_header(header, mutation):
+    """`header` with one change that makes it state another theorem."""
+    assumes = header.assumes
+    if mutation == "drop_assumption" and assumes:
+        return dataclasses.replace(header, assumes=assumes[:-1])
+    if mutation == "edit_assumption" and assumes:
+        label, prop = assumes[-1]
+        return dataclasses.replace(header, assumes=assumes[:-1] + ((label, prop + " + 1"),))
+    if mutation == "edit_shows":
+        return dataclasses.replace(header, shows=header.shows + " + 1")
+    if mutation == "rename":
+        return dataclasses.replace(header, name=(header.name or "thm") + "_renamed")
+    return dataclasses.replace(header, assumes=assumes + (("h_extra", "False"),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["drop_assumption", "add_assumption", "edit_assumption", "edit_shows", "rename"]),
+)
+def test_a_sketch_with_a_mutated_header_is_refused_without_a_backend_call(seed, mutation):
+    ast = AstGen(seed).sketch()
+    statement = serialize(SketchAst(ast.header, (), None))
+    assert parse_sketch(statement).header == ast.header
+    mutated = dataclasses.replace(ast, header=_mutated_header(ast.header, mutation))
+    sketch = serialize(mutated)
+    assert parse_sketch(sketch).header == mutated.header != ast.header
+    with tempfile.TemporaryDirectory() as work:
+        components = _components(Path(work), lambda i: sketch)
+        opened = _logging_sessions(components)
+        policy = BudgetPolicy(drafts_per_problem=1, sketches_per_draft=1)
+        problem = dataclasses.replace(_problem(), formal_statement=statement)
+        [record] = run_problem(problem, policy, components).attempts
+    assert record.failure_stage is FailureStage.VERIFY and record.parse_ok
+    assert record.gaps_total == count_gaps(mutated) and record.gaps_closed == 0
+    assert not opened
+
+
+def test_a_statement_that_does_not_parse_refuses_every_sketch(tmp_path):
+    components = _components(tmp_path, lambda i: GOOD_SKETCH)
+    opened = _logging_sessions(components)
+    policy = BudgetPolicy(drafts_per_problem=2, sketches_per_draft=1, stop_on_first_success=False)
+    problem = dataclasses.replace(_problem(), formal_statement="theorem algebra_sched((( nope")
+    result = run_problem(problem, policy, components)
+    assert [a.failure_stage for a in result.attempts] == [FailureStage.VERIFY] * 2
+    assert all(a.parse_ok and a.gaps_total == 2 for a in result.attempts)
+    assert not opened
 
 
 def test_draft_shortfall_recorded(tmp_path):

@@ -32,6 +32,7 @@ from sketchprove.prover import (
     run_cascade,
     verify_full,
 )
+from sketchprove.prover import wire
 from sketchprove.prover.wire import _serve_connection, encode_gap_result
 from sketchprove.scheduler import baseline_sketch
 from sketchprove.sketch import parse_sketch, render_segments
@@ -118,8 +119,10 @@ SKETCH = (
     "  show ?thesis using c1 sledgehammer\n"
     "qed\n"
 )
-# the context prove_sketch sends for SKETCH's first gap
-FIRST_CONTEXT = render_segments(parse_sketch(SKETCH))[0].rstrip() + "\n"
+# the contexts prove_sketch sends for SKETCH's two gaps
+FIRST_CONTEXT, SECOND_CONTEXT = (
+    segment.rstrip() + "\n" for segment in render_segments(parse_sketch(SKETCH))[:-1]
+)
 
 
 def test_wire_round_trip_frames(server):
@@ -144,7 +147,7 @@ def test_wire_prove_sketch_end_to_end(server):
 
 def test_wire_close_gap(server):
     session = open_session(ExternalSpec(server.address), FAST)
-    result = close_gap(session, FIRST_CONTEXT)
+    [result] = close_gap(session, [FIRST_CONTEXT])
     session.close()
     assert isinstance(result, Closed) and result.tactic_index == 0
 
@@ -187,10 +190,10 @@ def test_wire_connection_loss_marks_session_dead():
     threading.Thread(target=one_shot_then_hang_up, daemon=True).start()
     session = open_session(ExternalSpec(f"127.0.0.1:{port}"), FAST)
     with pytest.raises(SessionDead):
-        close_gap(session, FIRST_CONTEXT)
+        close_gap(session, [FIRST_CONTEXT])
     assert session.state is SessionState.DEAD
     with pytest.raises(SessionDead):
-        close_gap(session, FIRST_CONTEXT)  # stays dead until reopened
+        close_gap(session, [FIRST_CONTEXT])  # stays dead until reopened
     session.close()
 
 
@@ -394,8 +397,9 @@ def test_wire_resume_unknown_to_the_bridge_is_a_lost_session():
         bases.append(frame.get("state", frame.get("theory")))
         if "state" in frame:
             return {"status": "fail", "reason": f"unknown state {frame['state']!r}"}
-        return {"status": "ok", "result": {"kind": "closed", "closing_step": "by auto",
-                                           "tactic_index": 0, "elapsed_ms": 0, "state_id": "s2"}}
+        # one result for the two contexts sent: the client sends the second again
+        return {"status": "ok", "results": [{"kind": "closed", "closing_step": "by auto",
+                                             "tactic_index": 0, "elapsed_ms": 0, "state_id": "s2"}]}
 
     session = ProverSession(WireBackend(fake_bridge(answer)), FAST)
     with pytest.raises(SessionDead, match="does not support 'cascade': unknown state 's2'"):
@@ -412,7 +416,7 @@ def test_wire_cascade_unknown_to_the_bridge_is_a_lost_session():
     sent = counting_commands(backend)
     session = ProverSession(backend, FAST)
     with pytest.raises(SessionDead, match="does not support 'cascade'"):
-        close_gap(session, FIRST_CONTEXT)
+        close_gap(session, [FIRST_CONTEXT])
     assert [cmd for cmd, _ in sent] == ["cascade"]
     assert session.state is SessionState.DEAD
     session.close()
@@ -441,12 +445,12 @@ def test_wire_closing_reply_without_state_id_is_a_lost_session(closer):
 
     def answer(frame):
         if frame["cmd"] == "cascade":
-            return {"status": "ok", "result": closed}  # no state_id
+            return {"status": "ok", "results": [closed]}  # no state_id
         return {"status": "ok", "state_id": "s1"}
 
     session = ProverSession(WireBackend(fake_bridge(answer)), FAST)
     with pytest.raises(SessionDead, match="no state_id"):
-        close_gap(session, FIRST_CONTEXT)
+        close_gap(session, [FIRST_CONTEXT])
     assert session.state is SessionState.DEAD
     session.close()
 
@@ -500,8 +504,8 @@ def test_wire_context_bytes_follow_the_segment_not_the_prefix(tmp_path):
     def size(text):
         return len(text.encode("utf-8"))
 
-    assert [cmd for cmd, _ in sent] == ["cascade"] * 200 + ["check", "quit"]
-    context_bytes = sum(size(fields["text"]) for cmd, fields in sent if cmd == "cascade")
+    assert [cmd for cmd, _ in sent] == ["cascade", "check", "quit"]
+    context_bytes = sum(size(text) for cmd, fields in sent if cmd == "cascade" for text in fields["texts"])
     segments = render_segments(ast)[:-1]
     contexts = [segment.rstrip() + "\n" for segment in segments]
     prefixes = ["".join(segments[: k + 1]).rstrip() + "\n" for k in range(len(segments))]
@@ -517,7 +521,7 @@ def test_serve_connection_keeps_no_call_log(tmp_path):
         {"cmd": "resume", "state": "s2", "text": "\n  show ?thesis using c1\n"},
         {"cmd": "hammer", "timeout_ms": 600},
         {"cmd": "check", "text": "theorem t: shows \"G\" by auto", "timeout_ms": 600},
-        {"cmd": "cascade", "state": "s2", "text": "\n  show ?thesis using c1\n",
+        {"cmd": "cascade", "state": "s2", "texts": ["\n  show ?thesis using c1\n"],
          "tactics": list(FAST.tactic_list), "tactic_timeout_ms": 50, "hammer_timeout_ms": 600,
          "budget_ms": 2000},
     ]
@@ -576,29 +580,28 @@ CLOSED = {"kind": "closed", "closing_step": "by auto", "tactic_index": 0, "elaps
     {**CLOSED, "tactic_index": None, "closing_step": "by (metis assms)"},
 ])
 def test_wire_cascade_reply_decodes_each_result_kind(result):
-    backend = WireBackend(fake_bridge(lambda frame: {"status": "ok", "result": result}))
-    got = backend.cascade("Main", FIRST_CONTEXT, FAST)
+    backend = WireBackend(fake_bridge(lambda frame: {"status": "ok", "results": [result]}))
+    [got] = backend.cascade("Main", [FIRST_CONTEXT], FAST)
     assert encode_gap_result(got) == result
     backend.quit()
 
 
 @pytest.mark.parametrize("reply", [
-    {"status": "ok"},
-    {"status": "ok", "result": None},
-    {"status": "ok", "result": []},
-    {"status": "ok", "result": "closed"},
-    {"status": "ok", "result": {}},
-    {"status": "ok", "result": {"kind": "proved", "elapsed_ms": 0}},
-    {"status": "ok", "result": {**CLOSED, "closing_step": None}},
-    {"status": "ok", "result": {**CLOSED, "tactic_index": "0"}},
-    {"status": "ok", "result": {**CLOSED, "tactic_index": False}},
-    {"status": "ok", "result": {**CLOSED, "state_id": 2}},
-    {"status": "ok", "result": {**CLOSED, "elapsed_ms": "3"}},
-    {"status": "ok", "result": {"kind": "failed", "attempts": "auto", "elapsed_ms": 0}},
-    {"status": "ok", "result": {"kind": "failed", "attempts": [["auto"]], "elapsed_ms": 0}},
-    {"status": "ok", "result": {"kind": "failed", "attempts": [["auto", 1]], "elapsed_ms": 0}},
-    {"status": "ok", "result": {"kind": "failed", "attempts": []}},
-    {"status": "ok", "result": {"kind": "timed_out", "elapsed_ms": float("nan")}},
+    {"status": "ok", "results": [None]},
+    {"status": "ok", "results": [[]]},
+    {"status": "ok", "results": ["closed"]},
+    {"status": "ok", "results": [{}]},
+    {"status": "ok", "results": [{"kind": "proved", "elapsed_ms": 0}]},
+    {"status": "ok", "results": [{**CLOSED, "closing_step": None}]},
+    {"status": "ok", "results": [{**CLOSED, "tactic_index": "0"}]},
+    {"status": "ok", "results": [{**CLOSED, "tactic_index": False}]},
+    {"status": "ok", "results": [{**CLOSED, "state_id": 2}]},
+    {"status": "ok", "results": [{**CLOSED, "elapsed_ms": "3"}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": "auto", "elapsed_ms": 0}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": [["auto"]], "elapsed_ms": 0}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": [["auto", 1]], "elapsed_ms": 0}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": []}]},
+    {"status": "ok", "results": [{"kind": "timed_out", "elapsed_ms": float("nan")}]},
     {"status": "fail", "reason": "bad frame: 'tactics' must be a list"},
     {"status": "timeout"},
 ])
@@ -606,14 +609,58 @@ def test_wire_cascade_reply_without_a_well_formed_result_is_a_lost_session(reply
     # never a KeyError or TypeError, and never a verdict on the gap
     session = ProverSession(WireBackend(fake_bridge(lambda frame: reply)), FAST)
     with pytest.raises(SessionDead):
-        close_gap(session, FIRST_CONTEXT)
+        close_gap(session, [FIRST_CONTEXT])
     assert session.state is SessionState.DEAD
     session.close()
 
 
+FAILED_RESULT = {"kind": "failed", "attempts": [["auto", "fail"]], "elapsed_ms": 1}
+
+
+@pytest.mark.parametrize("reply", [
+    pytest.param({"status": "ok"}, id="missing"),
+    pytest.param({"status": "ok", "results": None}, id="null"),
+    pytest.param({"status": "ok", "results": CLOSED}, id="not-a-list"),
+    pytest.param({"status": "ok", "results": "closed"}, id="a-string"),
+    pytest.param({"status": "ok", "results": []}, id="empty"),
+    pytest.param({"status": "ok", "results": [CLOSED, CLOSED, CLOSED]}, id="longer-than-texts"),
+    pytest.param({"status": "ok", "results": [FAILED_RESULT, CLOSED]}, id="after-an-open-result"),
+    pytest.param({"status": "ok", "results": [{"kind": "timed_out", "elapsed_ms": 4}, CLOSED]},
+                 id="after-a-timed-out-result"),
+])
+def test_wire_cascade_reply_with_a_malformed_results_list_is_a_lost_session(reply):
+    # two contexts sent: a reply must carry one or two results, and none
+    # after a gap that did not close
+    backend = WireBackend(fake_bridge(lambda frame: reply))
+    session = ProverSession(backend, FAST)
+    with pytest.raises(SessionDead):
+        close_gap(session, [FIRST_CONTEXT, SECOND_CONTEXT])
+    assert session.state is SessionState.DEAD
+    session.close()
+
+
+@pytest.mark.parametrize("results", [[CLOSED], [CLOSED, CLOSED], [FAILED_RESULT], [CLOSED, FAILED_RESULT]])
+def test_wire_cascade_reply_of_one_result_per_gap_attempted_is_accepted(results):
+    backend = WireBackend(fake_bridge(lambda frame: {"status": "ok", "results": results}))
+    got = backend.cascade("Main", [FIRST_CONTEXT, SECOND_CONTEXT], FAST)
+    assert [encode_gap_result(result) for result in got] == results
+    backend.quit()
+
+
+def test_wire_cascade_reply_deadline_is_the_budget_of_every_gap_sent(server):
+    backend = WireBackend(server.address)
+    sent = counting_commands(backend)
+    assert len(backend.cascade("Main", [FIRST_CONTEXT, SECOND_CONTEXT], FAST)) == 2
+    assert len(backend.cascade("Main", [FIRST_CONTEXT], FAST)) == 1
+    budget_s = FAST.per_gap_budget_ms / 1000
+    assert [fields["reply_timeout_s"] for _, fields in sent] == [
+        2 * budget_s + wire.REPLY_GRACE_S, budget_s + wire.REPLY_GRACE_S]
+    backend.quit()
+
+
 def cascade_frame(req_id, drop=(), **fields):
     """A `cascade` frame with `fields` changed and the fields in `drop` left out."""
-    frame = {"id": req_id, "cmd": "cascade", "theory": "Main", "text": "", "tactics": ["auto"],
+    frame = {"id": req_id, "cmd": "cascade", "theory": "Main", "texts": [""], "tactics": ["auto"],
              "tactic_timeout_ms": 50, "hammer_timeout_ms": 600, "budget_ms": 2000, **fields}
     return json.dumps({key: value for key, value in frame.items() if key not in drop}).encode()
 
@@ -637,14 +684,20 @@ BAD_FRAMES = [
     (cascade_frame(9, tactics=["auto", 3]), 9),
     (cascade_frame(10, drop=("theory",), state=5), 10),
     (cascade_frame(11, budget_ms="2000"), 11),
-    (cascade_frame(12, text=4), 12),
+    (cascade_frame(12, texts=4), 12),
     (cascade_frame(13, drop=("tactic_timeout_ms",)), 13),
+    (cascade_frame(14, drop=("texts",)), 14),
+    (cascade_frame(15, drop=("texts",), text='shows "x + 0 = x"'), 15),
+    (cascade_frame(16, texts=[]), 16),
+    (cascade_frame(17, texts=['shows "x + 0 = x"', 3]), 17),
+    (cascade_frame(18, texts='shows "x + 0 = x"'), 18),
 ]
 
 
 @pytest.mark.parametrize("transport", ["tcp", "stdio"])
 def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport):
-    good = cascade_frame(20, text='shows "x + 0 = x"', tactics=["auto", "simp", "blast"])
+    good = cascade_frame(20, texts=['have c1: "first goal"\n', '  have c2: "x + 0 = x"\n'],
+                         tactics=["auto", "simp", "blast"])
     lines = [line for line, _ in BAD_FRAMES] + [good, b'{"id": 21, "cmd": "quit"}']
     data = b"".join(line + b"\n" for line in lines)
     if transport == "tcp":
@@ -665,6 +718,7 @@ def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport
     *bad, answered, quit_reply = replies
     assert [reply["id"] for reply in bad] == [req_id for _, req_id in BAD_FRAMES]
     assert all(reply["status"] == "fail" and reply["reason"].startswith("bad frame") for reply in bad)
-    assert answered["id"] == 20 and answered["result"]["kind"] == "closed"
-    assert answered["result"]["closing_step"] == "by blast"
+    assert answered["id"] == 20
+    assert [(r["kind"], r["closing_step"]) for r in answered["results"]] == [
+        ("closed", "by auto"), ("closed", "by blast")]
     assert quit_reply == {"id": 21, "status": "ok", "elapsed_ms": 0}
