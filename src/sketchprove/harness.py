@@ -138,11 +138,6 @@ class ProblemResult:
     def first_success_index(self) -> int | None:
         return next((i for i, a in enumerate(self.attempts) if a.success), None)
 
-    @property
-    def draft_shortfall(self) -> int:
-        """Plan entries left without a draft after deduplication."""
-        return sum(1 for a in self.attempts if a.failure_stage is FailureStage.DRAFT)
-
 
 # -- dataset ----------------------------------------------------------------
 

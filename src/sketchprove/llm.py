@@ -245,16 +245,22 @@ class CompletionClient:
     def fetch_ahead(self) -> int:
         """How many requests a caller should keep submitted ahead of the one
         it is consuming: `max_in_flight` when they go to the endpoint, none
-        in replay, which answers inline."""
+        in replay, which answers inline. The pipeline also starts its draft
+        requests ahead only when this is not 0."""
         return 0 if self.mode is CacheMode.REPLAY else self.max_in_flight
 
-    def submit(self, request: CompletionRequest) -> Future[CompletionResponse] | None:
+    def submit(
+        self, request: CompletionRequest, then: Callable[[CompletionResponse], None] | None = None
+    ) -> Future[CompletionResponse] | None:
         """Start a request on the pool and return its future, for `collect`.
         Replay has nothing to start: it returns None, and `collect` looks
-        the answer up, so a replayed request costs no future."""
+        the answer up, so a replayed request costs no future. `then`, if
+        given, is called with the response on the pool thread before the
+        future completes; it must not wait on another pool task, and is
+        not called in replay."""
         if self.mode is CacheMode.REPLAY:
             return None
-        return self._pool.submit(self._call_endpoint, request)
+        return self._pool.submit(self._call_endpoint, request, then)
 
     def collect(
         self, request: CompletionRequest, future: Future[CompletionResponse] | None
@@ -289,7 +295,9 @@ class CompletionClient:
             completions.append(text)
         return CompletionResponse(completions=tuple(completions), latency_ms=0)
 
-    def _call_endpoint(self, request: CompletionRequest) -> CompletionResponse:
+    def _call_endpoint(
+        self, request: CompletionRequest, then: Callable[[CompletionResponse], None] | None
+    ) -> CompletionResponse:
         payload = {
             "prompt": request.prompt,
             "max_tokens": request.config.max_tokens,
@@ -325,9 +333,12 @@ class CompletionClient:
                 raise EndpointError(status, json.dumps(body))
             choices = body.get("choices", [])
             completions = tuple(c.get("text", "") for c in choices)[: request.config.n]
-            return CompletionResponse(
+            response = CompletionResponse(
                 completions=completions, latency_ms=int((time.monotonic() - started) * 1000)
             )
+            if then is not None:
+                then(response)
+            return response
         assert last_error is not None
         raise last_error
 

@@ -12,25 +12,34 @@ seed, so while a worker proves one attempt it keeps the next
 `max_in_flight` sketch requests in flight at the endpoint. It still
 consumes their completions in plan order (so record mode writes the cache
 in plan order), and an early stop cancels the requests not yet started.
+The endpoint work of a problem also starts one problem ahead: when a
+worker takes a problem, the draft requests of the next `parallelism`
+problems start too, and each draft's completion starts that problem's
+first window of sketch requests on the endpoint pool. The worker that
+reaches the problem collects both, in plan order, and starts no window of
+its own, so a problem still costs at most `1 + max_in_flight` sketch
+requests under early stop. Replay, a human draft source and the ablation
+without drafts start no problem ahead.
 
 A sketch must state the problem's own theorem: one whose header differs
 from the parsed formal statement is refused before any prover work, since
 a weakened statement (say, an added false assumption) would count as a
 proof of something else.
 
-`sample_drafts` and `sketch_request` build each LLM stage's request for the
-pipeline and for the CLI's `draft` and `sketch` alike, so all of them use
-the same cache keys. The direct baseline proves the formal statement as a
-sketch whose whole proof is one gap, so both arms prove and record through
-`_prove_attempt`, and both run their prover work through one reopen loop: a
-lost session is replaced and the proof run again (never the completion
-request), until the problem's reopen budget is spent and the problem aborts
-as an infrastructure error.
+`draft_request` and `sketch_request` build each LLM stage's request for
+the pipeline and for the CLI's `draft` and `sketch` alike, so all of them
+use the same cache keys. The direct baseline proves the formal statement
+as a sketch whose whole proof is one gap, so both arms prove and record
+through `_prove_attempt`, and both run their prover work through one
+reopen loop: a lost session is replaced and the proof run again (never the
+completion request), until the problem's reopen budget is spent and the
+problem aborts as an infrastructure error.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import logging
@@ -40,7 +49,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .harness import AttemptRecord, FailureStage, Problem, ProblemResult
 from .llm import (
@@ -229,15 +238,17 @@ def _session_lost(
     return ProblemResult(problem_id, tuple(attempts), infra_error=f"prover session lost: {exc}")
 
 
+def draft_request(problem: Problem, n: int, endpoint_id: str) -> CompletionRequest:
+    """The request for `n` informal drafts of a problem."""
+    return CompletionRequest(
+        prompt=build_draft_prompt(problem), config=draft_preset(n=n), endpoint_id=endpoint_id
+    )
+
+
 def sample_drafts(client: CompletionClient, problem: Problem, n: int) -> tuple[list[str], int]:
     """Sample `n` informal drafts for a problem. Returns the distinct drafts
     in sampling order and the number of completions the endpoint gave."""
-    request = CompletionRequest(
-        prompt=build_draft_prompt(problem),
-        config=draft_preset(n=n),
-        endpoint_id=client.endpoint_id,
-    )
-    completions = client.complete(request).completions
+    completions = client.complete(draft_request(problem, n, client.endpoint_id)).completions
     return dedup(completions), len(completions)
 
 
@@ -256,15 +267,28 @@ def sketch_request(
     return CompletionRequest(prompt=prompt, config=sketch_preset(), endpoint_id=endpoint_id)
 
 
+def _samples_drafts(policy: BudgetPolicy, components: PipelineComponents) -> bool:
+    """Whether a problem's drafts come from the endpoint: not from a human
+    source, and not in the ablation that never shows a draft."""
+    return (
+        policy.draft_source is DraftSource.MODEL
+        and components.prompt_config.mode is not PromptMode.NO_INFORMAL_PROOF
+    )
+
+
 def _obtain_drafts(
-    problem: Problem, policy: BudgetPolicy, components: PipelineComponents
+    problem: Problem, policy: BudgetPolicy, components: PipelineComponents,
+    ahead: _StartedDraft | None,
 ) -> list[str]:
+    """The problem's drafts; `ahead` is its draft request when
+    `run_experiment` started that already."""
+    if ahead is not None:
+        return dedup(components.client.collect(ahead.request, ahead.future).completions)
     if policy.draft_source is DraftSource.HUMAN:
         if not problem.informal_proof:
             raise ValueError(f"problem {problem.id!r}: human draft source needs an informal proof")
         return [problem.informal_proof]
-    if components.prompt_config.mode is PromptMode.NO_INFORMAL_PROOF:
-        # this ablation never shows the draft, so don't sample any
+    if not _samples_drafts(policy, components):
         return [""]
     return sample_drafts(components.client, problem, policy.drafts_per_problem)[0]
 
@@ -297,41 +321,126 @@ def _prove_attempt(
 Fetched = AttemptRecord | tuple[CompletionRequest, Future[CompletionResponse] | None]
 
 
-def _fetch_sketches(
+def _start_sketch(
+    problem: Problem, drafts: Sequence[str], entry: tuple[int, int, int],
+    components: PipelineComponents,
+) -> Fetched:
+    """A plan entry's `Fetched`: a record when the entry has no such draft
+    or no prompt."""
+    if entry[0] >= len(drafts):
+        return _attempt_record(problem.id, entry, FailureStage.DRAFT)
+    try:
+        request = sketch_request(
+            components.pool, problem, drafts[entry[0]], components.prompt_config, entry[2],
+            components.client.endpoint_id,
+        )
+    except (PoolTooSmall, MissingFullProof) as exc:
+        logger.warning("problem %s: prompt build failed: %s", problem.id, exc)
+        return _attempt_record(problem.id, entry, FailureStage.PROMPT_BUILD)
+    return request, components.client.submit(request)
+
+
+def _start_window(
     problem: Problem, drafts: Sequence[str], entries: Sequence[tuple[int, int, int]],
     components: PipelineComponents,
+) -> list[Fetched]:
+    """The first sketch window: the first entry and the client's
+    `fetch_ahead` after it, started."""
+    window = entries[: components.client.fetch_ahead + 1]
+    return [_start_sketch(problem, drafts, entry, components) for entry in window]
+
+
+def _cancel(fetches: Iterable[Fetched]) -> None:
+    for fetched in fetches:
+        if isinstance(fetched, tuple) and fetched[1] is not None:
+            fetched[1].cancel()
+
+
+def _fetch_sketches(
+    problem: Problem, drafts: Sequence[str], entries: Sequence[tuple[int, int, int]],
+    components: PipelineComponents, window: Sequence[Fetched],
 ) -> Iterator[Fetched]:
-    """Each plan entry's `Fetched`, in plan order: a record when the entry
-    has no such draft or no prompt. Keeps the client's `fetch_ahead` later
-    entries started, so their completions arrive while this one is proved;
-    closing the generator cancels the requests not yet started."""
-    client = components.client
-
-    def start(entry: tuple[int, int, int]) -> Fetched:
-        if entry[0] >= len(drafts):
-            return _attempt_record(problem.id, entry, FailureStage.DRAFT)
-        try:
-            request = sketch_request(
-                components.pool, problem, drafts[entry[0]], components.prompt_config, entry[2],
-                client.endpoint_id,
-            )
-        except (PoolTooSmall, MissingFullProof) as exc:
-            logger.warning("problem %s: prompt build failed: %s", problem.id, exc)
-            return _attempt_record(problem.id, entry, FailureStage.PROMPT_BUILD)
-        return request, client.submit(request)
-
-    upcoming = map(start, entries)
-    started = deque(itertools.islice(upcoming, client.fetch_ahead))
+    """Each plan entry's `Fetched`, in plan order, beginning with the
+    started `window`. Keeps the client's `fetch_ahead` later entries
+    started, so their completions arrive while this one is proved; closing
+    the generator cancels the requests not yet started."""
+    started = deque(window)
+    later = entries[len(window):]
+    upcoming = (_start_sketch(problem, drafts, entry, components) for entry in later)
     try:
-        for fetched in upcoming:
-            started.append(fetched)
-            yield started.popleft()
         while started:
             yield started.popleft()
+            started.extend(itertools.islice(upcoming, 1))
     finally:
-        for fetched in started:
-            if isinstance(fetched, tuple) and fetched[1] is not None:
-                fetched[1].cancel()
+        _cancel(started)
+
+
+@dataclass
+class _StartedDraft:
+    """A problem's draft request as `run_experiment` started it ahead of
+    the problem's worker, and the first sketch window that its completion
+    started on the pool thread (None until then)."""
+
+    request: CompletionRequest
+    future: Future[CompletionResponse] | None = None
+    window: list[Fetched] | None = None
+
+
+class _DraftsAhead:
+    """Starts problems' draft requests before a worker reaches them. When a
+    worker takes a problem, the drafts of the next `depth` problems are
+    started too, and each draft's completion starts that problem's first
+    sketch window on the pool thread, so neither waits for its worker.
+    The worker still collects both, in plan order. `close` cancels what no
+    worker took; no window starts after it."""
+
+    def __init__(
+        self, problems: Sequence[Problem], policy: BudgetPolicy, components: PipelineComponents,
+        experiment_seed: int, depth: int,
+    ):
+        self._problems = problems
+        self._policy = policy
+        self._components = components
+        self._seed = experiment_seed
+        self._depth = depth
+        self._lock = threading.Lock()  # guards every field below
+        self._started: dict[int, _StartedDraft] = {}  # started, not taken yet
+        self._next = 0  # every problem before it is started
+        self._closed = False
+
+    def take(self, index: int) -> _StartedDraft:
+        """Problem `index`'s started draft request. Starts it, and those of
+        the next `depth` problems, if they are not started yet."""
+        with self._lock:
+            end = min(index + self._depth + 1, len(self._problems))
+            for later in range(self._next, end):
+                self._started[later] = self._start(self._problems[later])
+            self._next = max(self._next, end)
+            return self._started.pop(index)
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            left, self._started = list(self._started.values()), {}
+        for ahead in left:
+            if ahead.future is not None:
+                ahead.future.cancel()
+            _cancel(ahead.window or ())
+
+    def _start(self, problem: Problem) -> _StartedDraft:
+        client = self._components.client
+        request = draft_request(problem, self._policy.drafts_per_problem, client.endpoint_id)
+        ahead = _StartedDraft(request)
+
+        def start_window(response: CompletionResponse) -> None:
+            drafts = dedup(response.completions)
+            entries = make_plan(self._policy, self._seed, problem.id).entries
+            with self._lock:
+                if not self._closed:
+                    ahead.window = _start_window(problem, drafts, entries, self._components)
+
+        ahead.future = client.submit(request, start_window)
+        return ahead
 
 
 def _run_attempt(
@@ -372,31 +481,48 @@ def _run_attempt(
     )
 
 
+@functools.cache
+def _statement_header(formal_statement: str) -> TheoremHeader | None:
+    """The theorem header of a formal statement, or None when it does not
+    parse; each statement is parsed once per process."""
+    try:
+        return parse_sketch(formal_statement).header
+    except ParseError:
+        return None
+
+
 def run_problem(
     problem: Problem,
     policy: BudgetPolicy,
     components: PipelineComponents,
     experiment_seed: int = 0,
+    take_ahead: Callable[[], _StartedDraft] | None = None,
 ) -> ProblemResult:
     """Execute the attempt plan for one problem, in plan order, with later
-    sketch completions fetched ahead. Early stop (when enabled) marks the
-    remaining entries as NotRun; infrastructure trouble aborts the problem
-    with an error note instead of fake attempt records. Only a sketch of
-    the problem's own theorem header is proved."""
+    sketch completions fetched ahead. `take_ahead` gives the problem's
+    draft request and first sketch window when `run_experiment` starts
+    them ahead; it is called once the plan is within budget. Early stop
+    (when enabled) marks the remaining entries as NotRun; infrastructure
+    trouble aborts the problem with an error note instead of fake attempt
+    records. Only a sketch of the problem's own theorem header is proved;
+    no sketch proves a statement that does not parse."""
     plan = make_plan(policy, experiment_seed, problem.id)
+    statement = _statement_header(problem.formal_statement)
+    ahead = None if take_ahead is None else take_ahead()
     try:
-        statement: TheoremHeader | None = parse_sketch(problem.formal_statement).header
-    except ParseError:
-        statement = None  # no sketch proves a statement that does not parse
-    try:
-        drafts = _obtain_drafts(problem, policy, components)
+        drafts = _obtain_drafts(problem, policy, components, ahead)
     except (CacheMiss, EndpointError, Timeout) as exc:
         logger.error("problem %s: drafting failed: %s", problem.id, exc)
         return ProblemResult(problem.id, (), infra_error=f"draft stage: {exc}")
+    if ahead is None:
+        window = _start_window(problem, drafts, plan.entries, components)
+    else:
+        window = ahead.window  # set before the draft's future completed
 
     attempts: list[AttemptRecord] = []
     reopens = itertools.count(1)
-    with contextlib.closing(_fetch_sketches(problem, drafts, plan.entries, components)) as fetches:
+    fetches = _fetch_sketches(problem, drafts, plan.entries, components, window)
+    with contextlib.closing(fetches):
         for entry, fetched in zip(plan.entries, fetches):
             try:
                 record = _run_attempt(problem.id, entry, fetched, components, reopens, statement)
@@ -416,7 +542,10 @@ def baseline_sketch(formal_statement: str) -> SketchAst:
     """The direct baseline's sketch: the statement's theorem with its whole
     proof left as one gap. Raises ParseError when the statement does not
     parse."""
-    return SketchAst(parse_sketch(formal_statement).header, root_justification=Gap())
+    header = _statement_header(formal_statement)
+    if header is None:
+        parse_sketch(formal_statement)  # raises its ParseError
+    return SketchAst(header, root_justification=Gap())
 
 
 def run_problem_direct(problem: Problem, components: PipelineComponents) -> ProblemResult:
@@ -449,22 +578,32 @@ def run_experiment(
 ) -> list[ProblemResult]:
     """Run the pipeline (or, with policy=None, the direct baseline) over a
     problem list with a bounded worker pool. Results come back in input
-    order and do not depend on the worker count. Every prover session the
-    run opened is closed when it returns or raises."""
+    order and do not depend on the worker count. A problem's endpoint
+    work starts when a worker takes the problem `parallelism` places
+    before it (see the module docstring). Every prover session the run
+    opened is closed, and every request started ahead that no worker
+    took is cancelled, when it returns or raises."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
+    drafts_ahead = None
+    if policy is not None and _samples_drafts(policy, components) and components.client.fetch_ahead:
+        drafts_ahead = _DraftsAhead(problems, policy, components, experiment_seed, parallelism)
 
-    def run_one(problem: Problem) -> ProblemResult:
+    def run_one(index: int) -> ProblemResult:
+        problem = problems[index]
         if policy is None:
             return run_problem_direct(problem, components)
-        return run_problem(problem, policy, components, experiment_seed)
+        take_ahead = None if drafts_ahead is None else functools.partial(drafts_ahead.take, index)
+        return run_problem(problem, policy, components, experiment_seed, take_ahead)
 
     try:
         if parallelism == 1 or len(problems) <= 1:
-            return [run_one(p) for p in problems]
+            return [run_one(i) for i in range(len(problems))]
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(run_one, problems))
+            return list(pool.map(run_one, range(len(problems))))
     finally:
+        if drafts_ahead is not None:
+            drafts_ahead.close()
         components.sessions.close()
 
 

@@ -263,8 +263,8 @@ def test_attempt_record_invariants():
 
 
 def test_problem_result_invariants():
-    # solved, first_success_index and draft_shortfall derive from the attempts,
-    # so a result cannot disagree with its own records
+    # solved and first_success_index derive from the attempts, so a result
+    # cannot disagree with its own records; the draft records are counted inline
     good = _attempt("p", 0, 0, True)
     bad = _attempt("p", 0, 1, False)
     short = _attempt("p", 1, 0, False, stage=FailureStage.DRAFT)
@@ -276,9 +276,8 @@ def test_problem_result_invariants():
     ]
     for attempts, solved, first, shortfall in cases:
         result = ProblemResult("p", attempts)
-        assert (result.solved, result.first_success_index, result.draft_shortfall) == (
-            solved, first, shortfall
-        )
+        undrafted = sum(a.failure_stage is FailureStage.DRAFT for a in result.attempts)
+        assert (result.solved, result.first_success_index, undrafted) == (solved, first, shortfall)
 
 
 # -- export / import -------------------------------------------------------------------

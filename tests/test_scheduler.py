@@ -50,6 +50,7 @@ from sketchprove.scheduler import (
     run_experiment,
     run_problem,
     run_problem_direct,
+    sample_drafts,
 )
 from sketchprove.sketch import SketchAst, count_gaps, parse_sketch, serialize
 
@@ -349,7 +350,7 @@ def test_draft_shortfall_recorded(tmp_path):
     stages = [a.failure_stage for a in result.attempts]
     assert stages[:2] == [None, None]
     assert stages[2:] == [FailureStage.DRAFT] * 3
-    assert result.draft_shortfall == 3
+    assert sum(a.failure_stage is FailureStage.DRAFT for a in result.attempts) == 3
 
 
 def test_cache_miss_flagged_as_infra(tmp_path):
@@ -490,6 +491,167 @@ def test_endpoint_error_on_a_sketch_fetched_ahead_fails_that_attempt_only(tmp_pa
     assert [a.failure_stage for a in result.attempts] == [
         FailureStage.PROVE, FailureStage.PROVE, FailureStage.INFRA, FailureStage.PROVE,
     ]
+
+
+# -- draft requests started one problem ahead ------------------------------------------
+
+
+def _ahead_run(tmp_path, count, answer=None, **client_options):
+    """`count` problems, components around a record-mode transport that
+    logs each call as (kind, problem id) and answers with `answer(kind,
+    pid)` when that gives an (HTTP status, body) pair, else with two drafts
+    or the problem's good sketch, and that log."""
+    problems = [
+        dataclasses.replace(
+            _problem(f"algebra_ahead{i}"),
+            informal_statement=f"[algebra_ahead{i}] Given x + 7 = 40, find x.",
+        )
+        for i in range(count)
+    ]
+    calls = []
+    components = _components(tmp_path, lambda i: GOOD_SKETCH, **client_options)
+
+    def transport(url, headers, payload, timeout_s):
+        prompt = payload["prompt"]
+        pid = next(p.id for p in problems if f"[{p.id}]" in prompt)
+        kind = "draft" if prompt.rstrip().endswith("Proof:") else "sketch"
+        calls.append((kind, pid))
+        answered = answer(kind, pid) if answer is not None else None
+        if answered is not None:
+            return answered
+        if kind == "draft":
+            return 200, {"choices": [{"text": f"draft {j}"} for j in range(payload["n"])]}
+        return 200, {"choices": [{"text": GOOD_SKETCH.replace("algebra_sched", pid)}]}
+
+    components.client.transport = transport
+    return problems, components, calls
+
+
+def test_next_problems_draft_and_first_sketch_start_while_this_one_is_proved(tmp_path, monkeypatch):
+    # the gate: problem 0's last proof waits until problem 1's first sketch
+    # request has reached the transport, which it can only do ahead of time
+    import sketchprove.scheduler as scheduler_module
+
+    reached = threading.Event()
+
+    def answer(kind, pid):
+        if (kind, pid) == ("sketch", "algebra_ahead1"):
+            reached.set()
+
+    problems, components, calls = _ahead_run(tmp_path, 2, answer=answer)
+    policy = BudgetPolicy(drafts_per_problem=1, sketches_per_draft=2, stop_on_first_success=False)
+    real = scheduler_module._prove_attempt
+    gated = []
+
+    def prove(problem_id, entry, *rest):
+        if (problem_id, entry[:2]) == ("algebra_ahead0", (0, 1)):
+            gated.append(reached.wait(10))
+            calls.append(("proved last", problem_id))
+        return real(problem_id, entry, *rest)
+
+    monkeypatch.setattr(scheduler_module, "_prove_attempt", prove)
+    with contextlib.closing(components.client):
+        results = run_experiment(problems, policy, components, parallelism=1)
+    assert gated == [True]
+    last = calls.index(("proved last", "algebra_ahead0"))
+    first_sketch = calls.index(("sketch", "algebra_ahead1"))
+    assert calls.index(("draft", "algebra_ahead1")) < first_sketch < last
+    assert [r.solved for r in results] == [True, True]
+    assert [len(r.attempts) for r in results] == [2, 2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("max_in_flight", [1, 3])
+def test_early_stop_bounds_each_problems_sketch_requests_in_a_run(tmp_path, jobs, max_in_flight):
+    problems, components, calls = _ahead_run(tmp_path, 4, max_in_flight=max_in_flight)
+    policy = BudgetPolicy(drafts_per_problem=5, sketches_per_draft=2, stop_on_first_success=True)
+    with contextlib.closing(components.client):
+        results = run_experiment(problems, policy, components, parallelism=jobs)
+    assert [r.first_success_index for r in results] == [0] * 4
+    for problem in problems:
+        assert calls.count(("draft", problem.id)) == 1
+        assert 1 <= calls.count(("sketch", problem.id)) <= 1 + max_in_flight
+
+
+def test_failed_draft_of_a_problem_started_ahead_aborts_only_that_problem(tmp_path):
+    def answer(kind, pid):
+        if (kind, pid) == ("draft", "algebra_ahead1"):
+            return 403, {"error": "refused"}
+
+    problems, components, calls = _ahead_run(tmp_path, 3, answer=answer)
+    policy = BudgetPolicy(drafts_per_problem=1, sketches_per_draft=2, stop_on_first_success=False)
+    with contextlib.closing(components.client):
+        results = run_experiment(problems, policy, components, parallelism=1)
+    assert [r.solved for r in results] == [True, False, True]
+    assert results[1].attempts == () and results[1].infra_error.startswith("draft stage: ")
+    assert infra_failures(results) == {"algebra_ahead1": results[1].infra_error}
+    assert ("draft", "algebra_ahead1") in calls and ("sketch", "algebra_ahead1") not in calls
+
+
+def test_a_run_that_raises_cancels_the_requests_it_started_ahead(tmp_path, monkeypatch):
+    # one request slot: problem 0's second sketch request holds it on a gate,
+    # so problem 1's first sketch window stays queued when the run raises
+    import sketchprove.scheduler as scheduler_module
+
+    held, gate = threading.Event(), threading.Event()
+
+    def answer(kind, pid):
+        if (kind, pid) == ("sketch", "algebra_ahead0") and calls.count((kind, pid)) == 2:
+            held.set()
+            gate.wait(10)
+        return None
+
+    def hold_then_fail(problem_id, *rest):
+        assert held.wait(10)
+        raise RuntimeError("prover blew up")
+
+    problems, components, calls = _ahead_run(tmp_path, 3, answer=answer, max_in_flight=1)
+    monkeypatch.setattr(scheduler_module, "_prove_attempt", hold_then_fail)
+    policy = BudgetPolicy(drafts_per_problem=1, sketches_per_draft=2, stop_on_first_success=False)
+    threads = set(threading.enumerate())
+    try:
+        with pytest.raises(RuntimeError, match="prover blew up"):
+            run_experiment(problems, policy, components, parallelism=1)
+    finally:
+        gate.set()
+    # the slot serves requests in order: once this one is answered, each
+    # request queued before it has run or was cancelled
+    sample_drafts(components.client, problems[2], 1)
+    components.client.close()
+    assert calls[-1] == ("draft", "algebra_ahead2")
+    assert sorted(calls[:-1]) == [
+        ("draft", "algebra_ahead0"), ("draft", "algebra_ahead1"),
+        ("sketch", "algebra_ahead0"), ("sketch", "algebra_ahead0"),
+    ]
+    assert set(threading.enumerate()) <= threads
+
+
+def test_a_plan_over_budget_starts_no_request_ahead(tmp_path):
+    problems, components, calls = _ahead_run(tmp_path, 3)
+    policy = BudgetPolicy(drafts_per_problem=5, sketches_per_draft=2, total_budget=1)
+    with contextlib.closing(components.client), pytest.raises(BudgetExceeded):
+        run_experiment(problems, policy, components, parallelism=2)
+    assert calls == []
+
+
+def test_two_runs_parse_each_formal_statement_once(problems, golden_config, monkeypatch):
+    import sketchprove.scheduler as scheduler_module
+
+    parsed = []
+    real = scheduler_module.parse_sketch
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(scheduler_module, "parse_sketch", counting)
+    scheduler_module._statement_header.cache_clear()
+    policy, seed = _golden_policy(golden_config), golden_config["seed"]
+    run_experiment(problems, policy, _golden_components(), 1, seed)
+    run_experiment(problems, policy, _golden_components(), 1, seed)
+    run_experiment(problems, None, _golden_components())
+    statements = {p.formal_statement for p in problems}
+    assert sorted(text for text in parsed if text in statements) == sorted(statements)
 
 
 # -- experiment loop -----------------------------------------------------------------
@@ -707,11 +869,11 @@ def _fixture_endpoint(calls):
     return transport
 
 
-def _recording_golden_components(cache_path, calls):
+def _recording_golden_components(cache_path, calls, max_in_flight=4):
     components = _golden_components()
     components.client = CompletionClient(
         endpoint_url="fixture://", mode=CacheMode.RECORD, cache=CompletionCache(cache_path),
-        transport=_fixture_endpoint(calls),
+        transport=_fixture_endpoint(calls), max_in_flight=max_in_flight,
     )
     return components
 
@@ -728,20 +890,24 @@ def _cache_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+@pytest.mark.parametrize("max_in_flight", [1, 4])
 @pytest.mark.parametrize("jobs", [1, 8])
 @pytest.mark.parametrize("early_stop", [False, True])
 def test_fetching_ahead_records_what_a_sequential_run_records(
-    tmp_path, monkeypatch, problems, golden_config, early_stop, jobs
+    tmp_path, monkeypatch, problems, golden_config, early_stop, jobs, max_in_flight
 ):
     # eight workers (more than the cores) share one client's pool and cache,
-    # with frequent thread switches to expose a lost update
+    # with frequent thread switches to expose a lost update; drafts and
+    # first sketch windows are started ahead on the same pool, so with one
+    # request slot a pool task that waited on another would deadlock, and
+    # the join's timeout fails the test instead of hanging it
     policy = dataclasses.replace(_golden_policy(golden_config), stop_on_first_success=early_stop)
     seed = golden_config["seed"]
     runs = {}
 
     def record(name):
         calls = []
-        components = _recording_golden_components(tmp_path / f"{name}.jsonl", calls)
+        components = _recording_golden_components(tmp_path / f"{name}.jsonl", calls, max_in_flight)
         with contextlib.closing(components.client):
             results = run_experiment(problems, policy, components, jobs, seed)
         runs[name] = (_sans_wall_ms(results), calls, _cache_lines(tmp_path / f"{name}.jsonl"))
