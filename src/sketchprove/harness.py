@@ -375,7 +375,15 @@ def export_records(results: Sequence[ProblemResult], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+_RECORD_TYPES = {
+    "problem_id": str, "draft_index": int, "sketch_index": int, "parse_ok": bool,
+    "gaps_total": int, "gaps_closed": int, "success": bool, "wall_ms": int, "prompt_seed": int,
+}
+
+
 def import_attempts(path: str | Path) -> list[AttemptRecord]:
+    """The attempt records of a records stream, in stream order. A line
+    with a missing or mistyped field raises SchemaError."""
     records = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -383,21 +391,16 @@ def import_attempts(path: str | Path) -> list[AttemptRecord]:
         raw = _parse_json_line(line, lineno)
         if raw.get("schema_version") != RECORDS_SCHEMA:
             raise SchemaError(lineno, "schema_version", f"expected {RECORDS_SCHEMA!r}")
-        stage = raw.get("failure_stage")
-        records.append(
-            AttemptRecord(
-                problem_id=raw["problem_id"],
-                draft_index=int(raw["draft_index"]),
-                sketch_index=int(raw["sketch_index"]),
-                parse_ok=bool(raw["parse_ok"]),
-                gaps_total=int(raw["gaps_total"]),
-                gaps_closed=int(raw["gaps_closed"]),
-                success=bool(raw["success"]),
-                failure_stage=FailureStage(stage) if stage is not None else None,
-                wall_ms=int(raw["wall_ms"]),
-                prompt_seed=int(raw["prompt_seed"]),
-            )
-        )
+        for name, kind in _RECORD_TYPES.items():
+            if type(raw.get(name)) is not kind:  # a bool is no int here
+                raise SchemaError(lineno, name, f"expected {kind.__name__}")
+        stage = raw.get("failure_stage", "")
+        if stage is not None and stage not in [s.value for s in FailureStage]:
+            raise SchemaError(lineno, "failure_stage", "expected a stage or null")
+        records.append(AttemptRecord(
+            **{name: raw[name] for name in _RECORD_TYPES},
+            failure_stage=None if stage is None else FailureStage(stage),
+        ))
     return records
 
 

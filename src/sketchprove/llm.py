@@ -99,11 +99,9 @@ def draft_preset(n: int = 1, max_tokens: int = 1024) -> SamplingConfig:
     return SamplingConfig(temperature=0.6, top_p=0.95, max_tokens=max_tokens, n=n)
 
 
-def sketch_preset(stop: Sequence[str] = ()) -> SamplingConfig:
+def sketch_preset() -> SamplingConfig:
     """Greedy decoding settings for formal sketch generation."""
-    return SamplingConfig(
-        temperature=0.0, top_p=1.0, max_tokens=2048, n=1, stop_sequences=tuple(stop)
-    )
+    return SamplingConfig(temperature=0.0, top_p=1.0, max_tokens=2048, n=1)
 
 
 @dataclass(frozen=True)
@@ -245,8 +243,7 @@ class CompletionClient:
     def fetch_ahead(self) -> int:
         """How many requests a caller should keep submitted ahead of the one
         it is consuming: `max_in_flight` when they go to the endpoint, none
-        in replay, which answers inline. The pipeline also starts its draft
-        requests ahead only when this is not 0."""
+        in replay, which answers inline."""
         return 0 if self.mode is CacheMode.REPLAY else self.max_in_flight
 
     def submit(
@@ -331,8 +328,9 @@ class CompletionClient:
                 continue
             if status != 200:
                 raise EndpointError(status, json.dumps(body))
-            choices = body.get("choices", [])
-            completions = tuple(c.get("text", "") for c in choices)[: request.config.n]
+            completions = _completions(body)[: request.config.n]
+            if not completions:
+                raise EndpointError(status, f"malformed reply: {json.dumps(body)}")
             response = CompletionResponse(
                 completions=completions, latency_ms=int((time.monotonic() - started) * 1000)
             )
@@ -341,6 +339,16 @@ class CompletionClient:
             return response
         assert last_error is not None
         raise last_error
+
+
+def _completions(body: object) -> tuple[str, ...]:
+    """The texts of a reply's choices, or none when the reply is not an
+    object with a `choices` list of objects with a string `text`."""
+    choices = body.get("choices") if isinstance(body, dict) else None
+    if not isinstance(choices, list):
+        return ()
+    texts = tuple(c.get("text") if isinstance(c, dict) else None for c in choices)
+    return texts if all(isinstance(text, str) for text in texts) else ()
 
 
 def dedup(completions: Sequence[str]) -> list[str]:

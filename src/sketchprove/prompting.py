@@ -261,15 +261,7 @@ def build_sketch_prompt(
 DRAFT_CUE = "Proof:"
 
 
-def build_draft_prompt(
-    problem: HasProblemFields,
-    draft_examples: Sequence[tuple[str, str]] = (),
-) -> str:
-    """Prompt for sampling informal proof drafts: optional few-shot
-    (statement, proof) pairs, then the target statement and the cue."""
-    blocks = [
-        f"{statement.rstrip()}\n\n{DRAFT_CUE}\n{proof.rstrip()}"
-        for statement, proof in draft_examples
-    ]
-    blocks.append(f"{problem.informal_statement.rstrip()}\n\n{DRAFT_CUE}")
-    return "\n\n".join(blocks)
+def build_draft_prompt(problem: HasProblemFields) -> str:
+    """Prompt for sampling informal proof drafts: the target statement and
+    the cue, with no examples."""
+    return f"{problem.informal_statement.rstrip()}\n\n{DRAFT_CUE}"

@@ -12,14 +12,15 @@ seed, so while a worker proves one attempt it keeps the next
 `max_in_flight` sketch requests in flight at the endpoint. It still
 consumes their completions in plan order (so record mode writes the cache
 in plan order), and an early stop cancels the requests not yet started.
-The endpoint work of a problem also starts one problem ahead: when a
-worker takes a problem, the draft requests of the next `parallelism`
-problems start too, and each draft's completion starts that problem's
-first window of sketch requests on the endpoint pool. The worker that
-reaches the problem collects both, in plan order, and starts no window of
-its own, so a problem still costs at most `1 + max_in_flight` sketch
-requests under early stop. Replay, a human draft source and the ablation
-without drafts start no problem ahead.
+A problem's endpoint work starts one problem ahead: when a worker takes a
+problem, the draft requests of the next `parallelism` problems start too,
+and each draft's completion starts that problem's first window of sketch
+requests on the endpoint pool. The worker that reaches the problem
+collects both, in plan order, and tops the window up to `1 + fetch_ahead`
+started requests, so a problem still costs at most `1 + max_in_flight`
+sketch requests under early stop. Drafts that need no endpoint (a human
+source, the ablation without drafts) have no request, and in replay
+`submit` starts nothing, so then the worker starts the whole window.
 
 A sketch must state the problem's own theorem: one whose header differs
 from the parsed formal statement is refused before any prover work, since
@@ -267,30 +268,19 @@ def sketch_request(
     return CompletionRequest(prompt=prompt, config=sketch_preset(), endpoint_id=endpoint_id)
 
 
-def _samples_drafts(policy: BudgetPolicy, components: PipelineComponents) -> bool:
-    """Whether a problem's drafts come from the endpoint: not from a human
-    source, and not in the ablation that never shows a draft."""
-    return (
-        policy.draft_source is DraftSource.MODEL
-        and components.prompt_config.mode is not PromptMode.NO_INFORMAL_PROOF
-    )
-
-
 def _obtain_drafts(
-    problem: Problem, policy: BudgetPolicy, components: PipelineComponents,
-    ahead: _StartedDraft | None,
+    problem: Problem, policy: BudgetPolicy, components: PipelineComponents, ahead: _StartedDraft
 ) -> list[str]:
-    """The problem's drafts; `ahead` is its draft request when
-    `run_experiment` started that already."""
-    if ahead is not None:
+    """The problem's drafts: the completions of its started draft request,
+    the human informal proof, or one empty draft in the ablation that
+    never shows a draft."""
+    if ahead.request is not None:
         return dedup(components.client.collect(ahead.request, ahead.future).completions)
     if policy.draft_source is DraftSource.HUMAN:
         if not problem.informal_proof:
             raise ValueError(f"problem {problem.id!r}: human draft source needs an informal proof")
         return [problem.informal_proof]
-    if not _samples_drafts(policy, components):
-        return [""]
-    return sample_drafts(components.client, problem, policy.drafts_per_problem)[0]
+    return [""]
 
 
 def _prove_attempt(
@@ -340,16 +330,6 @@ def _start_sketch(
     return request, components.client.submit(request)
 
 
-def _start_window(
-    problem: Problem, drafts: Sequence[str], entries: Sequence[tuple[int, int, int]],
-    components: PipelineComponents,
-) -> list[Fetched]:
-    """The first sketch window: the first entry and the client's
-    `fetch_ahead` after it, started."""
-    window = entries[: components.client.fetch_ahead + 1]
-    return [_start_sketch(problem, drafts, entry, components) for entry in window]
-
-
 def _cancel(fetches: Iterable[Fetched]) -> None:
     for fetched in fetches:
         if isinstance(fetched, tuple) and fetched[1] is not None:
@@ -361,12 +341,13 @@ def _fetch_sketches(
     components: PipelineComponents, window: Sequence[Fetched],
 ) -> Iterator[Fetched]:
     """Each plan entry's `Fetched`, in plan order, beginning with the
-    started `window`. Keeps the client's `fetch_ahead` later entries
-    started, so their completions arrive while this one is proved; closing
-    the generator cancels the requests not yet started."""
+    started `window` (the first entries, possibly none). Keeps the client's
+    `fetch_ahead` later entries started, so their completions arrive while
+    this one is proved; closing the generator cancels the requests not yet
+    started."""
     started = deque(window)
-    later = entries[len(window):]
-    upcoming = (_start_sketch(problem, drafts, entry, components) for entry in later)
+    upcoming = (_start_sketch(problem, drafts, e, components) for e in entries[len(window):])
+    started.extend(itertools.islice(upcoming, components.client.fetch_ahead + 1 - len(window)))
     try:
         while started:
             yield started.popleft()
@@ -377,13 +358,13 @@ def _fetch_sketches(
 
 @dataclass
 class _StartedDraft:
-    """A problem's draft request as `run_experiment` started it ahead of
-    the problem's worker, and the first sketch window that its completion
-    started on the pool thread (None until then)."""
+    """A problem's draft request as started ahead of the problem's worker
+    (None when its drafts need no endpoint), and the first sketch window
+    that its completion started on the pool thread (empty until then)."""
 
-    request: CompletionRequest
+    request: CompletionRequest | None
     future: Future[CompletionResponse] | None = None
-    window: list[Fetched] | None = None
+    window: Sequence[Fetched] = ()
 
 
 class _DraftsAhead:
@@ -425,21 +406,27 @@ class _DraftsAhead:
         for ahead in left:
             if ahead.future is not None:
                 ahead.future.cancel()
-            _cancel(ahead.window or ())
+            _cancel(ahead.window)
 
     def _start(self, problem: Problem) -> _StartedDraft:
-        client = self._components.client
-        request = draft_request(problem, self._policy.drafts_per_problem, client.endpoint_id)
+        policy, components = self._policy, self._components
+        if (
+            policy.draft_source is DraftSource.HUMAN
+            or components.prompt_config.mode is PromptMode.NO_INFORMAL_PROOF
+        ):
+            return _StartedDraft(None)
+        request = draft_request(problem, policy.drafts_per_problem, components.client.endpoint_id)
         ahead = _StartedDraft(request)
 
         def start_window(response: CompletionResponse) -> None:
             drafts = dedup(response.completions)
-            entries = make_plan(self._policy, self._seed, problem.id).entries
+            entries = make_plan(policy, self._seed, problem.id).entries
+            window = entries[: components.client.fetch_ahead + 1]
             with self._lock:
                 if not self._closed:
-                    ahead.window = _start_window(problem, drafts, entries, self._components)
+                    ahead.window = [_start_sketch(problem, drafts, e, components) for e in window]
 
-        ahead.future = client.submit(request, start_window)
+        ahead.future = components.client.submit(request, start_window)
         return ahead
 
 
@@ -500,28 +487,29 @@ def run_problem(
 ) -> ProblemResult:
     """Execute the attempt plan for one problem, in plan order, with later
     sketch completions fetched ahead. `take_ahead` gives the problem's
-    draft request and first sketch window when `run_experiment` starts
-    them ahead; it is called once the plan is within budget. Early stop
-    (when enabled) marks the remaining entries as NotRun; infrastructure
-    trouble aborts the problem with an error note instead of fake attempt
-    records. Only a sketch of the problem's own theorem header is proved;
-    no sketch proves a statement that does not parse."""
+    started draft request and first sketch window (`run_experiment` starts
+    them ahead, a direct call starts its own); it is called once the plan
+    is within budget. Early stop (when enabled) marks the remaining
+    entries as NotRun; infrastructure trouble aborts the problem with an
+    error note instead of fake attempt records. Only a sketch of the
+    problem's own theorem header is proved; no sketch proves a statement
+    that does not parse."""
     plan = make_plan(policy, experiment_seed, problem.id)
     statement = _statement_header(problem.formal_statement)
-    ahead = None if take_ahead is None else take_ahead()
+    ahead = (
+        take_ahead() if take_ahead is not None
+        else _DraftsAhead([problem], policy, components, experiment_seed, 0).take(0)
+    )
     try:
         drafts = _obtain_drafts(problem, policy, components, ahead)
     except (CacheMiss, EndpointError, Timeout) as exc:
         logger.error("problem %s: drafting failed: %s", problem.id, exc)
         return ProblemResult(problem.id, (), infra_error=f"draft stage: {exc}")
-    if ahead is None:
-        window = _start_window(problem, drafts, plan.entries, components)
-    else:
-        window = ahead.window  # set before the draft's future completed
 
     attempts: list[AttemptRecord] = []
     reopens = itertools.count(1)
-    fetches = _fetch_sketches(problem, drafts, plan.entries, components, window)
+    # the window was set before the draft's future completed
+    fetches = _fetch_sketches(problem, drafts, plan.entries, components, ahead.window)
     with contextlib.closing(fetches):
         for entry, fetched in zip(plan.entries, fetches):
             try:
@@ -586,15 +574,15 @@ def run_experiment(
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     drafts_ahead = None
-    if policy is not None and _samples_drafts(policy, components) and components.client.fetch_ahead:
+    if policy is not None:
         drafts_ahead = _DraftsAhead(problems, policy, components, experiment_seed, parallelism)
 
     def run_one(index: int) -> ProblemResult:
         problem = problems[index]
         if policy is None:
             return run_problem_direct(problem, components)
-        take_ahead = None if drafts_ahead is None else functools.partial(drafts_ahead.take, index)
-        return run_problem(problem, policy, components, experiment_seed, take_ahead)
+        take = functools.partial(drafts_ahead.take, index)
+        return run_problem(problem, policy, components, experiment_seed, take)
 
     try:
         if parallelism == 1 or len(problems) <= 1:

@@ -1,6 +1,6 @@
 """Declarative proof sketch grammar: parse, transform, serialize."""
 
-from .cheat import CHEAT_KEYWORDS, CheatReport, check_no_cheat
+from .cheat import CheatReport, check_no_cheat
 from .nodes import (
     GAP_TOKEN,
     AssumeStep,
@@ -19,7 +19,6 @@ from .nodes import (
     StepNode,
     Tactic,
     TheoremHeader,
-    child_nodes,
     walk,
 )
 from .ops import count_comments, count_gaps, extract_gaps, strip_comments
@@ -28,7 +27,6 @@ from .render import render_segments, serialize
 
 __all__ = [
     "GAP_TOKEN",
-    "CHEAT_KEYWORDS",
     "AssumeStep",
     "CheatReport",
     "Comment",
@@ -49,7 +47,6 @@ __all__ = [
     "TheoremHeader",
     "check_no_cheat",
     "closing_step_text",
-    "child_nodes",
     "count_comments",
     "count_gaps",
     "extract_gaps",

@@ -14,7 +14,7 @@ from .parser import comment_end
 
 CHEAT_KEYWORDS = ("sorry", "oops")
 
-_KEYWORD_RE = re.compile(r"\b(sorry|oops)\b")
+_KEYWORD_RE = re.compile(rf"\b({'|'.join(CHEAT_KEYWORDS)})\b")
 
 
 @dataclass(frozen=True)

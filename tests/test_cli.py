@@ -231,6 +231,31 @@ def test_sketch_prompt_build_failure_is_a_config_error(tmp_path, cause):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(lambda record: record.pop("draft_index"), "draft_index", id="missing"),
+        pytest.param(lambda record: record.update(draft_index=None), "draft_index", id="null"),
+        pytest.param(lambda record: record.update(success="yes"), "success", id="string"),
+        pytest.param(lambda record: record.update(failure_stage="lost"), "failure_stage", id="stage"),
+    ],
+)
+def test_eval_on_a_record_with_a_missing_or_mistyped_field_is_a_schema_error(
+    tmp_path, capsys, edit, field
+):
+    from sketchprove import cli
+
+    lines = (FIXTURES / "golden" / "records.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    stream = tmp_path / "records.jsonl"
+    stream.write_text("\n".join(lines) + "\n")
+    flags = ["--dataset", str(FIXTURES / "datasets" / "mini.jsonl"), "--out", str(tmp_path)]
+    assert cli.main([*flags, "eval", "--records", str(stream)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[config]: line 2, field {field!r}: expected ")
+
+
 @pytest.mark.parametrize("max_prompt_chars", [None, 1500])
 def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, max_prompt_chars):
     from sketchprove import cli, llm
@@ -249,9 +274,9 @@ def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, m
     sent = []
     submit = llm.CompletionClient.submit
 
-    def recording(client, request):
+    def recording(client, request, then=None):
         sent.append(request.prompt)
-        return submit(client, request)
+        return submit(client, request, then)
 
     monkeypatch.setattr(llm.CompletionClient, "submit", recording)
     cli.main(["--config", str(config_path), "--jobs", "1", "run"])

@@ -242,14 +242,6 @@ def test_draft_prompt_zero_shot():
     assert prompt == "Show that one plus one is two.\n\nProof:"
 
 
-def test_draft_prompt_few_shot():
-    prompt = build_draft_prompt(FakeProblem(), [("S1", "P1"), ("S2", "P2")])
-    assert prompt.count("Proof:") == 3
-    assert prompt.index("P1") < prompt.index("S2")
-    assert prompt.rstrip().endswith("Proof:")
-    assert build_draft_prompt(FakeProblem(), [("S1", "P1"), ("S2", "P2")]) == prompt
-
-
 def test_prompt_config_validation():
     with pytest.raises(ValueError):
         PromptConfig(k_examples=0)

@@ -588,6 +588,26 @@ def test_failed_draft_of_a_problem_started_ahead_aborts_only_that_problem(tmp_pa
     assert ("draft", "algebra_ahead1") in calls and ("sketch", "algebra_ahead1") not in calls
 
 
+@pytest.mark.parametrize("body", [{"choices": []}, ["not an object"], {"choices": [{"text": None}]}])
+@pytest.mark.parametrize("kind", ["draft", "sketch"])
+def test_a_malformed_reply_is_an_infrastructure_failure(tmp_path, kind, body):
+    problems, components, calls = _ahead_run(
+        tmp_path, 1, answer=lambda k, pid: (200, body) if k == kind else None
+    )
+    policy = BudgetPolicy(drafts_per_problem=1, sketches_per_draft=2, stop_on_first_success=False)
+    with contextlib.closing(components.client):
+        [result] = run_experiment(problems, policy, components)
+    if kind == "draft":
+        assert result.attempts == ()
+        assert result.infra_error.startswith("draft stage: endpoint returned 200: malformed reply")
+    else:
+        assert result.infra_error is None
+        assert [a.failure_stage for a in result.attempts] == [FailureStage.INFRA] * 2
+    # a malformed reply is not retried
+    sketches = 2 if kind == "sketch" else 0
+    assert calls == [("draft", "algebra_ahead0")] + [("sketch", "algebra_ahead0")] * sketches
+
+
 def test_a_run_that_raises_cancels_the_requests_it_started_ahead(tmp_path, monkeypatch):
     # one request slot: problem 0's second sketch request holds it on a gate,
     # so problem 1's first sketch window stays queued when the run raises
@@ -900,7 +920,9 @@ def test_fetching_ahead_records_what_a_sequential_run_records(
     # with frequent thread switches to expose a lost update; drafts and
     # first sketch windows are started ahead on the same pool, so with one
     # request slot a pool task that waited on another would deadlock, and
-    # the join's timeout fails the test instead of hanging it
+    # the join's timeout fails the test instead of hanging it. The
+    # sequential reference runs the problems one by one and keeps one
+    # sketch request started at a time.
     policy = dataclasses.replace(_golden_policy(golden_config), stop_on_first_success=early_stop)
     seed = golden_config["seed"]
     runs = {}
@@ -909,7 +931,11 @@ def test_fetching_ahead_records_what_a_sequential_run_records(
         calls = []
         components = _recording_golden_components(tmp_path / f"{name}.jsonl", calls, max_in_flight)
         with contextlib.closing(components.client):
-            results = run_experiment(problems, policy, components, jobs, seed)
+            if name == "ahead":
+                results = run_experiment(problems, policy, components, jobs, seed)
+            else:
+                results = [run_problem(problem, policy, components, seed) for problem in problems]
+                components.sessions.close()
         runs[name] = (_sans_wall_ms(results), calls, _cache_lines(tmp_path / f"{name}.jsonl"))
 
     interval = sys.getswitchinterval()
