@@ -9,7 +9,7 @@ prompt settings as `run`, so both use `run`'s cached completions and
 index). Values resolve as: built-in defaults, then the --config file, then
 explicit flags; the effective configuration is echoed into the run manifest
 together with its hash. Exit codes: 0 success, 1 infrastructure failure, 2
-configuration error.
+configuration error; the class of an error decides which (`errors`).
 """
 
 from __future__ import annotations
@@ -20,43 +20,26 @@ import json
 import os
 import sys
 import time
+import typing
 from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import harness
-from .llm import (
-    CacheMiss,
-    CacheMode,
-    CompletionCache,
-    CompletionClient,
-    EndpointError,
-    Timeout,
-    cache_mode_from_env,
-)
-from .prompting import (
-    MissingFullProof,
-    PoolFormatError,
-    PoolTooSmall,
-    PromptConfig,
-    PromptMode,
-    load_pool,
-)
+from .errors import ConfigError, InfraError
+from .llm import CacheMode, CompletionCache, CompletionClient, cache_mode_from_env
+from .prompting import PromptConfig, PromptMode, load_pool
 from .prover import (
     Closed,
-    ConnectError,
     ExternalSpec,
     FullProofResult,
     ProverConfig,
-    ScriptError,
     ScriptedSpec,
-    SessionDead,
     open_session,
     prove_sketch,
 )
 from .scheduler import (
-    BudgetExceeded,
     BudgetPolicy,
     DraftSource,
     PipelineComponents,
@@ -71,8 +54,8 @@ from .sketch import count_gaps, parse_sketch
 from .sketch.parser import ParseError
 
 EXIT_OK = 0
-EXIT_INFRA = 1
-EXIT_CONFIG = 2
+EXIT_INFRA = InfraError.exit_code
+EXIT_CONFIG = ConfigError.exit_code
 
 
 @dataclass
@@ -104,13 +87,12 @@ class CliConfig:
         return dataclasses.asdict(self)
 
 
-class ConfigError(Exception):
-    pass
+_FIELD_TYPES = typing.get_type_hints(CliConfig)
 
 
 def _load_config(config_file: str | None, flag_values: dict) -> CliConfig:
-    """defaults <- config file <- flags, rejecting unknown keys."""
-    known = {f.name for f in dataclasses.fields(CliConfig)}
+    """defaults <- config file <- flags, rejecting unknown keys and values
+    of another type than the field's."""
     merged: dict = {}
     if config_file:
         try:
@@ -119,15 +101,18 @@ def _load_config(config_file: str | None, flag_values: dict) -> CliConfig:
             raise ConfigError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = set(raw) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            allowed = typing.get_args(_FIELD_TYPES[key]) or (_FIELD_TYPES[key],)
+            if type(value) not in allowed:  # a bool is no int here
+                raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
         merged.update(raw)
-    merged.update({k: v for k, v in flag_values.items() if v is not None and k in known})
-    try:
-        return CliConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    merged.update({k: v for k, v in flag_values.items() if v is not None and k in _FIELD_TYPES})
+    return CliConfig(**merged)
 
 
 def _build_client(config: CliConfig) -> CompletionClient:
@@ -406,40 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FLAGS = {f.name for f in dataclasses.fields(CliConfig)}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    flag_values = {k: v for k, v in vars(args).items() if k in _CONFIG_FLAGS}
+    flag_values = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
     if args.cache_mode is None and "DSP_CACHE_MODE" in os.environ:
         flag_values["cache_mode"] = cache_mode_from_env().value
     try:
         config = _load_config(args.config, flag_values)
         return args.func(config, args)
-    except (
-        ConfigError,
-        BudgetExceeded,
-        PoolFormatError,
-        PoolTooSmall,
-        MissingFullProof,
-        harness.SchemaError,
-        harness.DuplicateId,
-        harness.MissingResults,
-        ValueError,
-    ) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        EndpointError,
-        CacheMiss,
-        Timeout,
-        ConnectError,
-        ScriptError,
-        SessionDead,
-        OSError,
-    ) as exc:
+    except (InfraError, OSError) as exc:
         print(f"error[infra]: {exc}", file=sys.stderr)
         return EXIT_INFRA
 

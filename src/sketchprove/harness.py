@@ -20,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import ConfigError
 from .prompting import Category
 
 logger = logging.getLogger(__name__)
@@ -47,7 +48,7 @@ class FailureStage(str, Enum):
 
 
 @dataclass
-class SchemaError(Exception):
+class SchemaError(ConfigError):
     line: int
     field_name: str
     message: str = ""
@@ -58,7 +59,7 @@ class SchemaError(Exception):
 
 
 @dataclass
-class DuplicateId(Exception):
+class DuplicateId(ConfigError):
     problem_id: str
 
     def __str__(self) -> str:
@@ -66,7 +67,7 @@ class DuplicateId(Exception):
 
 
 @dataclass
-class MissingResults(Exception):
+class MissingResults(ConfigError):
     problem_ids: tuple[str, ...]
 
     def __str__(self) -> str:
@@ -74,7 +75,7 @@ class MissingResults(Exception):
 
 
 @dataclass
-class CoverageError(Exception):
+class CoverageError(ConfigError):
     message: str
 
     def __str__(self) -> str:
@@ -162,8 +163,10 @@ def load_dataset(path: str | Path) -> list[Problem]:
             continue
         record = _parse_json_line(line, lineno)
         for fname in _DATASET_FIELDS:
-            if not record.get(fname):
-                raise SchemaError(lineno, fname, "missing or empty")
+            if not record.get(fname) or not isinstance(record[fname], str):
+                raise SchemaError(lineno, fname, "expected a nonempty string")
+        if not isinstance(record.get("informal_proof", ""), (str, type(None))):
+            raise SchemaError(lineno, "informal_proof", "expected a string or null")
         try:
             split = Split(record["split"])
         except ValueError:
@@ -345,22 +348,15 @@ def budget_grid(
 
 # -- export / import ----------------------------------------------------------
 
-_RECORD_FIELDS = (
-    "problem_id",
-    "draft_index",
-    "sketch_index",
-    "parse_ok",
-    "gaps_total",
-    "gaps_closed",
-    "success",
-    "failure_stage",
-    "wall_ms",
-    "prompt_seed",
-)
+# every record field but `failure_stage`, a stage value or null
+_RECORD_TYPES = {
+    "problem_id": str, "draft_index": int, "sketch_index": int, "parse_ok": bool,
+    "gaps_total": int, "gaps_closed": int, "success": bool, "wall_ms": int, "prompt_seed": int,
+}
 
 
 def record_to_json(record: AttemptRecord) -> str:
-    payload = {name: getattr(record, name) for name in _RECORD_FIELDS}
+    payload = {name: getattr(record, name) for name in _RECORD_TYPES}
     payload["failure_stage"] = (
         record.failure_stage.value if record.failure_stage is not None else None
     )
@@ -373,12 +369,6 @@ def export_records(results: Sequence[ProblemResult], path: str | Path) -> None:
     order then plan order. Byte-stable for identical results."""
     lines = [record_to_json(a) for r in results for a in r.attempts]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-_RECORD_TYPES = {
-    "problem_id": str, "draft_index": int, "sketch_index": int, "parse_ok": bool,
-    "gaps_total": int, "gaps_closed": int, "success": bool, "wall_ms": int, "prompt_seed": int,
-}
 
 
 def import_attempts(path: str | Path) -> list[AttemptRecord]:

@@ -26,6 +26,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .errors import ConfigError, InfraError
+
 CACHE_MODE_ENV = "DSP_CACHE_MODE"
 
 logger = logging.getLogger(__name__)
@@ -49,8 +51,13 @@ def cache_mode_from_env(default: CacheMode = CacheMode.REPLAY) -> CacheMode:
         ) from None
 
 
+class CompletionError(InfraError):
+    """A request got no completion: the endpoint failed or was too slow,
+    or replay found no cached answer."""
+
+
 @dataclass
-class EndpointError(Exception):
+class EndpointError(CompletionError):
     status: int
     body: str
 
@@ -59,7 +66,7 @@ class EndpointError(Exception):
 
 
 @dataclass
-class CacheMiss(Exception):
+class CacheMiss(CompletionError):
     key: str
 
     def __str__(self) -> str:
@@ -67,7 +74,7 @@ class CacheMiss(Exception):
 
 
 @dataclass
-class Timeout(Exception):
+class Timeout(CompletionError):
     seconds: float
 
     def __str__(self) -> str:
@@ -117,16 +124,21 @@ class CompletionResponse:
     latency_ms: int
 
 
-def cache_key(request: CompletionRequest, sample_index: int) -> str:
-    payload = {
-        "endpoint_id": request.endpoint_id,
+def _sampling_payload(request: CompletionRequest) -> dict:
+    """The body an endpoint is sent for a request."""
+    return {
         "prompt": request.prompt,
+        "max_tokens": request.config.max_tokens,
         "temperature": request.config.temperature,
         "top_p": request.config.top_p,
-        "max_tokens": request.config.max_tokens,
         "n": request.config.n,
         "stop": list(request.config.stop_sequences),
-        "sample_index": sample_index,
+    }
+
+
+def cache_key(request: CompletionRequest, sample_index: int) -> str:
+    payload = _sampling_payload(request) | {
+        "endpoint_id": request.endpoint_id, "sample_index": sample_index,
     }
     canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -136,9 +148,10 @@ class CompletionCache:
     """Append-only JSONL store of (key, text) records with an in-memory
     index. Reads are lock-free; appends are serialized, one write per
     record. A final line that a crash cut short (no newline, not JSON) is
-    ignored with a warning and cut off by the next append; a bad line
-    anywhere else fails the load. A whole final record without its newline
-    gets one before the next append."""
+    ignored with a warning and cut off by the next append; any other line
+    that is not a JSON object with a string `key` and `text` fails the load
+    with a ConfigError. A whole final record without its newline gets one
+    before the next append."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -148,19 +161,26 @@ class CompletionCache:
         self._open_line = False  # the file ends in a whole record without a newline
         if self.path.exists():
             with self.path.open("rb") as handle:
-                for line in handle:
+                for lineno, line in enumerate(handle, 1):
                     if not line.strip():
                         continue
                     try:
                         record = json.loads(line)
                     except ValueError:
-                        if line.endswith(b"\n"):
-                            raise
-                        logger.warning(
-                            "%s: ignoring a torn final line of %d bytes", self.path, len(line)
+                        if not line.endswith(b"\n"):
+                            logger.warning(
+                                "%s: ignoring a torn final line of %d bytes", self.path, len(line)
+                            )
+                            self._torn_bytes = len(line)
+                            break
+                        record = None
+                    if not isinstance(record, dict) or not all(
+                        isinstance(record.get(name), str) for name in ("key", "text")
+                    ):
+                        raise ConfigError(
+                            f"{self.path}, line {lineno}: "
+                            "not a JSON object with a string key and text"
                         )
-                        self._torn_bytes = len(line)
-                        break
                     self._entries[record["key"]] = record["text"]
                     self._open_line = not line.endswith(b"\n")
 
@@ -295,14 +315,7 @@ class CompletionClient:
     def _call_endpoint(
         self, request: CompletionRequest, then: Callable[[CompletionResponse], None] | None
     ) -> CompletionResponse:
-        payload = {
-            "prompt": request.prompt,
-            "max_tokens": request.config.max_tokens,
-            "temperature": request.config.temperature,
-            "top_p": request.config.top_p,
-            "n": request.config.n,
-            "stop": list(request.config.stop_sequences),
-        }
+        payload = _sampling_payload(request)
         headers = {"Content-Type": "application/json"}
         if self.auth_env:
             token = os.environ.get(self.auth_env)

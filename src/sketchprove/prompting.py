@@ -15,6 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol, Sequence
 
+from .errors import ConfigError
 from .sketch import count_comments, count_gaps, parse_sketch, serialize, strip_comments
 from .sketch.parser import ParseError
 
@@ -33,7 +34,7 @@ class PromptMode(str, Enum):
 
 
 @dataclass
-class PoolTooSmall(Exception):
+class PoolTooSmall(ConfigError):
     needed: int
     available: int
 
@@ -42,7 +43,7 @@ class PoolTooSmall(Exception):
 
 
 @dataclass
-class MissingFullProof(Exception):
+class MissingFullProof(ConfigError):
     quad_id: str
 
     def __str__(self) -> str:
@@ -50,7 +51,7 @@ class MissingFullProof(Exception):
 
 
 @dataclass
-class PoolFormatError(Exception):
+class PoolFormatError(ConfigError):
     message: str
 
     def __str__(self) -> str:
@@ -117,9 +118,16 @@ def load_pool(path: str | Path) -> ExamplePool:
         raise PoolFormatError("pool document must be a list of examples")
     quads = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise PoolFormatError(f"pool entry {i} is not an object")
         missing = [f for f in POOL_FIELDS if f not in entry]
         if missing:
             raise PoolFormatError(f"pool entry {i} missing fields: {missing}")
+        mistyped = [f for f in POOL_FIELDS if not isinstance(entry[f], str)]
+        if not isinstance(entry.get("full_proof", ""), (str, type(None))):
+            mistyped.append("full_proof")
+        if mistyped:
+            raise PoolFormatError(f"pool entry {i} fields are not strings: {mistyped}")
         try:
             category = Category(entry["category"])
         except ValueError:

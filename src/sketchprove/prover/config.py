@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, Union
 
+from ..errors import InfraError
 from ..sketch import InvalidSite, closing_step_text
 
 # Quick closing tactics tried in order before falling back to the hammer.
@@ -79,7 +80,7 @@ class Invalid:
 
 
 @dataclass
-class ConnectError(Exception):
+class ConnectError(InfraError):
     address: str
     detail: str
 
@@ -88,7 +89,7 @@ class ConnectError(Exception):
 
 
 @dataclass
-class ScriptError(Exception):
+class ScriptError(InfraError):
     path: str
     message: str
 
@@ -97,7 +98,7 @@ class ScriptError(Exception):
 
 
 @dataclass
-class SessionDead(Exception):
+class SessionDead(InfraError):
     detail: str
 
     def __str__(self) -> str:

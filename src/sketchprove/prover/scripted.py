@@ -120,59 +120,61 @@ def _parse_outcome(raw: object, path: str, where: str) -> Outcome:
     return Outcome("fail")
 
 
+def _object(raw: object, path: str, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScriptError(path, f"{where} must be an object")
+    return raw
+
+
 def load_script(path: str | Path) -> ProverScript:
-    path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScriptError(str(path), f"cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScriptError(str(path), f"invalid JSON: {exc}") from None
-    if raw.get("schema") != SCRIPT_SCHEMA:
-        raise ScriptError(str(path), f"schema must be {SCRIPT_SCHEMA!r}")
+    path = str(path)
+    if _object(raw, path, "the script").get("schema") != SCRIPT_SCHEMA:
+        raise ScriptError(path, f"schema must be {SCRIPT_SCHEMA!r}")
     if "default" not in raw:
-        raise ScriptError(str(path), "a default outcome is required")
+        raise ScriptError(path, "a default outcome is required")
+    entries = raw.get("rules", [])
+    if not isinstance(entries, list):
+        raise ScriptError(path, "rules must be a list")
     rules = []
-    for i, entry in enumerate(raw.get("rules", [])):
-        match = entry.get("match")
+    for i, entry in enumerate(entries):
+        match = _object(entry, path, f"rule {i}").get("match")
         if not isinstance(match, dict) or match.get("kind") not in _MATCH_KINDS:
-            raise ScriptError(
-                str(path), f"rule {i}: match kind must be one of {_MATCH_KINDS}"
-            )
+            raise ScriptError(path, f"rule {i}: match kind must be one of {_MATCH_KINDS}")
         pattern = match.get("pattern")
         if not isinstance(pattern, str):
-            raise ScriptError(str(path), f"rule {i}: match pattern must be a string")
-        rules.append(
-            Rule(match["kind"], pattern, _parse_outcome(entry.get("outcome"), str(path), f"rule {i}"))
-        )
-    verify = raw.get("verify", {})
-    latency = raw.get("latency", {})
+            raise ScriptError(path, f"rule {i}: match pattern must be a string")
+        outcome = _parse_outcome(entry.get("outcome"), path, f"rule {i}")
+        rules.append(Rule(match["kind"], pattern, outcome))
+    verify = _object(raw.get("verify", {}), path, "verify")
+    rejects = verify.get("reject_substrings", [])
+    if not isinstance(rejects, list) or not all(isinstance(marker, str) for marker in rejects):
+        raise ScriptError(path, "verify: reject_substrings must be a list of strings")
+    latency = _object(raw.get("latency", {}), path, "latency")
+    costs = latency.get("step_ms", 0), latency.get("hammer_ms", 0)
+    real_sleep = latency.get("real_sleep", False)
+    if not all(type(ms) is int and ms >= 0 for ms in costs) or type(real_sleep) is not bool:
+        raise ScriptError(path, "latency: step_ms, hammer_ms must be ints >= 0, real_sleep a bool")
     return ProverScript(
         rules=tuple(rules),
-        default=_parse_outcome(raw["default"], str(path), "default"),
+        default=_parse_outcome(raw["default"], path, "default"),
         verify_default_accept=verify.get("default", "accept") == "accept",
-        verify_reject_substrings=tuple(verify.get("reject_substrings", ())),
-        latency=Latency(
-            step_ms=int(latency.get("step_ms", 0)),
-            hammer_ms=int(latency.get("hammer_ms", 0)),
-            real_sleep=bool(latency.get("real_sleep", False)),
-        ),
+        verify_reject_substrings=tuple(rejects),
+        latency=Latency(*costs, real_sleep),
     )
 
 
 def extract_goal(statement: str) -> str:
     """Matcher input for a proof context: the quoted proposition on the last
     nonblank line, a ?thesis/?case target, or the raw line itself."""
-    text = statement.rstrip()
-    if not text:
+    lines = statement.rstrip().splitlines()
+    if not lines:
         return ""
-    # only the tail is split: contexts grow with the sketch, the last line does not
-    tail = 256
-    while True:
-        lines = text[-tail:].splitlines()
-        if len(lines) > 1 or tail >= len(text):
-            break
-        tail *= 4
     last = lines[-1].strip()
     quoted = re.findall(r'"([^"]*)"', last)
     if quoted:

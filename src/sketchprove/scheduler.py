@@ -52,14 +52,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
+from .errors import ConfigError
 from .harness import AttemptRecord, FailureStage, Problem, ProblemResult
 from .llm import (
-    CacheMiss,
     CompletionClient,
+    CompletionError,
     CompletionRequest,
     CompletionResponse,
-    EndpointError,
-    Timeout,
     dedup,
     draft_preset,
     sketch_preset,
@@ -96,7 +95,7 @@ class DraftSource(str, Enum):
 
 
 @dataclass
-class BudgetExceeded(Exception):
+class BudgetExceeded(ConfigError):
     planned: int
     budget: int
 
@@ -450,7 +449,7 @@ def _run_attempt(
     request, future = fetched
     try:
         response = components.client.collect(request, future)
-    except (CacheMiss, EndpointError, Timeout) as exc:
+    except CompletionError as exc:
         logger.warning("problem %s: sketch completion failed: %s", problem_id, exc)
         return _attempt_record(problem_id, entry, FailureStage.INFRA)
     try:
@@ -502,7 +501,7 @@ def run_problem(
     )
     try:
         drafts = _obtain_drafts(problem, policy, components, ahead)
-    except (CacheMiss, EndpointError, Timeout) as exc:
+    except CompletionError as exc:
         logger.error("problem %s: drafting failed: %s", problem.id, exc)
         return ProblemResult(problem.id, (), infra_error=f"draft stage: {exc}")
 

@@ -499,3 +499,83 @@ def test_prove_reports_a_cheating_sketch(tmp_path):
     result = run_cli(*golden_flags(tmp_path), "prove", str(sketch_path))
     assert result.returncode == 0, result.stderr
     assert "not proved: cheat gate: cheating keyword: sorry" in result.stdout
+
+
+def _edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _edit_dataset_record(path, **fields):
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps(json.loads(lines[1]) | fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+# (edit of the copied inputs, extra flags, exit code, text the error names)
+_MALFORMED_INPUTS = {
+    "cache-line-without-text": (
+        lambda d: (d / "cache.jsonl").write_text('{"k": 1}\n'), [], 2, "cache.jsonl, line 1"
+    ),
+    "cache-line-not-an-object": (
+        lambda d: (d / "cache.jsonl").write_text("[1]\n"), [], 2, "cache.jsonl, line 1"
+    ),
+    "dataset-proof-not-a-string": (
+        lambda d: _edit_dataset_record(d / "dataset.jsonl", informal_proof=5),
+        ["--draft-source", "human", "--drafts", "1"], 2, "field 'informal_proof'",
+    ),
+    "dataset-statement-not-a-string": (
+        lambda d: _edit_dataset_record(d / "dataset.jsonl", informal_statement=["x"]),
+        [], 2, "field 'informal_statement'",
+    ),
+    "config-not-an-object": (
+        lambda d: (d / "config.json").write_text("5"), ["--config", "config.json"], 2,
+        "config file must hold a JSON object",
+    ),
+    "config-value-of-the-wrong-type": (
+        lambda d: (d / "config.json").write_text('{"drafts": "5"}'),
+        ["--config", "config.json"], 2, "'drafts'",
+    ),
+    "pool-entry-not-an-object": (
+        lambda d: (d / "pool.json").write_text("[1]"), [], 2, "pool entry 0 is not an object"
+    ),
+    "pool-field-not-a-string": (
+        lambda d: _edit_json(d / "pool.json", lambda pool: [pool[0] | {"formal_sketch": 5}]),
+        [], 2, "['formal_sketch']",
+    ),
+    "script-not-an-object": (
+        lambda d: (d / "script.json").write_text("[]"), [], 1, "the script must be an object"
+    ),
+    "script-rule-not-an-object": (
+        lambda d: _edit_json(d / "script.json", lambda s: s | {"rules": [1]}), [], 1,
+        "rule 0 must be an object",
+    ),
+    "script-latency-not-an-integer": (
+        lambda d: _edit_json(d / "script.json", lambda s: s | {"latency": {"step_ms": "fast"}}),
+        [], 1, "latency: step_ms",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_input_ends_in_one_typed_error(tmp_path, monkeypatch, capsys, case):
+    from sketchprove import cli
+
+    edit, extra, code, named = _MALFORMED_INPUTS[case]
+    for source, name in [
+        ("datasets/mini.jsonl", "dataset.jsonl"), ("pool/examples.json", "pool.json"),
+        ("cache/completions.jsonl", "cache.jsonl"), ("prover/script.json", "script.json"),
+    ]:
+        (tmp_path / name).write_bytes((FIXTURES / source).read_bytes())
+    edit(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    flags = [
+        "--dataset", "dataset.jsonl", "--pool", "pool.json", "--cache-file", "cache.jsonl",
+        "--cache-mode", "replay", "--prover", "scripted:script.json", "--seed", "7",
+        "--out", "out",
+    ]
+    assert cli.main([*flags, *extra, "run"]) == code
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error[")]
+    kind = {1: "infra", 2: "config"}[code]
+    assert len(errors) == 1 and errors[0].startswith(f"error[{kind}]: ") and named in errors[0]
+    assert "Traceback" not in err

@@ -81,6 +81,21 @@ def test_dataset_missing_field_rejected(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("id", 5), ("informal_statement", ["s"]), ("formal_statement", True), ("informal_proof", 5)],
+)
+def test_dataset_field_of_another_type_rejected(tmp_path, field, value):
+    record = {"id": "p1", "split": "valid", "category": "algebra",
+              "informal_statement": "s", "informal_proof": "p", "formal_statement": "t"}
+    path = tmp_path / "typed.jsonl"
+    path.write_text("\n".join([json.dumps({"schema_version": "problems/1"}),
+                               json.dumps(record | {field: value})]))
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(path)
+    assert (exc.value.line, exc.value.field_name) == (2, field)
+
+
 def test_dataset_duplicate_id_rejected(tmp_path):
     record = {"id": "p1", "split": "valid", "category": "algebra",
               "informal_statement": "s", "informal_proof": "p", "formal_statement": "t"}

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from sketchprove.errors import ConfigError
 from sketchprove.llm import (
     CacheMiss,
     CacheMode,
@@ -59,6 +60,17 @@ def test_cache_key_sensitivity():
     assert len(keys) == 8
 
 
+def test_cache_key_is_pinned():
+    # a changed key would orphan every recorded cache, the fixture's included
+    config = SamplingConfig(
+        temperature=0.6, top_p=0.95, max_tokens=512, n=3, stop_sequences=("\n\n",)
+    )
+    request = CompletionRequest("prove 1 + 1 = 2", config, "ep")
+    assert cache_key(request, 2) == (
+        "1aef4815e6de63d4715a69019fb1a701a584200ef526c8319adb88d0b1daf313"
+    )
+
+
 def test_cache_persists_and_reloads(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = CompletionCache(path)
@@ -97,7 +109,19 @@ def test_cache_keeps_a_whole_final_line_without_newline(tmp_path):
 def test_cache_fails_on_a_bad_line_before_the_last(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_bytes(b'{"key": "k1", "te\n{"key": "k2", "text": "two"}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="line 1"):
+        CompletionCache(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b'{"k": 1}\n', b"[1]\n", b'{"key": 1, "text": "one"}\n', b'{"key": "k", "text": null}\n', b"[1]"],
+    ids=["no-key", "list", "int-key", "null-text", "list-without-newline"],
+)
+def test_cache_rejects_a_line_that_is_not_a_key_and_text_object(tmp_path, line):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b'{"key": "k1", "text": "one"}\n' + line)
+    with pytest.raises(ConfigError, match=f"{path.name}, line 2: not a JSON object"):
         CompletionCache(path)
 
 

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import FIXTURES
 from sketchprove.prompting import (
     Category,
     ExampleQuad,
@@ -70,6 +71,17 @@ def test_pool_validation_rejects_commentless_sketch(tmp_path):
     path = tmp_path / "pool.json"
     path.write_text(json.dumps([entry]))
     with pytest.raises(PoolFormatError, match="no in-line comment"):
+        load_pool(path)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("id", 1), ("informal_proof", None), ("formal_sketch", 5), ("full_proof", 5)]
+)
+def test_pool_validation_rejects_a_field_that_is_not_a_string(tmp_path, field, value):
+    entry = json.loads((FIXTURES / "pool" / "examples.json").read_text())[0]
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps([entry | {field: value}]))
+    with pytest.raises(PoolFormatError, match=f"pool entry 0 fields are not strings: \\['{field}'\\]"):
         load_pool(path)
 
 

@@ -93,6 +93,28 @@ def test_script_rejects_unknown_kinds(tmp_path):
         load_script(write_script(tmp_path, bad))
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (dict(rules={"a": 1}), "rules must be a list"),
+        (dict(verify=["accept"]), "verify must be an object"),
+        (dict(verify={"reject_substrings": ["ok", 5]}), "reject_substrings"),
+        (dict(latency=[0]), "latency must be an object"),
+        (dict(latency={"step_ms": 1.5}), "hammer_ms must be ints"),
+        (dict(latency={"hammer_ms": -1}), "hammer_ms must be ints"),
+        (dict(latency={"step_ms": True}), "hammer_ms must be ints"),
+        (dict(latency={"real_sleep": "false"}), "real_sleep a bool"),
+    ],
+    ids=[
+        "rules", "verify", "reject-substrings", "latency", "float-ms", "negative-ms", "bool-ms",
+        "real-sleep",
+    ],
+)
+def test_script_rejects_malformed_sections(tmp_path, extra, named):
+    with pytest.raises(ScriptError, match=named):
+        load_script(write_script(tmp_path, minimal_script(**extra)))
+
+
 def test_goal_extraction():
     assert extract_goal('theorem t:\n  shows "x = 1"') == "x = 1"
     assert extract_goal('...\n  have c0: "4 * x = 168" using assms') == "4 * x = 168"
@@ -590,8 +612,7 @@ def extract_goal_oracle(statement):
 
 # every separator str.splitlines knows
 _BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-# whitespace that separates no lines, goal shapes, and lines longer than the
-# tail extract_goal splits first
+# whitespace that separates no lines, goal shapes, and long lines
 _PIECES = _BREAKS + [
     " ", "\t", "\x1f", "\xa0", "\u3000", "x", '"', '"x = 1"', "?thesis", "?case", "have c0:",
     "by auto", "(* note *)", "x" * 300, " " * 300, "y\n" * 200,
