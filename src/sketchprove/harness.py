@@ -149,7 +149,10 @@ def load_dataset(path: str | Path) -> list[Problem]:
     """Load and validate a problem dataset. Rejects duplicate ids and
     malformed records; merely reports split sizes (the reference benchmark
     has 244 per split, desk corpora are smaller)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset file {path}: {exc.strerror or exc}") from None
     if not lines:
         raise SchemaError(1, "schema_version", "empty dataset file")
     header = _parse_json_line(lines[0], 1)

@@ -112,6 +112,8 @@ def load_pool(path: str | Path) -> ExamplePool:
     proof parses gap-free)."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read pool file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise PoolFormatError(f"pool file is not valid JSON: {exc}") from None
     if not isinstance(raw, list):

@@ -102,6 +102,7 @@ from .config import (
     GapResult,
     ProverConfig,
     ProverState,
+    ScriptError,
     SessionDead,
     TimedOut,
     run_cascades,
@@ -501,12 +502,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--stdio", action="store_true", help="serve on stdin/stdout instead")
     args = parser.parse_args(argv)
 
-    if args.stdio:
-        backend = ScriptedBackend(load_script(args.script))
-        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-        _serve_connection(backend, sys.stdin, sys.stdout)
-        return 0
-    server = WireServer(args.script, port=args.port)
+    try:
+        if args.stdio:
+            backend = ScriptedBackend(load_script(args.script))
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+            _serve_connection(backend, sys.stdin, sys.stdout)
+            return 0
+        server = WireServer(args.script, port=args.port)
+    except ScriptError as exc:
+        print(f"error[infra]: {exc}", file=sys.stderr)
+        return exc.exit_code
     print(f"listening on {server.address}", flush=True)
     try:
         server._server.serve_forever()

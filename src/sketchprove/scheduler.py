@@ -25,7 +25,9 @@ source, the ablation without drafts) have no request, and in replay
 A sketch must state the problem's own theorem: one whose header differs
 from the parsed formal statement is refused before any prover work, since
 a weakened statement (say, an added false assumption) would count as a
-proof of something else.
+proof of something else. Each distinct completion is parsed once per
+problem; a repeat still goes through `prove_sketch`, which the session
+memo answers.
 
 `draft_request` and `sketch_request` build each LLM stage's request for
 the pipeline and for the CLI's `draft` and `sketch` alike, so all of them
@@ -436,14 +438,17 @@ def _run_attempt(
     components: PipelineComponents,
     reopens: Iterator[int],
     statement: TheoremHeader | None,
+    parses: dict[str, SketchAst | None],
 ) -> AttemptRecord:
-    """One (draft, sketch) attempt: collect its completion, parse it and
-    prove it, reopening a lost session for the proof alone. A sketch whose
-    theorem header is not exactly `statement`, the header of the problem's
-    formal statement (None when that does not parse), proves another
-    theorem: it fails as `verify` before any backend call, like a sketch
-    the cheat gate refuses. Raises SessionDead once the problem's reopen
-    budget is spent; every other failure becomes a stage-tagged record."""
+    """One (draft, sketch) attempt: collect its completion, parse it (or
+    find it in `parses`, the problem's parse of each completion seen, None
+    for one that does not parse) and prove it, reopening a lost session
+    for the proof alone. A sketch whose theorem header is not exactly
+    `statement`, the header of the problem's formal statement (None when
+    that does not parse), proves another theorem: it fails as `verify`
+    before any backend call, like a sketch the cheat gate refuses. Raises
+    SessionDead once the problem's reopen budget is spent; every other
+    failure becomes a stage-tagged record."""
     if isinstance(fetched, AttemptRecord):
         return fetched
     request, future = fetched
@@ -452,9 +457,14 @@ def _run_attempt(
     except CompletionError as exc:
         logger.warning("problem %s: sketch completion failed: %s", problem_id, exc)
         return _attempt_record(problem_id, entry, FailureStage.INFRA)
-    try:
-        ast = parse_sketch(response.completions[0])
-    except ParseError:
+    text = response.completions[0]
+    if text not in parses:
+        try:
+            parses[text] = parse_sketch(text)
+        except ParseError:
+            parses[text] = None
+    ast = parses[text]
+    if ast is None:
         return _attempt_record(problem_id, entry, FailureStage.PARSE, wall_ms=response.latency_ms)
     if ast.header != statement:
         return _attempt_record(
@@ -507,12 +517,15 @@ def run_problem(
 
     attempts: list[AttemptRecord] = []
     reopens = itertools.count(1)
+    parses: dict[str, SketchAst | None] = {}
     # the window was set before the draft's future completed
     fetches = _fetch_sketches(problem, drafts, plan.entries, components, ahead.window)
     with contextlib.closing(fetches):
         for entry, fetched in zip(plan.entries, fetches):
             try:
-                record = _run_attempt(problem.id, entry, fetched, components, reopens, statement)
+                record = _run_attempt(
+                    problem.id, entry, fetched, components, reopens, statement, parses
+                )
             except SessionDead as exc:
                 return _session_lost(problem.id, attempts, exc)
             attempts.append(record)

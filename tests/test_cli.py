@@ -527,6 +527,7 @@ _MALFORMED_INPUTS = {
         lambda d: _edit_dataset_record(d / "dataset.jsonl", informal_statement=["x"]),
         [], 2, "field 'informal_statement'",
     ),
+    "dataset-missing": (lambda d: (d / "dataset.jsonl").unlink(), [], 2, "dataset.jsonl"),
     "config-not-an-object": (
         lambda d: (d / "config.json").write_text("5"), ["--config", "config.json"], 2,
         "config file must hold a JSON object",
@@ -542,6 +543,7 @@ _MALFORMED_INPUTS = {
         lambda d: _edit_json(d / "pool.json", lambda pool: [pool[0] | {"formal_sketch": 5}]),
         [], 2, "['formal_sketch']",
     ),
+    "pool-missing": (lambda d: (d / "pool.json").unlink(), [], 2, "pool.json"),
     "script-not-an-object": (
         lambda d: (d / "script.json").write_text("[]"), [], 1, "the script must be an object"
     ),

@@ -292,6 +292,56 @@ def test_sketch_that_changes_the_theorem_never_reaches_the_prover(tmp_path):
     assert not opened
 
 
+def _counting(monkeypatch, name, arg):
+    """Wraps `sketchprove.scheduler.<name>` to log its argument `arg` of
+    each call; returns that log."""
+    import sketchprove.scheduler as scheduler_module
+
+    calls = []
+    real = getattr(scheduler_module, name)
+
+    def counting(*args):
+        calls.append(args[arg])
+        return real(*args)
+
+    monkeypatch.setattr(scheduler_module, name, counting)
+    return calls
+
+
+def test_each_distinct_completion_is_parsed_once_per_problem(tmp_path, monkeypatch):
+    import sketchprove.scheduler as scheduler_module
+
+    broken = "theorem broken((( nope"
+    weakened = GOOD_SKETCH.replace('"x + 7 = 40"\n', '"x + 7 = 40" and h1: "False"\n')
+    texts = [BAD_SKETCH, broken, BAD_SKETCH, GOOD_SKETCH, broken, weakened, GOOD_SKETCH, weakened]
+    policy = BudgetPolicy(drafts_per_problem=8, sketches_per_draft=1, stop_on_first_success=False)
+    runs = {}
+    for name in ("every", "once"):
+        (tmp_path / name).mkdir()
+        components = _components(tmp_path / name, texts.__getitem__)
+        with monkeypatch.context() as patch:
+            parsed = _counting(patch, "parse_sketch", 0)
+            proved = _counting(patch, "prove_sketch", 1)
+            if name == "every":
+                # the reference: a fresh parse for every attempt
+                real = scheduler_module._run_attempt
+                patch.setattr(scheduler_module, "_run_attempt", lambda *args: real(*args[:-1], {}))
+            with contextlib.closing(components.client):
+                result = run_problem(_problem(), policy, components)
+            components.sessions.close()
+        runs[name] = _sans_wall_ms([result])
+        assert len(proved) == 4  # every attempt that passes the statement gate
+        if name == "once":
+            assert sorted(text for text in parsed if text in texts) == sorted(set(texts))
+    assert runs["once"] == runs["every"]
+    assert [a.failure_stage for a in result.attempts] == [
+        FailureStage.PROVE, FailureStage.PARSE, FailureStage.PROVE, None,
+        FailureStage.PARSE, FailureStage.VERIFY, None, FailureStage.VERIFY,
+    ]
+    assert [a.parse_ok for a in result.attempts] == [t != broken for t in texts]
+    assert [a.gaps_total for a in result.attempts] == [0 if t == broken else 2 for t in texts]
+
+
 def _mutated_header(header, mutation):
     """`header` with one change that makes it state another theorem."""
     assumes = header.assumes
@@ -657,14 +707,7 @@ def test_a_plan_over_budget_starts_no_request_ahead(tmp_path):
 def test_two_runs_parse_each_formal_statement_once(problems, golden_config, monkeypatch):
     import sketchprove.scheduler as scheduler_module
 
-    parsed = []
-    real = scheduler_module.parse_sketch
-
-    def counting(text):
-        parsed.append(text)
-        return real(text)
-
-    monkeypatch.setattr(scheduler_module, "parse_sketch", counting)
+    parsed = _counting(monkeypatch, "parse_sketch", 0)
     scheduler_module._statement_header.cache_clear()
     policy, seed = _golden_policy(golden_config), golden_config["seed"]
     run_experiment(problems, policy, _golden_components(), 1, seed)
@@ -795,6 +838,16 @@ def test_golden_replay_backend_calls_stay_memoised(tmp_path, problems, golden_co
     assert (tmp_path / "records.jsonl").read_bytes() == (FIXTURES / "golden" / "records.jsonl").read_bytes()
     sent = [cmd for session in opened for cmd, _ in session.backend.calls if cmd != "quit"]
     assert len(sent) <= 500
+
+
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_golden_replay_parses_each_distinct_sketch_once_per_problem(problems, golden_config, monkeypatch, jobs):
+    # the fixture corpus repeats texts: 194 sketch completions, 29 distinct
+    # within their problems; formal statements are parsed apart, once each
+    parsed = _counting(monkeypatch, "parse_sketch", 0)
+    run_experiment(problems, _golden_policy(golden_config), _golden_components(), jobs, golden_config["seed"])
+    statements = {p.formal_statement for p in problems}
+    assert len([text for text in parsed if text not in statements]) <= 29
 
 
 class DyingBackend:

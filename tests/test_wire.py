@@ -722,3 +722,17 @@ def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport
     assert [(r["kind"], r["closing_step"]) for r in answered["results"]] == [
         ("closed", "by auto"), ("closed", "by blast")]
     assert quit_reply == {"id": 21, "status": "ok", "elapsed_ms": 0}
+
+
+@pytest.mark.parametrize("serve", [["--stdio"], ["--port", "0"]], ids=["stdio", "port"])
+def test_reference_server_reports_a_bad_script_in_one_line(tmp_path, serve):
+    script_path = tmp_path / "script.json"
+    script_path.write_text("[]")
+    child = subprocess.run(
+        [sys.executable, "-m", "sketchprove.prover", "--script", str(script_path), *serve],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr.splitlines() == [
+        f"error[infra]: bad prover script {script_path}: the script must be an object"
+    ]
