@@ -376,9 +376,14 @@ def export_records(results: Sequence[ProblemResult], path: str | Path) -> None:
 
 def import_attempts(path: str | Path) -> list[AttemptRecord]:
     """The attempt records of a records stream, in stream order. A line
-    with a missing or mistyped field raises SchemaError."""
+    with a missing or mistyped field raises SchemaError, an unreadable file
+    ConfigError."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read records file {path}: {exc.strerror or exc}") from None
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         raw = _parse_json_line(line, lineno)

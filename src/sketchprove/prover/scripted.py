@@ -33,7 +33,7 @@ import json
 import re
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -169,6 +169,11 @@ def load_script(path: str | Path) -> ProverScript:
     )
 
 
+_QUOTED_RE = re.compile(r'"([^"]*)"')
+_TARGET_RE = re.compile(r"\?[A-Za-z_][A-Za-z0-9_']*")
+_STATE_ID_RE = re.compile(r"s([1-9][0-9]*)")
+
+
 def extract_goal(statement: str) -> str:
     """Matcher input for a proof context: the quoted proposition on the last
     nonblank line, a ?thesis/?case target, or the raw line itself."""
@@ -176,10 +181,10 @@ def extract_goal(statement: str) -> str:
     if not lines:
         return ""
     last = lines[-1].strip()
-    quoted = re.findall(r'"([^"]*)"', last)
+    quoted = _QUOTED_RE.findall(last)
     if quoted:
         return quoted[-1]
-    target = re.search(r"\?[A-Za-z_][A-Za-z0-9_']*", last)
+    target = _TARGET_RE.search(last)
     if target:
         return target.group(0)
     return last
@@ -192,9 +197,12 @@ class ScriptedBackend:
     real_sleep the backend also sleeps them away for wall-clock tests."""
 
     script: ProverScript
-    _goal: str = ""
     _ordinal: int = 0
     _states: int = 0
+    _outcome: Outcome = field(init=False)  # the current goal's rule, found once per init
+
+    def __post_init__(self) -> None:
+        self._outcome = self.script.outcome_for("")  # a step before any init
 
     def _reply(self, status: str, elapsed_ms: int, **extra) -> BackendReply:
         if self.script.latency.real_sleep and elapsed_ms > 0:
@@ -207,19 +215,19 @@ class ScriptedBackend:
 
     def _issued(self, state_id: str) -> bool:
         # ids are issued in order, s1 to s{n}: no per-state memory is needed
-        issued = re.fullmatch(r"s([1-9][0-9]*)", state_id)
+        issued = _STATE_ID_RE.fullmatch(state_id)
         return issued is not None and int(issued.group(1)) <= self._states
 
     def init(self, base: str | ProverState, statement: str) -> BackendReply:
         if isinstance(base, ProverState):
             if not self._issued(base.state_id):
                 raise SessionDead(f"unknown state {base.state_id!r}")
-        self._goal = extract_goal(statement)
+        self._outcome = self.script.outcome_for(extract_goal(statement))
         self._ordinal = 0
         return BackendReply("ok", 0, state_id=self._next_state())
 
     def step(self, text: str, timeout_ms: int) -> BackendReply:
-        outcome = self.script.outcome_for(self._goal)
+        outcome = self._outcome
         ordinal = self._ordinal
         self._ordinal += 1
         cost = min(self.script.latency.step_ms, timeout_ms)
@@ -231,7 +239,7 @@ class ScriptedBackend:
         return self._reply("fail", cost, reason="step does not close the goal")
 
     def hammer(self, timeout_ms: int) -> BackendReply:
-        outcome = self.script.outcome_for(self._goal)
+        outcome = self._outcome
         cost = min(self.script.latency.hammer_ms, timeout_ms)
         if outcome.kind == "hammer":
             return self._reply(

@@ -14,7 +14,13 @@ from .parser import comment_end
 
 CHEAT_KEYWORDS = ("sorry", "oops")
 
-_KEYWORD_RE = re.compile(rf"\b({'|'.join(CHEAT_KEYWORDS)})\b")
+_KEYWORDS = "|".join(CHEAT_KEYWORDS)
+_KEYWORD_RE = re.compile(rf"\b({_KEYWORDS})\b")
+# Each match is one event: a comment opener, a whole string literal (an
+# unterminated one runs to the end), or a keyword candidate. The candidate
+# has no \b of its own, so the search can skip ahead by first character;
+# _KEYWORD_RE then confirms the word boundaries.
+_EVENT_RE = re.compile(rf'\(\*|"[^"]*"?|{_KEYWORDS}')
 
 
 @dataclass(frozen=True)
@@ -24,25 +30,22 @@ class CheatReport:
 
 
 def check_no_cheat(source: str) -> CheatReport:
-    """Scan `source` for cheat keywords outside comments and strings."""
+    """Scan `source` for cheat keywords outside comments and strings, in one
+    regex pass: each search finds the next comment, string or keyword."""
     offending: list[tuple[str, int]] = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        next_comment = source.find("(*", pos)
-        next_string = source.find('"', pos)
-        boundaries = [b for b in (next_comment, next_string) if b != -1]
-        boundary = min(boundaries) if boundaries else n
-        for match in _KEYWORD_RE.finditer(source, pos, boundary):
-            byte_offset = len(source[: match.start()].encode("utf-8"))
-            offending.append((match.group(1), byte_offset))
-        if boundary == n:
-            break
-        if boundary == next_comment:
-            end = comment_end(source, boundary)
-            pos = n if end == -1 else end  # unterminated: rest of input is comment
-        else:
-            close = source.find('"', boundary + 1)
-            pos = n if close == -1 else close + 1
+    search = _EVENT_RE.search
+    pos = char_pos = byte_pos = 0
+    while (match := search(source, pos)) is not None:
+        start = match.start()
+        first = source[start]
+        if first == "(":
+            pos = comment_end(source, start)
+            if pos == -1:  # unterminated: the rest of the input is comment
+                break
+            continue
+        if first != '"' and (keyword := _KEYWORD_RE.match(source, start)) is not None:
+            byte_pos += len(source[char_pos:start].encode("utf-8"))
+            char_pos = start
+            offending.append((keyword.group(1), byte_pos))
+        pos = match.end()
     return CheatReport(not offending, tuple(offending))
-

@@ -6,6 +6,10 @@ and case lists, have/show/obtain/assume steps with then/also/finally chain
 prefixes, using/unfolding clauses, comments, and open-gap markers. Anything
 else is a ParseError with a byte offset and the expected-token set; the
 parser never raises anything else, no matter the input bytes.
+
+Tokenizing is one regex pass: each token, with the whitespace before it,
+costs one match, and only a comment's end is found outside the pattern
+(`comment_end`, since comments nest).
 """
 
 from __future__ import annotations
@@ -63,35 +67,27 @@ class _Token(NamedTuple):
     end: int
 
 
+# One match per token, the whitespace before it included. `quote` is an
+# unterminated string; `other` is any other non-space character (strays
+# survive only inside opaque regions, method parentheses and <ATP> spans; the
+# parser rejects them elsewhere). It is \S, not `.`, so trailing whitespace
+# fails to match instead of backtracking into a token. Group names are token
+# kinds, except the three groups the loop handles itself.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    r"""\s*(?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_'.]*)
       | (?P<comment_open>\(\*)
       | (?P<string>"[^"]*")
-      | (?P<atp_open><ATP>)
-      | (?P<atp_close></ATP>)
-      | (?P<gapmark><\.\.\.>)
-      | (?P<coloncolon>::)
-      | (?P<colon>:)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
+      | (?P<quote>")
+      | (?P<symbol><ATP>|</ATP>|<\.\.\.>|::|:|\(|\)|-)
       | (?P<qident>\?[A-Za-z_][A-Za-z0-9_']*)
       | (?P<number>[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_'.]*)
-      | (?P<dash>-)
-    """,
+      | (?P<other>\S)
+    )""",
     re.VERBOSE,
 )
 
-_SYMBOL_GROUPS = {
-    "atp_open": "<ATP>",
-    "atp_close": "</ATP>",
-    "gapmark": "<...>",
-    "coloncolon": "::",
-    "colon": ":",
-    "lparen": "(",
-    "rparen": ")",
-    "dash": "-",
-}
+_VERBATIM_KINDS = frozenset({"ident", "symbol", "qident", "number", "other"})
 
 
 def comment_end(source: str, open_pos: int) -> int:
@@ -125,36 +121,27 @@ class _RawParseError(Exception):
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
+    append = tokens.append
+    make = tuple.__new__
+    match_at = _TOKEN_RE.match
     pos = 0
-    n = len(source)
-    while pos < n:
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            # Unknown characters only survive inside opaque regions (method
-            # parentheses, <ATP> spans); the parser rejects strays.
-            if source[pos] == '"':
-                raise _RawParseError(pos, "unterminated string literal")
-            tokens.append(_Token("other", source[pos], pos, pos + 1))
-            pos += 1
-            continue
+    while (match := match_at(source, pos)) is not None:
         kind = match.lastgroup
-        if kind == "ws":
-            pos = match.end()
-            continue
-        if kind == "comment_open":
-            end = comment_end(source, pos)
-            if end == -1:
-                raise _RawParseError(pos, "unterminated comment")
-            tokens.append(_Token("comment", source[pos + 2 : end - 2].strip(), pos, end))
-            pos = end
-            continue
-        if kind == "string":
-            tokens.append(_Token("string", match.group()[1:-1], pos, match.end()))
-        elif kind in ("ident", "number", "qident"):
-            tokens.append(_Token(kind, match.group(), pos, match.end()))
-        else:
-            tokens.append(_Token("symbol", _SYMBOL_GROUPS[kind], pos, match.end()))
         pos = match.end()
+        text = match[kind]
+        if kind in _VERBATIM_KINDS:
+            append(make(_Token, (kind, text, pos - len(text), pos)))
+        elif kind == "string":
+            append(make(_Token, ("string", text[1:-1], pos - len(text), pos)))
+        elif kind == "comment_open":
+            start = pos - 2
+            pos = comment_end(source, start)
+            if pos == -1:
+                raise _RawParseError(start, "unterminated comment")
+            append(make(_Token, ("comment", source[start + 2 : pos - 2].strip(), start, pos)))
+        else:
+            raise _RawParseError(pos - 1, "unterminated string literal")
+    n = len(source)
     tokens.append(_Token("eof", "", n, n))
     return tokens
 
@@ -173,9 +160,7 @@ class _Parser:
     # advance() never moves past the eof sentinel, so self.i always indexes
     # a valid token.
 
-    def peek(self, ahead: int = 0) -> _Token:
-        if ahead:
-            return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
         return self.tokens[self.i]
 
     def advance(self) -> _Token:
@@ -185,11 +170,11 @@ class _Parser:
         return tok
 
     def at_ident(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == "ident" and tok.text in words
 
     def at_symbol(self, sym: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == "symbol" and tok.text == sym
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> _RawParseError:
@@ -268,16 +253,7 @@ class _Parser:
 
     def parse_assumes_items(self, out: list[tuple[str | None, str]]) -> None:
         while True:
-            label = None
-            if (
-                self.peek().kind == "ident"
-                and self.peek().text not in RESERVED
-                and self.peek(1).kind == "symbol"
-                and self.peek(1).text == ":"
-            ):
-                label = self.advance().text
-                self.advance()
-            out.append((label, self.expect_string("assumption").text))
+            out.append((self.parse_optional_label(), self.expect_string("assumption").text))
             if self.at_ident("and"):
                 self.advance()
                 continue
@@ -372,30 +348,31 @@ class _Parser:
         return tuple(uses), tuple(unfolds)
 
     def parse_optional_label(self) -> str | None:
-        if (
-            self.peek().kind == "ident"
-            and self.peek().text not in RESERVED
-            and self.peek(1).kind == "symbol"
-            and self.peek(1).text == ":"
-        ):
-            label = self.advance().text
-            self.advance()
-            return label
-        return None
+        """A `name:` label: an identifier that is not reserved, then ':'."""
+        tok = self.tokens[self.i]
+        if tok.kind != "ident" or tok.text in RESERVED:
+            return None
+        colon = self.tokens[self.i + 1]  # an ident is never the eof sentinel
+        if colon.kind != "symbol" or colon.text != ":":
+            return None
+        self.i += 2
+        return tok.text
 
     def parse_step(self, depth: int, comment: str | None) -> ProofNode:
+        tok = self.peek()
         chain = None
-        if self.at_ident(*CHAIN_WORDS):
+        if tok.kind == "ident" and tok.text in CHAIN_WORDS:
             chain = self.advance().text
-        keyword_tok = self.peek()
-        if self.at_ident("have"):
+            tok = self.peek()
+        keyword = tok.text if tok.kind == "ident" else None
+        if keyword == "have":
             self.advance()
             label = self.parse_optional_label()
             prop = self.expect_string("proposition").text
             uses, unfolds = self.parse_using_clauses()
             just = self.parse_justification(depth)
             node: ProofNode = HaveStep(label, prop, uses, unfolds, just, chain, comment)
-        elif self.at_ident("show"):
+        elif keyword == "show":
             self.advance()
             tok = self.peek()
             if tok.kind == "qident":
@@ -407,7 +384,7 @@ class _Parser:
             uses, unfolds = self.parse_using_clauses()
             just = self.parse_justification(depth)
             node = ShowStep(target, uses, unfolds, just, chain, comment)
-        elif self.at_ident("obtain"):
+        elif keyword == "obtain":
             self.advance()
             bound = []
             while self.peek().kind == "ident" and self.peek().text not in RESERVED:
@@ -420,11 +397,9 @@ class _Parser:
             uses, unfolds = self.parse_using_clauses()
             just = self.parse_justification(depth)
             node = ObtainStep(tuple(bound), label, prop, uses, unfolds, just, chain, comment)
-        elif self.at_ident("assume"):
+        elif keyword == "assume":
             if chain is not None:
-                raise _RawParseError(
-                    keyword_tok.start, "assume does not take a chain prefix"
-                )
+                raise _RawParseError(tok.start, "assume does not take a chain prefix")
             self.advance()
             label = self.parse_optional_label()
             prop = self.expect_string("assumption").text

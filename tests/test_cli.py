@@ -93,6 +93,22 @@ def test_curve_row_count(tmp_path):
     assert len(lines) == 101  # header + one row per attempt count
 
 
+@pytest.mark.parametrize("command", ["eval", "curve"])
+@pytest.mark.parametrize("records", ["nosuch.jsonl", "a-directory"])
+def test_unreadable_records_file_is_a_config_error(tmp_path, monkeypatch, capsys, command, records):
+    from sketchprove import cli
+
+    (tmp_path / "a-directory").mkdir()
+    monkeypatch.chdir(tmp_path)
+    flags = ["--dataset", str(FIXTURES / "datasets" / "mini.jsonl"), "--out", "out"]
+    assert cli.main([*flags, command, "--records", records]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error[")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error[config]: cannot read records file {records}: ")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_config_file_layering(tmp_path):
     config = {
         "dataset_path": str(FIXTURES / "datasets" / "mini.jsonl"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ast_gen import AstGen, generate
 from gap_fill import fill
+from tokenize_oracle import tokenize as tokenize_oracle
 from sketchprove.sketch import (
     GAP_TOKEN,
     CheatReport,
@@ -34,6 +35,7 @@ from sketchprove.sketch import (
     walk,
 )
 from sketchprove.sketch.nodes import InvalidSite
+from sketchprove.sketch.parser import _RawParseError, _tokenize
 
 
 # -- parsing the transcribed figures -------------------------------------------
@@ -289,6 +291,38 @@ def test_cheat_gate_matches_blanking_oracle(text):
     assert check_no_cheat(text) == CheatReport(not expected, expected)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('"x"sorry', (("sorry", 3),)),
+        ("(* c *)oops", (("oops", 7),)),
+        ('sorry"x"', (("sorry", 0),)),
+        ("oops(* c *)", (("oops", 0),)),
+        ("by auto sorry", (("sorry", 8),)),
+        ('"x" oops', (("oops", 4),)),
+        ('"x"sorry"y"(* c *)oops', (("sorry", 3), ("oops", 18))),
+        ('"x"sorryx', ()),
+        ("(* c *)xoops", ()),
+        ('"sorry"', ()),
+        ("(* oops", ()),
+    ],
+)
+def test_keywords_next_to_strings_comments_and_the_end(text, expected):
+    assert check_no_cheat(text) == CheatReport(not expected, expected)
+
+
+def test_cheat_scan_stays_linear_without_comments():
+    # a scan that looks ahead to the next comment at every string is
+    # quadratic here: about 5 s on a 2-vCPU VM, against about 13 ms
+    steps = "".join(f'  have c{i}: "x = {i}" by auto\n' for i in range(16_000))
+    text = f'theorem t: shows "P"\nproof -\n{steps}  show ?thesis sorry\nqed\n'
+    started = time.monotonic()
+    report = check_no_cheat(text)
+    elapsed = time.monotonic() - started
+    assert report.offending == (("sorry", len(text) - len("sorry\nqed\n")),)
+    assert elapsed < 1.0
+
+
 def test_multibyte_offsets_are_bytes():
     text = '(* déjà *) sorry'
     report = check_no_cheat(text)
@@ -314,6 +348,34 @@ def test_parser_total_on_arbitrary_bytes():
             parse_sketch(blob)
         except ParseError:
             pass  # the only permitted failure
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except _RawParseError as exc:
+        return ("error", exc.pos, exc.message)
+
+
+# sketch syntax, strays that only opaque regions hold, and Unicode letters,
+# digits and spaces that \s and [A-Za-z] treat differently
+TOKEN_ALPHABET = [
+    "(*", "*)", '"', "<ATP>", "</ATP>", "<...>", "::", ":", "?x", "?", "0", "42", "\u0663",
+    "'", ".", "-", "(", ")", "<", "*", "have", "c_1", " ", "\t", "\n", "\r\n",
+    "\u00e9", "\u65e5", "\U0001d538", "\u00a0", "\u2003", "\u3000",
+]
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=40).map("".join))
+def test_tokenizer_matches_two_match_oracle(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_oracle, text)
+
+
+def test_tokenizer_matches_oracle_on_fixture_sketches(sketch_files):
+    for path in sketch_files:
+        text = path.read_text()
+        assert _tokenize(text) == tokenize_oracle(text)
 
 
 def test_parser_handles_deep_nesting_without_crashing():

@@ -592,6 +592,34 @@ def test_scripted_backend_resumes_only_issued_states(tmp_path):
             backend.init(ProverState(unknown), 'have c: "g"')
 
 
+def test_scripted_backend_answers_the_rule_of_the_latest_goal():
+    backend = ScriptedBackend(ProverScript(
+        rules=(
+            Rule("exact", "", Outcome("tactic", index=0)),
+            Rule("substring", "alpha", Outcome("tactic", index=1)),
+            Rule("substring", "beta", Outcome("hammer", step="by simp")),
+        ),
+        default=Outcome("fail"),
+    ))
+
+    def answers():
+        return [backend.step("t", 50).status, backend.step("t", 50).status, backend.hammer(50).status]
+
+    assert answers() == ["ok", "fail", "fail"]  # before any init: the empty goal's rule
+    backend.init("Main", 'have a: "alpha"')
+    backend.init("Main", 'have b: "beta"')
+    assert answers() == ["fail", "fail", "ok"]
+    backend.init(ProverState("s1"), 'have a: "alpha"')  # resume from an earlier state
+    assert answers() == ["fail", "ok", "fail"]
+    backend.init(ProverState("s2"), 'have g: "gamma"')
+    assert answers() == ["fail", "fail", "fail"]
+    with pytest.raises(SessionDead):
+        backend.init(ProverState("s99"), 'have a: "alpha"')
+    assert answers() == ["fail", "fail", "fail"]  # a refused init keeps the goal
+    backend.init(ProverState("s3"), 'have b: "beta"')
+    assert backend.hammer(50).reconstruction == "by simp"
+
+
 # -- extract_goal ------------------------------------------------------------------------
 
 
