@@ -105,7 +105,9 @@ class ProverMemo:
 
 class ProverSession:
     """One prover conversation; exactly one command in flight at a time.
-    A session that dies, or is closed, drops its memo."""
+    A command that raises, a lost connection or anything else, leaves the
+    session dead, since its conversation is then in an unknown state; a
+    dead or closed session drops its memo."""
 
     def __init__(self, backend: Backend, config: ProverConfig, session_id: str | None = None):
         self.session_id = session_id or new_session_id()
@@ -124,9 +126,11 @@ class ProverSession:
         self.state = SessionState.BUSY
         try:
             yield self.backend
-        except SessionDead:
+        except BaseException:
+            # a lost connection, or a command that raised and left the
+            # conversation in an unknown state: its state ids die with it
             self.state = SessionState.DEAD
-            self.memo = ProverMemo()  # its state ids died with the connection
+            self.memo = ProverMemo()
             raise
         else:
             self.state = SessionState.IDLE
@@ -200,19 +204,51 @@ def _cheat_reason(text: str) -> str | None:
     return "cheating keyword: " + ", ".join(sorted({kw for kw, _ in report.offending}))
 
 
-def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | SketchFailure:
+@dataclass(frozen=True)
+class PreparedSketch:
+    """All that proving a sketch needs of its AST, which depends on the AST
+    alone: its gap sites in document order, the rendered segments between
+    its gaps (one more than the sites), the gap context of each segment but
+    the last, and why the cheat gate refuses the sketch (None when clean)."""
+
+    ast: SketchAst
+    sites: tuple[GapSite, ...]
+    segments: tuple[str, ...]
+    contexts: tuple[str, ...]
+    cheat: str | None
+
+
+def prepare_sketch(ast: SketchAst) -> PreparedSketch:
+    """Render, cheat-scan and walk `ast` once, for any number of proofs."""
+    segments = tuple(render_segments(ast))
+    return PreparedSketch(
+        ast,
+        tuple(extract_gaps(ast)),
+        segments,
+        tuple(map(_gap_context, segments[:-1])),
+        _cheat_reason(GAP_TOKEN.join(segments)),
+    )
+
+
+def prove_sketch(
+    session: ProverSession, sketch: SketchAst | PreparedSketch
+) -> FullProofResult | SketchFailure:
     """Close all gaps in document order, so later gaps see earlier
     closures; abort on the first gap that does not close, or that closes
     with a step the proof text cannot hold. A fully closed sketch must also
     pass end-to-end verification. A sketch the cheat gate refuses fails as
     a whole proof before any backend call, like a failed final check.
 
-    The sketch is rendered once into the segments between its gaps. The
-    first gap starts from the theory with the first segment; each later gap
-    resumes from the state in which the previous gap closed and sends only
-    its own segment, so the text sent per gap does not grow with the
-    sketch. A segment ends with its gap's whole head line, so the backend
-    finds the same goal as in the full prefix.
+    `sketch` is a `SketchAst`, prepared here, or a `PreparedSketch`, whose
+    render into the segments between its gaps, cheat scan and gap walk
+    were done once (`prepare_sketch`): a caller that proves one sketch
+    again, like the scheduler with a repeated completion, passes its
+    preparation, and a repeat whose gaps and proof the memo holds costs
+    memo lookups only. The first gap starts from the theory with the first
+    segment; each later gap resumes from the state in which the previous
+    gap closed and sends only its own segment, so the text sent per gap
+    does not grow with the sketch. A segment ends with its gap's whole
+    head line, so the backend finds the same goal as in the full prefix.
 
     Work already in the session's memo is not sent again: a gap whose
     (base, context) was seen earlier in this theorem gets the memoised
@@ -230,22 +266,21 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     A reply that stops at a closed gap leaves the next gap a miss, so the
     rest goes out as the next run; results after a gap whose closing step
     the proof cannot hold are never reached."""
-    segments = render_segments(ast)
-    cheat = _cheat_reason(GAP_TOKEN.join(segments))
-    if cheat is not None:
-        return SketchFailure(None, (), f"cheat gate: {cheat}")
+    prepared = sketch if isinstance(sketch, PreparedSketch) else prepare_sketch(sketch)
+    if prepared.cheat is not None:
+        return SketchFailure(None, (), f"cheat gate: {prepared.cheat}")
 
     memo = session.memo
-    if memo.header != ast.header:
-        memo = session.memo = ProverMemo(ast.header)
+    if memo.header != prepared.ast.header:
+        memo = session.memo = ProverMemo(prepared.ast.header)
+    segments = prepared.segments
     per_gap: list[GapResult] = []
     pieces: list[str] = []
     base: ProverState | None = None
-    for index, (site, segment) in enumerate(zip(extract_gaps(ast), segments)):
-        context = _gap_context(segment)
+    for index, (site, context) in enumerate(zip(prepared.sites, prepared.contexts)):
         result = memo.gaps.get((base, context))
         if result is None:
-            run = [context, *map(_gap_context, segments[index + 1 : -1])]
+            run = prepared.contexts[index:]
             _memoise(memo, base, run, close_gap(session, run, base))
             result = memo.gaps[base, context]
         if not isinstance(result, Closed):
@@ -253,7 +288,7 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
             return SketchFailure(site, tuple(per_gap), f"gap {kind}: {site.proposition}")
         try:
-            pieces += (segment, closing_step_text(result.closing_step))
+            pieces += (segments[index], closing_step_text(result.closing_step))
         except InvalidSite as exc:
             # the proof text cannot hold the step, so the gap stays open
             per_gap.append(Failed((("closing_step", "unparseable"),), result.elapsed_ms))

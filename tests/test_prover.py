@@ -37,15 +37,18 @@ from sketchprove.prover import (
     extract_goal,
     load_script,
     open_session,
+    prepare_sketch,
     prove_sketch,
     verify_full,
 )
+from sketchprove.prover.driver import _cheat_reason
 from sketchprove.prover.scripted import Outcome, Rule
-from sketchprove.scheduler import baseline_sketch
+from sketchprove.scheduler import SessionProvider, baseline_sketch
 from sketchprove.sketch import (
     HaveStep,
     ProofBlock,
     closing_step_text,
+    count_gaps,
     extract_gaps,
     parse_sketch,
     render_segments,
@@ -156,6 +159,30 @@ def test_busy_session_rejects_reentry(tmp_path):
         with pytest.raises(SessionBusy):
             with session.exclusive():
                 pass
+
+
+def test_a_backend_command_that_raises_kills_the_session(tmp_path, fig2_text):
+    spec = ScriptedSpec(write_script(tmp_path, close_all_script()))
+    sessions = SessionProvider(lambda: open_session(spec, FAST))
+    session = sessions.get()
+    assert isinstance(prove_sketch(session, parse_sketch(fig2_text)), FullProofResult)
+
+    def step(text, timeout_ms):
+        raise RuntimeError("backend bug")
+
+    session.backend.step = step
+    with pytest.raises(RuntimeError, match="backend bug"):
+        close_gap(session, [_context()])
+    # not left BUSY: the conversation is in an unknown state, so the session
+    # is dead, its memo is gone, and the next command asks for a reopen
+    assert session.state is SessionState.DEAD
+    assert not session.memo.gaps and not session.memo.verdicts
+    with pytest.raises(SessionDead):
+        close_gap(session, [_context()])
+    reopened = sessions.get()
+    assert reopened is not session
+    assert isinstance(prove_sketch(reopened, parse_sketch(fig2_text)), FullProofResult)
+    sessions.close()
 
 
 # -- close_gap ------------------------------------------------------------------
@@ -728,6 +755,26 @@ def test_prove_sketch_matches_gap_at_a_time_oracle(seed):
         assert " ".join(chain.split()) == " ".join(context.split())
         if isinstance(result, Closed):
             chain += closing_step_text(result.closing_step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_a_prepared_sketch_proves_as_its_ast_does(seed, cheat):
+    ast = AstGen(seed).sketch()
+    if cheat:
+        ast = replace(ast, header=replace(ast.header, name="sorry"))
+    prepared = prepare_sketch(ast)
+    assert prepared.ast is ast
+    assert prepared.sites == tuple(extract_gaps(ast))
+    assert len(prepared.sites) == count_gaps(ast)
+    assert prepared.segments == tuple(render_segments(ast))
+    assert prepared.contexts == tuple(seg.rstrip() + "\n" for seg in prepared.segments[:-1])
+    assert prepared.cheat == _cheat_reason(serialize(ast))
+    assert (prepared.cheat is not None) == cheat
+    from_ast = ProverSession(RecordingBackend(ScriptedBackend(MIXED_SCRIPT)), FAST)
+    from_prepared = ProverSession(RecordingBackend(ScriptedBackend(MIXED_SCRIPT)), FAST)
+    assert prove_sketch(from_ast, ast) == prove_sketch(from_prepared, prepared)
+    assert from_ast.backend.calls == from_prepared.backend.calls
 
 
 # -- the session memo ------------------------------------------------------------------
