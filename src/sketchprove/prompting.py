@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -72,25 +72,11 @@ class ExampleQuad:
 @dataclass(frozen=True)
 class ExamplePool:
     quads: tuple[ExampleQuad, ...]
-    # `in_mode`'s rewrites so far, by (example, mode)
-    _shown: dict[tuple[ExampleQuad, PromptMode], ExampleQuad] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         ids = [q.id for q in self.quads]
         if len(ids) != len(set(ids)):
             raise PoolFormatError("duplicate example ids in pool")
-
-    def in_mode(self, quad: ExampleQuad, mode: PromptMode) -> ExampleQuad:
-        """`apply_mode(quad, mode)`, computed once per example and mode for
-        the life of the pool, so each prompt does not parse and strip its
-        examples again. Raises MissingFullProof as `apply_mode` does."""
-        key = (quad, mode)
-        shown = self._shown.get(key)
-        if shown is None:
-            shown = self._shown[key] = apply_mode(quad, mode)
-        return shown
 
     def of_category(self, category: Category) -> tuple[ExampleQuad, ...]:
         if category is Category.UNKNOWN:

@@ -188,12 +188,17 @@ class FullProofResult:
     proof_text: str
     per_gap: tuple[GapResult, ...]
 
+    @property
+    def gaps_total(self) -> int:
+        return len(self.per_gap)
+
 
 @dataclass(frozen=True)
 class SketchFailure:
     failed_site: GapSite | None  # None: the whole proof failed (cheat gate or final check)
     partial: tuple[GapResult, ...]
     reason: str
+    gaps_total: int  # the sketch's gaps, whether reached or not
 
 
 def _cheat_reason(text: str) -> str | None:
@@ -204,51 +209,19 @@ def _cheat_reason(text: str) -> str | None:
     return "cheating keyword: " + ", ".join(sorted({kw for kw, _ in report.offending}))
 
 
-@dataclass(frozen=True)
-class PreparedSketch:
-    """All that proving a sketch needs of its AST, which depends on the AST
-    alone: its gap sites in document order, the rendered segments between
-    its gaps (one more than the sites), the gap context of each segment but
-    the last, and why the cheat gate refuses the sketch (None when clean)."""
-
-    ast: SketchAst
-    sites: tuple[GapSite, ...]
-    segments: tuple[str, ...]
-    contexts: tuple[str, ...]
-    cheat: str | None
-
-
-def prepare_sketch(ast: SketchAst) -> PreparedSketch:
-    """Render, cheat-scan and walk `ast` once, for any number of proofs."""
-    segments = tuple(render_segments(ast))
-    return PreparedSketch(
-        ast,
-        tuple(extract_gaps(ast)),
-        segments,
-        tuple(map(_gap_context, segments[:-1])),
-        _cheat_reason(GAP_TOKEN.join(segments)),
-    )
-
-
-def prove_sketch(
-    session: ProverSession, sketch: SketchAst | PreparedSketch
-) -> FullProofResult | SketchFailure:
+def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | SketchFailure:
     """Close all gaps in document order, so later gaps see earlier
     closures; abort on the first gap that does not close, or that closes
     with a step the proof text cannot hold. A fully closed sketch must also
     pass end-to-end verification. A sketch the cheat gate refuses fails as
     a whole proof before any backend call, like a failed final check.
 
-    `sketch` is a `SketchAst`, prepared here, or a `PreparedSketch`, whose
-    render into the segments between its gaps, cheat scan and gap walk
-    were done once (`prepare_sketch`): a caller that proves one sketch
-    again, like the scheduler with a repeated completion, passes its
-    preparation, and a repeat whose gaps and proof the memo holds costs
-    memo lookups only. The first gap starts from the theory with the first
-    segment; each later gap resumes from the state in which the previous
-    gap closed and sends only its own segment, so the text sent per gap
-    does not grow with the sketch. A segment ends with its gap's whole
-    head line, so the backend finds the same goal as in the full prefix.
+    The sketch is rendered once into the segments between its gaps. The
+    first gap starts from the theory with the first segment; each later gap
+    resumes from the state in which the previous gap closed and sends only
+    its own segment, so the text sent per gap does not grow with the
+    sketch. A segment ends with its gap's whole head line, so the backend
+    finds the same goal as in the full prefix.
 
     Work already in the session's memo is not sent again: a gap whose
     (base, context) was seen earlier in this theorem gets the memoised
@@ -265,34 +238,43 @@ def prove_sketch(
     under its own (base, context), and the walk goes on through the memo.
     A reply that stops at a closed gap leaves the next gap a miss, so the
     rest goes out as the next run; results after a gap whose closing step
-    the proof cannot hold are never reached."""
-    prepared = sketch if isinstance(sketch, PreparedSketch) else prepare_sketch(sketch)
-    if prepared.cheat is not None:
-        return SketchFailure(None, (), f"cheat gate: {prepared.cheat}")
+    the proof cannot hold are never reached.
+
+    Either outcome carries `gaps_total`, the sketch's gap count, from the
+    walk for gap sites done here, so a caller needs no walk of its own."""
+    sites = extract_gaps(ast)
+    segments = render_segments(ast)
+    cheat = _cheat_reason(GAP_TOKEN.join(segments))
+    if cheat is not None:
+        return SketchFailure(None, (), f"cheat gate: {cheat}", len(sites))
 
     memo = session.memo
-    if memo.header != prepared.ast.header:
-        memo = session.memo = ProverMemo(prepared.ast.header)
-    segments = prepared.segments
+    if memo.header != ast.header:
+        memo = session.memo = ProverMemo(ast.header)
     per_gap: list[GapResult] = []
     pieces: list[str] = []
     base: ProverState | None = None
-    for index, (site, context) in enumerate(zip(prepared.sites, prepared.contexts)):
+    for index, (site, segment) in enumerate(zip(sites, segments)):
+        context = _gap_context(segment)
         result = memo.gaps.get((base, context))
         if result is None:
-            run = prepared.contexts[index:]
+            run = [context, *map(_gap_context, segments[index + 1 : -1])]
             _memoise(memo, base, run, close_gap(session, run, base))
             result = memo.gaps[base, context]
         if not isinstance(result, Closed):
             per_gap.append(result)
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
-            return SketchFailure(site, tuple(per_gap), f"gap {kind}: {site.proposition}")
+            return SketchFailure(
+                site, tuple(per_gap), f"gap {kind}: {site.proposition}", len(sites)
+            )
         try:
-            pieces += (segments[index], closing_step_text(result.closing_step))
+            pieces += (segment, closing_step_text(result.closing_step))
         except InvalidSite as exc:
             # the proof text cannot hold the step, so the gap stays open
             per_gap.append(Failed((("closing_step", "unparseable"),), result.elapsed_ms))
-            return SketchFailure(site, tuple(per_gap), f"{exc.reason} (gap: {site.proposition})")
+            return SketchFailure(
+                site, tuple(per_gap), f"{exc.reason} (gap: {site.proposition})", len(sites)
+            )
         per_gap.append(result)
         base = ProverState(result.state_id)
 
@@ -301,7 +283,7 @@ def prove_sketch(
     if verdict is None:
         verdict = memo.verdicts[proof_text] = verify_full(session, proof_text)
     if isinstance(verdict, Invalid):
-        return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}")
+        return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}", len(sites))
     return FullProofResult(proof_text, tuple(per_gap))
 
 

@@ -25,11 +25,9 @@ source, the ablation without drafts) have no request, and in replay
 A sketch must state the problem's own theorem: one whose header differs
 from the parsed formal statement is refused before any prover work, since
 a weakened statement (say, an added false assumption) would count as a
-proof of something else. Each distinct completion is parsed and prepared
-(`prepare_sketch`) once per problem, and the preparation is dropped with
-the problem; a repeat goes through `prove_sketch` with it, so once the
-session memo holds its gaps and proof it costs memo lookups only (on the
-golden corpus, 29 distinct of 194 completions).
+proof of something else. Each distinct completion is parsed once per
+problem; a repeat still goes through `prove_sketch`, which the session
+memo answers and which counts the sketch's gaps for its record.
 
 `draft_request` and `sketch_request` build each LLM stage's request for
 the pipeline and for the CLI's `draft` and `sketch` alike, so all of them
@@ -73,6 +71,7 @@ from .prompting import (
     PoolTooSmall,
     PromptConfig,
     PromptMode,
+    apply_mode,
     build_draft_prompt,
     build_sketch_prompt,
     infer_category,
@@ -81,14 +80,12 @@ from .prompting import (
 from .prover import (
     Closed,
     FullProofResult,
-    PreparedSketch,
     ProverSession,
     SessionDead,
     SessionState,
-    prepare_sketch,
     prove_sketch,
 )
-from .sketch import Gap, SketchAst, TheoremHeader, parse_sketch
+from .sketch import Gap, SketchAst, TheoremHeader, count_gaps, parse_sketch
 from .sketch.parser import ParseError
 
 logger = logging.getLogger(__name__)
@@ -262,12 +259,12 @@ def sketch_request(
 ) -> CompletionRequest:
     """The sketching request for one draft. Its prompt holds k examples drawn
     with the plan entry's seed, rewritten for the ablation mode, then the
-    target problem; the pool rewrites each example once per mode. Raises
-    PoolTooSmall or MissingFullProof when the pool cannot supply them."""
+    target problem. Raises PoolTooSmall or MissingFullProof when the pool
+    cannot supply them."""
     examples = select_examples(
         pool, problem.id, infer_category(problem.id), config, random.Random(seed)
     )
-    shown = [pool.in_mode(quad, config.mode) for quad in examples]
+    shown = [apply_mode(quad, config.mode) for quad in examples]
     prompt = build_sketch_prompt(shown, problem, draft, config)
     return CompletionRequest(prompt=prompt, config=sketch_preset(), endpoint_id=endpoint_id)
 
@@ -288,13 +285,15 @@ def _obtain_drafts(
 
 
 def _prove_attempt(
-    problem_id: str, entry: tuple[int, int, int], prepared: PreparedSketch,
-    session: ProverSession, wall_ms: int = 0,
+    problem_id: str, entry: tuple[int, int, int], ast: SketchAst, session: ProverSession,
+    wall_ms: int = 0,
 ) -> AttemptRecord:
-    """Prove a prepared sketch and record the outcome, adding each gap's
+    """Prove a parsed sketch and record the outcome, adding each gap's
     prover time to the `wall_ms` spent before. A whole-proof failure (cheat
-    gate or final check) records `verify`, a gap that stays open `prove`."""
-    outcome = prove_sketch(session, prepared)
+    gate or final check) records `verify`, a gap that stays open `prove`.
+    The gap count is the one `prove_sketch` walked for, not a walk of its
+    own."""
+    outcome = prove_sketch(session, ast)
     if isinstance(outcome, FullProofResult):
         stage, per_gap = None, outcome.per_gap
     else:
@@ -303,7 +302,7 @@ def _prove_attempt(
     return _attempt_record(
         problem_id, entry, stage,
         parse_ok=True,
-        gaps_total=len(prepared.sites),
+        gaps_total=outcome.gaps_total,
         gaps_closed=sum(1 for r in per_gap if isinstance(r, Closed)),
         wall_ms=wall_ms + sum(r.elapsed_ms for r in per_gap),
     )
@@ -440,17 +439,17 @@ def _run_attempt(
     components: PipelineComponents,
     reopens: Iterator[int],
     statement: TheoremHeader | None,
-    parses: dict[str, PreparedSketch | None],
+    parses: dict[str, SketchAst | None],
 ) -> AttemptRecord:
-    """One (draft, sketch) attempt: collect its completion, parse and
-    prepare it (or find it in `parses`, the problem's prepared sketch of
-    each completion seen, None for one that does not parse) and prove it,
-    reopening a lost session for the proof alone. A sketch whose theorem
-    header is not exactly `statement`, the header of the problem's formal
-    statement (None when that does not parse), proves another theorem: it
-    fails as `verify` before any backend call, like a sketch the cheat
-    gate refuses. Raises SessionDead once the problem's reopen budget is
-    spent; every other failure becomes a stage-tagged record."""
+    """One (draft, sketch) attempt: collect its completion, parse it (or
+    find it in `parses`, the problem's parse of each completion seen, None
+    for one that does not parse) and prove it, reopening a lost session
+    for the proof alone. A sketch whose theorem header is not exactly
+    `statement`, the header of the problem's formal statement (None when
+    that does not parse), proves another theorem: it fails as `verify`
+    before any backend call, like a sketch the cheat gate refuses. Raises
+    SessionDead once the problem's reopen budget is spent; every other
+    failure becomes a stage-tagged record."""
     if isinstance(fetched, AttemptRecord):
         return fetched
     request, future = fetched
@@ -462,20 +461,20 @@ def _run_attempt(
     text = response.completions[0]
     if text not in parses:
         try:
-            parses[text] = prepare_sketch(parse_sketch(text))
+            parses[text] = parse_sketch(text)
         except ParseError:
             parses[text] = None
-    prepared = parses[text]
-    if prepared is None:
+    ast = parses[text]
+    if ast is None:
         return _attempt_record(problem_id, entry, FailureStage.PARSE, wall_ms=response.latency_ms)
-    if prepared.ast.header != statement:
+    if ast.header != statement:
         return _attempt_record(
-            problem_id, entry, FailureStage.VERIFY, parse_ok=True,
-            gaps_total=len(prepared.sites), wall_ms=response.latency_ms,
+            problem_id, entry, FailureStage.VERIFY, parse_ok=True, gaps_total=count_gaps(ast),
+            wall_ms=response.latency_ms,
         )
     return _on_session(
         problem_id, components, reopens,
-        lambda session: _prove_attempt(problem_id, entry, prepared, session, response.latency_ms),
+        lambda session: _prove_attempt(problem_id, entry, ast, session, response.latency_ms),
     )
 
 
@@ -519,7 +518,7 @@ def run_problem(
 
     attempts: list[AttemptRecord] = []
     reopens = itertools.count(1)
-    parses: dict[str, PreparedSketch | None] = {}
+    parses: dict[str, SketchAst | None] = {}
     # the window was set before the draft's future completed
     fetches = _fetch_sketches(problem, drafts, plan.entries, components, ahead.window)
     with contextlib.closing(fetches):
@@ -558,13 +557,13 @@ def run_problem_direct(problem: Problem, components: PipelineComponents) -> Prob
     prover's time. A statement that does not parse fails as `parse`."""
     entry = (0, 0, 0)
     try:
-        prepared = prepare_sketch(baseline_sketch(problem.formal_statement))
+        ast = baseline_sketch(problem.formal_statement)
     except ParseError:
         return ProblemResult(problem.id, (_attempt_record(problem.id, entry, FailureStage.PARSE),))
     try:
         record = _on_session(
             problem.id, components, itertools.count(1),
-            lambda session: _prove_attempt(problem.id, entry, prepared, session),
+            lambda session: _prove_attempt(problem.id, entry, ast, session),
         )
     except SessionDead as exc:
         return _session_lost(problem.id, [], exc)
