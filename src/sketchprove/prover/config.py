@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, Union
+from typing import NamedTuple, Protocol, Sequence, Union
 
 from ..errors import InfraError
 from ..sketch import InvalidSite, closing_step_text
@@ -41,8 +42,11 @@ class ProverConfig:
             raise ValueError("all timeouts must be positive")
 
 
+@functools.lru_cache(maxsize=256)
 def step_text(tactic: str) -> str:
-    """Render a cascade tactic as a closing step."""
+    """Render a cascade tactic as a closing step. Cached, since a cascade
+    renders the same few tactics for every gap; bounded, since the
+    reference server takes tactic names from the frames it is sent."""
     return f"by ({tactic})" if " " in tactic else f"by {tactic}"
 
 
@@ -113,16 +117,19 @@ class SessionBusy(Exception):
         return f"session {self.session_id} already has a command in flight"
 
 
-@dataclass(frozen=True)
-class ProverState:
+class ProverState(NamedTuple):
     """A state named by the `state_id` of an earlier ok reply on the same
-    connection: a context can resume there instead of replaying its text."""
+    connection: a context can resume there instead of replaying its text.
+    A named tuple, so that building and hashing one (a memo key part) run
+    in C; it never equals a theory name, which is a str."""
 
     state_id: str
 
 
-@dataclass(frozen=True)
-class BackendReply:
+class BackendReply(NamedTuple):
+    """One backend command's answer; a named tuple, built once per init,
+    step and hammer."""
+
     status: str  # ok | fail | timeout
     elapsed_ms: int = 0
     state_id: str | None = None
@@ -131,7 +138,8 @@ class BackendReply:
 
 
 class Backend(Protocol):
-    """One prover conversation. All methods may raise SessionDead.
+    """One prover conversation. `init`, `step`, `hammer` and `check_full`
+    answer with a `BackendReply`; all methods may raise SessionDead.
 
     A backend may also offer `cascade(base, contexts, config) ->
     list[GapResult]`, which answers what `run_cascades(backend, base,
@@ -183,10 +191,11 @@ def run_cascade(
     for index, tactic in enumerate(config.tactic_list):
         if elapsed + config.tactic_timeout_ms > config.per_gap_budget_ms:
             return TimedOut(elapsed)
-        reply = backend.step(step_text(tactic), config.tactic_timeout_ms)
+        text = step_text(tactic)
+        reply = backend.step(text, config.tactic_timeout_ms)
         elapsed += reply.elapsed_ms
         if reply.status == "ok":
-            return Closed(step_text(tactic), index, elapsed, _closing_state(reply))
+            return Closed(text, index, elapsed, _closing_state(reply))
         attempts.append((tactic, reply.status))
     if elapsed + config.hammer_timeout_ms > config.per_gap_budget_ms:
         return TimedOut(elapsed)

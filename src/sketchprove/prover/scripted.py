@@ -204,10 +204,13 @@ class ScriptedBackend:
     def __post_init__(self) -> None:
         self._outcome = self.script.outcome_for("")  # a step before any init
 
-    def _reply(self, status: str, elapsed_ms: int, **extra) -> BackendReply:
+    def _reply(
+        self, status: str, elapsed_ms: int, state_id: str | None = None,
+        reconstruction: str | None = None, reason: str | None = None,
+    ) -> BackendReply:
         if self.script.latency.real_sleep and elapsed_ms > 0:
             time.sleep(elapsed_ms / 1000.0)
-        return BackendReply(status=status, elapsed_ms=elapsed_ms, **extra)
+        return BackendReply(status, elapsed_ms, state_id, reconstruction, reason)
 
     def _next_state(self) -> str:
         self._states += 1
@@ -224,7 +227,7 @@ class ScriptedBackend:
                 raise SessionDead(f"unknown state {base.state_id!r}")
         self._outcome = self.script.outcome_for(extract_goal(statement))
         self._ordinal = 0
-        return BackendReply("ok", 0, state_id=self._next_state())
+        return BackendReply("ok", 0, self._next_state())
 
     def step(self, text: str, timeout_ms: int) -> BackendReply:
         outcome = self._outcome
@@ -235,27 +238,25 @@ class ScriptedBackend:
             burn = timeout_ms if outcome.ms is None else min(outcome.ms, timeout_ms)
             return self._reply("timeout", burn)
         if outcome.kind == "tactic" and ordinal == outcome.index:
-            return self._reply("ok", cost, state_id=self._next_state())
-        return self._reply("fail", cost, reason="step does not close the goal")
+            return self._reply("ok", cost, self._next_state())
+        return self._reply("fail", cost, None, None, "step does not close the goal")
 
     def hammer(self, timeout_ms: int) -> BackendReply:
         outcome = self._outcome
         cost = min(self.script.latency.hammer_ms, timeout_ms)
         if outcome.kind == "hammer":
-            return self._reply(
-                "ok", cost, state_id=self._next_state(), reconstruction=outcome.step
-            )
+            return self._reply("ok", cost, self._next_state(), outcome.step)
         if outcome.kind == "timeout":
             burn = timeout_ms if outcome.ms is None else min(outcome.ms, timeout_ms)
             return self._reply("timeout", burn)
-        return self._reply("fail", cost, reason="no prover found a proof")
+        return self._reply("fail", cost, None, None, "no prover found a proof")
 
     def check_full(self, proof_text: str, timeout_ms: int) -> BackendReply:
         reason = self.script.verify_accepts(proof_text)
         cost = min(self.script.latency.step_ms, timeout_ms)
         if reason is None:
-            return self._reply("ok", cost, state_id=self._next_state())
-        return self._reply("fail", cost, reason=reason)
+            return self._reply("ok", cost, self._next_state())
+        return self._reply("fail", cost, None, None, reason)
 
     def quit(self) -> None:
         """Nothing to release: the backend holds no per-call state."""

@@ -28,6 +28,10 @@ where each gap result `g` of a cascade is one of
      "elapsed_ms": ms}
     {"kind": "timed_out", "elapsed_ms": ms}
 
+Every `ms` a reply or a gap result carries is a non-negative integer
+number of milliseconds, and a closed gap's `tactic_index` (when not null)
+indexes the `tactics` the cascade frame sent.
+
 `init` starts a fresh context: it replays the statement (a theorem header
 plus any proof text up to the goal) and discards whatever goal the
 connection held before. `resume` does the same on top of `state`, the
@@ -69,7 +73,8 @@ type, or `texts` that is not a nonempty list of strings) with the reason
 "bad frame ..."; it keeps serving after each. A client treats a failed
 `check`, `resume` or `cascade`, an ok `step` or `hammer` reply or a closed
 cascade result without a `state_id`, `results` that is not a nonempty
-list no longer than `texts`, a result after one that is not closed, and a
+list no longer than `texts`, a result after one that is not closed, a
+negative `elapsed_ms`, a `tactic_index` outside the `tactics` sent, and a
 reply that is not a well-formed object, as a lost session, not as an
 invalid proof or a failed gap. A resumed text the prover refuses fails its
 gap, as a refused `init` does.
@@ -118,10 +123,12 @@ def _is_int(value: object) -> bool:
 
 
 def _ms(value: object) -> int:
-    """A reply's elapsed time in whole milliseconds."""
-    if _is_int(value) or isinstance(value, float) and math.isfinite(value):
+    """A reply's elapsed time in whole milliseconds, never negative: the
+    client charges it to the per-gap budget and writes it into records."""
+    number = _is_int(value) or isinstance(value, float) and math.isfinite(value)
+    if number and value >= 0:  # type: ignore[operator]
         return int(value)  # type: ignore[arg-type]
-    raise SessionDead(f"elapsed_ms is not a number: {value!r}")
+    raise SessionDead(f"elapsed_ms is not a non-negative number: {value!r}")
 
 
 def encode_gap_result(result: GapResult) -> dict:
@@ -136,8 +143,9 @@ def encode_gap_result(result: GapResult) -> dict:
     return {"kind": "timed_out", "elapsed_ms": result.elapsed_ms}
 
 
-def decode_gap_result(raw: object) -> GapResult:
-    """One gap result of a reply to `cascade`; anything else raises
+def decode_gap_result(raw: object, tactics: int) -> GapResult:
+    """One gap result of a reply to a `cascade` that sent `tactics` tactic
+    names; anything else, a `tactic_index` outside them included, raises
     SessionDead."""
     if not isinstance(raw, dict):
         raise SessionDead(f"a cascade reply carries no result object: {raw!r:.120}")
@@ -146,7 +154,9 @@ def decode_gap_result(raw: object) -> GapResult:
         step, index, state_id = raw.get("closing_step"), raw.get("tactic_index"), raw.get("state_id")
         if state_id is None:  # the next gap resumes there
             raise SessionDead("an ok closing reply carries no state_id")
-        if isinstance(step, str) and isinstance(state_id, str) and (index is None or _is_int(index)):
+        if isinstance(step, str) and isinstance(state_id, str) and (
+            index is None or _is_int(index) and 0 <= index < tactics
+        ):
             return Closed(step, index, _ms(raw.get("elapsed_ms")), state_id)
     elif kind == "failed":
         attempts = raw.get("attempts")
@@ -160,15 +170,16 @@ def decode_gap_result(raw: object) -> GapResult:
     raise SessionDead(f"malformed cascade result: {json.dumps(raw)[:120]}")
 
 
-def decode_gap_results(raw: object, sent: int) -> list[GapResult]:
-    """The gap results of a reply to a `cascade` of `sent` contexts: a
-    nonempty list, no longer than the contexts sent, in which only the last
-    result may be open. Anything else raises SessionDead."""
+def decode_gap_results(raw: object, sent: int, tactics: int) -> list[GapResult]:
+    """The gap results of a reply to a `cascade` of `sent` contexts and
+    `tactics` tactic names: a nonempty list, no longer than the contexts
+    sent, in which only the last result may be open. Anything else raises
+    SessionDead."""
     if not isinstance(raw, list) or not 0 < len(raw) <= sent:
         raise SessionDead(
             f"a cascade of {sent} contexts needs a list of 1 to {sent} results: {json.dumps(raw)[:120]}"
         )
-    results = [decode_gap_result(item) for item in raw]
+    results = [decode_gap_result(item, tactics) for item in raw]
     if any(not isinstance(result, Closed) for result in results[:-1]):
         raise SessionDead("a cascade reply goes on past a gap that did not close")
     return results
@@ -330,7 +341,7 @@ class WireBackend:
         reply = self._supported("cascade", self._to_reply(raw))
         if reply.status != "ok":
             raise SessionDead(f"backend could not run the cascade: {reply.reason or reply.status}")
-        return decode_gap_results(raw.get("results"), len(contexts))
+        return decode_gap_results(raw.get("results"), len(contexts), len(config.tactic_list))
 
     def quit(self) -> None:
         """End the conversation and release the socket or child process;

@@ -8,7 +8,7 @@ concrete closing tactic, or a nested proof block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 # Rendered for every Gap justification; parse_sketch also accepts the
 # figure-style markers "<...>", "ATP" and "<ATP> ... </ATP>".
@@ -112,6 +112,8 @@ class ProofBlock:
     def indexed_children(self) -> tuple["ProofNode", ...]:
         """Children in document order, case bodies flattened after any
         leading comments. GapSite paths index into this sequence."""
+        if not self.cases:
+            return self.children
         flat = list(self.children)
         for _, body in self.cases:
             flat.extend(body)
@@ -143,11 +145,11 @@ class SketchAst:
             raise ValueError("proof body and direct closing step are exclusive")
 
 
-@dataclass(frozen=True)
-class GapSite:
+class GapSite(NamedTuple):
     """One open conjecture: where it sits (its `walk` path, or () for the
     whole theorem) and what it claims. The facts in scope are left to the
-    prover: they hold in the state the gap starts from."""
+    prover: they hold in the state the gap starts from. A named tuple, since
+    `extract_gaps` builds one per gap of every sketch it walks."""
 
     path: tuple[int, ...]
     label: str | None
@@ -163,23 +165,28 @@ class InvalidSite(Exception):
         return f"{self.reason} (path {list(self.path)})"
 
 
-def child_nodes(node: ProofNode) -> tuple[ProofNode, ...]:
-    """Addressable children of a node (nested justification blocks count as
-    a single child)."""
-    if isinstance(node, ProofBlock):
-        return node.indexed_children()
-    if isinstance(node, StepNode) and isinstance(node.justification, Nested):
-        return (node.justification.block,)
-    return ()
-
-
 def walk(ast: SketchAst) -> Iterator[tuple[tuple[int, ...], ProofNode]]:
-    """Document-order traversal yielding (path, node) pairs."""
+    """Document-order traversal yielding (path, node) pairs. A node's
+    addressable children are a block's `indexed_children`, or the block of
+    a step justified by a nested proof (one child).
 
-    def visit(nodes: tuple[ProofNode, ...], prefix: tuple[int, ...]):
-        for i, node in enumerate(nodes):
+    One loop over a stack of (parent path, pending children) pairs: a node
+    with children pushes them and the loop descends at once, so every pair
+    is yielded by this one generator, however deep the nesting."""
+    stack = [((), enumerate(ast.body))]
+    while stack:
+        prefix, pending = stack[-1]
+        for i, node in pending:
             path = prefix + (i,)
             yield path, node
-            yield from visit(child_nodes(node), path)
-
-    yield from visit(ast.body, ())
+            if isinstance(node, ProofBlock):
+                children = node.indexed_children()
+            elif isinstance(node, StepNode) and isinstance(node.justification, Nested):
+                children = (node.justification.block,)
+            else:
+                continue
+            if children:
+                stack.append((path, enumerate(children)))
+                break
+        else:
+            stack.pop()

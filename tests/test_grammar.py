@@ -3,6 +3,7 @@ import re
 import time
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ast_gen import AstGen, generate
 from gap_fill import fill
 from tokenize_oracle import tokenize as tokenize_oracle
+from walk_oracle import walk as walk_oracle
 from sketchprove.sketch import (
     GAP_TOKEN,
     CheatReport,
@@ -34,6 +36,7 @@ from sketchprove.sketch import (
     strip_comments,
     walk,
 )
+from sketchprove.sketch import ops
 from sketchprove.sketch.nodes import InvalidSite
 from sketchprove.sketch.parser import _RawParseError, _tokenize
 
@@ -57,6 +60,10 @@ def test_binomial_sketch_gap_sites(fig2_text):
     sites = extract_gaps(parse_sketch(fig2_text))
     assert sites[0].label == "c1"
     assert sites[-1].proposition == "?thesis"
+    with pytest.raises(AttributeError):
+        sites[0].path = ()
+    assert sites == extract_gaps(parse_sketch(fig2_text))
+    assert len(set(sites)) == len(sites)
 
 
 def test_minimal_header_only():
@@ -447,6 +454,26 @@ def test_gap_conservation_on_generated_asts(seed):
             assert new == replace(old, justification=Tactic("by auto"))
         elif not any(gap[: len(path)] == path for gap in gap_paths):
             assert new == old
+
+
+def _assert_walk_matches_oracle(ast):
+    """The same (path, node) list, and the same results from the two ops
+    that share the walk when they run on the oracle instead."""
+    assert list(walk(ast)) == list(walk_oracle(ast))
+    got = extract_gaps(ast), count_comments(ast)
+    with mock.patch.object(ops, "walk", walk_oracle):
+        assert (extract_gaps(ast), count_comments(ast)) == got
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32))
+def test_walk_matches_recursive_oracle_on_generated_asts(seed):
+    _assert_walk_matches_oracle(AstGen(seed).sketch())
+
+
+def test_walk_matches_recursive_oracle_on_fixture_sketches(sketch_files):
+    for path in sketch_files:
+        _assert_walk_matches_oracle(parse_sketch(path.read_text()))
 
 
 def test_strip_comments_idempotent_on_generated_asts():

@@ -78,6 +78,22 @@ def test_timeout_defaults():
     assert config.per_gap_budget_ms == 11 * 10_000 + 120_000 + 5_000
 
 
+def test_backend_reply_and_prover_state_are_immutable_hashable_values():
+    reply, state = BackendReply("ok", 3, "s1"), ProverState("s1")
+    for value, name in ((reply, "status"), (state, "state_id")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, "x")
+    assert reply == BackendReply(status="ok", elapsed_ms=3, state_id="s1")
+    assert hash(reply) == hash(BackendReply("ok", 3, "s1"))
+    assert reply != BackendReply("ok", 3, "s2") and reply != BackendReply("fail", 3, "s1")
+    assert BackendReply("ok") == BackendReply("ok", 0, None, None, None)
+    assert state == ProverState("s1") and hash(state) == hash(ProverState("s1"))
+    assert state != ProverState("s2")
+    # a memo key on a state never collides with one on the theory
+    assert ProverState("Main") != "Main"
+    assert len({(ProverState("Main"), "ctx"), ("Main", "ctx"), (None, "ctx")}) == 3
+
+
 def test_script_requires_default(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "prover-script/1", "rules": []}))
@@ -797,7 +813,7 @@ class ChainBackend:
         self.chain += text
         if reply.state_id is not None:
             self.chain_of[reply.state_id] = self.chain
-        return replace(reply, elapsed_ms=reply.elapsed_ms + zlib.crc32(self.chain.encode()) % 97)
+        return reply._replace(elapsed_ms=reply.elapsed_ms + zlib.crc32(self.chain.encode()) % 97)
 
     def init(self, base, statement):
         reply = self.inner.init(base, statement)

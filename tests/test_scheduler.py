@@ -891,7 +891,7 @@ class DyingBackend:
             raise SessionDead("injected crash")
         if reply.state_id is None:
             return reply
-        return dataclasses.replace(reply, state_id="dead-" + reply.state_id)
+        return reply._replace(state_id="dead-" + reply.state_id)
 
     def init(self, base, statement):
         if isinstance(base, ProverState):

@@ -560,6 +560,8 @@ def test_wire_reply_that_is_not_an_object_is_a_lost_session(line):
     {"status": "ok", "elapsed_ms": True},
     {"status": "ok", "state_id": 5},
     {"status": "fail", "reason": ["no"]},
+    {"status": "fail", "elapsed_ms": -40},
+    {"status": "fail", "elapsed_ms": -0.5},
 ])
 def test_wire_reply_with_a_badly_typed_field_is_a_lost_session(fields):
     line = json.dumps({"id": 1, **fields})
@@ -602,6 +604,12 @@ def test_wire_cascade_reply_decodes_each_result_kind(result):
     {"status": "ok", "results": [{"kind": "failed", "attempts": [["auto", 1]], "elapsed_ms": 0}]},
     {"status": "ok", "results": [{"kind": "failed", "attempts": []}]},
     {"status": "ok", "results": [{"kind": "timed_out", "elapsed_ms": float("nan")}]},
+    {"status": "ok", "results": [{"kind": "timed_out", "elapsed_ms": -5}]},
+    {"status": "ok", "results": [{**CLOSED, "elapsed_ms": -1}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": [["auto", "fail"]], "elapsed_ms": -2}]},
+    {"status": "ok", "results": [CLOSED], "elapsed_ms": -40},
+    {"status": "ok", "results": [{**CLOSED, "tactic_index": -1}]},
+    {"status": "ok", "results": [{**CLOSED, "tactic_index": len(FAST.tactic_list)}]},
     {"status": "fail", "reason": "bad frame: 'tactics' must be a list"},
     {"status": "timeout"},
 ])
