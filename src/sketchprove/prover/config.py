@@ -181,8 +181,8 @@ def run_cascade(
     an earlier state), ends in. Wall time never exceeds the per-gap budget:
     attempts that could overrun are not started. A context the backend
     refuses fails the gap without a step, since a step would run against
-    whatever goal it held before. An ok closing reply without a state_id
-    raises SessionDead."""
+    whatever goal it held before. An ok closing reply without a state_id,
+    and an ok hammer reply without a reconstruction, raise SessionDead."""
     reply = backend.init(base, context)
     if reply.status != "ok":
         return Failed((("init", reply.status),), 0)
@@ -201,7 +201,10 @@ def run_cascade(
         return TimedOut(elapsed)
     reply = backend.hammer(config.hammer_timeout_ms)
     elapsed += reply.elapsed_ms
-    if reply.status == "ok" and reply.reconstruction:
+    if reply.status == "ok":
+        if not reply.reconstruction:
+            # a failed attempt's outcome is "fail" or "timeout", never "ok"
+            raise SessionDead("an ok hammer reply carries no reconstruction")
         return Closed(reply.reconstruction, None, elapsed, _closing_state(reply))
     attempts.append((HAMMER_NAME, reply.status))
     return Failed(tuple(attempts), elapsed)

@@ -241,7 +241,19 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     the proof cannot hold are never reached.
 
     Either outcome carries `gaps_total`, the sketch's gap count, from the
-    walk for gap sites done here, so a caller needs no walk of its own."""
+    walk for gap sites done here, so a caller needs no walk of its own.
+
+    The cheat gate scans the whole text once, per call: the rendered
+    sketch, its segments joined by gap tokens. The final check scans only
+    the closing steps spliced into the gaps, joined by line breaks, and so
+    gives the verdict and reason `verify_full` would give on the proof
+    text. That is exact because every piece is lexically closed: a
+    rendered segment and a step that `closing_step_text` accepts each hold
+    whole comments and string literals only, so none runs across a
+    boundary, and a segment ends in a space before its gap and starts with
+    a line break after it, so word boundaries at the splice points are the
+    same as between the joined steps. The segments passed the gate, so the
+    proof text holds exactly the cheat words of its steps."""
     sites = extract_gaps(ast)
     segments = render_segments(ast)
     cheat = _cheat_reason(GAP_TOKEN.join(segments))
@@ -252,7 +264,7 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     if memo.header != ast.header:
         memo = session.memo = ProverMemo(ast.header)
     per_gap: list[GapResult] = []
-    pieces: list[str] = []
+    pieces: list[str] = []  # each gap's segment, then its closing step
     base: ProverState | None = None
     for index, (site, segment) in enumerate(zip(sites, segments)):
         context = _gap_context(segment)
@@ -281,7 +293,10 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     proof_text = "".join(pieces) + segments[-1]
     verdict = memo.verdicts.get(proof_text)
     if verdict is None:
-        verdict = memo.verdicts[proof_text] = verify_full(session, proof_text)
+        # the segments passed the gate above, so only the steps are scanned
+        cheat = _cheat_reason("\n".join(pieces[1::2]))
+        verdict = Invalid(cheat) if cheat is not None else _check_full(session, proof_text)
+        memo.verdicts[proof_text] = verdict
     if isinstance(verdict, Invalid):
         return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}", len(sites))
     return FullProofResult(proof_text, tuple(per_gap))
@@ -299,11 +314,18 @@ def _memoise(
 
 
 def verify_full(session: ProverSession, proof_text: str) -> Valid | Invalid:
-    """End-to-end acceptance of a complete proof. Proofs with cheating
-    keywords are Invalid outright; the backend is never consulted."""
+    """End-to-end acceptance of a complete proof. The whole of `proof_text`
+    is scanned for cheating keywords, since nothing is known of where it
+    came from; a proof that holds one is Invalid outright, and the backend
+    is never consulted. Otherwise the backend checks it (`_check_full`)."""
     cheat = _cheat_reason(proof_text)
     if cheat is not None:
         return Invalid(cheat)
+    return _check_full(session, proof_text)
+
+
+def _check_full(session: ProverSession, proof_text: str) -> Valid | Invalid:
+    """The backend's whole-proof check of a text the cheat gate passed."""
     with session.exclusive() as backend:
         reply = backend.check_full(proof_text, session.config.hammer_timeout_ms)
     if reply.status == "ok":

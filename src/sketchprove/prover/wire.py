@@ -28,9 +28,11 @@ where each gap result `g` of a cascade is one of
      "elapsed_ms": ms}
     {"kind": "timed_out", "elapsed_ms": ms}
 
-Every `ms` a reply or a gap result carries is a non-negative integer
-number of milliseconds, and a closed gap's `tactic_index` (when not null)
-indexes the `tactics` the cascade frame sent.
+Every reply's `status` is one of "ok", "fail" and "timeout", and a failed
+attempt's `outcome` is "fail" or "timeout". Every `ms` a reply or a gap
+result carries is a non-negative integer number of milliseconds, and a
+closed gap's `tactic_index` (when not null) indexes the `tactics` the
+cascade frame sent.
 
 `init` starts a fresh context: it replays the statement (a theorem header
 plus any proof text up to the goal) and discards whatever goal the
@@ -72,12 +74,14 @@ UTF-8, not a JSON object with an id and a cmd, or a field of the wrong
 type, or `texts` that is not a nonempty list of strings) with the reason
 "bad frame ..."; it keeps serving after each. A client treats a failed
 `check`, `resume` or `cascade`, an ok `step` or `hammer` reply or a closed
-cascade result without a `state_id`, `results` that is not a nonempty
-list no longer than `texts`, a result after one that is not closed, a
-negative `elapsed_ms`, a `tactic_index` outside the `tactics` sent, and a
-reply that is not a well-formed object, as a lost session, not as an
-invalid proof or a failed gap. A resumed text the prover refuses fails its
-gap, as a refused `init` does.
+cascade result without a `state_id`, an ok `hammer` reply without a
+`reconstruction`, `results` that is not a nonempty list no longer than
+`texts`, a result after one that is not closed, a missing or unknown
+`status` or failed-attempt outcome, a negative `elapsed_ms`, a
+`tactic_index` outside the `tactics` sent, and a reply that is not a
+well-formed object, as a lost session, not as an invalid proof or a failed
+gap. A resumed text the prover refuses fails its gap, as a refused `init`
+does.
 
 Run the reference server (scripted rules behind the wire protocol) with:
     python -m sketchprove.prover --script rules.json --port 9777
@@ -116,6 +120,11 @@ from .scripted import ScriptedBackend, load_script
 
 # A reply may take this long beyond the prover time the command allows.
 REPLY_GRACE_S = 30.0
+
+# The statuses a reply may carry, and the outcomes of a failed attempt
+# (tuples, so that `in` compares a value of any JSON type without hashing).
+_STATUSES = ("ok", "fail", "timeout")
+_FAILED_OUTCOMES = ("fail", "timeout")
 
 
 def _is_int(value: object) -> bool:
@@ -161,7 +170,8 @@ def decode_gap_result(raw: object, tactics: int) -> GapResult:
     elif kind == "failed":
         attempts = raw.get("attempts")
         if isinstance(attempts, list) and all(
-            isinstance(a, list) and len(a) == 2 and all(isinstance(x, str) for x in a)
+            isinstance(a, list) and len(a) == 2 and isinstance(a[0], str)
+            and a[1] in _FAILED_OUTCOMES
             for a in attempts
         ):
             return Failed(tuple((a[0], a[1]) for a in attempts), _ms(raw.get("elapsed_ms")))
@@ -280,9 +290,9 @@ class WireBackend:
 
     @staticmethod
     def _to_reply(raw: dict) -> BackendReply:
-        status = raw.get("status", "fail")
+        status = raw.get("status")
         texts = [raw.get(key) for key in ("state_id", "reconstruction", "reason")]
-        if not isinstance(status, str) or not all(t is None or isinstance(t, str) for t in texts):
+        if status not in _STATUSES or not all(t is None or isinstance(t, str) for t in texts):
             raise SessionDead(f"malformed reply: {json.dumps(raw)[:120]}")
         return BackendReply(status, _ms(raw.get("elapsed_ms", 0)), *texts)
 

@@ -9,7 +9,15 @@ parser never raises anything else, no matter the input bytes.
 
 Tokenizing is one regex pass: each token, with the whitespace before it,
 costs one match, and only a comment's end is found outside the pattern
-(`comment_end`, since comments nest).
+(`comment_end`, since comments nest). A token is a plain tuple.
+
+The descent keeps one method per grammar rule. The rules that run once
+per step or token (a statement run, a step, its `using` clauses and its
+justification) unpack the token tuples in place with a local cursor,
+instead of a `peek`/`advance` call per token, and every gap shares one
+`Gap`; the header and block structure keep the small token helpers. Both
+raise the same errors, at the same offsets, as a descent that makes a
+method call per token (kept in the tests as the reference).
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .nodes import (
     AssumeStep,
@@ -45,6 +52,8 @@ RESERVED = frozenset(
 )
 CHAIN_WORDS = ("then", "also", "finally")
 GAP_WORDS = frozenset({"sledgehammer", "ATP"})
+_STEP_WORDS = frozenset({"have", "show", "obtain", "assume"})
+_RUN_END = frozenset({"qed", "case", "next"})  # words that end a block's statement run
 
 
 @dataclass
@@ -60,11 +69,11 @@ class ParseError(Exception):
         return text
 
 
-class _Token(NamedTuple):
-    kind: str  # ident | number | string | qident | symbol | comment | other | eof
-    text: str
-    start: int  # character offsets into the source
-    end: int
+# A token is a plain tuple, (kind, text, start, end): kind is ident |
+# number | string | qident | symbol | comment | other | eof, and start and
+# end are character offsets into the source. A plain tuple, not a named
+# one, since a large sketch has thousands and the parser unpacks each.
+_Token = tuple[str, str, int, int]
 
 
 # One match per token, the whitespace before it included. `quote` is an
@@ -113,16 +122,15 @@ class _RawParseError(Exception):
     """Internal: carries character offsets; converted to byte offsets at the
     parse_sketch boundary."""
 
-    def __init__(self, pos: int, message: str, expected: frozenset[str] = frozenset()):
+    def __init__(self, pos: int, message: str, expected: tuple[str, ...] = ()):
         self.pos = pos
         self.message = message
-        self.expected = expected
+        self.expected = frozenset(expected)
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     append = tokens.append
-    make = tuple.__new__
     match_at = _TOKEN_RE.match
     pos = 0
     while (match := match_at(source, pos)) is not None:
@@ -130,20 +138,23 @@ def _tokenize(source: str) -> list[_Token]:
         pos = match.end()
         text = match[kind]
         if kind in _VERBATIM_KINDS:
-            append(make(_Token, (kind, text, pos - len(text), pos)))
+            append((kind, text, pos - len(text), pos))
         elif kind == "string":
-            append(make(_Token, ("string", text[1:-1], pos - len(text), pos)))
+            append(("string", text[1:-1], pos - len(text), pos))
         elif kind == "comment_open":
             start = pos - 2
             pos = comment_end(source, start)
             if pos == -1:
                 raise _RawParseError(start, "unterminated comment")
-            append(make(_Token, ("comment", source[start + 2 : pos - 2].strip(), start, pos)))
+            append(("comment", source[start + 2 : pos - 2].strip(), start, pos))
         else:
             raise _RawParseError(pos - 1, "unterminated string literal")
     n = len(source)
-    tokens.append(_Token("eof", "", n, n))
+    append(("eof", "", n, n))
     return tokens
+
+
+_GAP = Gap()  # a gap has no fields, so every gap shares this one
 
 
 def _squash(text: str) -> str:
@@ -156,37 +167,48 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.i = 0
 
-    # -- token plumbing ----------------------------------------------------
+    # -- token plumbing, for the header and block structure ------------------
     # advance() never moves past the eof sentinel, so self.i always indexes
     # a valid token.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def at_kind(self, kind: str) -> bool:
+        return self.tokens[self.i][0] == kind
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
+    def advance(self) -> str:
+        """Consume the next token; returns its text."""
+        kind, text, _, _ = self.tokens[self.i]
+        if kind != "eof":
             self.i += 1
-        return tok
+        return text
 
     def at_ident(self, *words: str) -> bool:
-        tok = self.tokens[self.i]
-        return tok.kind == "ident" and tok.text in words
+        kind, text, _, _ = self.tokens[self.i]
+        return kind == "ident" and text in words
 
     def at_symbol(self, sym: str) -> bool:
-        tok = self.tokens[self.i]
-        return tok.kind == "symbol" and tok.text == sym
+        kind, text, _, _ = self.tokens[self.i]
+        return kind == "symbol" and text == sym
+
+    def take_name(self) -> str | None:
+        """Consume an identifier that is not a reserved word; returns its
+        text, or None (consuming nothing) when the next token is not one."""
+        kind, text, _, _ = self.tokens[self.i]
+        if kind != "ident" or text in RESERVED:
+            return None
+        self.i += 1
+        return text
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> _RawParseError:
-        return _RawParseError(self.peek().start, message, frozenset(expected))
+        return _RawParseError(self.tokens[self.i][2], message, expected)
 
-    def expect_ident(self, word: str) -> _Token:
+    def expect_ident(self, word: str) -> None:
         if not self.at_ident(word):
             raise self.fail(f"expected keyword '{word}'", (word,))
-        return self.advance()
+        self.i += 1
 
-    def expect_string(self, what: str) -> _Token:
-        if self.peek().kind != "string":
+    def expect_string(self, what: str) -> str:
+        """Consume a string literal; returns its text."""
+        if not self.at_kind("string"):
             raise self.fail(f"expected quoted {what}", ('"..."',))
         return self.advance()
 
@@ -194,17 +216,15 @@ class _Parser:
 
     def parse_header(self) -> TheoremHeader:
         self.expect_ident("theorem")
-        name = None
-        if self.peek().kind == "ident" and self.peek().text not in RESERVED:
-            name = self.advance().text
-            if self.at_symbol(":"):
-                self.advance()
+        name = self.take_name()
+        if name is not None and self.at_symbol(":"):
+            self.advance()
         fixes: list[tuple[str, str]] = []
         assumes: list[tuple[str | None, str]] = []
         shows: str | None = None
 
-        if self.peek().kind == "string":
-            shows = self.advance().text
+        if self.at_kind("string"):
+            shows = self.advance()
         else:
             while True:
                 if self.at_ident("fixes"):
@@ -215,7 +235,7 @@ class _Parser:
                     self.parse_assumes_items(assumes)
                 elif self.at_ident("shows"):
                     self.advance()
-                    shows = self.expect_string("goal proposition").text
+                    shows = self.expect_string("goal proposition")
                     break
                 else:
                     raise self.fail(
@@ -226,24 +246,20 @@ class _Parser:
         try:
             return TheoremHeader(name, tuple(fixes), tuple(assumes), shows)
         except ValueError as exc:
-            raise _RawParseError(self.peek().start, str(exc))
+            raise self.fail(str(exc))
 
     def parse_fixes_groups(self, out: list[tuple[str, str]]) -> None:
         while True:
             variables = []
-            while self.peek().kind == "ident" and self.peek().text not in RESERVED:
-                variables.append(self.advance().text)
+            while (name := self.take_name()) is not None:
+                variables.append(name)
             if not variables:
                 raise self.fail("expected fixed variable name", ("identifier",))
             if not self.at_symbol("::"):
                 raise self.fail("expected sort annotation", ("::",))
             self.advance()
-            tok = self.peek()
-            if tok.kind == "string":
-                sort = self.advance().text
-            elif tok.kind == "ident" and tok.text not in RESERVED:
-                sort = self.advance().text
-            else:
+            sort = self.advance() if self.at_kind("string") else self.take_name()
+            if sort is None:
                 raise self.fail("expected sort", ("identifier", '"..."'))
             out.extend((v, sort) for v in variables)
             if self.at_ident("and"):
@@ -253,7 +269,7 @@ class _Parser:
 
     def parse_assumes_items(self, out: list[tuple[str | None, str]]) -> None:
         while True:
-            out.append((self.parse_optional_label(), self.expect_string("assumption").text))
+            out.append((self.parse_optional_label(), self.expect_string("assumption")))
             if self.at_ident("and"):
                 self.advance()
                 continue
@@ -266,26 +282,33 @@ class _Parser:
         whitespace runs collapsed."""
         if not self.at_symbol("("):
             raise self.fail("expected parenthesized text", ("(",))
-        start = self.peek().start
+        tokens = self.tokens
+        i = self.i
+        start = tokens[i][2]
         depth = 0
         while True:
-            tok = self.advance()
-            if tok.kind == "eof":
+            kind, text, _, end = tokens[i]
+            if kind == "eof":
                 raise _RawParseError(start, "unbalanced parenthesis")
-            if tok.kind == "symbol" and tok.text == "(":
+            i += 1
+            if kind == "symbol" and text == "(":
                 depth += 1
-            elif tok.kind == "symbol" and tok.text == ")":
+            elif kind == "symbol" and text == ")":
                 depth -= 1
                 if depth == 0:
-                    return _squash(self.source[start : tok.end])
+                    self.i = i
+                    return _squash(self.source[start:end])
 
-    def parse_fact_names(self) -> tuple[str, ...]:
-        facts = []
-        while self.peek().kind == "ident" and self.peek().text not in RESERVED:
-            facts.append(self.advance().text)
-        if not facts:
-            raise self.fail("expected fact name", ("identifier",))
-        return tuple(facts)
+    def parse_optional_label(self) -> str | None:
+        """A `name:` label: an identifier that is not reserved, then ':'."""
+        kind, name, _, _ = self.tokens[self.i]
+        if kind != "ident" or name in RESERVED:
+            return None
+        kind, colon, _, _ = self.tokens[self.i + 1]  # an ident is never the eof sentinel
+        if kind != "symbol" or colon != ":":
+            return None
+        self.i += 2
+        return name
 
     def at_justification(self) -> bool:
         return (
@@ -295,152 +318,179 @@ class _Parser:
             or self.at_ident(*GAP_WORDS)
         )
 
+    # -- steps and justifications --------------------------------------------
+    # The methods below run once per step or token of a sketch, so they
+    # read `self.tokens` directly with a local cursor, writing it back to
+    # `self.i` before they call out or return.
+
     def parse_justification(self, depth: int) -> Justification:
-        if self.at_symbol("<...>"):
-            self.advance()
-            return Gap()
-        if self.at_ident(*GAP_WORDS):
-            self.advance()
-            return Gap()
-        if self.at_symbol("<ATP>"):
-            open_tok = self.advance()
-            inner_start = self.peek().start
-            inner_end = inner_start
-            while not self.at_symbol("</ATP>"):
-                if self.peek().kind == "eof":
-                    raise _RawParseError(open_tok.start, "unterminated <ATP> span")
-                inner_end = self.advance().end
-            self.advance()
-            inner = _squash(self.source[inner_start:inner_end])
-            if not inner:
-                return Gap()
-            try:
-                return Tactic(closing_step_text(inner))
-            except InvalidSite:
-                raise _RawParseError(
-                    open_tok.start, "<ATP> span does not hold a closing step"
-                ) from None
-        if self.at_ident("sorry", "oops"):
-            return Tactic(self.advance().text)
-        if self.at_ident("by"):
-            start = self.advance().start
-            if self.at_symbol("("):
-                method = self.parse_paren_group()
-            elif self.peek().kind == "ident" and self.peek().text not in RESERVED:
-                method = self.advance().text
-            else:
-                raise self.fail("expected proof method", ("identifier", "("))
-            return Tactic(_squash(self.source[start : start + 2]) + " " + method)
-        if self.at_ident("proof"):
-            return Nested(self.parse_block(depth))
-        raise self.fail(
-            "expected justification",
-            ("by", "proof", "sledgehammer", "<...>", "<ATP>"),
+        tokens = self.tokens
+        i = self.i
+        kind, text, start, _ = tokens[i]
+        if kind == "ident":
+            if text in GAP_WORDS:
+                self.i = i + 1
+                return _GAP
+            if text == "by":
+                kind, method, method_start, _ = tokens[i + 1]
+                if kind == "ident" and method not in RESERVED:
+                    self.i = i + 2
+                elif kind == "symbol" and method == "(":
+                    self.i = i + 1
+                    method = self.parse_paren_group()
+                else:
+                    raise _RawParseError(
+                        method_start, "expected proof method", ("identifier", "(")
+                    )
+                return Tactic("by " + method)
+            if text == "sorry" or text == "oops":
+                self.i = i + 1
+                return Tactic(text)
+            if text == "proof":
+                return Nested(self.parse_block(depth))
+        elif kind == "symbol":
+            if text == "<...>":
+                self.i = i + 1
+                return _GAP
+            if text == "<ATP>":
+                return self.parse_atp_span()
+        raise _RawParseError(
+            start, "expected justification", ("by", "proof", "sledgehammer", "<...>", "<ATP>")
         )
 
+    def parse_atp_span(self) -> Justification:
+        """An <ATP> ... </ATP> span: a gap when empty, else the closing step
+        its squashed text holds."""
+        tokens = self.tokens
+        i = self.i
+        open_start = tokens[i][2]
+        i += 1
+        inner_start = inner_end = tokens[i][2]
+        while True:
+            kind, text, _, end = tokens[i]
+            if kind == "symbol" and text == "</ATP>":
+                break
+            if kind == "eof":
+                raise _RawParseError(open_start, "unterminated <ATP> span")
+            inner_end = end
+            i += 1
+        self.i = i + 1
+        inner = _squash(self.source[inner_start:inner_end])
+        if not inner:
+            return _GAP
+        try:
+            return Tactic(closing_step_text(inner))
+        except InvalidSite:
+            raise _RawParseError(
+                open_start, "<ATP> span does not hold a closing step"
+            ) from None
+
     def parse_using_clauses(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Any run of `using`/`unfolding` clauses, each naming at least one
+        fact that is not a reserved word."""
+        tokens = self.tokens
+        i = self.i
         uses: list[str] = []
         unfolds: list[str] = []
-        while self.at_ident("using", "unfolding"):
-            keyword = self.advance().text
-            names = self.parse_fact_names()
-            (uses if keyword == "using" else unfolds).extend(names)
+        kind, keyword, _, _ = tokens[i]
+        while kind == "ident" and (keyword == "using" or keyword == "unfolding"):
+            names = uses if keyword == "using" else unfolds
+            before = len(names)
+            i += 1
+            kind, keyword, start, _ = tokens[i]
+            while kind == "ident" and keyword not in RESERVED:
+                names.append(keyword)
+                i += 1
+                kind, keyword, _, _ = tokens[i]
+            if len(names) == before:
+                raise _RawParseError(start, "expected fact name", ("identifier",))
+        self.i = i
         return tuple(uses), tuple(unfolds)
 
-    def parse_optional_label(self) -> str | None:
-        """A `name:` label: an identifier that is not reserved, then ':'."""
-        tok = self.tokens[self.i]
-        if tok.kind != "ident" or tok.text in RESERVED:
-            return None
-        colon = self.tokens[self.i + 1]  # an ident is never the eof sentinel
-        if colon.kind != "symbol" or colon.text != ":":
-            return None
-        self.i += 2
-        return tok.text
-
     def parse_step(self, depth: int, comment: str | None) -> ProofNode:
-        tok = self.peek()
+        tokens = self.tokens
+        i = self.i
+        kind, keyword, start, _ = tokens[i]
         chain = None
-        if tok.kind == "ident" and tok.text in CHAIN_WORDS:
-            chain = self.advance().text
-            tok = self.peek()
-        keyword = tok.text if tok.kind == "ident" else None
-        if keyword == "have":
-            self.advance()
-            label = self.parse_optional_label()
-            prop = self.expect_string("proposition").text
-            uses, unfolds = self.parse_using_clauses()
-            just = self.parse_justification(depth)
-            node: ProofNode = HaveStep(label, prop, uses, unfolds, just, chain, comment)
-        elif keyword == "show":
-            self.advance()
-            tok = self.peek()
-            if tok.kind == "qident":
-                target = self.advance().text
-            elif tok.kind == "string":
-                target = self.advance().text
-            else:
-                raise self.fail("expected show target", ("?thesis", "?case", '"..."'))
-            uses, unfolds = self.parse_using_clauses()
-            just = self.parse_justification(depth)
-            node = ShowStep(target, uses, unfolds, just, chain, comment)
-        elif keyword == "obtain":
-            self.advance()
-            bound = []
-            while self.peek().kind == "ident" and self.peek().text not in RESERVED:
-                bound.append(self.advance().text)
-            if not bound:
-                raise self.fail("expected bound variable", ("identifier",))
-            self.expect_ident("where")
-            label = self.parse_optional_label()
-            prop = self.expect_string("proposition").text
-            uses, unfolds = self.parse_using_clauses()
-            just = self.parse_justification(depth)
-            node = ObtainStep(tuple(bound), label, prop, uses, unfolds, just, chain, comment)
-        elif keyword == "assume":
-            if chain is not None:
-                raise _RawParseError(tok.start, "assume does not take a chain prefix")
-            self.advance()
-            label = self.parse_optional_label()
-            prop = self.expect_string("assumption").text
-            node = AssumeStep(label, prop, comment)
-        else:
-            raise self.fail(
-                "expected proof step", ("have", "show", "obtain", "assume")
+        if kind == "ident" and keyword in CHAIN_WORDS:
+            chain = keyword
+            i += 1
+            kind, keyword, start, _ = tokens[i]
+        if kind != "ident" or keyword not in _STEP_WORDS:
+            raise _RawParseError(
+                start, "expected proof step", ("have", "show", "obtain", "assume")
             )
-        return node
+        i += 1
+        if keyword == "show":
+            kind, target, start, _ = tokens[i]
+            if kind != "qident" and kind != "string":
+                raise _RawParseError(start, "expected show target", ("?thesis", "?case", '"..."'))
+            self.i = i + 1
+            uses, unfolds = self.parse_using_clauses()
+            just = self.parse_justification(depth)
+            return ShowStep(target, uses, unfolds, just, chain, comment)
+        if keyword == "obtain":
+            bound = []
+            kind, name, start, _ = tokens[i]
+            while kind == "ident" and name not in RESERVED:
+                bound.append(name)
+                i += 1
+                kind, name, start, _ = tokens[i]
+            if not bound:
+                raise _RawParseError(start, "expected bound variable", ("identifier",))
+            if kind != "ident" or name != "where":
+                raise _RawParseError(start, "expected keyword 'where'", ("where",))
+            i += 1
+        elif keyword == "assume" and chain is not None:
+            raise _RawParseError(start, "assume does not take a chain prefix")
+        self.i = i
+        label = self.parse_optional_label()
+        kind, prop, start, _ = tokens[self.i]
+        if kind != "string":
+            what = "assumption" if keyword == "assume" else "proposition"
+            raise _RawParseError(start, f"expected quoted {what}", ('"..."',))
+        self.i += 1
+        if keyword == "assume":
+            return AssumeStep(label, prop, comment)
+        uses, unfolds = self.parse_using_clauses()
+        just = self.parse_justification(depth)
+        if keyword == "have":
+            return HaveStep(label, prop, uses, unfolds, just, chain, comment)
+        return ObtainStep(tuple(bound), label, prop, uses, unfolds, just, chain, comment)
 
-    def parse_statements(self, depth: int, stop_words: tuple[str, ...]) -> list[ProofNode]:
-        """Parse a statement run until one of `stop_words`; attaches a comment
-        to the step right after it, otherwise keeps it standalone."""
+    def parse_statements(self, depth: int) -> list[ProofNode]:
+        """Parse a statement run until the end of input or a word that ends
+        a block's run (`qed`, `case`, `next`); attaches a comment to the
+        step right after it, otherwise keeps it standalone."""
+        tokens = self.tokens
         nodes: list[ProofNode] = []
         pending: str | None = None  # a comment not yet attached or kept
-
         while True:
-            tok = self.peek()
-            at_end = tok.kind == "eof" or (tok.kind == "ident" and tok.text in stop_words)
-            if pending is not None and (at_end or tok.kind == "comment"):
-                nodes.append(Comment(pending))
-                pending = None
-            if at_end:
+            kind, text, _, _ = tokens[self.i]
+            if kind == "comment":
+                if pending is not None:
+                    nodes.append(Comment(pending))
+                pending = text
+                self.i += 1
+            elif kind == "eof" or kind == "ident" and text in _RUN_END:
+                if pending is not None:
+                    nodes.append(Comment(pending))
                 return nodes
-            if tok.kind == "comment":
-                pending = self.advance().text
-                continue
-            nodes.append(self.parse_step(depth, pending))
-            pending = None
+            else:
+                nodes.append(self.parse_step(depth, pending))
+                pending = None
 
     def parse_case_name(self) -> str:
-        tok = self.peek()
-        if tok.kind in ("ident", "number") and tok.text not in RESERVED:
-            return self.advance().text
+        kind, text, _, _ = self.tokens[self.i]
+        if (kind == "ident" or kind == "number") and text not in RESERVED:
+            return self.advance()
         if self.at_symbol("("):
             return self.parse_paren_group()
         raise self.fail("expected case name", ("identifier", "("))
 
     def parse_block(self, depth: int) -> ProofBlock:
         if depth >= MAX_BLOCK_DEPTH:
-            raise _RawParseError(self.peek().start, "proof nesting too deep")
+            raise self.fail("proof nesting too deep")
         self.expect_ident("proof")
         method = None
         if self.at_symbol("-"):
@@ -449,12 +499,12 @@ class _Parser:
         elif self.at_symbol("("):
             method = self.parse_paren_group()
 
-        children = self.parse_statements(depth + 1, ("qed", "case", "next"))
+        children = self.parse_statements(depth + 1)
         cases: list[tuple[str, tuple[ProofNode, ...]]] = []
         while self.at_ident("case"):
             self.advance()
             name = self.parse_case_name()
-            body = self.parse_statements(depth + 1, ("qed", "case", "next"))
+            body = self.parse_statements(depth + 1)
             cases.append((name, tuple(body)))
             if self.at_ident("next"):
                 self.advance()
@@ -473,8 +523,8 @@ class _Parser:
         root_just: Justification | None = None
 
         def take_comments() -> None:
-            while self.peek().kind == "comment":
-                body.append(Comment(self.advance().text))
+            while self.at_kind("comment"):
+                body.append(Comment(self.advance()))
 
         take_comments()
         if self.at_ident("proof"):
@@ -482,7 +532,7 @@ class _Parser:
         elif self.at_justification():
             root_just = self.parse_justification(0)
         take_comments()
-        if self.peek().kind != "eof":
+        if not self.at_kind("eof"):
             raise self.fail("trailing input after proof", ("end of input",))
         return SketchAst(header, tuple(body), root_just)
 

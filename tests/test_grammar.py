@@ -1,21 +1,25 @@
 import random
 import re
+import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parse_oracle
 from ast_gen import AstGen, generate
+from conftest import FIXTURES
 from gap_fill import fill
 from tokenize_oracle import tokenize as tokenize_oracle
 from walk_oracle import walk as walk_oracle
 from sketchprove.sketch import (
     GAP_TOKEN,
     CheatReport,
+    Comment,
     Gap,
     HaveStep,
     Nested,
@@ -38,7 +42,7 @@ from sketchprove.sketch import (
 )
 from sketchprove.sketch import ops
 from sketchprove.sketch.nodes import InvalidSite
-from sketchprove.sketch.parser import _RawParseError, _tokenize
+from sketchprove.sketch.parser import MAX_BLOCK_DEPTH, _RawParseError, _tokenize
 
 
 # -- parsing the transcribed figures -------------------------------------------
@@ -330,6 +334,23 @@ def test_cheat_scan_stays_linear_without_comments():
     assert elapsed < 1.0
 
 
+def test_parse_stays_linear():
+    # 16k steps, each after a comment (one in four nested): a descent that
+    # rescans or copies the token list per step is quadratic here. Linear,
+    # it takes about 0.2 s on a 2-vCPU VM
+    comments = ("(* step {0} *)", "(* outer (* inner {0} *) *)", "(* no sorry {0} *)", '(* a "{0}" *)')
+    steps = "".join(
+        f'  {comments[i % 4].format(i)}\n  have c{i}: "x = {i}" using h0 sledgehammer\n'
+        for i in range(16_000)
+    )
+    text = f'theorem t: assumes h0: "P"\n  shows "Q"\nproof -\n{steps}  show ?thesis sorry\nqed\n'
+    started = time.monotonic()
+    ast = parse_sketch(text)
+    elapsed = time.monotonic() - started
+    assert count_gaps(ast) == 16_000 and count_comments(ast) == 16_000
+    assert elapsed < 2.0
+
+
 def test_multibyte_offsets_are_bytes():
     text = '(* déjà *) sorry'
     report = check_no_cheat(text)
@@ -383,6 +404,193 @@ def test_tokenizer_matches_oracle_on_fixture_sketches(sketch_files):
     for path in sketch_files:
         text = path.read_text()
         assert _tokenize(text) == tokenize_oracle(text)
+
+
+def test_nodes_are_frozen_and_compare_by_type_and_fields():
+    step = HaveStep("c1", "x = 1", ("h0",), (), Tactic("by auto"), "then", "note")
+    with pytest.raises(FrozenInstanceError):
+        step.label = "c2"
+    same = HaveStep("c1", "x = 1", ("h0",), (), Tactic("by auto"), chain="then", preceding_comment="note")
+    assert step == same and hash(step) == hash(same)
+    assert step != replace(step, chain=None)
+    assert Tactic("sorry") != Comment("sorry") and Gap() == Gap()
+    assert replace(step, label=None) == HaveStep(None, "x = 1", ("h0",), (), Tactic("by auto"), "then", "note")
+    with pytest.raises(ValueError):  # construction still validates
+        TheoremHeader(None, (("x", "nat"), ("x", "int")), (), "P")
+    with pytest.raises(ValueError):
+        SketchAst(TheoremHeader(None, (), (), "P"), (step,), Gap())
+
+
+# -- the flat-loop parser against the plain descent ----------------------------------
+
+_FIXTURE_TEXTS = [path.read_text() for path in sorted((FIXTURES / "sketches").glob("*.thy"))]
+
+_LARGE_PROPS = (
+    "x + {n} = {n} + x", "0 \\<le> (x - {n})^2", "''sorry'' \\<noteq> ''oops'' \\<and> {n} = {n}",
+    "(n * n + {n}) mod 4 \\<in> {{{n} mod 4, ({n} + 1) mod 4}}",
+)
+_LARGE_COMMENTS = (
+    "this step needs no sorry", "expand the square (* inner remark: never oops *) and regroup",
+    'a "quoted" sorry inside a comment is not a cheat', "reduce modulo 4",
+)
+_LARGE_JUSTIFICATIONS = (
+    "sledgehammer", "sledgehammer", "sledgehammer", "by auto", "<...>", "ATP",
+    "<ATP> by (simp add: algebra_simps) </ATP>", "<ATP> </ATP>", "by (smt (z3) foo bar)",
+)
+
+
+def _large_shaped_text(rng: random.Random, units: int) -> str:
+    """A sketch shaped like the benchmark's large ones, at a smaller size:
+    labelled steps with `using`, chains, comments holding strings, nested
+    comments and cheat words, nested proofs, case splits, the figure
+    markers, obtain and assume."""
+    lines = ['theorem big:', '  fixes x :: real and n k :: nat', '  assumes h0: "P" and "Q"',
+             '  shows "R"', "proof -"]
+    labels = iter(range(1, 10**6))
+
+    def prop():
+        return rng.choice(_LARGE_PROPS).format(n=rng.randrange(1000))
+
+    def step(ind):
+        if rng.random() < 0.55:
+            lines.append(f"{ind}(* {rng.choice(_LARGE_COMMENTS)} *)")
+        roll = rng.random()
+        head = "then " if rng.random() < 0.3 else ""
+        clauses = " using h0 c1" if rng.random() < 0.3 else ""
+        clauses += " unfolding power2_eq_square" if rng.random() < 0.1 else ""
+        just = rng.choice(_LARGE_JUSTIFICATIONS)
+        if roll < 0.6:
+            lines.append(f'{ind}{head}have c{next(labels)}: "{prop()}"{clauses} {just}')
+        elif roll < 0.7:
+            lines.append(f'{ind}{head}obtain k{next(labels)} m where o: "{prop()}"{clauses} {just}')
+        elif roll < 0.8:
+            lines.append(f'{ind}assume a{next(labels)}: "{prop()}"')
+        elif roll < 0.9:
+            lines.append(f'{ind}have c{next(labels)}: "{prop()}"')
+            lines.append(f"{ind}proof -")
+            step(ind + "  ")
+            lines.append(f"{ind}  then show ?thesis sledgehammer")
+            lines.append(f"{ind}qed")
+        else:
+            lines.append(f'{ind}have c{next(labels)}: "{prop()}"')
+            lines.append(f'{ind}proof (cases "even n")')
+            for name in ("True", "(Suc m)"):
+                if name != "True":
+                    lines.append(f"{ind}next")
+                lines.append(f"{ind}case {name}")
+                step(ind + "  ")
+                lines.append(f"{ind}  show ?case by simp")
+            lines.append(f"{ind}qed")
+
+    for _ in range(units):
+        step("  ")
+    lines += ["  then show ?thesis sledgehammer", "qed", ""]
+    return "\n".join(lines)
+
+
+def _nested_text(blocks: int) -> str:
+    """`blocks` proof blocks, each but the outermost justifying a step."""
+    inner = 'have c: "x"\nproof -\n' * (blocks - 1)
+    return f'theorem t: shows "P"\nproof -\n{inner}show ?thesis sledgehammer\n' + "qed\n" * blocks
+
+
+def _ast_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("error", exc.offset, exc.message, exc.expected)
+
+
+def _assert_parses_like_oracle(text):
+    """An equal AST, or an equal (offset, message, expected) error. Both
+    parse under the default recursion limit; only the comparison of two
+    deep trees, which recurses a few frames per block, gets more."""
+    got, want = _ast_or_error(parse_sketch, text), _ast_or_error(parse_oracle.parse_sketch, text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit * 5)
+    try:
+        same = got == want
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same, text
+
+
+PARSE_INSERTS = ('"', "(*", "by", "qed", ":", "sorry")
+
+# One step or block per error the step-level descent can raise, and a few
+# that parse; each goes into a proof block of its own.
+PARSE_ERROR_STEPS = (
+    'have c1 "x" sledgehammer', "have c1: x sledgehammer", 'have "x" using sledgehammer',
+    'have "x" using h0 unfolding by auto', 'have "x" by sorry', 'have "x" by "y"', 'have "x" by',
+    'have "x" by (auto', 'have "x" <ATP> by auto', 'have "x" <ATP> apply auto </ATP>',
+    'have "x"', 'have "x" qed', "show x sledgehammer", 'obtain where "x" sledgehammer',
+    'obtain k "x" sledgehammer', 'obtain k where k: sledgehammer', 'then assume "x"', "assume x",
+    'then then have "x" sledgehammer', 'foo "x"', '"x"', "(* a *) (* b *)",
+    'have "x" sledgehammer next', 'have "x" proof (cases x) case True next qed',
+    'have "x" proof - case (Suc n) show ?case sorry qed', 'have "x" proof case qed',
+    'also obtain k m where o: "x" using a b unfolding c <...>', "show ?case oops",
+    'have "x" using a using b unfolding c d <...>',
+)
+
+
+@st.composite
+def parse_inputs(draw):
+    """A generated, fixture, large-shaped, deeply nested or error-step
+    sketch text: as is, with one character or word deleted, or with one of
+    PARSE_INSERTS inserted, bare or between spaces."""
+    source = draw(st.sampled_from(("generated", "fixture", "large", "nested", "error_step")))
+    if source == "generated":
+        text = serialize(AstGen(draw(st.integers(0, 2**32))).sketch())
+    elif source == "fixture":
+        text = draw(st.sampled_from(_FIXTURE_TEXTS))
+    elif source == "large":
+        text = _large_shaped_text(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(1, 40)))
+    elif source == "nested":
+        text = _nested_text(draw(st.integers(MAX_BLOCK_DEPTH - 2, MAX_BLOCK_DEPTH + 2)))
+    else:
+        text = _error_step_text(draw(st.sampled_from(PARSE_ERROR_STEPS)))
+    mutation = draw(st.sampled_from(("none", "delete", "delete_word", "insert")))
+    words = [m.span() for m in re.finditer(r"\S+", text)]
+    if mutation == "delete" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + text[at + 1 :]
+    elif mutation == "delete_word" and words:
+        start, end = draw(st.sampled_from(words))
+        text = text[:start] + text[end:]
+    elif mutation == "insert":
+        at = draw(st.integers(0, len(text)))
+        pad = draw(st.sampled_from(("", " ")))
+        text = text[:at] + pad + draw(st.sampled_from(PARSE_INSERTS)) + pad + text[at:]
+    return text
+
+
+def _error_step_text(step: str) -> str:
+    return f'theorem t: shows "P"\nproof -\n  {step}\n  show ?thesis sledgehammer\nqed\n'
+
+
+@settings(max_examples=1000, deadline=None)
+@given(parse_inputs())
+def test_parser_matches_plain_descent_oracle(text):
+    _assert_parses_like_oracle(text)
+
+
+def test_parser_matches_plain_descent_oracle_on_fixture_sketches():
+    for text in _FIXTURE_TEXTS:
+        assert parse_sketch(text) == parse_oracle.parse_sketch(text)
+
+
+@pytest.mark.parametrize("step", PARSE_ERROR_STEPS)
+def test_parser_matches_plain_descent_oracle_on_each_step_error(step):
+    _assert_parses_like_oracle(_error_step_text(step))
+
+
+def test_parser_matches_plain_descent_oracle_at_the_nesting_limit():
+    # the last depth that parses and the first that does not
+    for blocks in (MAX_BLOCK_DEPTH, MAX_BLOCK_DEPTH + 1):
+        _assert_parses_like_oracle(_nested_text(blocks))
+    assert count_gaps(parse_sketch(_nested_text(MAX_BLOCK_DEPTH))) == 1
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_sketch(_nested_text(MAX_BLOCK_DEPTH + 1))
 
 
 def test_parser_handles_deep_nesting_without_crashing():

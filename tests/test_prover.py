@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import time
 import zlib
@@ -45,6 +46,7 @@ from sketchprove.scheduler import SessionProvider, baseline_sketch
 from sketchprove.sketch import (
     HaveStep,
     ProofBlock,
+    check_no_cheat,
     closing_step_text,
     count_gaps,
     extract_gaps,
@@ -554,6 +556,76 @@ def test_cheating_hammer_reconstruction_never_validates(tmp_path):
     assert isinstance(outcome, SketchFailure)
     assert outcome.failed_site is None
     assert "cheating keyword" in outcome.reason
+
+
+# -- the final cheat scan covers only the spliced closing steps ----------------------
+
+# Closing steps, clean and cheating: bare escapes, escapes inside a method, in
+# comments and strings, next to word characters, and in <ATP> spans.
+SPLICE_STEPS = (
+    "by auto", "by (metis assms)", "sorry", "oops", "by (metis sorry)", "by (metis foo.sorry)",
+    "by (metis oops_lemma)", "by (simp (* sorry *))", 'by (simp add: "sorry")',
+    'by (simp (* a "quoted" oops (* nested sorry *) *))', "<ATP> sorry </ATP>",
+    "<ATP> by (metis oops) </ATP>", "by (smt (z3) sorry_free)",
+)
+# Comments and propositions that put the cheat words inside the segments.
+SPLICE_COMMENTS = (
+    "never sorry", 'a "quoted" oops', "nested (* sorry *) remark", "ends in a quote \"",
+)
+_PROPOSITION = re.compile(r'"([^"]*)"')
+
+
+def _sketch_with_cheat_words_in_comments_and_strings(seed):
+    """A generated sketch whose comments and strings hold cheat words; its
+    proof code holds none."""
+    rng = random.Random(seed)
+    lines = []
+    for line in serialize(AstGen(seed).sketch()).splitlines():
+        words = line.split()
+        if words and words[0] in ("have", "show", "obtain", "then", "also") and rng.random() < 0.4:
+            lines.append(f"{line[: len(line) - len(line.lstrip())]}(* {rng.choice(SPLICE_COMMENTS)} *)")
+        lines.append(_PROPOSITION.sub(lambda m: f"\"{m[1]} \\<and> ''sorry'' \\<noteq> ''oops''\"", line))
+    return parse_sketch("\n".join(lines) + "\n")
+
+
+class HammerSequence(ScriptedBackend):
+    """Every tactic fails and the hammer closes each gap with the next of
+    `steps`, in the order the gaps are reached."""
+
+    def __init__(self, script, steps):
+        super().__init__(script)
+        self.steps = iter(steps)
+
+    def hammer(self, timeout_ms):
+        return super().hammer(timeout_ms)._replace(reconstruction=next(self.steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.sampled_from(SPLICE_STEPS), min_size=40, max_size=40))
+def test_final_check_on_the_spliced_steps_agrees_with_a_whole_text_check(seed, steps):
+    ast = _sketch_with_cheat_words_in_comments_and_strings(seed)
+    assert check_no_cheat(serialize(ast)).clean
+    script = ProverScript(
+        rules=(), default=Outcome("hammer", step="by simp"),
+        verify_reject_substrings=("metis assms",),
+    )
+    session = recording(ProverSession(HammerSequence(script, steps), FAST))
+    outcome = prove_sketch(session, ast)
+    sites = extract_gaps(ast)
+    proof = ast
+    for site, step in zip(sites, steps):
+        proof = fill(proof, site, step)
+    proof_text = serialize(proof)
+    checked = [text for cmd, text in session.backend.calls if cmd == "check_full"]
+    expected = verify_full(ProverSession(ScriptedBackend(script), FAST), proof_text)
+    if isinstance(expected, Valid):
+        assert outcome == FullProofResult(proof_text, outcome.per_gap)
+    else:
+        assert isinstance(outcome, SketchFailure) and outcome.failed_site is None
+        assert outcome.reason == f"final check: {expected.reason}"
+    assert outcome.gaps_total == len(sites)
+    # a cheating proof is refused before any check reaches the backend
+    assert checked == ([proof_text] if check_no_cheat(proof_text).clean else [])
 
 
 # -- init failures ---------------------------------------------------------------------

@@ -877,6 +877,36 @@ def test_golden_replay_walks_each_proved_sketch_for_gaps_once(
     assert counted + proved == parsed
 
 
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_golden_replay_scans_each_proved_sketch_whole_once(
+    problems, golden_config, monkeypatch, jobs
+):
+    # `prove_sketch` scans the rendered sketch for cheat words; its final
+    # check scans only the closing steps it spliced in, never the whole
+    # proof text again
+    import sketchprove.prover.driver as driver
+    import sketchprove.scheduler as scheduler
+
+    calls = {"whole": [], "steps": [], "prove_sketch": []}
+    real_scan, real_prove = driver.check_no_cheat, scheduler.prove_sketch
+
+    def counting_scan(text):
+        calls["whole" if text.startswith("theorem") else "steps"].append(None)
+        return real_scan(text)
+
+    def counting_prove(*args):
+        calls["prove_sketch"].append(None)
+        return real_prove(*args)
+
+    monkeypatch.setattr(driver, "check_no_cheat", counting_scan)
+    monkeypatch.setattr(scheduler, "prove_sketch", counting_prove)
+    run_experiment(problems, _golden_policy(golden_config), _golden_components(), jobs, golden_config["seed"])
+    whole, steps, proved = (len(calls[name]) for name in ("whole", "steps", "prove_sketch"))
+    assert proved > 0
+    assert whole == proved
+    assert steps > 0  # some sketches reached the final check
+
+
 class DyingBackend:
     """Backend that raises SessionDead on its k-th call. The state ids it
     issues carry a "dead-" prefix, so that a memo entry naming one shows."""

@@ -562,12 +562,61 @@ def test_wire_reply_that_is_not_an_object_is_a_lost_session(line):
     {"status": "fail", "reason": ["no"]},
     {"status": "fail", "elapsed_ms": -40},
     {"status": "fail", "elapsed_ms": -0.5},
+    {},
+    {"status": None},
+    {"status": "maybe"},
+    {"status": "OK"},
+    {"status": ["ok"]},
+    {"status": {"ok": 1}},
 ])
 def test_wire_reply_with_a_badly_typed_field_is_a_lost_session(fields):
     line = json.dumps({"id": 1, **fields})
     backend = WireBackend(fake_bridge(lambda frame: line))
     with pytest.raises(SessionDead):
         backend.step("by auto", 50)
+    backend.quit()
+
+
+def test_cheating_reconstruction_sends_no_check_frame(tmp_path):
+    # the final check refuses the spliced step before the proof leaves the client
+    script = minimal_script(default={"kind": "hammer", "step": "by (metis sorry)"})
+    server = WireServer(write_script(tmp_path, script)).start()
+    session = open_session(ExternalSpec(server.address), FAST)
+    try:
+        sent = counting_commands(session.backend)
+        text = 'theorem t: shows "G"\nproof -\n  have c: "a" sledgehammer\n  show ?thesis sledgehammer\nqed\n'
+        outcome = prove_sketch(session, parse_sketch(text))
+        assert outcome.failed_site is None
+        assert outcome.reason == "final check: cheating keyword: sorry"
+        assert [cmd for cmd, _ in sent] == ["cascade"]
+    finally:
+        session.close()
+        server.stop()
+
+
+@pytest.mark.parametrize("status", ["maybe", None, 1])
+def test_whole_proof_check_with_an_unknown_status_is_a_lost_session_not_an_invalid_proof(status):
+    # a bridge's answer outside ok | fail | timeout is an infrastructure
+    # fault, so the proof gets no verdict and the session is dead
+    fields = {} if status is None else {"status": status}
+    session = ProverSession(WireBackend(fake_bridge(lambda frame: fields)), FAST)
+    with pytest.raises(SessionDead):
+        verify_full(session, 'theorem t: shows "G"\nproof -\n  show ?thesis by auto\nqed\n')
+    assert session.state is SessionState.DEAD
+    session.close()
+
+
+def test_ok_hammer_reply_without_a_reconstruction_is_a_lost_session():
+    # "ok" is never a failed attempt's outcome: the hammer claims a proof
+    # it does not give, so the gap gets no result
+    def answer(frame):
+        if frame["cmd"] == "init":
+            return {"status": "ok", "state_id": "s1"}
+        return {"status": "ok" if frame["cmd"] in ("hammer", "quit") else "fail"}
+
+    backend = WireBackend(fake_bridge(answer))
+    with pytest.raises(SessionDead, match="no reconstruction"):
+        run_cascade(backend, "Main", FIRST_CONTEXT, FAST)
     backend.quit()
 
 
@@ -612,6 +661,13 @@ def test_wire_cascade_reply_decodes_each_result_kind(result):
     {"status": "ok", "results": [{**CLOSED, "tactic_index": len(FAST.tactic_list)}]},
     {"status": "fail", "reason": "bad frame: 'tactics' must be a list"},
     {"status": "timeout"},
+    {"results": [CLOSED]},
+    {"status": "maybe", "results": [CLOSED]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": [["auto", "ok"]], "elapsed_ms": 0}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": [["auto", "maybe"]], "elapsed_ms": 0}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": [["auto", None]], "elapsed_ms": 0}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": [["auto", ["fail"]]], "elapsed_ms": 0}]},
+    {"status": "ok", "results": [{"kind": "failed", "attempts": [["init", "ok"]], "elapsed_ms": 0}]},
 ])
 def test_wire_cascade_reply_without_a_well_formed_result_is_a_lost_session(reply):
     # never a KeyError or TypeError, and never a verdict on the gap

@@ -5,8 +5,19 @@ tokenizer of `sketchprove.sketch.parser` is checked against."""
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from sketchprove.sketch.parser import _RawParseError, _Token, comment_end
+from sketchprove.sketch.parser import _RawParseError, comment_end
+
+
+class _Token(NamedTuple):
+    """A token with named fields; equal to the parser's plain token tuple."""
+
+    kind: str
+    text: str
+    start: int
+    end: int
+
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
