@@ -261,9 +261,11 @@ class CompletionClient:
 
     @property
     def fetch_ahead(self) -> int:
-        """How many requests a caller should keep submitted ahead of the one
-        it is consuming: `max_in_flight` when they go to the endpoint, none
-        in replay, which answers inline."""
+        """How many requests a caller that may stop early should keep
+        submitted ahead of the one it is consuming: `max_in_flight` when they
+        go to the endpoint, none in replay, which answers inline. A caller
+        that will consume every request may submit all of them, but if it
+        gives up it drops every answer it has not consumed."""
         return 0 if self.mode is CacheMode.REPLAY else self.max_in_flight
 
     def submit(

@@ -8,17 +8,22 @@ prover session per worker, and results are a pure function of inputs, seed,
 caches, and scripts, independent of worker count.
 
 A sketch prompt depends only on the problem, the draft and the entry's
-seed, so while a worker proves one attempt it keeps the next
-`max_in_flight` sketch requests in flight at the endpoint. It still
-consumes their completions in plan order (so record mode writes the cache
-in plan order), and an early stop cancels the requests not yet started.
+seed, so later sketch requests are in flight while a worker proves one
+attempt: under early stop the next `max_in_flight` (a success cancels the
+ones not yet started), and with no early stop, where every completion
+will be used, all of the problem's remaining ones, which the client's
+`max_in_flight` slots serve in order. Completions are still consumed in
+plan order (so record mode writes the cache in plan order). A problem
+that aborts on a lost session cancels the requests not yet started and
+drops the answered ones: up to `max_in_flight`, or without early stop up
+to the rest of its plan.
 A problem's endpoint work starts one problem ahead: when a worker takes a
 problem, the draft requests of the next `parallelism` problems start too,
-and each draft's completion starts that problem's first window of sketch
-requests on the endpoint pool. The worker that reaches the problem
-collects both, in plan order, and tops the window up to `1 + fetch_ahead`
-started requests, so a problem still costs at most `1 + max_in_flight`
-sketch requests under early stop. Drafts that need no endpoint (a human
+and each draft's completion starts that problem's first window of
+`1 + fetch_ahead` sketch requests on the endpoint pool. The worker that
+reaches the problem collects both, in plan order, and starts the rest as
+above, so a problem still costs at most `1 + max_in_flight` sketch
+requests under early stop. Drafts that need no endpoint (a human
 source, the ablation without drafts) have no request, and in replay
 `submit` starts nothing, so then the worker starts the whole window.
 
@@ -340,16 +345,19 @@ def _cancel(fetches: Iterable[Fetched]) -> None:
 
 def _fetch_sketches(
     problem: Problem, drafts: Sequence[str], entries: Sequence[tuple[int, int, int]],
-    components: PipelineComponents, window: Sequence[Fetched],
+    policy: BudgetPolicy, components: PipelineComponents, window: Sequence[Fetched],
 ) -> Iterator[Fetched]:
     """Each plan entry's `Fetched`, in plan order, beginning with the
     started `window` (the first entries, possibly none). Keeps the client's
-    `fetch_ahead` later entries started, so their completions arrive while
-    this one is proved; closing the generator cancels the requests not yet
-    started."""
+    `fetch_ahead` later entries started while this one is proved, or every
+    entry when no early stop can leave a completion unused; closing the
+    generator cancels the requests not yet started."""
+    ahead = components.client.fetch_ahead
+    if ahead and not policy.stop_on_first_success:
+        ahead = len(entries)
     started = deque(window)
     upcoming = (_start_sketch(problem, drafts, e, components) for e in entries[len(window):])
-    started.extend(itertools.islice(upcoming, components.client.fetch_ahead + 1 - len(window)))
+    started.extend(itertools.islice(upcoming, ahead + 1 - len(window)))
     try:
         while started:
             yield started.popleft()
@@ -520,7 +528,7 @@ def run_problem(
     reopens = itertools.count(1)
     parses: dict[str, SketchAst | None] = {}
     # the window was set before the draft's future completed
-    fetches = _fetch_sketches(problem, drafts, plan.entries, components, ahead.window)
+    fetches = _fetch_sketches(problem, drafts, plan.entries, policy, components, ahead.window)
     with contextlib.closing(fetches):
         for entry, fetched in zip(plan.entries, fetches):
             try:

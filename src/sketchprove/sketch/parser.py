@@ -5,7 +5,11 @@ theorem headers (fixes/assumes/shows), proof/qed blocks with optional method
 and case lists, have/show/obtain/assume steps with then/also/finally chain
 prefixes, using/unfolding clauses, comments, and open-gap markers. Anything
 else is a ParseError with a byte offset and the expected-token set; the
-parser never raises anything else, no matter the input bytes.
+parser never raises anything else, no matter the input bytes. Proof
+blocks nest at most MAX_BLOCK_DEPTH (50) deep: the AST's dataclass `==`,
+`hash` and `repr` recurse up to about ten frames per block, so every tree
+the parser accepts can be compared, hashed and printed under Python's
+default recursion limit (1000) with half of it left to the caller.
 
 Tokenizing is one regex pass: each token, with the whitespace before it,
 costs one match, and only a comment's end is found outside the pattern
@@ -43,7 +47,7 @@ from .nodes import (
     TheoremHeader,
 )
 
-MAX_BLOCK_DEPTH = 200
+MAX_BLOCK_DEPTH = 50
 
 RESERVED = frozenset(
     """theorem fixes assumes shows and proof qed have show obtain assume

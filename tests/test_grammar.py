@@ -502,17 +502,10 @@ def _ast_or_error(parse, text):
 
 
 def _assert_parses_like_oracle(text):
-    """An equal AST, or an equal (offset, message, expected) error. Both
-    parse under the default recursion limit; only the comparison of two
-    deep trees, which recurses a few frames per block, gets more."""
+    """An equal AST, or an equal (offset, message, expected) error, parsed
+    and compared under the default recursion limit."""
     got, want = _ast_or_error(parse_sketch, text), _ast_or_error(parse_oracle.parse_sketch, text)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit * 5)
-    try:
-        same = got == want
-    finally:
-        sys.setrecursionlimit(limit)
-    assert same, text
+    assert got == want, text
 
 
 PARSE_INSERTS = ('"', "(*", "by", "qed", ":", "sorry")
@@ -591,6 +584,17 @@ def test_parser_matches_plain_descent_oracle_at_the_nesting_limit():
     assert count_gaps(parse_sketch(_nested_text(MAX_BLOCK_DEPTH))) == 1
     with pytest.raises(ParseError, match="nesting too deep"):
         parse_sketch(_nested_text(MAX_BLOCK_DEPTH + 1))
+
+
+def test_the_deepest_tree_the_parser_accepts_compares_hashes_and_prints():
+    # under the default recursion limit, with pytest's own frames below
+    assert sys.getrecursionlimit() == 1000
+    text = _nested_text(MAX_BLOCK_DEPTH)
+    ast, again = parse_sketch(text), parse_sketch(text)
+    assert ast == again and hash(ast) == hash(again)
+    assert repr(ast).count("ProofBlock(") == MAX_BLOCK_DEPTH
+    # unequal only in the innermost step, so the comparison walks every block
+    assert ast != parse_sketch(text.replace("sledgehammer", "by simp"))
 
 
 def test_parser_handles_deep_nesting_without_crashing():

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from sketchprove.llm import (
     CompletionRequest,
     SamplingConfig,
     cache_key,
+    sketch_preset,
 )
 from sketchprove.prompting import Category, PromptConfig, PromptMode, load_pool
 from sketchprove.prover import (
@@ -623,6 +625,43 @@ def test_early_stop_bounds_each_problems_sketch_requests_in_a_run(tmp_path, jobs
         assert 1 <= calls.count(("sketch", problem.id)) <= 1 + max_in_flight
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_without_early_stop_a_problems_whole_plan_is_requested_while_its_first_attempt_is_proved(
+    tmp_path, monkeypatch, jobs, max_in_flight
+):
+    # each problem's first proof waits until the transport has seen every
+    # sketch request of its plan: with no early stop, no request waits for
+    # an earlier completion to be consumed
+    import sketchprove.scheduler as scheduler_module
+
+    count, planned = 3, 6  # more entries than 1 + max_in_flight
+    requested = {f"algebra_ahead{i}": threading.Event() for i in range(count)}
+
+    def answer(kind, pid):
+        if kind == "sketch" and calls.count((kind, pid)) == planned:
+            requested[pid].set()
+
+    problems, components, calls = _ahead_run(tmp_path, count, answer=answer, max_in_flight=max_in_flight)
+    policy = BudgetPolicy(drafts_per_problem=2, sketches_per_draft=3, stop_on_first_success=False)
+    real = scheduler_module._prove_attempt
+    gated = []
+
+    def prove(problem_id, entry, *rest):
+        if entry[:2] == (0, 0):
+            gated.append(requested[problem_id].wait(5))
+        return real(problem_id, entry, *rest)
+
+    monkeypatch.setattr(scheduler_module, "_prove_attempt", prove)
+    with contextlib.closing(components.client):
+        results = run_experiment(problems, policy, components, parallelism=jobs)
+    assert gated == [True] * count
+    assert [len(r.attempts) for r in results] == [planned] * count
+    assert all(a.success for r in results for a in r.attempts)
+    for problem in problems:
+        assert calls.count(("sketch", problem.id)) == planned
+
+
 def test_failed_draft_of_a_problem_started_ahead_aborts_only_that_problem(tmp_path):
     def answer(kind, pid):
         if (kind, pid) == ("draft", "algebra_ahead1"):
@@ -693,6 +732,51 @@ def test_a_run_that_raises_cancels_the_requests_it_started_ahead(tmp_path, monke
         ("draft", "algebra_ahead0"), ("draft", "algebra_ahead1"),
         ("sketch", "algebra_ahead0"), ("sketch", "algebra_ahead0"),
     ]
+    assert set(threading.enumerate()) <= threads
+
+
+def test_a_problem_that_loses_its_session_cancels_the_requests_queued_behind_a_held_slot(
+    tmp_path, monkeypatch
+):
+    # one request slot: the problem's second sketch request holds it on a
+    # gate while the first attempt's session is lost past the reopen
+    # budget, so the rest of the plan is still queued when the problem aborts
+    import sketchprove.scheduler as scheduler_module
+
+    held, gate = threading.Event(), threading.Event()
+
+    def answer(kind, pid):
+        if (kind, pid) == ("sketch", "algebra_ahead0") and calls.count((kind, pid)) == 2:
+            held.set()
+            gate.wait(10)
+        return None
+
+    def always_dead(session, ast):
+        assert held.wait(10)
+        session.state = SessionState.DEAD
+        raise SessionDead("injected")
+
+    problems, components, calls = _ahead_run(tmp_path, 2, answer=answer, max_in_flight=1)
+    components.max_session_reopens = 1
+    monkeypatch.setattr(scheduler_module, "prove_sketch", always_dead)
+    policy = BudgetPolicy(drafts_per_problem=2, sketches_per_draft=2, stop_on_first_success=False)
+    threads = set(threading.enumerate())
+    try:
+        [result] = run_experiment(problems[:1], policy, components)
+    finally:
+        gate.set()
+    assert result.attempts == () and result.infra_error.startswith("prover session lost: ")
+    assert infra_failures([result]) == {"algebra_ahead0": result.infra_error}
+    # the slot serves requests in order: once this one is answered, each
+    # request queued before it has run or was cancelled
+    sample_drafts(components.client, problems[1], 1)
+    components.client.close()
+    assert calls == [("draft", "algebra_ahead0")] + [("sketch", "algebra_ahead0")] * 2 + [
+        ("draft", "algebra_ahead1")
+    ]
+    # two drafts, the one sketch collected and the last draft: the held
+    # sketch's answer was dropped
+    assert len(CompletionCache(tmp_path / "cache.jsonl")) == 2 + 1 + 1
     assert set(threading.enumerate()) <= threads
 
 
@@ -979,9 +1063,16 @@ def test_crash_mid_problem_reopens_and_records_as_uninterrupted(problems, golden
     components.sessions.close()
 
 
-def _fixture_endpoint(calls):
+# answers a faulty endpoint gives instead of a completion: neither is retried
+FAULTS = {"refused": (403, {"error": "refused"}), "malformed": (200, {"choices": []})}
+
+
+def _fixture_endpoint(calls, faults=None):
     """A transport that answers as the endpoint that recorded the fixture
-    cache did; appends each prompt it is sent to `calls`."""
+    cache did; appends each prompt it is sent to `calls`. `faults` maps the
+    first hex digit of a sketch request's cache key to the name of the
+    FAULTS answer that request gets instead, so a request fails by its
+    content, whenever and on whichever thread it is sent."""
     fixture = CompletionCache(FIXTURES / "cache" / "completions.jsonl")
 
     def transport(url, headers, payload, timeout_s):
@@ -991,6 +1082,10 @@ def _fixture_endpoint(calls):
             max_tokens=payload["max_tokens"], n=payload["n"], stop_sequences=tuple(payload["stop"]),
         )
         request = CompletionRequest(payload["prompt"], config)
+        if faults and config == sketch_preset():
+            fault = faults.get(cache_key(request, 0)[0])
+            if fault is not None:
+                return FAULTS[fault]
         texts = [fixture.get(cache_key(request, i)) for i in range(config.n)]
         if None in texts:
             return 404, {"error": "not in the fixture cache"}
@@ -999,11 +1094,11 @@ def _fixture_endpoint(calls):
     return transport
 
 
-def _recording_golden_components(cache_path, calls, max_in_flight=4):
+def _recording_golden_components(cache_path, calls, max_in_flight=4, faults=None):
     components = _golden_components()
     components.client = CompletionClient(
         endpoint_url="fixture://", mode=CacheMode.RECORD, cache=CompletionCache(cache_path),
-        transport=_fixture_endpoint(calls), max_in_flight=max_in_flight,
+        transport=_fixture_endpoint(calls, faults), max_in_flight=max_in_flight,
     )
     return components
 
@@ -1020,11 +1115,8 @@ def _cache_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-@pytest.mark.parametrize("max_in_flight", [1, 4])
-@pytest.mark.parametrize("jobs", [1, 8])
-@pytest.mark.parametrize("early_stop", [False, True])
-def test_fetching_ahead_records_what_a_sequential_run_records(
-    tmp_path, monkeypatch, problems, golden_config, early_stop, jobs, max_in_flight
+def _assert_fetching_ahead_records_what_a_sequential_run_records(
+    tmp_path, problems, golden_config, early_stop, jobs, max_in_flight, faults=None
 ):
     # eight workers (more than the cores) share one client's pool and cache,
     # with frequent thread switches to expose a lost update; drafts and
@@ -1039,7 +1131,9 @@ def test_fetching_ahead_records_what_a_sequential_run_records(
 
     def record(name):
         calls = []
-        components = _recording_golden_components(tmp_path / f"{name}.jsonl", calls, max_in_flight)
+        components = _recording_golden_components(
+            tmp_path / f"{name}.jsonl", calls, max_in_flight, faults
+        )
         with contextlib.closing(components.client):
             if name == "ahead":
                 results = run_experiment(problems, policy, components, jobs, seed)
@@ -1052,11 +1146,14 @@ def test_fetching_ahead_records_what_a_sequential_run_records(
     sys.setswitchinterval(1e-5)
     try:
         for name in ("ahead", "sequential"):
-            if name == "sequential":
-                monkeypatch.setattr(CompletionClient, "fetch_ahead", property(lambda client: 0))
-            worker = threading.Thread(target=record, args=(name,), daemon=True)
-            worker.start()
-            worker.join(timeout=60)
+            with contextlib.ExitStack() as patches:
+                if name == "sequential":
+                    patches.enter_context(
+                        mock.patch.object(CompletionClient, "fetch_ahead", property(lambda client: 0))
+                    )
+                worker = threading.Thread(target=record, args=(name,), daemon=True)
+                worker.start()
+                worker.join(timeout=60)
             assert not worker.is_alive() and name in runs
     finally:
         sys.setswitchinterval(interval)
@@ -1068,11 +1165,42 @@ def test_fetching_ahead_records_what_a_sequential_run_records(
     assert (ahead_cache if jobs == 1 else by_key(ahead_cache)) == (
         sequential_cache if jobs == 1 else by_key(sequential_cache)
     )
-    assert len(sequential_calls) == len(sequential_cache) - len(problems) * (golden_config["drafts"] - 1)
+    # a failed request leaves no cache line
+    failed = sum(a.failure_stage is FailureStage.INFRA for r in sequential for a in r.attempts)
+    assert len(sequential_calls) == (
+        len(sequential_cache) - len(problems) * (golden_config["drafts"] - 1) + failed
+    )
     if early_stop:
         assert set(ahead_calls) >= set(sequential_calls)
     else:
         assert sorted(ahead_calls) == sorted(sequential_calls)
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+@pytest.mark.parametrize("jobs", [1, 8])
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_fetching_ahead_records_what_a_sequential_run_records(
+    tmp_path, problems, golden_config, early_stop, jobs, max_in_flight
+):
+    _assert_fetching_ahead_records_what_a_sequential_run_records(
+        tmp_path, problems, golden_config, early_stop, jobs, max_in_flight
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    jobs=st.sampled_from([1, 2, 8]),
+    max_in_flight=st.sampled_from([1, 4]),
+    early_stop=st.booleans(),
+    faults=st.dictionaries(st.sampled_from("0123456789abcdef"), st.sampled_from(sorted(FAULTS)), max_size=6),
+)
+def test_fetching_ahead_records_what_a_sequential_run_records_when_sketch_requests_fail(
+    problems, golden_config, jobs, max_in_flight, early_stop, faults
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_fetching_ahead_records_what_a_sequential_run_records(
+            Path(tmp), problems, golden_config, early_stop, jobs, max_in_flight, faults
+        )
 
 
 def test_lost_session_reproves_without_requesting_the_sketch_again(tmp_path, problems, golden_config):
