@@ -237,6 +237,8 @@ def _parse_json_line(line: str, lineno: int) -> dict:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaError(lineno, "<line>", f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(lineno, "<line>", "not valid JSON: nested too deep") from None
     if not isinstance(record, dict):
         raise SchemaError(lineno, "<line>", "record must be a JSON object")
     return record

@@ -166,7 +166,7 @@ class CompletionCache:
                         continue
                     try:
                         record = json.loads(line)
-                    except ValueError:
+                    except (ValueError, RecursionError):  # not JSON, or nested too deep
                         if not line.endswith(b"\n"):
                             logger.warning(
                                 "%s: ignoring a torn final line of %d bytes", self.path, len(line)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Protocol, Sequence, Union
 
 from ..errors import InfraError
+from ..slots import _slot_init
 from ..sketch import InvalidSite, closing_step_text
 
 # Quick closing tactics tried in order before falling back to the hammer.
@@ -50,7 +51,10 @@ def step_text(tactic: str) -> str:
     return f"by ({tactic})" if " " in tactic else f"by {tactic}"
 
 
-@dataclass(frozen=True)
+# The gap results are slotted and built through `_slot_init`, since a client
+# builds one per gap of every cascade reply it decodes.
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Closed:
     closing_step: str
     tactic_index: int | None  # None: closed by the hammer
@@ -59,13 +63,15 @@ class Closed:
     state_id: str | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Failed:
     attempts: tuple[tuple[str, str], ...]  # (tactic or hammer name, outcome)
     elapsed_ms: int = 0
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class TimedOut:
     elapsed_ms: int
 

@@ -160,10 +160,6 @@ def open_session(spec: BackendSpec, config: ProverConfig) -> ProverSession:
     return session
 
 
-def _gap_context(text_before_gap: str) -> str:
-    return text_before_gap.rstrip() + "\n"
-
-
 def close_gap(
     session: ProverSession, contexts: Sequence[str], base: ProverState | None = None
 ) -> list[GapResult]:
@@ -232,16 +228,22 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     the memo first, so it holds one theorem's work; a dead session drops
     it too.
 
-    At the first gap the memo does not hold, every remaining gap goes to
-    the prover in one `close_gap` call, since each later gap resumes from
-    a state the memo has not seen. Each result that comes back is memoised
-    under its own (base, context), and the walk goes on through the memo.
+    Each gap's context (its segment up to the gap, trailing space cut) is
+    built once per call. At the first gap the memo does not hold, every
+    remaining context goes to the prover in one `close_gap` call, since
+    each later gap resumes from a state the memo has not seen. Each result
+    that comes back is memoised under its own (base, context), and the
+    walk goes on through the memo.
     A reply that stops at a closed gap leaves the next gap a miss, so the
     rest goes out as the next run; results after a gap whose closing step
     the proof cannot hold are never reached.
 
-    Either outcome carries `gaps_total`, the sketch's gap count, from the
-    walk for gap sites done here, so a caller needs no walk of its own.
+    Either outcome carries `gaps_total`, the sketch's gap count: one less
+    than the number of segments of the one render, so neither this call
+    nor its caller walks the tree for it. The tree is walked for its gap
+    sites (`extract_gaps`) only to name the site of a gap that does not
+    close, or whose closing step the proof cannot hold, so a sketch whose
+    gaps all close is never walked.
 
     The cheat gate scans the whole text once, per call: the rendered
     sketch, its segments joined by gap tokens. The final check scans only
@@ -254,38 +256,38 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     a line break after it, so word boundaries at the splice points are the
     same as between the joined steps. The segments passed the gate, so the
     proof text holds exactly the cheat words of its steps."""
-    sites = extract_gaps(ast)
     segments = render_segments(ast)
+    gaps = len(segments) - 1
     cheat = _cheat_reason(GAP_TOKEN.join(segments))
     if cheat is not None:
-        return SketchFailure(None, (), f"cheat gate: {cheat}", len(sites))
+        return SketchFailure(None, (), f"cheat gate: {cheat}", gaps)
 
     memo = session.memo
     if memo.header != ast.header:
         memo = session.memo = ProverMemo(ast.header)
+    contexts = [segment.rstrip() + "\n" for segment in segments[:-1]]
     per_gap: list[GapResult] = []
     pieces: list[str] = []  # each gap's segment, then its closing step
     base: ProverState | None = None
-    for index, (site, segment) in enumerate(zip(sites, segments)):
-        context = _gap_context(segment)
+    for index, context in enumerate(contexts):
         result = memo.gaps.get((base, context))
         if result is None:
-            run = [context, *map(_gap_context, segments[index + 1 : -1])]
+            run = contexts[index:]
             _memoise(memo, base, run, close_gap(session, run, base))
             result = memo.gaps[base, context]
         if not isinstance(result, Closed):
             per_gap.append(result)
+            site = extract_gaps(ast)[index]
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
-            return SketchFailure(
-                site, tuple(per_gap), f"gap {kind}: {site.proposition}", len(sites)
-            )
+            return SketchFailure(site, tuple(per_gap), f"gap {kind}: {site.proposition}", gaps)
         try:
-            pieces += (segment, closing_step_text(result.closing_step))
+            pieces += (segments[index], closing_step_text(result.closing_step))
         except InvalidSite as exc:
             # the proof text cannot hold the step, so the gap stays open
             per_gap.append(Failed((("closing_step", "unparseable"),), result.elapsed_ms))
+            site = extract_gaps(ast)[index]
             return SketchFailure(
-                site, tuple(per_gap), f"{exc.reason} (gap: {site.proposition})", len(sites)
+                site, tuple(per_gap), f"{exc.reason} (gap: {site.proposition})", gaps
             )
         per_gap.append(result)
         base = ProverState(result.state_id)
@@ -298,7 +300,7 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
         verdict = Invalid(cheat) if cheat is not None else _check_full(session, proof_text)
         memo.verdicts[proof_text] = verdict
     if isinstance(verdict, Invalid):
-        return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}", len(sites))
+        return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}", gaps)
     return FullProofResult(proof_text, tuple(per_gap))
 
 

@@ -155,28 +155,36 @@ def encode_gap_result(result: GapResult) -> dict:
 def decode_gap_result(raw: object, tactics: int) -> GapResult:
     """One gap result of a reply to a `cascade` that sent `tactics` tactic
     names; anything else, a `tactic_index` outside them included, raises
-    SessionDead."""
-    if not isinstance(raw, dict):
+    SessionDead.
+
+    A client decodes one result per gap, so each field is checked by its
+    exact type (`type(x) is int`, not `isinstance`). `json.loads` makes
+    only exact dicts, lists, strs, ints, floats, bools and None, so on a
+    decoded reply that is the same test, and it tells a bool from an int
+    in one step. A plain non-negative int `elapsed_ms` is taken as it is;
+    only any other value goes through `_ms`."""
+    if type(raw) is not dict:
         raise SessionDead(f"a cascade reply carries no result object: {raw!r:.120}")
-    kind = raw.get("kind")
+    kind, ms = raw.get("kind"), raw.get("elapsed_ms")
     if kind == "closed":
         step, index, state_id = raw.get("closing_step"), raw.get("tactic_index"), raw.get("state_id")
         if state_id is None:  # the next gap resumes there
             raise SessionDead("an ok closing reply carries no state_id")
-        if isinstance(step, str) and isinstance(state_id, str) and (
-            index is None or _is_int(index) and 0 <= index < tactics
+        if type(step) is str and type(state_id) is str and (
+            index is None or type(index) is int and 0 <= index < tactics
         ):
-            return Closed(step, index, _ms(raw.get("elapsed_ms")), state_id)
+            return Closed(step, index, ms if type(ms) is int and ms >= 0 else _ms(ms), state_id)
     elif kind == "failed":
         attempts = raw.get("attempts")
-        if isinstance(attempts, list) and all(
-            isinstance(a, list) and len(a) == 2 and isinstance(a[0], str)
-            and a[1] in _FAILED_OUTCOMES
+        if type(attempts) is list and all(
+            type(a) is list and len(a) == 2 and type(a[0]) is str and a[1] in _FAILED_OUTCOMES
             for a in attempts
         ):
-            return Failed(tuple((a[0], a[1]) for a in attempts), _ms(raw.get("elapsed_ms")))
+            return Failed(
+                tuple(map(tuple, attempts)), ms if type(ms) is int and ms >= 0 else _ms(ms)
+            )
     elif kind == "timed_out":
-        return TimedOut(_ms(raw.get("elapsed_ms")))
+        return TimedOut(ms if type(ms) is int and ms >= 0 else _ms(ms))
     raise SessionDead(f"malformed cascade result: {json.dumps(raw)[:120]}")
 
 
@@ -185,12 +193,12 @@ def decode_gap_results(raw: object, sent: int, tactics: int) -> list[GapResult]:
     `tactics` tactic names: a nonempty list, no longer than the contexts
     sent, in which only the last result may be open. Anything else raises
     SessionDead."""
-    if not isinstance(raw, list) or not 0 < len(raw) <= sent:
+    if type(raw) is not list or not 0 < len(raw) <= sent:
         raise SessionDead(
             f"a cascade of {sent} contexts needs a list of 1 to {sent} results: {json.dumps(raw)[:120]}"
         )
     results = [decode_gap_result(item, tactics) for item in raw]
-    if any(not isinstance(result, Closed) for result in results[:-1]):
+    if any(type(result) is not Closed for result in results[:-1]):
         raise SessionDead("a cascade reply goes on past a gap that did not close")
     return results
 
@@ -276,7 +284,7 @@ class WireBackend:
                 raise SessionDead("backend closed the connection")
             try:
                 reply = json.loads(line)
-            except ValueError:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
                 raise SessionDead(f"unparseable frame: {line[:120]!r}") from None
             if not isinstance(reply, dict):
                 raise SessionDead(f"frame is not a JSON object: {line[:120]!r}")
@@ -456,7 +464,7 @@ def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]
                 raise _BadFrame("a frame is a JSON object with an id and a cmd")
             cmd = frame["cmd"]
             payload = {"id": req_id, **_answer(backend, frame)}
-        except (json.JSONDecodeError, _BadFrame) as exc:
+        except (json.JSONDecodeError, RecursionError, _BadFrame) as exc:
             payload = {"id": req_id, "status": "fail", "reason": f"bad frame: {exc}"}
         writer.write(json.dumps(payload) + "\n")
         writer.flush()

@@ -7,40 +7,10 @@ concrete closing tactic, or a nested proof block.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
-from typing import Iterator, NamedTuple, TypeVar, Union
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Union
 
-_Node = TypeVar("_Node", bound=type)
-
-
-def _slot_init(cls: _Node) -> _Node:
-    """Give a frozen, slotted dataclass a cheaper `__init__`: it sets each
-    field through its slot's descriptor, looked up once per class, where
-    the one `dataclass(frozen=True)` generates looks up and calls
-    `object.__setattr__` per field, about 1.7 times the cost for a 7-field
-    step; the parser builds a node for every step of every sketch. Only
-    construction changes: assigning a field still raises
-    FrozenInstanceError, and equality, hashing, `repr` and
-    `dataclasses.replace` are the dataclass's own. Fields may have plain
-    defaults, not default factories."""
-    params, lines, namespace = [], [], {}
-    for f in fields(cls):
-        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        lines.append(f"    _set_{f.name}(self, {f.name})")
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            namespace[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    body = "\n".join(lines) or "    pass"
-    exec(f"def __init__(self, {', '.join(params)}):\n{body}\n", namespace)  # as `dataclass` does
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
-
+from ..slots import _slot_init
 
 # Rendered for every Gap justification; parse_sketch also accepts the
 # figure-style markers "<...>", "ATP" and "<ATP> ... </ATP>".

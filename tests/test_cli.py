@@ -272,6 +272,31 @@ def test_eval_on_a_record_with_a_missing_or_mistyped_field_is_a_schema_error(
     assert capsys.readouterr().err.startswith(f"error[config]: line 2, field {field!r}: expected ")
 
 
+@pytest.mark.parametrize("file", ["cache", "dataset", "records"])
+def test_a_line_nested_too_deep_for_the_json_decoder_is_a_config_error(tmp_path, capsys, file):
+    # `json.loads` raises RecursionError, not ValueError, on such a line
+    from sketchprove import cli
+
+    source = {
+        "cache": FIXTURES / "cache" / "completions.jsonl",
+        "dataset": FIXTURES / "datasets" / "mini.jsonl",
+        "records": FIXTURES / "golden" / "records.jsonl",
+    }[file]
+    lines = source.read_text().splitlines()
+    lines.insert(1, "[" * 100_000 + "]" * 100_000)
+    edited = tmp_path / source.name
+    edited.write_text("\n".join(lines) + "\n")
+    flags = golden_flags(tmp_path / "out")
+    if file == "records":
+        argv = [*flags, "eval", "--records", str(edited)]
+    else:
+        argv = [*flags, f"--{file.replace('cache', 'cache-file')}", str(edited), "run"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error[")]
+    assert len(errors) == 1 and errors[0].startswith("error[config]: ") and "line 2" in errors[0]
+
+
 @pytest.mark.parametrize("max_prompt_chars", [None, 1500])
 def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, max_prompt_chars):
     from sketchprove import cli, llm

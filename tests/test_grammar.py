@@ -718,3 +718,13 @@ def test_serialize_joins_segments_with_gap_tokens(seed):
         filled = serialize(fill(ast, site, "by auto"))
         before = GAP_TOKEN.join(segments[: k + 1])
         assert filled == before + "by auto" + GAP_TOKEN.join(segments[k + 1 :])
+
+
+def test_each_fixture_sketch_renders_one_segment_more_than_its_gaps(sketch_files):
+    # `prove_sketch` takes its gap count from the render, not from a walk
+    asts = [parse_sketch(path.read_text()) for path in sketch_files]
+    asts.append(parse_sketch('theorem t: shows "G"\n  sledgehammer\n'))  # the whole proof a gap
+    asts.append(parse_sketch('theorem t: shows "G"\n'))  # a statement alone
+    assert sum(len(extract_gaps(ast)) for ast in asts) > len(asts)
+    for ast in asts:
+        assert len(render_segments(ast)) - 1 == len(extract_gaps(ast))

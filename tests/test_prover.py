@@ -815,6 +815,7 @@ def test_prove_sketch_matches_gap_at_a_time_oracle(seed):
     if proof_text is None:
         assert isinstance(outcome, SketchFailure)
         assert outcome.failed_site == failed_site
+        assert outcome.failed_site == extract_gaps(ast)[len(outcome.partial) - 1]
         assert list(outcome.partial) == per_gap
     else:
         assert isinstance(outcome, FullProofResult)
@@ -843,21 +844,31 @@ def test_prove_sketch_matches_gap_at_a_time_oracle(seed):
             chain += closing_step_text(result.closing_step)
 
 
+# MIXED_SCRIPT, but the hammer closes ?thesis with a step the proof cannot hold
+UNFIT_SCRIPT = replace(MIXED_SCRIPT, rules=(
+    *MIXED_SCRIPT.rules[:2], Rule("exact", "?thesis", Outcome("hammer", step="apply auto")),
+    *MIXED_SCRIPT.rules[3:],
+))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32), st.booleans())
-def test_prove_sketch_counts_every_gap_of_its_sketch(seed, cheat):
+@given(st.integers(0, 2**32), st.booleans(), st.sampled_from([MIXED_SCRIPT, UNFIT_SCRIPT]))
+def test_prove_sketch_counts_every_gap_of_its_sketch(seed, cheat, script):
     # the scheduler records this count instead of walking the sketch again,
     # so it holds however the proof ends: closed, at a gap, at the final
-    # check or at the cheat gate, before any backend call
+    # check or at the cheat gate, before any backend call; the count comes
+    # from the render, and a gap failure names the site of its last result
     ast = AstGen(seed).sketch()
     if cheat:
         ast = replace(ast, header=replace(ast.header, name="sorry"))
-    session = ProverSession(RecordingBackend(ScriptedBackend(MIXED_SCRIPT)), FAST)
+    session = ProverSession(RecordingBackend(ScriptedBackend(script)), FAST)
     outcome = prove_sketch(session, ast)
     assert outcome.gaps_total == count_gaps(ast) == len(extract_gaps(ast))
     if cheat:
         assert isinstance(outcome, SketchFailure) and outcome.failed_site is None
         assert not session.backend.calls
+    elif isinstance(outcome, SketchFailure) and outcome.failed_site is not None:
+        assert outcome.failed_site == extract_gaps(ast)[len(outcome.partial) - 1]
 
 
 # -- the session memo ------------------------------------------------------------------

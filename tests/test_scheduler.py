@@ -935,30 +935,46 @@ def test_golden_replay_parses_each_distinct_sketch_once_per_problem(problems, go
 
 
 @pytest.mark.parametrize("jobs", [1, 8])
-def test_golden_replay_walks_each_proved_sketch_for_gaps_once(
+def test_golden_replay_walks_a_proved_sketch_for_gaps_only_when_it_fails_at_a_gap(
     problems, golden_config, monkeypatch, jobs
 ):
-    # a sketch that reaches the prover is walked for its gaps by
-    # `prove_sketch` alone, whose count the record takes; only a sketch
+    # `prove_sketch` counts a sketch's gaps from its render and walks the
+    # tree for gap sites only to name the gap a proof fails at: once per
+    # PROVE record, never for a proof that closes every gap; only a sketch
     # the header gate refuses is counted by the scheduler
     import sketchprove.prover.driver as driver
     import sketchprove.scheduler as scheduler
 
-    calls = {"extract_gaps": [], "prove_sketch": [], "count_gaps": []}
-    for module, name in ((driver, "extract_gaps"), (scheduler, "prove_sketch"), (scheduler, "count_gaps")):
-        real = getattr(module, name)
+    walks = threading.local()  # the walks of the `prove_sketch` call on this thread
+    proved, counted = [], []  # list.append is atomic under 8 jobs
+    real_walk, real_prove, real_count = driver.extract_gaps, scheduler.prove_sketch, scheduler.count_gaps
 
-        def counting(*args, name=name, real=real):
-            calls[name].append(None)  # atomic, unlike +=, under 8 jobs
-            return real(*args)
+    def counting_walk(ast):
+        walks.n += 1
+        return real_walk(ast)
 
-        monkeypatch.setattr(module, name, counting)
+    def counting_prove(session, ast):
+        walks.n = 0
+        outcome = real_prove(session, ast)
+        proved.append((outcome, walks.n))
+        return outcome
+
+    def counting_count(ast):
+        counted.append(None)
+        return real_count(ast)
+
+    monkeypatch.setattr(driver, "extract_gaps", counting_walk)
+    monkeypatch.setattr(scheduler, "prove_sketch", counting_prove)
+    monkeypatch.setattr(scheduler, "count_gaps", counting_count)
     results = run_experiment(problems, _golden_policy(golden_config), _golden_components(), jobs, golden_config["seed"])
-    parsed = sum(record.parse_ok for result in results for record in result.attempts)
-    walked, proved, counted = (len(calls[name]) for name in ("extract_gaps", "prove_sketch", "count_gaps"))
-    assert proved > 0
-    assert walked == proved
-    assert counted + proved == parsed
+    attempts = [record for result in results for record in result.attempts]
+    at_a_gap = [walked for outcome, walked in proved if getattr(outcome, "failed_site", None)]
+    otherwise = [walked for outcome, walked in proved if not getattr(outcome, "failed_site", None)]
+    failed_to_prove = sum(record.failure_stage is FailureStage.PROVE for record in attempts)
+    assert failed_to_prove > 0 and at_a_gap == [1] * failed_to_prove
+    assert any(isinstance(outcome, FullProofResult) for outcome, _ in proved)
+    assert otherwise == [0] * len(otherwise)
+    assert len(counted) + len(proved) == sum(record.parse_ok for record in attempts)
 
 
 @pytest.mark.parametrize("jobs", [1, 8])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -9,11 +10,15 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import decode_oracle
 from conftest import minimal_script, retained_bytes
 from sketchprove.prover import (
     Closed,
     ExternalSpec,
+    Failed,
     FullProofResult,
     Invalid,
     ProverConfig,
@@ -22,6 +27,7 @@ from sketchprove.prover import (
     ScriptedBackend,
     SessionDead,
     SessionState,
+    TimedOut,
     Valid,
     WireBackend,
     WireServer,
@@ -34,7 +40,7 @@ from sketchprove.prover import (
 )
 from sketchprove.prover import wire
 from sketchprove.prover.wire import _serve_connection, encode_gap_result
-from sketchprove.scheduler import baseline_sketch
+from sketchprove.scheduler import SessionProvider, baseline_sketch
 from sketchprove.sketch import parse_sketch, render_segments
 
 FAST = ProverConfig(tactic_timeout_ms=50, hammer_timeout_ms=600, per_gap_budget_ms=2000)
@@ -722,6 +728,135 @@ def test_wire_cascade_reply_deadline_is_the_budget_of_every_gap_sent(server):
     backend.quit()
 
 
+# a JSON value `json.loads` cannot read without overflowing the recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_wire_reply_nested_too_deep_is_a_lost_session_and_the_next_reopen_works():
+    # the first bridge answers the final check with a reply nested too deep
+    # for the JSON decoder; the session provider's reopen reaches the second
+    def answer(frame):
+        if frame["cmd"] == "cascade":
+            return {"status": "ok", "results": [CLOSED, {**CLOSED, "state_id": "s3"}]}
+        if frame["cmd"] == "check":
+            return DEEP
+        return {"status": "ok", "state_id": "s1"}
+
+    first, second = fake_bridge(answer), fake_bridge(lambda frame: {"status": "ok", "state_id": "s1"})
+    addresses = iter([first, second])
+    sessions = SessionProvider(lambda: open_session(ExternalSpec(next(addresses)), FAST))
+    proof = 'theorem t: shows "G"\n  by auto\n'
+    try:
+        session = sessions.get()
+        with pytest.raises(SessionDead, match="unparseable frame"):
+            prove_sketch(session, parse_sketch(SKETCH))
+        assert session.state is SessionState.DEAD
+        assert not session.memo.gaps and not session.memo.verdicts
+        reopened = sessions.get()
+        assert reopened is not session and reopened.state is SessionState.IDLE
+        assert verify_full(reopened, proof) == Valid(proof)
+    finally:
+        sessions.close()
+
+
+# -- the exact-type result decoder against the plain one ----------------------------
+
+_JSON_INT = st.integers(0, 10**6)
+_OTHER_TYPES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=True), st.text(max_size=4), _JSON_INT,
+    st.lists(st.text(max_size=3), max_size=2), st.dictionaries(st.text(max_size=3), _JSON_INT, max_size=2),
+)
+
+
+@st.composite
+def _gap_result(draw, tactics):
+    """A well-formed closed, failed or timed-out result of a cascade that
+    sent `tactics` tactic names."""
+    kind = draw(st.sampled_from(["closed", "failed", "timed_out"]))
+    result = {"kind": kind, "elapsed_ms": draw(_JSON_INT)}
+    if kind == "closed":
+        result["closing_step"] = draw(st.sampled_from(["by auto", "by (metis assms)", ""]))
+        result["tactic_index"] = draw(st.none() | st.integers(0, tactics - 1))
+        result["state_id"] = draw(st.sampled_from(["s1", "s27", ""]))
+    elif kind == "failed":
+        result["attempts"] = draw(st.lists(
+            st.tuples(st.sampled_from(["auto", "sledgehammer", "init"]),
+                      st.sampled_from(["fail", "timeout"])).map(list),
+            max_size=3,
+        ))
+    return result
+
+
+@st.composite
+def _mutated_gap_result(draw):
+    """(a result as `json.loads` gives it, the tactics sent): a well-formed
+    result with at most one mutation."""
+    tactics = draw(st.integers(1, 12))
+    result = draw(_gap_result(tactics))
+    name = draw(st.sampled_from(sorted(result)))
+    mutation = draw(st.sampled_from(
+        ["none", "bool or float", "negative or out of range", "missing", "extra", "wrong type",
+         "attempt"]
+    ))
+    if mutation == "bool or float":
+        result[draw(st.sampled_from(["elapsed_ms", "tactic_index"]))] = draw(
+            st.booleans() | st.floats(allow_nan=True) | st.floats(-1e3, 1e6))
+    elif mutation == "negative or out of range":
+        result[draw(st.sampled_from(["elapsed_ms", "tactic_index"]))] = draw(
+            st.integers(-10**6, -1) | st.integers(tactics, tactics + 3))
+    elif mutation == "missing":
+        del result[name]
+    elif mutation == "extra":
+        result[draw(st.sampled_from(["extra", "reason", "closing_step", "state_id"]))] = draw(_OTHER_TYPES)
+    elif mutation == "wrong type":
+        result[name] = draw(_OTHER_TYPES)
+    elif mutation == "attempt" and result.get("attempts"):
+        attempt = result["attempts"][0]
+        attempt[draw(st.integers(0, 1))] = draw(_OTHER_TYPES)
+        if draw(st.booleans()):
+            attempt.append("fail")
+    raw = draw(st.sampled_from([result, [result], json.dumps(result), None, 7]) if mutation == "none"
+               else st.just(result))
+    return json.loads(json.dumps(raw)), tactics
+
+
+def _decoded(decode, raw, tactics):
+    """What `decode` makes of `raw`: the result's type and every field,
+    `state_id` and the exact type of `elapsed_ms` included, or the
+    SessionDead it raises."""
+    try:
+        result = decode(raw, tactics)
+    except SessionDead as exc:
+        return SessionDead, str(exc)
+    return type(result), dataclasses.astuple(result), type(result.elapsed_ms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_gap_result())
+def test_decode_gap_result_decodes_like_the_plain_oracle(case):
+    raw, tactics = case
+    assert _decoded(wire.decode_gap_result, raw, tactics) == _decoded(
+        decode_oracle.decode_gap_result, raw, tactics)
+
+
+def test_gap_results_stay_frozen_dataclasses_that_ignore_state_id():
+    closed = Closed("by auto", 0, 3, "s1")
+    assert closed == Closed("by auto", 0, 3, "s2") and hash(closed) == hash(Closed("by auto", 0, 3))
+    assert closed != Closed("by auto", 0, 4, "s1") and closed != Closed("by simp", 0, 3, "s1")
+    assert repr(closed) == "Closed(closing_step='by auto', tactic_index=0, elapsed_ms=3, state_id='s1')"
+    assert repr(Failed((("auto", "fail"),))) == "Failed(attempts=(('auto', 'fail'),), elapsed_ms=0)"
+    assert repr(TimedOut(5)) == "TimedOut(elapsed_ms=5)"
+    assert dataclasses.replace(closed, elapsed_ms=9) == Closed("by auto", 0, 9)
+    assert dataclasses.replace(closed, elapsed_ms=9).state_id == "s1"
+    assert Failed((), 1) != TimedOut(1) and hash(Failed((), 1)) == hash(Failed((), 1))
+    for result in (closed, Failed(()), TimedOut(0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.elapsed_ms = 1
+        assert not hasattr(result, "__dict__")
+    with pytest.raises(TypeError):
+        Closed("by auto", 0)
+
+
 def cascade_frame(req_id, drop=(), **fields):
     """A `cascade` frame with `fields` changed and the fields in `drop` left out."""
     frame = {"id": req_id, "cmd": "cascade", "theory": "Main", "texts": [""], "tactics": ["auto"],
@@ -755,6 +890,7 @@ BAD_FRAMES = [
     (cascade_frame(16, texts=[]), 16),
     (cascade_frame(17, texts=['shows "x + 0 = x"', 3]), 17),
     (cascade_frame(18, texts='shows "x + 0 = x"'), 18),
+    (DEEP.encode(), None),
 ]
 
 
