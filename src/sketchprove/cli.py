@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import harness
-from .errors import ConfigError, InfraError
+from .errors import ConfigError, InfraError, decode_json, read_text
 from .llm import CacheMode, CompletionCache, CompletionClient, cache_mode_from_env
 from .prompting import PromptConfig, PromptMode, load_pool
 from .prover import (
@@ -95,21 +94,20 @@ def _load_config(config_file: str | None, flag_values: dict) -> CliConfig:
     of another type than the field's."""
     merged: dict = {}
     if config_file:
-        try:
-            raw = json.loads(Path(config_file).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+        def fail(message: str) -> ConfigError:
+            return ConfigError(f"{config_file}: {message}")
+
+        text = read_text(config_file, "config file", ConfigError)
+        raw = decode_json(text, lambda why: fail(f"config file is {why}"))
         if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise fail("config file must hold a JSON object")
         unknown = set(raw) - set(_FIELD_TYPES)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise fail(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
             allowed = typing.get_args(_FIELD_TYPES[key]) or (_FIELD_TYPES[key],)
             if type(value) not in allowed:  # a bool is no int here
-                raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
+                raise fail(f"config key {key!r} has a value of the wrong type: {value!r}")
         merged.update(raw)
     merged.update({k: v for k, v in flag_values.items() if v is not None and k in _FIELD_TYPES})
     return CliConfig(**merged)
@@ -208,9 +206,7 @@ def cmd_sketch(config: CliConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown problem id {args.problem_id!r}")
     problem = problems[args.problem_id]
     draft_file = Path(config.out) / "drafts" / args.problem_id / f"draft_{args.draft_id:04d}.txt"
-    if not draft_file.exists():
-        raise ConfigError(f"draft not found: {draft_file} (run the draft command first)")
-    draft = draft_file.read_text(encoding="utf-8")
+    draft = read_text(draft_file, "draft file", lambda why: ConfigError(f"{why} (run the draft command first)"))
 
     pool = load_pool(config.pool_path)
     seed = derive_seed(config.seed, problem.id, args.draft_id, args.sketch_index)
@@ -233,10 +229,7 @@ def cmd_sketch(config: CliConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_prove(config: CliConfig, args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.sketch_file).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read sketch file: {exc}")
+    text = read_text(args.sketch_file, "sketch file", ConfigError)
     try:
         ast = parse_sketch(text)
     except ParseError as exc:
@@ -317,7 +310,7 @@ def cmd_curve(config: CliConfig, args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "curve.csv"
     harness.export_curve_csv(curve, curve_path)
-    print(f"curve: {curve_path} ({len(curve.points)} rows, final value {curve.points[-1] if curve.points else 0})")
+    print(f"curve: {curve_path} ({len(curve.points)} rows, final value {curve.points[-1]})")
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, decode_json, read_text
 from .prompting import Category
 
 logger = logging.getLogger(__name__)
@@ -51,19 +51,20 @@ class FailureStage(str, Enum):
 class SchemaError(ConfigError):
     line: int
     field_name: str
-    message: str = ""
+    message: str
+    path: str
 
     def __str__(self) -> str:
-        detail = f": {self.message}" if self.message else ""
-        return f"line {self.line}, field {self.field_name!r}{detail}"
+        return f"line {self.line}, field {self.field_name!r}: {self.message} (in {self.path})"
 
 
 @dataclass
 class DuplicateId(ConfigError):
     problem_id: str
+    path: str
 
     def __str__(self) -> str:
-        return f"duplicate problem id {self.problem_id!r}"
+        return f"duplicate problem id {self.problem_id!r} in {self.path}"
 
 
 @dataclass
@@ -149,39 +150,35 @@ def load_dataset(path: str | Path) -> list[Problem]:
     """Load and validate a problem dataset. Rejects duplicate ids and
     malformed records; merely reports split sizes (the reference benchmark
     has 244 per split, desk corpora are smaller)."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset file {path}: {exc.strerror or exc}") from None
-    if not lines:
-        raise SchemaError(1, "schema_version", "empty dataset file")
-    header = _parse_json_line(lines[0], 1)
+    path = str(path)
+    lines = read_text(path, "dataset file", ConfigError).split("\n")  # not at a U+2028 in a string
+    if lines == [""]:
+        raise SchemaError(1, "schema_version", "empty dataset file", path)
+    header = _parse_json_line(lines[0], 1, path)
     if header.get("schema_version") != DATASET_SCHEMA:
-        raise SchemaError(1, "schema_version", f"expected {DATASET_SCHEMA!r}")
+        raise SchemaError(1, "schema_version", f"expected {DATASET_SCHEMA!r}", path)
 
     problems: list[Problem] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        record = _parse_json_line(line, lineno)
+        record = _parse_json_line(line, lineno, path)
         for fname in _DATASET_FIELDS:
             if not record.get(fname) or not isinstance(record[fname], str):
-                raise SchemaError(lineno, fname, "expected a nonempty string")
+                raise SchemaError(lineno, fname, "expected a nonempty string", path)
         if not isinstance(record.get("informal_proof", ""), (str, type(None))):
-            raise SchemaError(lineno, "informal_proof", "expected a string or null")
+            raise SchemaError(lineno, "informal_proof", "expected a string or null", path)
         try:
             split = Split(record["split"])
         except ValueError:
-            raise SchemaError(lineno, "split", f"unknown split {record['split']!r}") from None
+            raise SchemaError(lineno, "split", f"unknown split {record['split']!r}", path) from None
         try:
             category = Category(record["category"])
         except ValueError:
-            raise SchemaError(
-                lineno, "category", f"unknown category {record['category']!r}"
-            ) from None
+            raise SchemaError(lineno, "category", f"unknown category {record['category']!r}", path) from None
         if record["id"] in seen:
-            raise DuplicateId(record["id"])
+            raise DuplicateId(record["id"], path)
         seen.add(record["id"])
         problems.append(
             Problem(
@@ -232,15 +229,10 @@ def save_dataset(problems: Iterable[Problem], path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def _parse_json_line(line: str, lineno: int) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(lineno, "<line>", f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise SchemaError(lineno, "<line>", "not valid JSON: nested too deep") from None
+def _parse_json_line(line: str, lineno: int, path: str) -> dict:
+    record = decode_json(line, lambda why: SchemaError(lineno, "<line>", why, path))
     if not isinstance(record, dict):
-        raise SchemaError(lineno, "<line>", "record must be a JSON object")
+        raise SchemaError(lineno, "<line>", "record must be a JSON object", path)
     return record
 
 
@@ -302,6 +294,8 @@ def cumulative_curve(
     """points[k-1] = problems whose first success lies within the first k
     attempts. Combined over splits by default; pass `problems` and `split`
     for a per-split curve."""
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     if split is not None:
         if problems is None:
             raise ValueError("per-split curves need the problem list")
@@ -380,23 +374,19 @@ def import_attempts(path: str | Path) -> list[AttemptRecord]:
     """The attempt records of a records stream, in stream order. A line
     with a missing or mistyped field raises SchemaError, an unreadable file
     ConfigError."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read records file {path}: {exc.strerror or exc}") from None
-    records = []
-    for lineno, line in enumerate(lines, 1):
+    path, records = str(path), []
+    for lineno, line in enumerate(read_text(path, "records file", ConfigError).split("\n"), 1):
         if not line.strip():
             continue
-        raw = _parse_json_line(line, lineno)
+        raw = _parse_json_line(line, lineno, path)
         if raw.get("schema_version") != RECORDS_SCHEMA:
-            raise SchemaError(lineno, "schema_version", f"expected {RECORDS_SCHEMA!r}")
+            raise SchemaError(lineno, "schema_version", f"expected {RECORDS_SCHEMA!r}", path)
         for name, kind in _RECORD_TYPES.items():
             if type(raw.get(name)) is not kind:  # a bool is no int here
-                raise SchemaError(lineno, name, f"expected {kind.__name__}")
+                raise SchemaError(lineno, name, f"expected {kind.__name__}", path)
         stage = raw.get("failure_stage", "")
         if stage is not None and stage not in [s.value for s in FailureStage]:
-            raise SchemaError(lineno, "failure_stage", "expected a stage or null")
+            raise SchemaError(lineno, "failure_stage", "expected a stage or null", path)
         records.append(AttemptRecord(
             **{name: raw[name] for name in _RECORD_TYPES},
             failure_stage=None if stage is None else FailureStage(stage),

@@ -26,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError, InfraError
+from .errors import ConfigError, InfraError, decode_json, read_text
 
 CACHE_MODE_ENV = "DSP_CACHE_MODE"
 
@@ -159,30 +159,24 @@ class CompletionCache:
         self._lock = threading.Lock()
         self._torn_bytes = 0  # length of the torn final line, if any
         self._open_line = False  # the file ends in a whole record without a newline
-        if self.path.exists():
-            with self.path.open("rb") as handle:
-                for lineno, line in enumerate(handle, 1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except (ValueError, RecursionError):  # not JSON, or nested too deep
-                        if not line.endswith(b"\n"):
-                            logger.warning(
-                                "%s: ignoring a torn final line of %d bytes", self.path, len(line)
-                            )
-                            self._torn_bytes = len(line)
-                            break
-                        record = None
-                    if not isinstance(record, dict) or not all(
-                        isinstance(record.get(name), str) for name in ("key", "text")
-                    ):
-                        raise ConfigError(
-                            f"{self.path}, line {lineno}: "
-                            "not a JSON object with a string key and text"
-                        )
-                    self._entries[record["key"]] = record["text"]
-                    self._open_line = not line.endswith(b"\n")
+        if not self.path.exists():
+            return
+        lines = read_text(self.path, "completion cache", ConfigError).split("\n")
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                record = decode_json(line, ConfigError)
+            except ConfigError:
+                if lineno == len(lines):  # the final line, without its newline: torn
+                    self._torn_bytes = len(line.encode())
+                    logger.warning("%s: ignoring a torn final line of %d bytes", self.path, self._torn_bytes)
+                    break
+                record = None
+            if type(record) is not dict or not all(type(record.get(n)) is str for n in ("key", "text")):
+                raise ConfigError(f"{self.path}, line {lineno}: not a JSON object with a string key and text")
+            self._entries[record["key"]] = record["text"]
+            self._open_line = lineno == len(lines)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -220,8 +214,8 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout_s: float
     except requests.RequestException as exc:
         raise ConnectionError(str(exc)) from None
     try:
-        body = response.json()
-    except ValueError:
+        body = decode_json(response.content, ValueError)
+    except ValueError:  # not JSON: the status decides, and the text is kept for the error
         body = {"raw": response.text}
     return response.status_code, body
 

@@ -8,14 +8,13 @@ examples.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, decode_json, read_text
 from .sketch import count_comments, count_gaps, parse_sketch, serialize, strip_comments
 from .sketch.parser import ParseError
 
@@ -109,33 +108,29 @@ POOL_FIELDS = (
 def load_pool(path: str | Path) -> ExamplePool:
     """Load the example pool from its JSON document and check the quad
     invariants (sketch parses, has gaps and in-line comments; any full
-    proof parses gap-free)."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read pool file {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise PoolFormatError(f"pool file is not valid JSON: {exc}") from None
+    proof parses gap-free). Every error names the file."""
+    def fail(message: str) -> PoolFormatError:
+        return PoolFormatError(f"{path}: {message}")
+
+    raw = decode_json(read_text(path, "pool file", ConfigError), lambda why: fail(f"pool file is {why}"))
     if not isinstance(raw, list):
-        raise PoolFormatError("pool document must be a list of examples")
+        raise fail("pool document must be a list of examples")
     quads = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
-            raise PoolFormatError(f"pool entry {i} is not an object")
+            raise fail(f"pool entry {i} is not an object")
         missing = [f for f in POOL_FIELDS if f not in entry]
         if missing:
-            raise PoolFormatError(f"pool entry {i} missing fields: {missing}")
+            raise fail(f"pool entry {i} missing fields: {missing}")
         mistyped = [f for f in POOL_FIELDS if not isinstance(entry[f], str)]
         if not isinstance(entry.get("full_proof", ""), (str, type(None))):
             mistyped.append("full_proof")
         if mistyped:
-            raise PoolFormatError(f"pool entry {i} fields are not strings: {mistyped}")
+            raise fail(f"pool entry {i} fields are not strings: {mistyped}")
         try:
             category = Category(entry["category"])
         except ValueError:
-            raise PoolFormatError(
-                f"pool entry {i} has unknown category {entry['category']!r}"
-            ) from None
+            raise fail(f"pool entry {i} has unknown category {entry['category']!r}") from None
         quad = ExampleQuad(
             id=entry["id"],
             category=category,
@@ -145,29 +140,27 @@ def load_pool(path: str | Path) -> ExamplePool:
             formal_sketch=entry["formal_sketch"],
             full_proof=entry.get("full_proof"),
         )
-        _validate_quad(quad)
+        _validate_quad(quad, fail)
         quads.append(quad)
     return ExamplePool(tuple(quads))
 
 
-def _validate_quad(quad: ExampleQuad) -> None:
+def _validate_quad(quad: ExampleQuad, fail: Callable[[str], PoolFormatError]) -> None:
     try:
         ast = parse_sketch(quad.formal_sketch)
     except ParseError as exc:
-        raise PoolFormatError(f"example {quad.id!r}: sketch does not parse: {exc}")
+        raise fail(f"example {quad.id!r}: sketch does not parse: {exc}") from None
     if count_gaps(ast) < 1:
-        raise PoolFormatError(f"example {quad.id!r}: sketch has no open gap")
+        raise fail(f"example {quad.id!r}: sketch has no open gap")
     if count_comments(ast) < 1:
-        raise PoolFormatError(f"example {quad.id!r}: sketch has no in-line comment")
+        raise fail(f"example {quad.id!r}: sketch has no in-line comment")
     if quad.full_proof is not None:
         try:
             full = parse_sketch(quad.full_proof)
         except ParseError as exc:
-            raise PoolFormatError(
-                f"example {quad.id!r}: full proof does not parse: {exc}"
-            )
+            raise fail(f"example {quad.id!r}: full proof does not parse: {exc}") from None
         if count_gaps(full) != 0:
-            raise PoolFormatError(f"example {quad.id!r}: full proof still has gaps")
+            raise fail(f"example {quad.id!r}: full proof still has gaps")
 
 
 def infer_category(problem_name: str) -> Category:

@@ -29,7 +29,7 @@ optionally after `ms`).
 
 from __future__ import annotations
 
-import json
+import functools
 import re
 import time
 import uuid
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 
+from ..errors import decode_json, read_text
 from .config import BackendReply, ProverState, ScriptError, SessionDead
 
 SCRIPT_SCHEMA = "prover-script/1"
@@ -127,13 +128,9 @@ def _object(raw: object, path: str, where: str) -> dict:
 
 
 def load_script(path: str | Path) -> ProverScript:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScriptError(str(path), f"cannot read: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ScriptError(str(path), f"invalid JSON: {exc}") from None
     path = str(path)
+    fail = functools.partial(ScriptError, path)
+    raw = decode_json(read_text(path, "prover script", fail), fail)
     if _object(raw, path, "the script").get("schema") != SCRIPT_SCHEMA:
         raise ScriptError(path, f"schema must be {SCRIPT_SCHEMA!r}")
     if "default" not in raw:

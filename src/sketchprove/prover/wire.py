@@ -1,7 +1,7 @@
 """Wire protocol for external prover backends.
 
 Frames are newline-delimited JSON over a local TCP socket or a child
-process's standard streams. Every request carries a monotonically
+process's standard streams; only a line feed ends a frame. Every request carries a monotonically
 increasing id echoed by the response.
 
 Commands:
@@ -103,6 +103,7 @@ import threading
 import time
 from typing import IO, Sequence
 
+from ..errors import decode_json
 from .config import (
     BackendReply,
     Closed,
@@ -282,10 +283,7 @@ class WireBackend:
                 raise SessionDead(str(exc)) from None
             if not line:
                 raise SessionDead("backend closed the connection")
-            try:
-                reply = json.loads(line)
-            except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
-                raise SessionDead(f"unparseable frame: {line[:120]!r}") from None
+            reply = decode_json(line, lambda _: SessionDead(f"unparseable frame: {line[:120]!r}"))
             if not isinstance(reply, dict):
                 raise SessionDead(f"frame is not a JSON object: {line[:120]!r}")
             if reply.get("id") != req_id:
@@ -453,18 +451,18 @@ def _answer(backend: ScriptedBackend, frame: dict) -> dict:
 
 def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]) -> None:
     for line in reader:
-        line = line.strip()
+        line = line.strip(" \t\r\n")  # JSON whitespace: any other line gets a reply
         if not line:
             continue
         req_id = cmd = None
         try:
-            frame = json.loads(line)
+            frame = decode_json(line, _BadFrame)
             req_id = frame.get("id") if isinstance(frame, dict) else None
             if req_id is None or not isinstance(frame.get("cmd"), str):
                 raise _BadFrame("a frame is a JSON object with an id and a cmd")
             cmd = frame["cmd"]
             payload = {"id": req_id, **_answer(backend, frame)}
-        except (json.JSONDecodeError, RecursionError, _BadFrame) as exc:
+        except _BadFrame as exc:
             payload = {"id": req_id, "status": "fail", "reason": f"bad frame: {exc}"}
         writer.write(json.dumps(payload) + "\n")
         writer.flush()
@@ -486,8 +484,9 @@ class WireServer:
                 import io
 
                 backend = ScriptedBackend(script)
-                # bytes that are not UTF-8 make a bad frame, not a dropped connection
-                reader = io.TextIOWrapper(self.rfile, encoding="utf-8", errors="surrogateescape")
+                # bytes that are not UTF-8 make a bad frame, not a dropped connection,
+                # and only a line feed ends a frame (JSON allows a carriage return)
+                reader = io.TextIOWrapper(self.rfile, "utf-8", "surrogateescape", "\n")
                 writer = io.TextIOWrapper(self.wfile, encoding="utf-8", write_through=True)
                 try:
                     _serve_connection(backend, reader, writer)

@@ -2,8 +2,8 @@
 
 `serve_backend` puts one in-process backend behind the reference server's
 frame loop. `RelayBridge` sits between a client and a reference server: it
-counts the frames it relays, can tag the state ids it hands out, and can
-misbehave on one `cascade` frame.
+counts the frames it relays, can tag the state ids it hands out, can
+misbehave on one `cascade` frame, and can send one reply changed.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import socket
 import threading
 from collections import Counter
+from typing import Callable
 
 from sketchprove.prover.wire import _serve_connection
 
@@ -53,11 +54,13 @@ class RelayBridge:
     connection, answers with a wrong id, answers with a line that is not
     JSON, or stalls. With `one_gap`, each cascade frame is relayed with its
     first gap context only, so its reply is short whenever the client sent
-    more, and the client sends the rest as a resumed frame."""
+    more, and the client sends the rest as a resumed frame. With `mutate`,
+    a triple (cmd, n, change), the reply to the n-th `cmd` frame (counted
+    over all connections) goes out as the line `change(reply)`."""
 
     def __init__(
         self, upstream: str, fault: str | None = None, at: int = 1, tag: str = "",
-        one_gap: bool = False,
+        one_gap: bool = False, mutate: tuple[str, int, Callable[[dict], bytes]] | None = None,
     ):
         assert fault is None or fault in FAULTS
         self.upstream = upstream
@@ -65,6 +68,7 @@ class RelayBridge:
         self.at = at
         self.tag = tag
         self.one_gap = one_gap
+        self.mutate = mutate
         self.commands: Counter = Counter()
         self.cascade_bases: list[str] = []
         self.cascade_texts: list[int] = []
@@ -119,7 +123,10 @@ class RelayBridge:
                 up_writer.flush()
                 reply = json.loads(up_reader.readline())
                 self._retag(reply)
-                writer.write(json.dumps(reply).encode() + b"\n")
+                line = json.dumps(reply).encode()
+                if self.mutate is not None and self.mutate[:2] == (cmd, self.commands[cmd]):
+                    line = self.mutate[2](reply)
+                writer.write(line + b"\n")
                 writer.flush()
         for stream in (reader, writer, up_reader, up_writer):
             with contextlib.suppress(OSError):

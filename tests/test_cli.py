@@ -93,6 +93,18 @@ def test_curve_row_count(tmp_path):
     assert len(lines) == 101  # header + one row per attempt count
 
 
+@pytest.mark.parametrize("max_attempts", ["0", "-1"])
+def test_curve_without_an_attempt_is_a_config_error(tmp_path, capsys, max_attempts):
+    from sketchprove import cli
+
+    records = str(FIXTURES / "golden" / "records.jsonl")
+    argv = ["--out", str(tmp_path), "curve", "--records", records, "--max-attempts", max_attempts]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error[config]: max_attempts must be at least 1, got {max_attempts}\n")
+    assert not (tmp_path / "curve.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "curve"])
 @pytest.mark.parametrize("records", ["nosuch.jsonl", "a-directory"])
 def test_unreadable_records_file_is_a_config_error(tmp_path, monkeypatch, capsys, command, records):
@@ -596,6 +608,23 @@ _MALFORMED_INPUTS = {
         lambda d: _edit_json(d / "script.json", lambda s: s | {"latency": {"step_ms": "fast"}}),
         [], 1, "latency: step_ms",
     ),
+}
+# a file nested too deep for the JSON decoder, or not UTF-8, is named by its one error
+# line (whole lines, since the cache ignores a torn final line)
+_MALFORMED_INPUTS |= {
+    f"{name.split('.')[0]}-{kind}": (
+        lambda d, name=name, content=content: (d / name).write_bytes(content), extra, code, named)
+    for name, extra, code, named in [
+        ("config.json", ["--config", "config.json"], 2, "config.json"),
+        ("pool.json", [], 2, "pool.json"),
+        ("script.json", [], 1, "bad prover script script.json: "),
+        ("dataset.jsonl", [], 2, "dataset.jsonl"),
+        ("cache.jsonl", [], 2, "cache.jsonl"),
+    ]
+    for kind, content in [
+        ("nested-too-deep", ("[" * 100_000 + "]" * 100_000 + "\n").encode()),
+        ("not-utf-8", b'{"a": "caf\xe9"}\n'),
+    ]
 }
 
 

@@ -112,6 +112,17 @@ def test_dataset_round_trip(tmp_path, problems):
     assert load_dataset(path) == problems
 
 
+def test_dataset_lines_end_only_at_a_line_feed(tmp_path, problems):
+    # JSON allows U+2028, U+2029 and U+0085 unescaped inside a string
+    statement = "x\u2028y\u2029z\x85w"
+    record = {"id": "p1", "split": "valid", "category": "algebra",
+              "informal_statement": statement, "formal_statement": "t"}
+    path = tmp_path / "unescaped.jsonl"
+    path.write_text(json.dumps({"schema_version": "problems/1"}) + "\n"
+                    + json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert [p.informal_statement for p in load_dataset(path)] == [statement]
+
+
 def test_dataset_header_required(tmp_path):
     path = tmp_path / "nohdr.jsonl"
     path.write_text(json.dumps({"id": "p1"}))

@@ -1,3 +1,4 @@
+import http.server
 import json
 import threading
 import time
@@ -201,6 +202,41 @@ def test_non_retryable_error_raises_immediately():
     with pytest.raises(EndpointError):
         client.complete(CompletionRequest("p", SamplingConfig(temperature=0.5)))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param(("[" * 100_000 + "]" * 100_000).encode(), id="nested-too-deep"),
+    pytest.param(b'{"choices": [{"text": "caf\xe9"}]}', id="not-utf-8"),
+    pytest.param(b"<html>busy</html>", id="not-json"),
+])
+def test_a_200_reply_whose_body_is_not_json_is_an_endpoint_error(body):
+    # a real HTTP endpoint on a local port, read by the default transport
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    client = CompletionClient(
+        endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/v1/completions",
+        mode=CacheMode.LIVE, retries=0,
+    )
+    try:
+        with pytest.raises(EndpointError, match="^endpoint returned 200: malformed reply"):
+            client.complete(CompletionRequest("p", SamplingConfig(temperature=0.5)))
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 def test_timeouts_surface_after_retries():

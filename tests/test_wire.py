@@ -10,10 +10,11 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import decode_oracle
+from bridges import RelayBridge
 from conftest import minimal_script, retained_bytes
 from sketchprove.prover import (
     Closed,
@@ -27,6 +28,7 @@ from sketchprove.prover import (
     ScriptedBackend,
     SessionDead,
     SessionState,
+    SketchFailure,
     TimedOut,
     Valid,
     WireBackend,
@@ -39,6 +41,7 @@ from sketchprove.prover import (
     verify_full,
 )
 from sketchprove.prover import wire
+from sketchprove.prover.driver import ProverMemo
 from sketchprove.prover.wire import _serve_connection, encode_gap_result
 from sketchprove.scheduler import SessionProvider, baseline_sketch
 from sketchprove.sketch import parse_sketch, render_segments
@@ -894,11 +897,82 @@ BAD_FRAMES = [
 ]
 
 
+# each command's fields: (a well-formed value, whether the frame may leave it out)
+_FRAME_FIELDS = {
+    "init": {"theory": ("Main", True), "statement": ('shows "x + 0 = x"', True)},
+    "resume": {"state": ("s1", False), "text": ("", True)},
+    "step": {"text": ("by auto", True), "timeout_ms": (50, False)},
+    "hammer": {"timeout_ms": (600, False)},
+    "check": {"text": ("", True), "timeout_ms": (50, False)},
+    "cascade": {"theory": ("Main", True), "texts": ([""], False), "tactics": (["auto"], False),
+                "tactic_timeout_ms": (50, False), "hammer_timeout_ms": (600, False),
+                "budget_ms": (2000, False)},
+}
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.integers(-10**12, 10**12)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fits(good, value):
+    """Whether `value` is what a field whose well-formed value is `good` needs."""
+    if isinstance(good, list):
+        return type(value) is list and bool(value) and all(isinstance(v, str) for v in value) and (
+            good == [""] or all(value))  # a tactic name is never empty
+    if isinstance(good, int):
+        return type(value) is int and value > 0
+    return isinstance(value, str)
+
+
+@st.composite
+def _bad_frame(draw):
+    """(a line the reference server cannot act on, the id its reply echoes)"""
+    how = draw(st.sampled_from(["bytes", "value", "field", "missing", "deep"]))
+    if how == "bytes":
+        line = draw(st.binary(min_size=1, max_size=40).filter(lambda b: b"\n" not in b))
+        text = line.decode("utf-8", "surrogateescape")
+        try:
+            value = json.loads(text)
+        except (ValueError, RecursionError):
+            value = None
+        assume(text.strip(" \t\r") and not isinstance(value, dict))
+        return line, None
+    if how == "deep":
+        depth = draw(st.sampled_from([1, 300, 990, 1000, 100_000]))
+        return ("[" * depth + "]" * depth).encode(), None
+    req_id = draw(_JSON_VALUE.filter(lambda value: value is not None))
+    if how == "value":
+        value = draw(_JSON_VALUE)
+        if isinstance(value, dict):
+            value = {**value, "id": draw(st.just(req_id) | st.none())}
+            value["cmd"] = draw(_JSON_VALUE.filter(lambda cmd: not isinstance(cmd, str)))
+            return json.dumps(value).encode(), value["id"]
+        return json.dumps(value).encode(), None
+    cmd = draw(st.sampled_from(sorted(_FRAME_FIELDS)))
+    fields = _FRAME_FIELDS[cmd]
+    frame = {"id": req_id, "cmd": cmd, **{name: good for name, (good, _) in fields.items()}}
+    if how == "missing":
+        required = [name for name, (_, optional) in fields.items() if not optional]
+        assume(required)
+        del frame[draw(st.sampled_from(required))]
+    else:
+        name = draw(st.sampled_from(sorted(fields)))
+        frame[name] = draw(_JSON_VALUE.filter(lambda value: not _fits(fields[name][0], value)))
+    return json.dumps(frame).encode(), req_id
+
+
 @pytest.mark.parametrize("transport", ["tcp", "stdio"])
-def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport):
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad_frames=st.lists(_bad_frame(), min_size=1, max_size=8))
+@example(bad_frames=BAD_FRAMES)
+@example(bad_frames=[(b"\x00\r\x00", None), (b'{"id": 30,\r "cmd": "check"}', 30)])  # one frame each
+@example(bad_frames=[(b"\x1c", None), ("\u2028".encode(), None)])  # space to Python, not to JSON
+def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport, bad_frames):
     good = cascade_frame(20, texts=['have c1: "first goal"\n', '  have c2: "x + 0 = x"\n'],
                          tactics=["auto", "simp", "blast"])
-    lines = [line for line, _ in BAD_FRAMES] + [good, b'{"id": 21, "cmd": "quit"}']
+    lines = [line for line, _ in bad_frames] + [good, b'{"id": 21, "cmd": "quit"}']
     data = b"".join(line + b"\n" for line in lines)
     if transport == "tcp":
         host, _, port = server.address.rpartition(":")
@@ -916,7 +990,7 @@ def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport
     replies = [json.loads(line) for line in out.splitlines()]
     assert len(replies) == len(lines)
     *bad, answered, quit_reply = replies
-    assert [reply["id"] for reply in bad] == [req_id for _, req_id in BAD_FRAMES]
+    assert [reply["id"] for reply in bad] == [req_id for _, req_id in bad_frames]
     assert all(reply["status"] == "fail" and reply["reason"].startswith("bad frame") for reply in bad)
     assert answered["id"] == 20
     assert [(r["kind"], r["closing_step"]) for r in answered["results"]] == [
@@ -924,15 +998,172 @@ def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport
     assert quit_reply == {"id": 21, "status": "ok", "elapsed_ms": 0}
 
 
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"[]", "the script must be an object", id="not-an-object"),
+    pytest.param(DEEP.encode(), "not valid JSON: nested too deep", id="nested-too-deep"),
+    pytest.param(b'{"schema": "\xff"}', "cannot read prover script {}: not UTF-8 (byte 12)", id="not-utf-8"),
+])
 @pytest.mark.parametrize("serve", [["--stdio"], ["--port", "0"]], ids=["stdio", "port"])
-def test_reference_server_reports_a_bad_script_in_one_line(tmp_path, serve):
+def test_reference_server_reports_a_bad_script_in_one_line(tmp_path, serve, content, message):
     script_path = tmp_path / "script.json"
-    script_path.write_text("[]")
+    script_path.write_bytes(content)
     child = subprocess.run(
         [sys.executable, "-m", "sketchprove.prover", "--script", str(script_path), *serve],
         stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 1 and child.stdout == ""
     assert child.stderr.splitlines() == [
-        f"error[infra]: bad prover script {script_path}: the script must be an object"
+        f"error[infra]: bad prover script {script_path}: {message.format(script_path)}"
     ]
+
+
+# -- any one change to a reference reply: the same result, or a lost session ---------
+
+PROPERTY_SCRIPT = {**WIRE_SCRIPT, "rules": [
+    *WIRE_SCRIPT["rules"],
+    {"match": {"kind": "exact", "pattern": "slow goal"}, "outcome": {"kind": "timeout", "ms": 5}},
+]}
+# each command's inputs: init statements, sketches to prove (all gaps close, a
+# gap fails, a gap's tactics time out, the final check fails), proofs to check
+VARIANTS = {
+    "init": ['shows "x + 0 = x"'],
+    "cascade": [
+        SKETCH,
+        SKETCH.replace("show ?thesis", 'have c2: "never" sledgehammer\n  show ?thesis'),
+        SKETCH.replace("first goal", "slow goal"),
+        SKETCH.replace('"G"', '"poison"'),
+    ],
+    "check": ['theorem t: shows "G"\n  by auto\n', 'theorem t: shows "poison"\n  by auto\n'],
+}
+
+
+def _outcome(cmd, session, variant):
+    """The result class of `cmd`: an init's status, each gap's result class
+    (with the proof's), or the whole-proof verdict's class."""
+    if cmd == "init":
+        with session.exclusive() as backend:
+            return backend.init("Main", variant).status
+    if cmd == "check":
+        return type(verify_full(session, variant))
+    result = prove_sketch(session, parse_sketch(variant))
+    per_gap = result.per_gap if isinstance(result, FullProofResult) else result.partial
+    return type(result), tuple(type(gap) for gap in per_gap)
+
+
+@pytest.fixture(scope="module")
+def property_server(tmp_path_factory):
+    server = WireServer(write_script(tmp_path_factory.mktemp("property"), PROPERTY_SCRIPT)).start()
+    session = open_session(ExternalSpec(server.address), FAST)
+    expected = {(cmd, variant): _outcome(cmd, session, variant)
+                for cmd, variants in VARIANTS.items() for variant in variants}
+    session.close()
+    assert {expected[cmd, v] for cmd, v in expected if cmd == "cascade"} == {
+        (FullProofResult, (Closed, Closed)), (SketchFailure, (Closed, Failed)),
+        (SketchFailure, (Failed,)), (SketchFailure, (Closed, Closed))}
+    yield server, expected
+    server.stop()
+
+
+_REPLY_FIELDS = ("id", "status", "elapsed_ms", "state_id", "reconstruction", "reason", "results", "extra")
+_RESULT_FIELDS = ("kind", "closing_step", "tactic_index", "elapsed_ms", "state_id", "attempts", "extra")
+# paths to a field of the reply, of a gap result, or of a failed attempt
+_FIELD_PATHS = [(name,) for name in _REPLY_FIELDS] + [
+    ("results", i, name) for i in range(2) for name in _RESULT_FIELDS]
+_VALUE_PATHS = _FIELD_PATHS + [("results", i) for i in range(2)] + [
+    ("results", i, "attempts", j, *k) for i in range(2) for j in range(2) for k in [(), (0,), (1,)]]
+_ENUM_PATHS = [("status",)] + [("results", i, "kind") for i in range(2)] + [
+    ("results", i, "attempts", j, 1) for i in range(2) for j in range(2)]
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=True), st.integers(-5, 5), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+_NEST = "\x00nest\x00"
+
+
+def _reply_mutation():
+    """One change to a reply, as a tuple `_mutated` applies."""
+    return st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(_FIELD_PATHS)),
+        st.tuples(st.just("add"), st.sampled_from(_FIELD_PATHS), _ANY_VALUE),
+        st.tuples(st.just("swap type"), st.sampled_from(_VALUE_PATHS), _ANY_VALUE),
+        st.tuples(st.just("out of range"), st.sampled_from(_FIELD_PATHS),
+                  st.integers(max_value=-1) | st.integers(min_value=len(FAST.tactic_list))),
+        st.tuples(st.just("unknown"), st.sampled_from(_ENUM_PATHS),
+                  st.sampled_from(["maybe", "OK", "", "closed ", "Timeout"])),
+        st.tuples(st.just("results"), st.sampled_from(["more", "fewer", "zero"])),
+        st.tuples(st.just("nest"), st.sampled_from(_VALUE_PATHS),
+                  st.sampled_from([1, 2, 50, 500, 900, 950, 980, 990, 1000, 2000, 100_000])),
+        st.tuples(st.just("line"), st.sampled_from([b"[1]", b"7", b'"ok"', b"null", b"", DEEP.encode()])),
+        st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+        st.tuples(st.just("not utf-8"), st.integers(0, 10**4), st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])),
+    )
+
+
+def _mutated(reply, mutation):
+    """The reply line with `mutation` applied; a change that does not fit
+    the reply (a path it lacks, a swap to the same type) leaves it as is."""
+    what, *how = mutation
+    line = json.dumps(reply).encode()
+    if what == "line":
+        return how[0]
+    if what == "truncate":
+        return line[: how[0] % len(line)]
+    if what == "not utf-8":
+        at = how[0] % (len(line) + 1)
+        return line[:at] + how[1] + line[at:]
+    reply = json.loads(line)  # a copy
+    if what == "results":
+        results = reply.get("results")
+        if isinstance(results, list) and results:
+            reply["results"] = {"more": results + results[-1:], "fewer": results[:-1], "zero": []}[how[0]]
+        return json.dumps(reply).encode()
+    *parents, last = how[0]
+    holder = reply
+    for step in parents:
+        try:
+            holder = holder[step]
+        except (KeyError, IndexError, TypeError):
+            return line
+    present = last in holder if isinstance(holder, dict) else 0 <= last < len(holder)
+    old = holder[last] if present else None
+    if what == "drop" and present:
+        del holder[last]
+    elif what == "add" and not present and isinstance(holder, dict):
+        holder[last] = how[1]
+    elif what == "swap type" and present and type(old) is not type(how[1]):
+        holder[last] = how[1]
+    elif what in ("out of range", "unknown") and present and type(old) is type(how[1]):
+        holder[last] = how[1]
+    elif what == "nest" and present:
+        holder[last] = _NEST
+        depth = how[1]
+        nested = "[" * depth + json.dumps(old) + "]" * depth
+        return json.dumps(reply).replace(json.dumps(_NEST), nested).encode()
+    return json.dumps(reply).encode()
+
+
+@settings(max_examples=250, deadline=None)
+@given(cmd=st.sampled_from(sorted(VARIANTS)), pick=st.integers(0, 3), mutation=_reply_mutation())
+def test_a_changed_reply_gives_the_same_result_or_a_lost_session(property_server, cmd, pick, mutation):
+    server, expected = property_server
+    variant = VARIANTS[cmd][pick % len(VARIANTS[cmd])]
+    # the first init opens the session, so the one after it is changed
+    bridge = RelayBridge(server.address, mutate=(cmd, 2 if cmd == "init" else 1,
+                                                 lambda reply: _mutated(reply, mutation)))
+    sessions = SessionProvider(lambda: open_session(ExternalSpec(bridge.address), FAST))
+    try:
+        session = sessions.get()
+        session.memo = ProverMemo(parse_sketch(SKETCH).header, verdicts={"seen": Valid("seen")})
+        try:
+            outcome = _outcome(cmd, session, variant)
+        except SessionDead:
+            assert session.state is SessionState.DEAD
+            assert not session.memo.gaps and not session.memo.verdicts
+            reopened = sessions.get()
+            assert reopened is not session and reopened.state is SessionState.IDLE
+            outcome = _outcome(cmd, reopened, variant)
+        assert outcome == expected[cmd, variant]
+    finally:
+        sessions.close()
+        bridge.close()
+
