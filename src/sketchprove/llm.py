@@ -5,11 +5,14 @@ temperature, top_p, n, stop} -> {choices: [{text}]}) can back the pipeline.
 Every completion is cached under a content key of (endpoint, prompt, config,
 sample index), so a recorded run can be replayed offline byte-for-byte.
 
-A request is submitted and later collected: `submit` starts it on a pool of
-`max_in_flight` threads (replay starts nothing and answers in `collect`), and
-`collect` waits for its response and, in record mode, writes it to the cache
-on the collecting thread. A caller can so keep several requests in flight
-while the cache is still written in the order it collects them.
+A request is submitted as a builder and later collected: `submit` queues it
+on a pool of `max_in_flight` endpoint slots, and the slot that takes it
+builds the request, sends it and takes its cache keys, so a built prompt
+never waits for a slot and is dropped once answered. `collect` waits for
+the response and, in record mode, writes it to the cache on the collecting
+thread. Replay starts nothing: `collect` builds the request and looks it up
+inline. A caller can so keep several requests in flight while the cache is
+still written in the order it collects them.
 """
 
 from __future__ import annotations
@@ -122,6 +125,11 @@ class CompletionRequest:
 class CompletionResponse:
     completions: tuple[str, ...]
     latency_ms: int
+
+
+# what a pool slot gives for a request: its response and, in record mode,
+# the cache key of each sample
+Sent = tuple[CompletionResponse, tuple[str, ...]]
 
 
 def _sampling_payload(request: CompletionRequest) -> dict:
@@ -256,41 +264,39 @@ class CompletionClient:
     @property
     def fetch_ahead(self) -> int:
         """How many requests a caller that may stop early should keep
-        submitted ahead of the one it is consuming: `max_in_flight` when they
-        go to the endpoint, none in replay, which answers inline. A caller
-        that will consume every request may submit all of them, but if it
-        gives up it drops every answer it has not consumed."""
+        submitted ahead of the one it is collecting: `max_in_flight` when
+        they go to the endpoint, none in replay, which answers inline. A
+        caller that will collect every request may submit all of them, as
+        each is built only when a slot sends it, but if it gives up it drops
+        every answer it has not collected."""
         return 0 if self.mode is CacheMode.REPLAY else self.max_in_flight
 
-    def submit(
-        self, request: CompletionRequest, then: Callable[[CompletionResponse], None] | None = None
-    ) -> Future[CompletionResponse] | None:
-        """Start a request on the pool and return its future, for `collect`.
-        Replay has nothing to start: it returns None, and `collect` looks
-        the answer up, so a replayed request costs no future. `then`, if
-        given, is called with the response on the pool thread before the
-        future completes; it must not wait on another pool task, and is
-        not called in replay."""
+    def submit(self, build: Callable[[], CompletionRequest]) -> Future[Sent] | None:
+        """Queue a request on the pool and return its future, for `collect`.
+        The slot that takes it calls `build` and sends what it returns;
+        an error `build` raises surfaces at `collect`. Replay has nothing to
+        start: it returns None, and `collect` builds and looks the request
+        up, so a replayed request costs no future."""
         if self.mode is CacheMode.REPLAY:
             return None
-        return self._pool.submit(self._call_endpoint, request, then)
+        return self._pool.submit(self._send, build)
 
     def collect(
-        self, request: CompletionRequest, future: Future[CompletionResponse] | None
+        self, build: Callable[[], CompletionRequest], future: Future[Sent] | None
     ) -> CompletionResponse:
-        """The response to a submitted request, raising its error; in record
-        mode it is added to the cache."""
+        """The response to a submitted request, raising its error (or the
+        error its builder raised); in record mode it is added to the cache
+        under the keys the slot took."""
         if future is None:
-            return self._replay(request)
-        response = future.result()
-        if self.mode is CacheMode.RECORD:
-            assert self.cache is not None
-            for i, text in enumerate(response.completions):
-                self.cache.put(cache_key(request, i), text)
+            return self._replay(build())
+        response, keys = future.result()
+        for key, text in zip(keys, response.completions):
+            self.cache.put(key, text)
         return response
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        return self.collect(request, self.submit(request))
+        build = lambda: request  # noqa: E731
+        return self.collect(build, self.submit(build))
 
     def close(self) -> None:
         """Drop the requests not yet started and wait for the running ones;
@@ -308,9 +314,12 @@ class CompletionClient:
             completions.append(text)
         return CompletionResponse(completions=tuple(completions), latency_ms=0)
 
-    def _call_endpoint(
-        self, request: CompletionRequest, then: Callable[[CompletionResponse], None] | None
-    ) -> CompletionResponse:
+    def _send(self, build: Callable[[], CompletionRequest]) -> Sent:
+        """On a pool slot: build the request, send it and, in record mode,
+        take its cache keys. Hashing a long prompt lets other slots run, so
+        it comes after the send, which keeps requests reaching the endpoint
+        in the order they were queued."""
+        request = build()
         payload = _sampling_payload(request)
         headers = {"Content-Type": "application/json"}
         if self.auth_env:
@@ -340,12 +349,11 @@ class CompletionClient:
             completions = _completions(body)[: request.config.n]
             if not completions:
                 raise EndpointError(status, f"malformed reply: {json.dumps(body)}")
-            response = CompletionResponse(
-                completions=completions, latency_ms=int((time.monotonic() - started) * 1000)
-            )
-            if then is not None:
-                then(response)
-            return response
+            latency_ms = int((time.monotonic() - started) * 1000)
+            keys = ()
+            if self.mode is CacheMode.RECORD:
+                keys = tuple(cache_key(request, i) for i in range(request.config.n))
+            return CompletionResponse(completions, latency_ms), keys
         assert last_error is not None
         raise last_error
 

@@ -7,25 +7,18 @@ attempt per grid entry; a worker pool runs problems in parallel with one
 prover session per worker, and results are a pure function of inputs, seed,
 caches, and scripts, independent of worker count.
 
-A sketch prompt depends only on the problem, the draft and the entry's
-seed, so later sketch requests are in flight while a worker proves one
-attempt: under early stop the next `max_in_flight` (a success cancels the
-ones not yet started), and with no early stop, where every completion
-will be used, all of the problem's remaining ones, which the client's
-`max_in_flight` slots serve in order. Completions are still consumed in
-plan order (so record mode writes the cache in plan order). A problem
-that aborts on a lost session cancels the requests not yet started and
-drops the answered ones: up to `max_in_flight`, or without early stop up
-to the rest of its plan.
-A problem's endpoint work starts one problem ahead: when a worker takes a
-problem, the draft requests of the next `parallelism` problems start too,
-and each draft's completion starts that problem's first window of
-`1 + fetch_ahead` sketch requests on the endpoint pool. The worker that
-reaches the problem collects both, in plan order, and starts the rest as
-above, so a problem still costs at most `1 + max_in_flight` sketch
-requests under early stop. Drafts that need no endpoint (a human
-source, the ablation without drafts) have no request, and in replay
-`submit` starts nothing, so then the worker starts the whole window.
+Each problem's endpoint requests go through one queue. When a worker takes
+a problem, the draft requests of the next `parallelism` problems start too,
+and each draft's completion starts that problem's first `1 + fetch_ahead`
+sketch requests. The worker that reaches the problem collects its drafts,
+then each entry's completion in plan order (so record mode writes the cache
+in plan order), keeping the next `fetch_ahead` entries started under early
+stop, so a problem costs at most `1 + max_in_flight` sketch requests, or
+with no early stop, where every completion will be used, the whole rest of
+its plan. An endpoint slot builds each sketch prompt only when it sends
+it. Closing the queue, after a success, an abort or an error, cancels the
+requests not yet started and drops the answers not collected. In replay
+nothing starts ahead: each request is built and answered inline.
 
 A sketch must state the problem's own theorem: one whose header differs
 from the parsed formal statement is refused before any prover work, since
@@ -57,7 +50,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigError
 from .harness import AttemptRecord, FailureStage, Problem, ProblemResult
@@ -66,6 +59,7 @@ from .llm import (
     CompletionError,
     CompletionRequest,
     CompletionResponse,
+    Sent,
     dedup,
     draft_preset,
     sketch_preset,
@@ -274,21 +268,6 @@ def sketch_request(
     return CompletionRequest(prompt=prompt, config=sketch_preset(), endpoint_id=endpoint_id)
 
 
-def _obtain_drafts(
-    problem: Problem, policy: BudgetPolicy, components: PipelineComponents, ahead: _StartedDraft
-) -> list[str]:
-    """The problem's drafts: the completions of its started draft request,
-    the human informal proof, or one empty draft in the ablation that
-    never shows a draft."""
-    if ahead.request is not None:
-        return dedup(components.client.collect(ahead.request, ahead.future).completions)
-    if policy.draft_source is DraftSource.HUMAN:
-        if not problem.informal_proof:
-            raise ValueError(f"problem {problem.id!r}: human draft source needs an informal proof")
-        return [problem.informal_proof]
-    return [""]
-
-
 def _prove_attempt(
     problem_id: str, entry: tuple[int, int, int], ast: SketchAst, session: ProverSession,
     wall_ms: int = 0,
@@ -313,160 +292,174 @@ def _prove_attempt(
     )
 
 
-# a plan entry's sketch request and what `submit` gave for it, or its
-# record when it needs no completion
-Fetched = AttemptRecord | tuple[CompletionRequest, Future[CompletionResponse] | None]
-
-
-def _start_sketch(
-    problem: Problem, drafts: Sequence[str], entry: tuple[int, int, int],
-    components: PipelineComponents,
-) -> Fetched:
-    """A plan entry's `Fetched`: a record when the entry has no such draft
-    or no prompt."""
-    if entry[0] >= len(drafts):
-        return _attempt_record(problem.id, entry, FailureStage.DRAFT)
-    try:
-        request = sketch_request(
-            components.pool, problem, drafts[entry[0]], components.prompt_config, entry[2],
-            components.client.endpoint_id,
-        )
-    except (PoolTooSmall, MissingFullProof) as exc:
-        logger.warning("problem %s: prompt build failed: %s", problem.id, exc)
-        return _attempt_record(problem.id, entry, FailureStage.PROMPT_BUILD)
-    return request, components.client.submit(request)
-
-
-def _cancel(fetches: Iterable[Fetched]) -> None:
-    for fetched in fetches:
-        if isinstance(fetched, tuple) and fetched[1] is not None:
-            fetched[1].cancel()
-
-
-def _fetch_sketches(
-    problem: Problem, drafts: Sequence[str], entries: Sequence[tuple[int, int, int]],
-    policy: BudgetPolicy, components: PipelineComponents, window: Sequence[Fetched],
-) -> Iterator[Fetched]:
-    """Each plan entry's `Fetched`, in plan order, beginning with the
-    started `window` (the first entries, possibly none). Keeps the client's
-    `fetch_ahead` later entries started while this one is proved, or every
-    entry when no early stop can leave a completion unused; closing the
-    generator cancels the requests not yet started."""
-    ahead = components.client.fetch_ahead
-    if ahead and not policy.stop_on_first_success:
-        ahead = len(entries)
-    started = deque(window)
-    upcoming = (_start_sketch(problem, drafts, e, components) for e in entries[len(window):])
-    started.extend(itertools.islice(upcoming, ahead + 1 - len(window)))
-    try:
-        while started:
-            yield started.popleft()
-            started.extend(itertools.islice(upcoming, 1))
-    finally:
-        _cancel(started)
-
-
-@dataclass
-class _StartedDraft:
-    """A problem's draft request as started ahead of the problem's worker
-    (None when its drafts need no endpoint), and the first sketch window
-    that its completion started on the pool thread (empty until then)."""
-
-    request: CompletionRequest | None
-    future: Future[CompletionResponse] | None = None
-    window: Sequence[Fetched] = ()
-
-
-class _DraftsAhead:
-    """Starts problems' draft requests before a worker reaches them. When a
-    worker takes a problem, the drafts of the next `depth` problems are
-    started too, and each draft's completion starts that problem's first
-    sketch window on the pool thread, so neither waits for its worker.
-    The worker still collects both, in plan order. `close` cancels what no
-    worker took; no window starts after it."""
+class _ProblemQueue:
+    """One problem's endpoint requests: its draft request (none when its
+    drafts need no endpoint), then its plan entries' sketch requests,
+    started and handed to its worker in plan order. Both the draft's
+    completion and the worker call `start`, which starts the entries up to
+    `1 + ahead` past the one being handed over: the completion passes the
+    client's `fetch_ahead`, and so does the worker, unless no early stop
+    can waste a completion and it passes the whole plan. `close` cancels
+    what was started and not handed over; nothing starts after it."""
 
     def __init__(
-        self, problems: Sequence[Problem], policy: BudgetPolicy, components: PipelineComponents,
-        experiment_seed: int, depth: int,
+        self, problem: Problem, policy: BudgetPolicy, components: PipelineComponents,
+        seed: int, lock: threading.Lock,
     ):
-        self._problems = problems
-        self._policy = policy
-        self._components = components
-        self._seed = experiment_seed
-        self._depth = depth
-        self._lock = threading.Lock()  # guards every field below
-        self._started: dict[int, _StartedDraft] = {}  # started, not taken yet
-        self._next = 0  # every problem before it is started
+        self.entries = make_plan(policy, seed, problem.id).entries  # raises BudgetExceeded first
+        self._problem, self._policy, self._components = problem, policy, components
+        self._lock = lock  # guards the fields below; one per run, so queues start in turn
+        self._started: deque[tuple[Callable[[], CompletionRequest], Future[Sent] | None]] = deque()
+        self._next = 0  # every entry before it is started; all but the `_started` handed over
         self._closed = False
+        self._draft = self._draft_future = None
+        if (
+            policy.draft_source is DraftSource.MODEL
+            and components.prompt_config.mode is not PromptMode.NO_INFORMAL_PROOF
+        ):
+            self._draft = functools.partial(
+                draft_request, problem, policy.drafts_per_problem, components.client.endpoint_id
+            )
+            self._draft_future = components.client.submit(self._draft)
 
-    def take(self, index: int) -> _StartedDraft:
-        """Problem `index`'s started draft request. Starts it, and those of
-        the next `depth` problems, if they are not started yet."""
+    def start_on_draft(self) -> None:
+        """Start the first entries once the draft request has completed,
+        unless it failed or was cancelled."""
+
+        def drafted(future: Future[Sent]) -> None:
+            if not future.cancelled() and future.exception() is None:
+                drafts = dedup(future.result()[0].completions)
+                self.start(drafts, self._components.client.fetch_ahead)
+
+        if self._draft_future is not None:
+            self._draft_future.add_done_callback(drafted)
+
+    def start(self, drafts: list[str], ahead: int) -> None:
+        """Start the next entries, in plan order, up to `1 + ahead` past
+        the one being handed over. Entries are draft-major, so those with
+        no such draft are the plan's tail and never start."""
+        components = self._components
         with self._lock:
-            end = min(index + self._depth + 1, len(self._problems))
-            for later in range(self._next, end):
-                self._started[later] = self._start(self._problems[later])
-            self._next = max(self._next, end)
-            return self._started.pop(index)
+            limit = self._next - len(self._started) + 1 + ahead
+            while (
+                not self._closed and self._next < min(limit, len(self.entries))
+                and self.entries[self._next][0] < len(drafts)
+            ):
+                entry = self.entries[self._next]
+                build = functools.partial(
+                    sketch_request, components.pool, self._problem, drafts[entry[0]],
+                    components.prompt_config, entry[2], components.client.endpoint_id,
+                )
+                self._started.append((build, components.client.submit(build)))
+                self._next += 1
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int, int], AttemptRecord | CompletionResponse]]:
+        """For the worker: learn the problem's drafts, then hand over each
+        plan entry and its outcome in plan order: its completion, or the
+        record of an entry that got none (no such draft, no prompt, or a
+        failed request). The drafts are the completions of the draft request
+        (whose failure raises CompletionError), the human informal proof,
+        or one empty draft in the ablation that never shows a draft."""
+        problem, client = self._problem, self._components.client
+        if self._draft is not None:
+            drafts = dedup(client.collect(self._draft, self._draft_future).completions)
+        elif self._policy.draft_source is DraftSource.HUMAN:
+            if not problem.informal_proof:
+                raise ValueError(f"problem {problem.id!r}: human draft source needs an informal proof")
+            drafts = [problem.informal_proof]
+        else:
+            drafts = [""]
+        ahead = client.fetch_ahead
+        if ahead and not self._policy.stop_on_first_success:
+            ahead = len(self.entries)
+        for entry in self.entries:
+            if entry[0] >= len(drafts):
+                yield entry, _attempt_record(problem.id, entry, FailureStage.DRAFT)
+                continue
+            self.start(drafts, ahead)
+            with self._lock:
+                build, future = self._started.popleft()
+            try:
+                outcome = client.collect(build, future)
+            except (PoolTooSmall, MissingFullProof) as exc:
+                logger.warning("problem %s: prompt build failed: %s", problem.id, exc)
+                outcome = _attempt_record(problem.id, entry, FailureStage.PROMPT_BUILD)
+            except CompletionError as exc:
+                logger.warning("problem %s: sketch completion failed: %s", problem.id, exc)
+                outcome = _attempt_record(problem.id, entry, FailureStage.INFRA)
+            yield entry, outcome
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            left, self._started = list(self._started.values()), {}
-        for ahead in left:
-            if ahead.future is not None:
-                ahead.future.cancel()
-            _cancel(ahead.window)
+            left, self._started = self._started, deque()
+        for future in (self._draft_future, *(future for _, future in left)):
+            if future is not None:
+                future.cancel()
+        self._draft_future = None  # its done-callback refers back to this queue
 
-    def _start(self, problem: Problem) -> _StartedDraft:
-        policy, components = self._policy, self._components
-        if (
-            policy.draft_source is DraftSource.HUMAN
-            or components.prompt_config.mode is PromptMode.NO_INFORMAL_PROOF
-        ):
-            return _StartedDraft(None)
-        request = draft_request(problem, policy.drafts_per_problem, components.client.endpoint_id)
-        ahead = _StartedDraft(request)
 
-        def start_window(response: CompletionResponse) -> None:
-            drafts = dedup(response.completions)
-            entries = make_plan(policy, self._seed, problem.id).entries
-            window = entries[: components.client.fetch_ahead + 1]
-            with self._lock:
-                if not self._closed:
-                    ahead.window = [_start_sketch(problem, drafts, e, components) for e in window]
+class _DraftsAhead:
+    """Makes problems' queues, and so starts their draft requests, before a
+    worker reaches them: when a worker takes a problem, the queues of the
+    next `depth` problems are made too. `close` closes those no worker
+    took."""
 
-        ahead.future = components.client.submit(request, start_window)
-        return ahead
+    def __init__(
+        self, problems: Sequence[Problem], policy: BudgetPolicy | None,
+        components: PipelineComponents, experiment_seed: int, depth: int,
+    ):
+        self._problems = problems
+        self._depth = depth
+        self._queue = functools.partial(
+            _ProblemQueue, policy=policy, components=components, seed=experiment_seed,
+            lock=threading.Lock(),
+        )
+        self._lock = threading.Lock()  # guards the fields below
+        self._queues: dict[int, _ProblemQueue] = {}  # made, not taken yet
+        self._next = 0  # every problem before it has a queue
+
+    def take(self, index: int) -> _ProblemQueue:
+        """Problem `index`'s queue. Makes it, and those of the next `depth`
+        problems, if they are not made yet; a plan over budget raises
+        BudgetExceeded before any request starts."""
+        with self._lock:
+            made = [self._queue(p) for p in self._problems[self._next:index + self._depth + 1]]
+            self._queues.update(zip(itertools.count(self._next), made))
+            self._next += len(made)
+            taken = self._queues.pop(index)
+        for queue in made:  # once every draft request is queued ahead of them
+            queue.start_on_draft()
+        return taken
+
+    def close(self) -> None:
+        with self._lock:
+            left, self._queues = list(self._queues.values()), {}
+        for queue in left:
+            queue.close()
 
 
 def _run_attempt(
     problem_id: str,
     entry: tuple[int, int, int],
-    fetched: Fetched,
+    outcome: AttemptRecord | CompletionResponse,
     components: PipelineComponents,
     reopens: Iterator[int],
     statement: TheoremHeader | None,
     parses: dict[str, SketchAst | None],
 ) -> AttemptRecord:
-    """One (draft, sketch) attempt: collect its completion, parse it (or
-    find it in `parses`, the problem's parse of each completion seen, None
-    for one that does not parse) and prove it, reopening a lost session
-    for the proof alone. A sketch whose theorem header is not exactly
-    `statement`, the header of the problem's formal statement (None when
-    that does not parse), proves another theorem: it fails as `verify`
+    """One (draft, sketch) attempt from its queue outcome: a completion is
+    parsed (or found in `parses`, the problem's parse of each completion
+    seen, None for one that does not parse) and proved, reopening a lost
+    session for the proof alone. A sketch whose theorem header is not
+    exactly `statement`, the header of the problem's formal statement (None
+    when that does not parse), proves another theorem: it fails as `verify`
     before any backend call, like a sketch the cheat gate refuses. Raises
     SessionDead once the problem's reopen budget is spent; every other
     failure becomes a stage-tagged record."""
-    if isinstance(fetched, AttemptRecord):
-        return fetched
-    request, future = fetched
-    try:
-        response = components.client.collect(request, future)
-    except CompletionError as exc:
-        logger.warning("problem %s: sketch completion failed: %s", problem_id, exc)
-        return _attempt_record(problem_id, entry, FailureStage.INFRA)
-    text = response.completions[0]
+    if isinstance(outcome, AttemptRecord):
+        return outcome
+    text = outcome.completions[0]
     if text not in parses:
         try:
             parses[text] = parse_sketch(text)
@@ -474,15 +467,15 @@ def _run_attempt(
             parses[text] = None
     ast = parses[text]
     if ast is None:
-        return _attempt_record(problem_id, entry, FailureStage.PARSE, wall_ms=response.latency_ms)
+        return _attempt_record(problem_id, entry, FailureStage.PARSE, wall_ms=outcome.latency_ms)
     if ast.header != statement:
         return _attempt_record(
             problem_id, entry, FailureStage.VERIFY, parse_ok=True, gaps_total=count_gaps(ast),
-            wall_ms=response.latency_ms,
+            wall_ms=outcome.latency_ms,
         )
     return _on_session(
         problem_id, components, reopens,
-        lambda session: _prove_attempt(problem_id, entry, ast, session, response.latency_ms),
+        lambda session: _prove_attempt(problem_id, entry, ast, session, outcome.latency_ms),
     )
 
 
@@ -501,48 +494,41 @@ def run_problem(
     policy: BudgetPolicy,
     components: PipelineComponents,
     experiment_seed: int = 0,
-    take_ahead: Callable[[], _StartedDraft] | None = None,
+    take_ahead: Callable[[], _ProblemQueue] | None = None,
 ) -> ProblemResult:
     """Execute the attempt plan for one problem, in plan order, with later
     sketch completions fetched ahead. `take_ahead` gives the problem's
-    started draft request and first sketch window (`run_experiment` starts
-    them ahead, a direct call starts its own); it is called once the plan
-    is within budget. Early stop (when enabled) marks the remaining
-    entries as NotRun; infrastructure trouble aborts the problem with an
-    error note instead of fake attempt records. Only a sketch of the
-    problem's own theorem header is proved; no sketch proves a statement
-    that does not parse."""
-    plan = make_plan(policy, experiment_seed, problem.id)
+    queue (`run_experiment` makes it ahead, a direct call makes its own).
+    Early stop (when enabled)
+    marks the remaining entries as NotRun; infrastructure trouble aborts
+    the problem with an error note instead of fake attempt records. Only a
+    sketch of the problem's own theorem header is proved; no sketch proves
+    a statement that does not parse."""
     statement = _statement_header(problem.formal_statement)
-    ahead = (
+    queue = (
         take_ahead() if take_ahead is not None
         else _DraftsAhead([problem], policy, components, experiment_seed, 0).take(0)
     )
-    try:
-        drafts = _obtain_drafts(problem, policy, components, ahead)
-    except CompletionError as exc:
-        logger.error("problem %s: drafting failed: %s", problem.id, exc)
-        return ProblemResult(problem.id, (), infra_error=f"draft stage: {exc}")
-
     attempts: list[AttemptRecord] = []
     reopens = itertools.count(1)
     parses: dict[str, SketchAst | None] = {}
-    # the window was set before the draft's future completed
-    fetches = _fetch_sketches(problem, drafts, plan.entries, policy, components, ahead.window)
-    with contextlib.closing(fetches):
-        for entry, fetched in zip(plan.entries, fetches):
-            try:
+    with contextlib.closing(queue):
+        try:
+            for entry, outcome in queue:
                 record = _run_attempt(
-                    problem.id, entry, fetched, components, reopens, statement, parses
+                    problem.id, entry, outcome, components, reopens, statement, parses
                 )
-            except SessionDead as exc:
-                return _session_lost(problem.id, attempts, exc)
-            attempts.append(record)
-            if record.success and policy.stop_on_first_success:
-                break
+                attempts.append(record)
+                if record.success and policy.stop_on_first_success:
+                    break
+        except CompletionError as exc:  # only the draft request's failure reaches here
+            logger.error("problem %s: drafting failed: %s", problem.id, exc)
+            return ProblemResult(problem.id, (), infra_error=f"draft stage: {exc}")
+        except SessionDead as exc:
+            return _session_lost(problem.id, attempts, exc)
     attempts += (
         _attempt_record(problem.id, entry, FailureStage.NOT_RUN)
-        for entry in plan.entries[len(attempts):]
+        for entry in queue.entries[len(attempts):]
     )
     return ProblemResult(problem.id, tuple(attempts))
 
@@ -594,9 +580,8 @@ def run_experiment(
     took is cancelled, when it returns or raises."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    drafts_ahead = None
-    if policy is not None:
-        drafts_ahead = _DraftsAhead(problems, policy, components, experiment_seed, parallelism)
+    # it makes no queue until a worker takes a problem, so the baseline makes none
+    drafts_ahead = _DraftsAhead(problems, policy, components, experiment_seed, parallelism)
 
     def run_one(index: int) -> ProblemResult:
         problem = problems[index]
@@ -611,8 +596,7 @@ def run_experiment(
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(run_one, range(len(problems))))
     finally:
-        if drafts_ahead is not None:
-            drafts_ahead.close()
+        drafts_ahead.close()
         components.sessions.close()
 
 

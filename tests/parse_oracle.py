@@ -337,6 +337,8 @@ class Parser:
             method = self.parse_paren_group()
 
         children = self.parse_statements(depth + 1, ("qed", "case", "next"))
+        if self.at_ident("case") and not all(isinstance(n, Comment) for n in children):
+            raise self.fail("a block with cases may only hold leading comments", ("qed",))
         cases: list[tuple[str, tuple[ProofNode, ...]]] = []
         while self.at_ident("case"):
             self.advance()

@@ -324,12 +324,13 @@ def test_sketch_preview_is_the_prompt_run_sends(tmp_path, monkeypatch, capsys, m
     config_path.write_text(json.dumps(config))
 
     # every request, drafts and sketches fetched ahead alike, is submitted
+    # as a builder; building it once more here gives the prompt it sends
     sent = []
     submit = llm.CompletionClient.submit
 
-    def recording(client, request, then=None):
-        sent.append(request.prompt)
-        return submit(client, request, then)
+    def recording(client, build):
+        sent.append(build().prompt)
+        return submit(client, build)
 
     monkeypatch.setattr(llm.CompletionClient, "submit", recording)
     cli.main(["--config", str(config_path), "--jobs", "1", "run"])

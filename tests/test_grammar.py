@@ -567,6 +567,19 @@ def test_parser_matches_plain_descent_oracle(text):
     _assert_parses_like_oracle(text)
 
 
+def test_a_case_after_proof_steps_is_a_parse_error():
+    # the steps and the case belong to one block, which may hold only
+    # comments before its cases; this was a ValueError from the AST node
+    text = (
+        'theorem t: shows "P"\nproof -\n  have c: "Q" sledgehammer\n'
+        '  case True\n    show ?case by simp\n  qed\n'
+    )
+    with pytest.raises(ParseError, match="may only hold leading comments") as raised:
+        parse_sketch(text)
+    assert raised.value.offset == text.index("case True")
+    _assert_parses_like_oracle(text)
+
+
 def test_parser_matches_plain_descent_oracle_on_fixture_sketches():
     for text in _FIXTURE_TEXTS:
         assert parse_sketch(text) == parse_oracle.parse_sketch(text)

@@ -1,7 +1,10 @@
+import gc
 import http.server
 import json
 import threading
 import time
+import weakref
+from concurrent.futures import wait
 
 import pytest
 
@@ -367,22 +370,55 @@ def test_record_cache_written_in_collect_order(tmp_path):
         transport=answer_backwards,
     )
     requests = [CompletionRequest(str(i), SamplingConfig(temperature=0.5)) for i in range(5)]
-    futures = [client.submit(request) for request in requests]
+    builds = [lambda request=request: request for request in requests]
+    futures = [client.submit(build) for build in builds]
     assert len(client.cache) == 0  # nothing is cached before it is collected
-    texts = [client.collect(r, f).completions[0] for r, f in zip(requests, futures)]
+    texts = [client.collect(b, f).completions[0] for b, f in zip(builds, futures)]
     client.close()
     assert texts == [f"reply {i}" for i in range(5)]
     written = [json.loads(line) for line in path.read_text().splitlines()]
     assert [w["key"] for w in written] == [cache_key(r, 0) for r in requests]
 
 
+def test_the_slot_that_sends_a_request_builds_it_and_keeps_only_its_keys(tmp_path):
+    sent, built_on, alive = [], [], []
+
+    def transport(url, headers, payload, timeout_s):
+        sent.append(payload["prompt"])
+        return 200, {"choices": [{"text": "t"}]}
+
+    def build():
+        built_on.append(threading.current_thread().name)
+        request = CompletionRequest("p", SamplingConfig(temperature=0.5))
+        alive.append(weakref.ref(request))
+        return request
+
+    def broken():
+        raise ValueError("no prompt")
+
+    client = CompletionClient(
+        endpoint_url="x://y", mode=CacheMode.RECORD, cache=CompletionCache(tmp_path / "c.jsonl"),
+        transport=transport,
+    )
+    futures = [client.submit(build), client.submit(broken)]
+    assert len(wait(futures, timeout=10).done) == 2
+    gc.collect()
+    assert alive[0]() is None  # an answered request is not kept, only its cache keys
+    assert client.collect(build, futures[0]).completions == ("t",)
+    assert client.cache.get(cache_key(CompletionRequest("p", SamplingConfig(temperature=0.5)), 0)) == "t"
+    with pytest.raises(ValueError, match="no prompt"):  # a builder's error surfaces at collect
+        client.collect(broken, futures[1])
+    client.close()
+    assert sent == ["p"] and built_on[0].startswith("completion")
+
+
 def test_replay_answers_inline_and_starts_no_thread(tmp_path):
     before = set(threading.enumerate())
     client = CompletionClient(mode=CacheMode.REPLAY, cache=CompletionCache(tmp_path / "c.jsonl"))
     request = CompletionRequest("never seen", SamplingConfig(temperature=0.6))
-    assert client.submit(request) is None and client.fetch_ahead == 0
+    assert client.submit(lambda: request) is None and client.fetch_ahead == 0
     with pytest.raises(CacheMiss):
-        client.collect(request, None)
+        client.collect(lambda: request, None)
     assert set(threading.enumerate()) == before
     client.close()
 
@@ -402,7 +438,10 @@ def test_close_leaves_no_pool_thread_and_drops_queued_requests():
 
     others = _pool_threads()  # other clients' threads, on their way out
     client = CompletionClient(endpoint_url="x://y", mode=CacheMode.LIVE, max_in_flight=2, transport=held)
-    futures = [client.submit(CompletionRequest(str(i), SamplingConfig(temperature=0.5))) for i in range(5)]
+    futures = [
+        client.submit(lambda i=i: CompletionRequest(str(i), SamplingConfig(temperature=0.5)))
+        for i in range(5)
+    ]
     assert len(set(_pool_threads()) - set(others)) == 2
     while len(sent) < 2:
         time.sleep(0.001)

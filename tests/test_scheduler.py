@@ -1,10 +1,13 @@
 import contextlib
 import dataclasses
+import functools
+import gc
 import json
 import shlex
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from ast_gen import AstGen
 from conftest import FIXTURES, RecordingBackend, memo_state_ids, minimal_script, recording
+from oracle import run_reference
 from sketchprove.harness import FailureStage, Problem, Split, export_records
 from sketchprove.llm import (
     CacheMode,
@@ -24,7 +28,14 @@ from sketchprove.llm import (
     cache_key,
     sketch_preset,
 )
-from sketchprove.prompting import Category, PromptConfig, PromptMode, load_pool
+from sketchprove.prompting import (
+    Category,
+    ExamplePool,
+    MissingFullProof,
+    PromptConfig,
+    PromptMode,
+    load_pool,
+)
 from sketchprove.prover import (
     DEFAULT_TACTICS,
     BackendReply,
@@ -53,6 +64,7 @@ from sketchprove.scheduler import (
     run_problem,
     run_problem_direct,
     sample_drafts,
+    sketch_request,
 )
 from sketchprove.sketch import SketchAst, count_gaps, parse_sketch, serialize
 
@@ -149,7 +161,7 @@ def _components(
 
     def transport(url, headers, payload, timeout_s):
         prompt = payload["prompt"]
-        if prompt.rstrip().endswith("Proof:"):
+        if payload["temperature"] > 0:  # sampled drafts; sketches are greedy
             return 200, {"choices": [{"text": t} for t in drafts[: payload["n"]]]}
         if sketch_calls is not None:
             sketch_calls.append(prompt)
@@ -788,6 +800,91 @@ def test_a_plan_over_budget_starts_no_request_ahead(tmp_path):
     assert calls == []
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_a_sketch_prompt_is_built_only_when_an_endpoint_slot_sends_it(
+    tmp_path, monkeypatch, jobs, max_in_flight
+):
+    # with no early stop every entry of the plan is requested at once, but
+    # the transport holds every call from the first sketch request on: each
+    # slot then holds at most one built prompt, and the others wait unbuilt
+    import sketchprove.scheduler as scheduler_module
+
+    held, gate = threading.Event(), threading.Event()
+
+    def answer(kind, pid):
+        if kind == "sketch":
+            held.set()
+        if held.is_set():
+            gate.wait(10)
+
+    built = []
+    real_build = scheduler_module.build_sketch_prompt
+
+    def counting_build(*args):
+        built.append(None)
+        return real_build(*args)
+
+    monkeypatch.setattr(scheduler_module, "build_sketch_prompt", counting_build)
+    problems, components, calls = _ahead_run(tmp_path, 2, answer=answer, max_in_flight=max_in_flight)
+    policy = BudgetPolicy(drafts_per_problem=2, sketches_per_draft=3, stop_on_first_success=False)
+    results = []
+    run = threading.Thread(
+        target=lambda: results.extend(run_experiment(problems, policy, components, parallelism=jobs))
+    )
+    run.start()
+    try:
+        assert held.wait(10)
+        time.sleep(0.2)  # time for a worker to start the whole plan
+        assert 1 <= len(built) <= max_in_flight
+    finally:
+        gate.set()
+        run.join(10)
+        components.client.close()
+    assert not run.is_alive()
+    assert [len(r.attempts) for r in results] == [6, 6]
+    assert all(a.success for r in results for a in r.attempts)
+    assert len(built) == sum(kind == "sketch" for kind, _ in calls) == 12
+
+
+def test_an_entry_whose_examples_lack_a_full_proof_records_prompt_build_and_sends_nothing(tmp_path):
+    calls = []
+    components = _components(
+        tmp_path, lambda i: GOOD_SKETCH, mode=PromptMode.FULL_PROOF, sketch_calls=calls
+    )
+    missing = {"algebra_sqdiff_factor", "algebra_geosum_seven"}  # two of ten algebra examples
+    components.pool = ExamplePool(tuple(
+        dataclasses.replace(q, full_proof=None) if q.id in missing else q
+        for q in components.pool.quads
+    ))
+    policy = BudgetPolicy(drafts_per_problem=4, sketches_per_draft=2, stop_on_first_success=False)
+    plan = make_plan(policy, 0, "algebra_sched").entries
+
+    def buildable(entry):
+        try:
+            sketch_request(
+                components.pool, _problem(), "draft", components.prompt_config, entry[2], "default"
+            )
+        except MissingFullProof:
+            return False
+        return True
+
+    expected = [None if buildable(entry) else FailureStage.PROMPT_BUILD for entry in plan]
+    assert None in expected and FailureStage.PROMPT_BUILD in expected
+    with contextlib.closing(components.client):
+        recorded = run_problem(_problem(), policy, components)
+    assert [a.failure_stage for a in recorded.attempts] == expected
+    assert len(calls) == expected.count(None)  # one request per buildable entry
+
+    # replayed from the cache the record run wrote
+    components.client = CompletionClient(
+        mode=CacheMode.REPLAY, cache=CompletionCache(tmp_path / "cache.jsonl")
+    )
+    replayed = run_problem(_problem(), policy, components)
+    components.sessions.close()
+    assert _sans_wall_ms([replayed]) == _sans_wall_ms([recorded])
+
+
 def test_two_runs_parse_each_formal_statement_once(problems, golden_config, monkeypatch):
     import sketchprove.scheduler as scheduler_module
 
@@ -1079,8 +1176,20 @@ def test_crash_mid_problem_reopens_and_records_as_uninterrupted(problems, golden
     components.sessions.close()
 
 
-# answers a faulty endpoint gives instead of a completion: neither is retried
-FAULTS = {"refused": (403, {"error": "refused"}), "malformed": (200, {"choices": []})}
+def _answer(text):
+    return 200, {"choices": [{"text": text}]}
+
+
+# how a faulty endpoint answers a sketch request, given the completion it
+# would have sent: with an error (neither is retried), or with a completion
+# that does not parse, states another theorem or cheats
+FAULTS = {
+    "refused": lambda text: (403, {"error": "refused"}),
+    "malformed": lambda text: (200, {"choices": []}),
+    "unparsable": lambda text: _answer("theorem broken((( nope"),
+    "other_theorem": lambda text: _answer(text.replace(":\n", "_renamed:\n", 1)),
+    "cheat": lambda text: _answer(text.replace("sledgehammer", "sorry")),
+}
 
 
 def _fixture_endpoint(calls, faults=None):
@@ -1098,11 +1207,11 @@ def _fixture_endpoint(calls, faults=None):
             max_tokens=payload["max_tokens"], n=payload["n"], stop_sequences=tuple(payload["stop"]),
         )
         request = CompletionRequest(payload["prompt"], config)
+        texts = [fixture.get(cache_key(request, i)) for i in range(config.n)]
         if faults and config == sketch_preset():
             fault = faults.get(cache_key(request, 0)[0])
             if fault is not None:
-                return FAULTS[fault]
-        texts = [fixture.get(cache_key(request, i)) for i in range(config.n)]
+                return FAULTS[fault](texts[0])
         if None in texts:
             return 404, {"error": "not in the fixture cache"}
         return 200, {"choices": [{"text": text} for text in texts]}
@@ -1131,50 +1240,83 @@ def _cache_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+@pytest.fixture(scope="module")
+def reference_runs():
+    """The oracle's runs, by (early stop, faults): its results, calls and
+    cache lines."""
+    return {}
+
+
+def _reference_run(runs, problems, golden_config, early_stop, faults):
+    """The sequential oracle's run of the golden corpus against the fixture
+    endpoint, made once per early-stop setting and fault plan. Its fresh
+    session per attempt reads the prover script once."""
+    import sketchprove.prover.driver as driver
+
+    key = (early_stop, tuple(sorted((faults or {}).items())))
+    if key not in runs:
+        policy = dataclasses.replace(_golden_policy(golden_config), stop_on_first_success=early_stop)
+        calls = []
+        with contextlib.ExitStack() as stack:
+            path = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "reference.jsonl"
+            stack.enter_context(
+                mock.patch.object(driver, "load_script", functools.cache(driver.load_script))
+            )
+            components = _recording_golden_components(path, calls, faults=faults)
+            with contextlib.closing(components.client):
+                results = run_reference(
+                    problems, policy, components.pool, components.client,
+                    components.prompt_config, _open_golden_session, golden_config["seed"],
+                )
+            runs[key] = (results, calls, _cache_lines(path))
+    return runs[key]
+
+
+def _sketch_prompts_by_problem(calls, problems):
+    """How many sketch prompts each problem sent: a prompt ends with its
+    target's formal statement and the sketch cue."""
+    ends = {p.id: f"{p.formal_statement.rstrip()}\n\nFormal Proof Sketch:\n" for p in problems}
+    return {pid: sum(call.endswith(end) for call in calls) for pid, end in ends.items()}
+
+
 def _assert_fetching_ahead_records_what_a_sequential_run_records(
-    tmp_path, problems, golden_config, early_stop, jobs, max_in_flight, faults=None
+    tmp_path, problems, golden_config, reference_runs, early_stop, jobs, max_in_flight,
+    faults=None,
 ):
     # eight workers (more than the cores) share one client's pool and cache,
     # with frequent thread switches to expose a lost update; drafts and
-    # first sketch windows are started ahead on the same pool, so with one
+    # first sketch requests are started ahead on the same pool, so with one
     # request slot a pool task that waited on another would deadlock, and
-    # the join's timeout fails the test instead of hanging it. The
-    # sequential reference runs the problems one by one and keeps one
-    # sketch request started at a time.
+    # the join's timeout fails the test instead of hanging it. The reference
+    # is the sequential oracle (tests/oracle.py): no request ahead, no parse
+    # cache, a fresh prover session per attempt.
     policy = dataclasses.replace(_golden_policy(golden_config), stop_on_first_success=early_stop)
-    seed = golden_config["seed"]
-    runs = {}
+    runs = []
 
-    def record(name):
+    def record():
         calls = []
         components = _recording_golden_components(
-            tmp_path / f"{name}.jsonl", calls, max_in_flight, faults
+            tmp_path / "ahead.jsonl", calls, max_in_flight, faults
         )
         with contextlib.closing(components.client):
-            if name == "ahead":
-                results = run_experiment(problems, policy, components, jobs, seed)
-            else:
-                results = [run_problem(problem, policy, components, seed) for problem in problems]
-                components.sessions.close()
-        runs[name] = (_sans_wall_ms(results), calls, _cache_lines(tmp_path / f"{name}.jsonl"))
+            results = run_experiment(problems, policy, components, jobs, golden_config["seed"])
+        runs.append((_sans_wall_ms(results), calls, _cache_lines(tmp_path / "ahead.jsonl")))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for name in ("ahead", "sequential"):
-            with contextlib.ExitStack() as patches:
-                if name == "sequential":
-                    patches.enter_context(
-                        mock.patch.object(CompletionClient, "fetch_ahead", property(lambda client: 0))
-                    )
-                worker = threading.Thread(target=record, args=(name,), daemon=True)
-                worker.start()
-                worker.join(timeout=60)
-            assert not worker.is_alive() and name in runs
+        worker = threading.Thread(target=record, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and runs
     finally:
         sys.setswitchinterval(interval)
-    (ahead, ahead_calls, ahead_cache), (sequential, sequential_calls, sequential_cache) = runs.values()
+    [(ahead, ahead_calls, ahead_cache)] = runs
+    sequential, sequential_calls, sequential_cache = _reference_run(
+        reference_runs, problems, golden_config, early_stop, faults
+    )
     assert ahead == sequential
+    assert infra_failures(ahead) == infra_failures(sequential)
     # the cache holds exactly the completions the records used, in plan order
     # when one worker runs the plan
     by_key = lambda lines: sorted(lines, key=lambda line: line["key"])  # noqa: E731
@@ -1188,6 +1330,11 @@ def _assert_fetching_ahead_records_what_a_sequential_run_records(
     )
     if early_stop:
         assert set(ahead_calls) >= set(sequential_calls)
+        # each problem requests at most `max_in_flight` sketches the records
+        # do not use: `1 + max_in_flight` when its first attempt succeeds
+        used = _sketch_prompts_by_problem(sequential_calls, problems)
+        for pid, sent in _sketch_prompts_by_problem(ahead_calls, problems).items():
+            assert sent <= used[pid] + max_in_flight
     else:
         assert sorted(ahead_calls) == sorted(sequential_calls)
 
@@ -1196,10 +1343,10 @@ def _assert_fetching_ahead_records_what_a_sequential_run_records(
 @pytest.mark.parametrize("jobs", [1, 8])
 @pytest.mark.parametrize("early_stop", [False, True])
 def test_fetching_ahead_records_what_a_sequential_run_records(
-    tmp_path, problems, golden_config, early_stop, jobs, max_in_flight
+    tmp_path, problems, golden_config, reference_runs, early_stop, jobs, max_in_flight
 ):
     _assert_fetching_ahead_records_what_a_sequential_run_records(
-        tmp_path, problems, golden_config, early_stop, jobs, max_in_flight
+        tmp_path, problems, golden_config, reference_runs, early_stop, jobs, max_in_flight
     )
 
 
@@ -1211,12 +1358,30 @@ def test_fetching_ahead_records_what_a_sequential_run_records(
     faults=st.dictionaries(st.sampled_from("0123456789abcdef"), st.sampled_from(sorted(FAULTS)), max_size=6),
 )
 def test_fetching_ahead_records_what_a_sequential_run_records_when_sketch_requests_fail(
-    problems, golden_config, jobs, max_in_flight, early_stop, faults
+    problems, golden_config, reference_runs, jobs, max_in_flight, early_stop, faults
 ):
     with tempfile.TemporaryDirectory() as tmp:
         _assert_fetching_ahead_records_what_a_sequential_run_records(
-            Path(tmp), problems, golden_config, early_stop, jobs, max_in_flight, faults
+            Path(tmp), problems, golden_config, reference_runs, early_stop, jobs, max_in_flight,
+            faults,
         )
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_a_run_leaves_no_reference_cycle_to_collect(tmp_path, problems, golden_config, early_stop):
+    # a queue is freed when its problem ends, not at the next full garbage
+    # collection: a cycle through its draft future's done-callback held
+    # every queue of a run until then
+    policy = dataclasses.replace(_golden_policy(golden_config), stop_on_first_success=early_stop)
+    components = _recording_golden_components(tmp_path / "cache.jsonl", [])
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.closing(components.client):
+            run_experiment(problems, policy, components, 2, golden_config["seed"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_lost_session_reproves_without_requesting_the_sketch_again(tmp_path, problems, golden_config):
