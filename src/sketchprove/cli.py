@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 import typing
@@ -27,7 +26,7 @@ from pathlib import Path
 
 from . import harness
 from .errors import ConfigError, InfraError, decode_json, read_text
-from .llm import CacheMode, CompletionCache, CompletionClient, cache_mode_from_env
+from .llm import CacheMode, CompletionCache, CompletionClient
 from .prompting import PromptConfig, PromptMode, load_pool
 from .prover import (
     Closed,
@@ -146,7 +145,6 @@ def _prompt_config(config: CliConfig) -> PromptConfig:
     return PromptConfig(
         k_examples=config.k_examples,
         mode=PromptMode(config.mode),
-        rng_seed=config.seed,
         max_prompt_chars=config.max_prompt_chars,
     )
 
@@ -275,8 +273,8 @@ def cmd_run(config: CliConfig, args: argparse.Namespace) -> int:
         timings_ms={"total": elapsed_ms},
         infra_errors=failures,
     )
-    for split, solved, total, rate in harness.split_tally(results, problems):
-        print(f"{split.value}: {solved}/{total} solved ({harness.format_rate(rate)})")
+    for split, solved, total in harness.split_tally(results, problems):
+        print(f"{split.value}: {solved}/{total} solved ({harness.format_rate(solved, total)})")
     print(f"records: {records_path}")
     attempts = [a for r in results for a in r.attempts]
     infra = sum(a.failure_stage is harness.FailureStage.INFRA for a in attempts)
@@ -296,9 +294,10 @@ def cmd_eval(config: CliConfig, args: argparse.Namespace) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "table.csv"
-    harness.export_table_csv(results, problems, table_path)
-    for split, solved, total, rate in harness.split_tally(results, problems):
-        print(f"{split.value}: {solved}/{total} ({harness.format_rate(rate)})")
+    tally = harness.split_tally(results, problems)  # before the file opens, so a gap leaves no table
+    harness.export_table_csv(tally, table_path)
+    for split, solved, total in tally:
+        print(f"{split.value}: {solved}/{total} ({harness.format_rate(solved, total)})")
     print(f"table: {table_path}")
     return EXIT_OK
 
@@ -310,7 +309,7 @@ def cmd_curve(config: CliConfig, args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "curve.csv"
     harness.export_curve_csv(curve, curve_path)
-    print(f"curve: {curve_path} ({len(curve.points)} rows, final value {curve.points[-1]})")
+    print(f"curve: {curve_path} ({len(curve)} rows, final value {curve[-1]})")
     return EXIT_OK
 
 
@@ -388,8 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     flag_values = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
-    if args.cache_mode is None and "DSP_CACHE_MODE" in os.environ:
-        flag_values["cache_mode"] = cache_mode_from_env().value
     try:
         config = _load_config(args.config, flag_values)
         return args.func(config, args)

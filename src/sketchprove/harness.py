@@ -16,7 +16,6 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -239,71 +238,38 @@ def _parse_json_line(line: str, lineno: int, path: str) -> dict:
 # -- metrics ------------------------------------------------------------------
 
 
-def success_rate(
-    results: Sequence[ProblemResult], problems: Sequence[Problem], split: Split
-) -> Fraction:
-    """Solved fraction over one split, as an exact rational."""
-    ids = [p.id for p in problems if p.split is split]
-    by_id = {r.problem_id: r for r in results}
-    missing = tuple(i for i in ids if i not in by_id)
-    if missing:
-        raise MissingResults(missing)
-    if not ids:
-        return Fraction(0)
-    solved = sum(1 for i in ids if by_id[i].solved)
-    return Fraction(solved, len(ids))
-
-
 def split_tally(
     results: Sequence[ProblemResult], problems: Sequence[Problem]
-) -> list[tuple[Split, int, int, Fraction]]:
-    """(split, solved, total, exact rate) for each split, in Split order.
-    Raises MissingResults naming every problem that has no result."""
-    covered = {r.problem_id for r in results}
-    missing = tuple(p.id for p in problems if p.id not in covered)
+) -> list[tuple[Split, int, int]]:
+    """(split, solved, total) for each split, in Split order, counted in one
+    pass over the problems. Raises MissingResults naming every problem that
+    has no result, in dataset order."""
+    solved_by_id = {r.problem_id: r.solved for r in results}
+    counts = {split: [0, 0] for split in Split}
+    missing = []
+    for p in problems:
+        if p.id not in solved_by_id:
+            missing.append(p.id)
+            continue
+        counts[p.split][0] += solved_by_id[p.id]
+        counts[p.split][1] += 1
     if missing:
-        raise MissingResults(missing)
-    tally = []
-    for split in Split:
-        rate = success_rate(results, problems, split)
-        total = sum(1 for p in problems if p.split is split)
-        tally.append((split, int(rate * total), total, rate))
-    return tally
+        raise MissingResults(tuple(missing))
+    return [(split, solved, total) for split, (solved, total) in counts.items()]
 
 
-def format_rate(rate: Fraction) -> str:
-    """One-decimal percentage, e.g. Fraction(39, 100) -> '39.0%'."""
-    return f"{float(rate) * 100:.1f}%"
+def format_rate(solved: int, total: int) -> str:
+    """One-decimal percentage, e.g. (39, 100) -> '39.0%'; no problems is 0.0%."""
+    return f"{solved / total * 100 if total else 0.0:.1f}%"
 
 
-@dataclass(frozen=True)
-class Curve:
-    points: tuple[int, ...]  # points[k-1]: problems solved within first k attempts
-
-    def __post_init__(self) -> None:
-        if any(b < a for a, b in zip(self.points, self.points[1:])):
-            raise ValueError("cumulative curve must be non-decreasing")
-
-
-def cumulative_curve(
-    results: Sequence[ProblemResult],
-    max_attempts: int,
-    problems: Sequence[Problem] | None = None,
-    split: Split | None = None,
-) -> Curve:
-    """points[k-1] = problems whose first success lies within the first k
-    attempts. Combined over splits by default; pass `problems` and `split`
-    for a per-split curve."""
+def cumulative_curve(results: Sequence[ProblemResult], max_attempts: int) -> tuple[int, ...]:
+    """[k-1] = problems whose first success lies within the first k attempts,
+    over every split."""
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-    if split is not None:
-        if problems is None:
-            raise ValueError("per-split curves need the problem list")
-        wanted = {p.id for p in problems if p.split is split}
-        results = [r for r in results if r.problem_id in wanted]
     firsts = [r.first_success_index for r in results if r.first_success_index is not None]
-    points = tuple(sum(1 for f in firsts if f < k) for k in range(1, max_attempts + 1))
-    return Curve(points)
+    return tuple(sum(1 for f in firsts if f < k) for k in range(1, max_attempts + 1))
 
 
 def budget_grid(
@@ -403,24 +369,22 @@ def import_records(path: str | Path) -> list[ProblemResult]:
     return [ProblemResult(problem_id, tuple(attempts)) for problem_id, attempts in grouped.items()]
 
 
-def export_table_csv(
-    results: Sequence[ProblemResult], problems: Sequence[Problem], path: str | Path
-) -> None:
-    tally = split_tally(results, problems)  # before the file opens, so a gap leaves no table
+def export_table_csv(tally: Sequence[tuple[Split, int, int]], path: str | Path) -> None:
+    """The `split_tally` rows as a CSV table."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["split", "solved", "total", "fraction", "percent"])
-        for split, solved, total, rate in tally:
+        for split, solved, total in tally:
             writer.writerow(
-                [split.value, solved, total, f"{solved}/{total}", format_rate(rate)]
+                [split.value, solved, total, f"{solved}/{total}", format_rate(solved, total)]
             )
 
 
-def export_curve_csv(curve: Curve, path: str | Path) -> None:
+def export_curve_csv(points: Sequence[int], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["attempts", "problems_solved"])
-        for k, value in enumerate(curve.points, start=1):
+        for k, value in enumerate(points, start=1):
             writer.writerow([k, value])
 
 

@@ -31,8 +31,6 @@ from typing import Callable, Sequence
 
 from .errors import ConfigError, InfraError, decode_json, read_text
 
-CACHE_MODE_ENV = "DSP_CACHE_MODE"
-
 logger = logging.getLogger(__name__)
 
 
@@ -40,18 +38,6 @@ class CacheMode(str, Enum):
     LIVE = "live"
     RECORD = "record"
     REPLAY = "replay"
-
-
-def cache_mode_from_env(default: CacheMode = CacheMode.REPLAY) -> CacheMode:
-    raw = os.environ.get(CACHE_MODE_ENV)
-    if raw is None:
-        return default
-    try:
-        return CacheMode(raw.lower())
-    except ValueError:
-        raise ValueError(
-            f"{CACHE_MODE_ENV} must be one of live/record/replay, got {raw!r}"
-        ) from None
 
 
 class CompletionError(InfraError):
@@ -261,22 +247,13 @@ class CompletionClient:
         # threads start on the first submit, so a replay client has none
         self._pool = ThreadPoolExecutor(self.max_in_flight, thread_name_prefix="completion")
 
-    @property
-    def fetch_ahead(self) -> int:
-        """How many requests a caller that may stop early should keep
-        submitted ahead of the one it is collecting: `max_in_flight` when
-        they go to the endpoint, none in replay, which answers inline. A
-        caller that will collect every request may submit all of them, as
-        each is built only when a slot sends it, but if it gives up it drops
-        every answer it has not collected."""
-        return 0 if self.mode is CacheMode.REPLAY else self.max_in_flight
-
     def submit(self, build: Callable[[], CompletionRequest]) -> Future[Sent] | None:
         """Queue a request on the pool and return its future, for `collect`.
         The slot that takes it calls `build` and sends what it returns;
         an error `build` raises surfaces at `collect`. Replay has nothing to
         start: it returns None, and `collect` builds and looks the request
-        up, so a replayed request costs no future."""
+        up inline, so a caller may submit ahead in any mode, and a replayed
+        request costs no future and no prompt before it is collected."""
         if self.mode is CacheMode.REPLAY:
             return None
         return self._pool.submit(self._send, build)

@@ -9,16 +9,15 @@ caches, and scripts, independent of worker count.
 
 Each problem's endpoint requests go through one queue. When a worker takes
 a problem, the draft requests of the next `parallelism` problems start too,
-and each draft's completion starts that problem's first `1 + fetch_ahead`
+and each draft's completion starts that problem's first `1 + max_in_flight`
 sketch requests. The worker that reaches the problem collects its drafts,
 then each entry's completion in plan order (so record mode writes the cache
-in plan order), keeping the next `fetch_ahead` entries started under early
-stop, so a problem costs at most `1 + max_in_flight` sketch requests, or
-with no early stop, where every completion will be used, the whole rest of
-its plan. An endpoint slot builds each sketch prompt only when it sends
+in plan order), keeping the next `max_in_flight` entries started under
+early stop, so a problem costs at most `1 + max_in_flight` sketch requests,
+or with no early stop, where every completion will be used, the whole rest
+of its plan. An endpoint slot builds each sketch prompt only when it sends
 it. Closing the queue, after a success, an abort or an error, cancels the
-requests not yet started and drops the answers not collected. In replay
-nothing starts ahead: each request is built and answered inline.
+requests not yet started and drops the answers not collected.
 
 A sketch must state the problem's own theorem: one whose header differs
 from the parsed formal statement is refused before any prover work, since
@@ -298,7 +297,7 @@ class _ProblemQueue:
     started and handed to its worker in plan order. Both the draft's
     completion and the worker call `start`, which starts the entries up to
     `1 + ahead` past the one being handed over: the completion passes the
-    client's `fetch_ahead`, and so does the worker, unless no early stop
+    client's `max_in_flight`, and so does the worker, unless no early stop
     can waste a completion and it passes the whole plan. `close` cancels
     what was started and not handed over; nothing starts after it."""
 
@@ -329,7 +328,7 @@ class _ProblemQueue:
         def drafted(future: Future[Sent]) -> None:
             if not future.cancelled() and future.exception() is None:
                 drafts = dedup(future.result()[0].completions)
-                self.start(drafts, self._components.client.fetch_ahead)
+                self.start(drafts, self._components.client.max_in_flight)
 
         if self._draft_future is not None:
             self._draft_future.add_done_callback(drafted)
@@ -369,9 +368,7 @@ class _ProblemQueue:
             drafts = [problem.informal_proof]
         else:
             drafts = [""]
-        ahead = client.fetch_ahead
-        if ahead and not self._policy.stop_on_first_success:
-            ahead = len(self.entries)
+        ahead = client.max_in_flight if self._policy.stop_on_first_success else len(self.entries)
         for entry in self.entries:
             if entry[0] >= len(drafts):
                 yield entry, _attempt_record(problem.id, entry, FailureStage.DRAFT)

@@ -295,7 +295,7 @@ def test_curve_and_grid_correctness():
             for records in by_problem.values():
                 ordered = sorted(records, key=lambda r: (r.draft_index, r.sketch_index))
                 recount += any(r.success for r in ordered[:k])
-            assert curve.points[k - 1] == recount
+            assert curve[k - 1] == recount
 
         drafts, sketches = [1, 2, 3, 4, 5], [1, 2]
         grid = budget_grid(attempts, drafts, sketches, budget_cap=100)

@@ -409,17 +409,6 @@ def test_prove_command_closes_fixture_sketch(tmp_path):
     assert "by auto" in result.stdout
 
 
-def test_env_var_selects_cache_mode(tmp_path):
-    import os
-
-    env = dict(os.environ, DSP_CACHE_MODE="replay")
-    flags = golden_flags(tmp_path)
-    index = flags.index("--cache-mode")
-    del flags[index : index + 2]
-    result = run_cli(*flags, "run", env=env)
-    assert result.returncode == 0, result.stderr
-
-
 def test_live_mode_endpoint_failure_is_infra(tmp_path):
     flags = golden_flags(tmp_path)
     index = flags.index("--cache-mode")

@@ -3,13 +3,14 @@ import logging
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from sketchprove import harness
 from sketchprove.harness import (
     AttemptRecord,
     CoverageError,
-    Curve,
     DuplicateId,
     FailureStage,
     MissingResults,
@@ -28,7 +29,7 @@ from sketchprove.harness import (
     import_records,
     load_dataset,
     save_dataset,
-    success_rate,
+    split_tally,
     write_manifest,
 )
 from sketchprove.prompting import Category
@@ -142,33 +143,89 @@ def _mini_problems(n_valid, n_test):
     return problems
 
 
-def test_success_rate_zero_and_one():
+def test_split_tally_zero_and_all():
     problems = _mini_problems(10, 0)
     losing = [_result(p.id, [False]) for p in problems]
-    assert success_rate(losing, problems, Split.VALID) == Fraction(0)
+    assert split_tally(losing, problems) == [(Split.VALID, 0, 10), (Split.TEST, 0, 0)]
     winning = [_result(p.id, [True]) for p in problems]
-    assert success_rate(winning, problems, Split.VALID) == Fraction(1)
+    assert split_tally(winning, problems) == [(Split.VALID, 10, 10), (Split.TEST, 0, 0)]
 
 
-def test_success_rate_exact_fraction():
+def test_split_tally_exact_count():
     problems = _mini_problems(3, 0)
     results = [_result("v0", [True]), _result("v1", [False]), _result("v2", [False])]
-    rate = success_rate(results, problems, Split.VALID)
-    assert rate == Fraction(1, 3)
-    assert format_rate(rate) == "33.3%"
+    assert split_tally(results, problems) == [(Split.VALID, 1, 3), (Split.TEST, 0, 0)]
+    assert format_rate(1, 3) == "33.3%"
 
 
-def test_success_rate_missing_results():
+def test_split_tally_missing_results():
     problems = _mini_problems(2, 0)
     with pytest.raises(MissingResults) as exc:
-        success_rate([_result("v0", [True])], problems, Split.VALID)
+        split_tally([_result("v0", [True])], problems)
     assert exc.value.problem_ids == ("v1",)
 
 
 def test_golden_rates_match_hand_count(problems):
     results = import_records(FIXTURES / "golden" / "records.jsonl")
-    assert success_rate(results, problems, Split.VALID) == Fraction(8, 10)
-    assert success_rate(results, problems, Split.TEST) == Fraction(7, 10)
+    assert split_tally(results, problems) == [(Split.VALID, 8, 10), (Split.TEST, 7, 10)]
+
+
+def test_format_rate_is_the_exact_rate_rounded_to_one_decimal():
+    # every count of the paper's 244-problem split; `solved * 100 / total`
+    # would differ, e.g. at 23 of 80
+    for total in range(245):
+        for solved in range(total + 1):
+            exact = f"{float(Fraction(solved, total)) * 100:.1f}%" if total else "0.0%"
+            assert format_rate(solved, total) == exact, (solved, total)
+
+
+_OUTCOMES = [None, FailureStage.PROVE, FailureStage.DRAFT, FailureStage.NOT_RUN, FailureStage.INFRA]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=st.lists(
+        st.tuples(
+            st.sampled_from(Split),
+            st.booleans(),  # covered by a result
+            st.lists(st.sampled_from(_OUTCOMES), max_size=6),  # None is a success
+        ),
+        max_size=12,
+    ),
+    max_attempts=st.integers(1, 8),
+    order=st.randoms(use_true_random=False),
+)
+def test_tally_and_curve_match_a_brute_force_count(drawn, max_attempts, order):
+    problems, results = [], []
+    for i, (split, covered, outcomes) in enumerate(drawn):
+        pid = f"p{i}"
+        problems.append(Problem(pid, split, Category.UNKNOWN, "s", None, "t"))
+        if covered:
+            attempts = [
+                _attempt(pid, k // 2, k % 2, stage is None, stage) for k, stage in enumerate(outcomes)
+            ]
+            results.append(ProblemResult(pid, tuple(attempts)))
+    order.shuffle(results)
+    solved = {r.problem_id: any(a.success for a in r.attempts) for r in results}
+
+    missing = tuple(p.id for p in problems if p.id not in solved)
+    if missing:
+        with pytest.raises(MissingResults) as exc:
+            split_tally(results, problems)
+        assert exc.value.problem_ids == missing
+    else:
+        assert split_tally(results, problems) == [
+            (
+                split,
+                sum(solved[p.id] for p in problems if p.split is split),
+                sum(p.split is split for p in problems),
+            )
+            for split in Split
+        ]
+    assert cumulative_curve(results, max_attempts) == tuple(
+        sum(any(a.success for a in r.attempts[:k]) for r in results)
+        for k in range(1, max_attempts + 1)
+    )
 
 
 # -- curves --------------------------------------------------------------------
@@ -176,19 +233,19 @@ def test_golden_rates_match_hand_count(problems):
 
 def test_curve_immediate_success():
     results = [_result("p", [True, False, False, False, False])]
-    assert cumulative_curve(results, 5).points == (1, 1, 1, 1, 1)
+    assert cumulative_curve(results, 5) == (1, 1, 1, 1, 1)
 
 
 def test_curve_no_successes():
     results = [_result("p", [False] * 5)]
-    assert cumulative_curve(results, 5).points == (0, 0, 0, 0, 0)
+    assert cumulative_curve(results, 5) == (0, 0, 0, 0, 0)
 
 
 def test_curve_bounded_and_monotone(problems):
     results = import_records(FIXTURES / "golden" / "records.jsonl")
     curve = cumulative_curve(results, 10)
-    assert all(b >= a for a, b in zip(curve.points, curve.points[1:]))
-    assert curve.points[-1] <= len(problems)
+    assert all(b >= a for a, b in zip(curve, curve[1:]))
+    assert curve[-1] <= len(problems)
 
 
 def test_curve_matches_brute_force_recount():
@@ -203,20 +260,24 @@ def test_curve_matches_brute_force_recount():
         for records in by_problem.values():
             ordered = sorted(records, key=lambda r: (r.draft_index, r.sketch_index))
             solved += any(r.success for r in ordered[:k])
-        assert curve.points[k - 1] == solved
+        assert curve[k - 1] == solved
 
 
-def test_per_split_curve(problems):
+def test_curves_of_each_splits_results_sum_to_the_combined_curve(problems):
     results = import_records(FIXTURES / "golden" / "records.jsonl")
-    valid = cumulative_curve(results, 10, problems, Split.VALID)
-    test = cumulative_curve(results, 10, problems, Split.TEST)
+    split_of = {p.id: p.split for p in problems}
+    valid, test = (
+        cumulative_curve([r for r in results if split_of[r.problem_id] is split], 10)
+        for split in Split
+    )
     combined = cumulative_curve(results, 10)
-    assert [v + t for v, t in zip(valid.points, test.points)] == list(combined.points)
+    assert [v + t for v, t in zip(valid, test)] == list(combined)
+    assert (valid[-1], test[-1]) == (8, 7)  # the whole plan: each split's solved count
 
 
-def test_curve_type_rejects_decreasing():
-    with pytest.raises(ValueError):
-        Curve((3, 2, 1))
+def test_curve_needs_an_attempt():
+    with pytest.raises(ValueError, match="max_attempts must be at least 1, got 0"):
+        cumulative_curve([], 0)
 
 
 # -- budget grid ------------------------------------------------------------------
@@ -325,7 +386,7 @@ def test_records_export_is_byte_stable(tmp_path):
 
 def test_curve_csv_row_count(tmp_path):
     path = tmp_path / "curve.csv"
-    export_curve_csv(Curve((1, 2, 2)), path)
+    export_curve_csv((1, 2, 2), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "attempts,problems_solved"
     assert len(lines) == 4
@@ -334,7 +395,7 @@ def test_curve_csv_row_count(tmp_path):
 def test_table_csv(tmp_path, problems):
     results = import_records(FIXTURES / "golden" / "records.jsonl")
     path = tmp_path / "table.csv"
-    export_table_csv(results, problems, path)
+    export_table_csv(split_tally(results, problems), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "split,solved,total,fraction,percent"
     assert lines[1] == "valid,8,10,8/10,80.0%"

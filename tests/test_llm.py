@@ -416,7 +416,8 @@ def test_replay_answers_inline_and_starts_no_thread(tmp_path):
     before = set(threading.enumerate())
     client = CompletionClient(mode=CacheMode.REPLAY, cache=CompletionCache(tmp_path / "c.jsonl"))
     request = CompletionRequest("never seen", SamplingConfig(temperature=0.6))
-    assert client.submit(lambda: request) is None and client.fetch_ahead == 0
+    built = []
+    assert client.submit(lambda: built.append(request) or request) is None and not built
     with pytest.raises(CacheMiss):
         client.collect(lambda: request, None)
     assert set(threading.enumerate()) == before

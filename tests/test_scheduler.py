@@ -548,7 +548,7 @@ def test_endpoint_error_on_a_sketch_fetched_ahead_fails_that_attempt_only(tmp_pa
         tmp_path, lambda i: (403, {"error": "refused"}) if i == 2 else BAD_SKETCH
     )
     policy = BudgetPolicy(drafts_per_problem=4, sketches_per_draft=1, stop_on_first_success=False)
-    assert components.client.fetch_ahead >= 2  # attempt 2 is requested while attempt 0 is proved
+    assert components.client.max_in_flight >= 2  # attempt 2 is requested while attempt 0 is proved
     with contextlib.closing(components.client):
         result = run_problem(_problem(), policy, components)
     assert result.infra_error is None
@@ -1029,6 +1029,24 @@ def test_golden_replay_parses_each_distinct_sketch_once_per_problem(problems, go
     run_experiment(problems, _golden_policy(golden_config), _golden_components(), jobs, golden_config["seed"])
     statements = {p.formal_statement for p in problems}
     assert len([text for text in parsed if text not in statements]) <= 29
+
+
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_an_early_stop_golden_replay_builds_one_sketch_prompt_per_sketch_attempt_it_records(
+    problems, golden_config, monkeypatch, jobs
+):
+    # replay builds a prompt when its entry is collected, so the entries
+    # started ahead of a success build none
+    built = _counting(monkeypatch, "build_sketch_prompt", 1)
+    policy = dataclasses.replace(_golden_policy(golden_config), stop_on_first_success=True)
+    results = run_experiment(problems, policy, _golden_components(), jobs, golden_config["seed"])
+    attempts = [a for r in results for a in r.attempts]
+    sketched = [
+        a.problem_id for a in attempts
+        if a.failure_stage not in (FailureStage.DRAFT, FailureStage.NOT_RUN)
+    ]
+    assert any(a.failure_stage is FailureStage.NOT_RUN for a in attempts)
+    assert sorted(problem.id for problem in built) == sorted(sketched)
 
 
 @pytest.mark.parametrize("jobs", [1, 8])
