@@ -291,10 +291,10 @@ def cmd_run(config: CliConfig, args: argparse.Namespace) -> int:
 def cmd_eval(config: CliConfig, args: argparse.Namespace) -> int:
     problems = harness.load_dataset(config.dataset_path)
     results = harness.import_records(args.records)
+    tally = harness.split_tally(results, problems)  # first: a gap leaves no directory, no table
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "table.csv"
-    tally = harness.split_tally(results, problems)  # before the file opens, so a gap leaves no table
     harness.export_table_csv(tally, table_path)
     for split, solved, total in tally:
         print(f"{split.value}: {solved}/{total} ({harness.format_rate(solved, total)})")

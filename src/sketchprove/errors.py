@@ -37,9 +37,9 @@ def read_text(path: str | Path, what: str, error: Callable[[str], Exception]) ->
 
 def decode_json(data: str | bytes, error: Callable[[str], Exception]) -> object:
     """The JSON value in `data`, or `error("not valid JSON: <why>")` raised when
-    it is not JSON (or, as bytes, not UTF-8) or nests too deep to decode."""
+    it is not JSON (or, as bytes, not UTF-8, surrogates too) or nests too deep."""
     try:
-        return json.loads(data)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except RecursionError:
         why = "nested too deep"
     except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on bytes

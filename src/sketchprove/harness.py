@@ -16,6 +16,7 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -320,13 +321,24 @@ _RECORD_TYPES = {
 }
 
 
+# a record's line: the fields in sorted order, as `json.dumps(...,
+# sort_keys=True, ensure_ascii=True)` writes them
+_RECORD_LINE = (
+    '{"draft_index": %d, "failure_stage": %s, "gaps_closed": %d, "gaps_total": %d, '
+    '"parse_ok": %s, "problem_id": %s, "prompt_seed": %d, '
+    f'"schema_version": "{RECORDS_SCHEMA}", '
+    '"sketch_index": %d, "success": %s, "wall_ms": %d}'
+)
+
+
 def record_to_json(record: AttemptRecord) -> str:
-    payload = {name: getattr(record, name) for name in _RECORD_TYPES}
-    payload["failure_stage"] = (
-        record.failure_stage.value if record.failure_stage is not None else None
+    stage = record.failure_stage
+    return _RECORD_LINE % (
+        record.draft_index, "null" if stage is None else f'"{stage.value}"',
+        record.gaps_closed, record.gaps_total, "true" if record.parse_ok else "false",
+        encode_basestring_ascii(record.problem_id), record.prompt_seed, record.sketch_index,
+        "true" if record.success else "false", record.wall_ms,
     )
-    payload["schema_version"] = RECORDS_SCHEMA
-    return json.dumps(payload, sort_keys=True, ensure_ascii=True)
 
 
 def export_records(results: Sequence[ProblemResult], path: str | Path) -> None:

@@ -4,6 +4,11 @@ Any endpoint speaking the common completion shape (POST {prompt, max_tokens,
 temperature, top_p, n, stop} -> {choices: [{text}]}) can back the pipeline.
 Every completion is cached under a content key of (endpoint, prompt, config,
 sample index), so a recorded run can be replayed offline byte-for-byte.
+Every cache file depends on the key's definition: the hex SHA-256 of
+`json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))`,
+where payload is the endpoint body plus `endpoint_id` and `sample_index`.
+Its text around the prompt and the sample index is made once per config,
+and the prompt is escaped and hashed once per request, for all n samples.
 
 A request is submitted as a builder and later collected: `submit` queues it
 on a pool of `max_in_flight` endpoint slots, and the slot that takes it
@@ -17,6 +22,7 @@ still written in the order it collects them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -26,6 +32,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -89,14 +96,27 @@ class SamplingConfig:
             # n identical greedy samples would silently burn budget
             raise ValueError("greedy decoding requires n = 1")
 
+    @functools.cached_property
+    def _key_frame(self) -> tuple[str, str]:
+        """The canonical key JSON between the endpoint id and the prompt, and
+        after the sample index (see the module docstring)."""
+        dump = functools.partial(json.dumps, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+        head = dump({"max_tokens": self.max_tokens, "n": self.n})
+        tail = dump({
+            "stop": list(self.stop_sequences), "temperature": self.temperature, "top_p": self.top_p,
+        })
+        return f',{head[1:-1]},"prompt":', f",{tail[1:]}"
+
 
 def draft_preset(n: int = 1, max_tokens: int = 1024) -> SamplingConfig:
     """Nucleus sampling settings for informal proof drafts."""
     return SamplingConfig(temperature=0.6, top_p=0.95, max_tokens=max_tokens, n=n)
 
 
+@functools.cache
 def sketch_preset() -> SamplingConfig:
-    """Greedy decoding settings for formal sketch generation."""
+    """Greedy decoding settings for formal sketch generation, one shared
+    config (so its key frame is made once)."""
     return SamplingConfig(temperature=0.0, top_p=1.0, max_tokens=2048, n=1)
 
 
@@ -118,24 +138,24 @@ class CompletionResponse:
 Sent = tuple[CompletionResponse, tuple[str, ...]]
 
 
-def _sampling_payload(request: CompletionRequest) -> dict:
-    """The body an endpoint is sent for a request."""
-    return {
-        "prompt": request.prompt,
-        "max_tokens": request.config.max_tokens,
-        "temperature": request.config.temperature,
-        "top_p": request.config.top_p,
-        "n": request.config.n,
-        "stop": list(request.config.stop_sequences),
-    }
+def cache_keys(request: CompletionRequest, sample_indices: Sequence[int]) -> tuple[str, ...]:
+    """The cache key of each of a request's sample indices: its canonical
+    JSON is escaped and hashed up to the sample index once."""
+    head, tail = request.config._key_frame
+    prefix = hashlib.sha256(
+        f'{{"endpoint_id":{encode_basestring_ascii(request.endpoint_id)}{head}'
+        f'{encode_basestring_ascii(request.prompt)},"sample_index":'.encode("ascii")
+    )
+    keys = []
+    for i in sample_indices:
+        digest = prefix.copy()
+        digest.update(f"{i}{tail}".encode("ascii"))
+        keys.append(digest.hexdigest())
+    return tuple(keys)
 
 
 def cache_key(request: CompletionRequest, sample_index: int) -> str:
-    payload = _sampling_payload(request) | {
-        "endpoint_id": request.endpoint_id, "sample_index": sample_index,
-    }
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return cache_keys(request, (sample_index,))[0]
 
 
 class CompletionCache:
@@ -283,8 +303,7 @@ class CompletionClient:
     def _replay(self, request: CompletionRequest) -> CompletionResponse:
         assert self.cache is not None
         completions = []
-        for i in range(request.config.n):
-            key = cache_key(request, i)
+        for key in cache_keys(request, range(request.config.n)):
             text = self.cache.get(key)
             if text is None:
                 raise CacheMiss(key)
@@ -297,7 +316,12 @@ class CompletionClient:
         it comes after the send, which keeps requests reaching the endpoint
         in the order they were queued."""
         request = build()
-        payload = _sampling_payload(request)
+        config = request.config
+        payload = {  # the endpoint's body
+            "prompt": request.prompt, "max_tokens": config.max_tokens,
+            "temperature": config.temperature, "top_p": config.top_p, "n": config.n,
+            "stop": list(config.stop_sequences),
+        }
         headers = {"Content-Type": "application/json"}
         if self.auth_env:
             token = os.environ.get(self.auth_env)
@@ -323,13 +347,11 @@ class CompletionClient:
                 continue
             if status != 200:
                 raise EndpointError(status, json.dumps(body))
-            completions = _completions(body)[: request.config.n]
+            completions = _completions(body)[: config.n]
             if not completions:
                 raise EndpointError(status, f"malformed reply: {json.dumps(body)}")
             latency_ms = int((time.monotonic() - started) * 1000)
-            keys = ()
-            if self.mode is CacheMode.RECORD:
-                keys = tuple(cache_key(request, i) for i in range(request.config.n))
+            keys = cache_keys(request, range(config.n)) if self.mode is CacheMode.RECORD else ()
             return CompletionResponse(completions, latency_ms), keys
         assert last_error is not None
         raise last_error

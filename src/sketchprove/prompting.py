@@ -9,7 +9,8 @@ examples.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -70,17 +71,39 @@ class ExampleQuad:
 
 @dataclass(frozen=True)
 class ExamplePool:
+    """The worked examples, with the tables requests read: each category's
+    examples, and each example's block per mode once a request shows it."""
+
     quads: tuple[ExampleQuad, ...]
+    _blocks: dict[PromptMode, dict[str, str]] = field(
+        init=False, repr=False, compare=False, default_factory=lambda: {m: {} for m in PromptMode}
+    )
+    _lock: threading.Lock = field(init=False, repr=False, compare=False, default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
         ids = [q.id for q in self.quads]
         if len(ids) != len(set(ids)):
             raise PoolFormatError("duplicate example ids in pool")
+        object.__setattr__(self, "_ids", frozenset(ids))
+        object.__setattr__(self, "_by_category", {
+            c: tuple(q for q in self.quads if c is Category.UNKNOWN or q.category is c)
+            for c in Category
+        })
 
     def of_category(self, category: Category) -> tuple[ExampleQuad, ...]:
-        if category is Category.UNKNOWN:
-            return self.quads
-        return tuple(q for q in self.quads if q.category is category)
+        return self._by_category[category]
+
+    def blocks(self, quads: Sequence[ExampleQuad], mode: PromptMode) -> list[str]:
+        """The block each of this pool's `quads` shows in `mode`: rewritten
+        by `apply_mode` and rendered once per pool. An example that
+        `apply_mode` refuses raises on every request that shows it."""
+        table = self._blocks[mode]
+        for quad in quads:
+            if quad.id not in table:
+                with self._lock:
+                    if quad.id not in table:
+                        table[quad.id] = _example_block(apply_mode(quad, mode), mode)
+        return [table[quad.id] for quad in quads]
 
 
 @dataclass(frozen=True)
@@ -184,7 +207,9 @@ def select_examples(
 ) -> list[ExampleQuad]:
     """Sample k distinct examples uniformly without replacement from the
     category-restricted pool, never including the problem being solved."""
-    eligible = [q for q in pool.of_category(category) if q.id != problem_id]
+    eligible = pool.of_category(category)
+    if problem_id in pool._ids:
+        eligible = [q for q in eligible if q.id != problem_id]
     if len(eligible) < config.k_examples:
         raise PoolTooSmall(config.k_examples, len(eligible))
     return rng.sample(eligible, config.k_examples)
@@ -231,15 +256,16 @@ def _example_block(quad: ExampleQuad, mode: PromptMode) -> str:
 
 
 def build_sketch_prompt(
-    examples: Sequence[ExampleQuad],
+    examples: Sequence[ExampleQuad | str],
     problem: HasProblemFields,
     draft: str,
     config: PromptConfig,
 ) -> str:
     """Assemble the sketching prompt: example blocks, then the target
     problem up to the point where the model must continue with the sketch.
-    Whole examples are dropped from the front if a character budget is set
-    and exceeded."""
+    An example is a quad, shown as it is, or its block already rendered for
+    the mode (`ExamplePool.blocks`). Whole examples are dropped from the
+    front if a character budget is set and exceeded."""
     if not examples:
         raise ValueError("at least one example is required")
     mode = config.mode
@@ -251,7 +277,7 @@ def build_sketch_prompt(
     target_parts.append(_sketch_section(mode))
     target = "\n\n".join(target_parts)
 
-    blocks = [_example_block(q, mode) for q in examples]
+    blocks = [q if isinstance(q, str) else _example_block(q, mode) for q in examples]
     while True:
         prompt = "\n\n".join(blocks + [target]) + "\n"
         if config.max_prompt_chars is None or len(prompt) <= config.max_prompt_chars:

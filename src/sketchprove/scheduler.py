@@ -69,7 +69,6 @@ from .prompting import (
     PoolTooSmall,
     PromptConfig,
     PromptMode,
-    apply_mode,
     build_draft_prompt,
     build_sketch_prompt,
     infer_category,
@@ -256,14 +255,13 @@ def sketch_request(
     pool: ExamplePool, problem: Problem, draft: str, config: PromptConfig, seed: int, endpoint_id: str
 ) -> CompletionRequest:
     """The sketching request for one draft. Its prompt holds k examples drawn
-    with the plan entry's seed, rewritten for the ablation mode, then the
-    target problem. Raises PoolTooSmall or MissingFullProof when the pool
-    cannot supply them."""
+    with the plan entry's seed, in the blocks the pool renders for the
+    ablation mode, then the target problem. Raises PoolTooSmall or
+    MissingFullProof when the pool cannot supply them."""
     examples = select_examples(
         pool, problem.id, infer_category(problem.id), config, random.Random(seed)
     )
-    shown = [apply_mode(quad, config.mode) for quad in examples]
-    prompt = build_sketch_prompt(shown, problem, draft, config)
+    prompt = build_sketch_prompt(pool.blocks(examples, config.mode), problem, draft, config)
     return CompletionRequest(prompt=prompt, config=sketch_preset(), endpoint_id=endpoint_id)
 
 
@@ -295,11 +293,12 @@ class _ProblemQueue:
     """One problem's endpoint requests: its draft request (none when its
     drafts need no endpoint), then its plan entries' sketch requests,
     started and handed to its worker in plan order. Both the draft's
-    completion and the worker call `start`, which starts the entries up to
-    `1 + ahead` past the one being handed over: the completion passes the
-    client's `max_in_flight`, and so does the worker, unless no early stop
-    can waste a completion and it passes the whole plan. `close` cancels
-    what was started and not handed over; nothing starts after it."""
+    completion and the worker call `start` with the plan index to start up
+    to: the completion `1 + max_in_flight`, and the worker `1 + ahead` past
+    the entry it hands over, where `ahead` is the client's `max_in_flight`
+    unless no early stop can waste a completion and it is the whole plan.
+    `close` cancels what was started and not handed over; nothing starts
+    after it."""
 
     def __init__(
         self, problem: Problem, policy: BudgetPolicy, components: PipelineComponents,
@@ -323,25 +322,25 @@ class _ProblemQueue:
 
     def start_on_draft(self) -> None:
         """Start the first entries once the draft request has completed,
-        unless it failed or was cancelled."""
+        unless it failed or was cancelled: entries 0 to `max_in_flight`, as
+        the worker may have taken some before the future runs its callbacks."""
 
         def drafted(future: Future[Sent]) -> None:
             if not future.cancelled() and future.exception() is None:
                 drafts = dedup(future.result()[0].completions)
-                self.start(drafts, self._components.client.max_in_flight)
+                self.start(drafts, 1 + self._components.client.max_in_flight)
 
         if self._draft_future is not None:
             self._draft_future.add_done_callback(drafted)
 
-    def start(self, drafts: list[str], ahead: int) -> None:
-        """Start the next entries, in plan order, up to `1 + ahead` past
-        the one being handed over. Entries are draft-major, so those with
-        no such draft are the plan's tail and never start."""
+    def start(self, drafts: list[str], end: int) -> None:
+        """Start the entries before plan index `end` not started yet, in
+        plan order. Entries are draft-major, so those with no such draft are
+        the plan's tail and never start."""
         components = self._components
         with self._lock:
-            limit = self._next - len(self._started) + 1 + ahead
             while (
-                not self._closed and self._next < min(limit, len(self.entries))
+                not self._closed and self._next < min(end, len(self.entries))
                 and self.entries[self._next][0] < len(drafts)
             ):
                 entry = self.entries[self._next]
@@ -369,11 +368,11 @@ class _ProblemQueue:
         else:
             drafts = [""]
         ahead = client.max_in_flight if self._policy.stop_on_first_success else len(self.entries)
-        for entry in self.entries:
+        for index, entry in enumerate(self.entries):
             if entry[0] >= len(drafts):
                 yield entry, _attempt_record(problem.id, entry, FailureStage.DRAFT)
                 continue
-            self.start(drafts, ahead)
+            self.start(drafts, index + 1 + ahead)
             with self._lock:
                 build, future = self._started.popleft()
             try:

@@ -82,6 +82,21 @@ def test_eval_on_a_stream_missing_problems_is_a_config_error(tmp_path, problems)
     assert not (tmp_path / "table.csv").exists()
 
 
+def test_eval_that_refuses_its_records_leaves_no_output_directory(tmp_path):
+    golden = (FIXTURES / "golden" / "records.jsonl").read_text().splitlines()
+    stream = tmp_path / "partial.jsonl"
+    stream.write_text("\n".join(line for line in golden if '"algebra_g01"' not in line) + "\n")
+    out = tmp_path / "out"
+    result = run_cli(
+        "--dataset", str(FIXTURES / "datasets" / "mini.jsonl"),
+        "--out", str(out),
+        "eval", "--records", str(stream),
+    )
+    assert result.returncode == 2
+    assert result.stderr.strip().endswith("error[config]: no results for problems: algebra_g01")
+    assert not out.exists()
+
+
 def test_curve_row_count(tmp_path):
     result = run_cli(
         "--out", str(tmp_path),

@@ -28,6 +28,7 @@ from sketchprove.harness import (
     import_attempts,
     import_records,
     load_dataset,
+    record_to_json,
     save_dataset,
     split_tally,
     write_manifest,
@@ -382,6 +383,56 @@ def test_records_export_is_byte_stable(tmp_path):
     out = tmp_path / "again.jsonl"
     export_records(results, out)
     assert out.read_bytes() == (FIXTURES / "golden" / "records.jsonl").read_bytes()
+
+
+def _dumped_record(record):
+    """A record's line as one `json.dumps` of its fields writes it: the
+    oracle for the line template."""
+    payload = {
+        "problem_id": record.problem_id, "draft_index": record.draft_index,
+        "sketch_index": record.sketch_index, "parse_ok": record.parse_ok,
+        "gaps_total": record.gaps_total, "gaps_closed": record.gaps_closed,
+        "success": record.success,
+        "failure_stage": None if record.failure_stage is None else record.failure_stage.value,
+        "wall_ms": record.wall_ms, "prompt_seed": record.prompt_seed,
+        "schema_version": "attempts/1",
+    }
+    return json.dumps(payload, sort_keys=True, ensure_ascii=True)
+
+
+@st.composite
+def _any_record(draw):
+    stage = draw(st.sampled_from([None, *FailureStage]))
+    gaps_total = draw(st.integers())
+    return AttemptRecord(
+        # all of Unicode, lone surrogates, quotes and control characters included
+        problem_id=draw(st.text(st.one_of(
+            st.characters(exclude_categories=()),
+            st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+            st.sampled_from('"\\\x00\x1f\x7f\u2028'),
+        ))),
+        draft_index=draw(st.integers()),
+        sketch_index=draw(st.integers()),
+        parse_ok=stage is None or draw(st.booleans()),
+        gaps_total=gaps_total,
+        gaps_closed=gaps_total if stage is None else gaps_total - draw(st.integers(0)),
+        success=stage is None,
+        failure_stage=stage,
+        wall_ms=draw(st.integers()),
+        prompt_seed=draw(st.one_of(st.integers(0, 2**64 - 1), st.integers())),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(record=_any_record())
+def test_a_record_line_is_the_json_dump_of_its_fields(record):
+    assert record_to_json(record) == _dumped_record(record)
+
+
+def test_every_stage_has_its_record_line():
+    for stage in [None, *FailureStage]:
+        record = _attempt("p\u00e9", -1, 10**30, stage is None, stage)
+        assert record_to_json(record) == _dumped_record(record)
 
 
 def test_curve_csv_row_count(tmp_path):

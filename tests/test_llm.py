@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import http.server
 import json
 import threading
@@ -7,6 +8,8 @@ import weakref
 from concurrent.futures import wait
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchprove.errors import ConfigError
 from sketchprove.llm import (
@@ -19,6 +22,7 @@ from sketchprove.llm import (
     SamplingConfig,
     Timeout,
     cache_key,
+    cache_keys,
     dedup,
     draft_preset,
     sketch_preset,
@@ -72,6 +76,60 @@ def test_cache_key_is_pinned():
     request = CompletionRequest("prove 1 + 1 = 2", config, "ep")
     assert cache_key(request, 2) == (
         "1aef4815e6de63d4715a69019fb1a701a584200ef526c8319adb88d0b1daf313"
+    )
+
+
+def _canonical_key(request, sample_index):
+    """The key's definition (see the module docstring), one `json.dumps` of
+    the whole payload per sample: the oracle for the frame-built keys."""
+    config = request.config
+    payload = {
+        "prompt": request.prompt, "max_tokens": config.max_tokens,
+        "temperature": config.temperature, "top_p": config.top_p, "n": config.n,
+        "stop": list(config.stop_sequences),
+        "endpoint_id": request.endpoint_id, "sample_index": sample_index,
+    }
+    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# all of Unicode, lone surrogates included, with JSON's escaped characters drawn often
+_ANY_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\n\t\b\f\r'),
+))
+_FLOATS = st.one_of(
+    st.sampled_from([0.1, 1e-7, 0.0, 1.0, 0.95, 1e-300, 5e-324, 1e22, 123456789.123]),
+    st.floats(min_value=0, allow_nan=False), st.integers(0, 3),
+)
+
+
+@st.composite
+def _requests(draw):
+    temperature = draw(_FLOATS)
+    config = SamplingConfig(
+        temperature=temperature,
+        top_p=draw(st.one_of(st.floats(min_value=0, max_value=1, exclude_min=True), st.just(1))),
+        max_tokens=draw(st.integers(1, 2**70)),
+        n=1 if temperature == 0 else draw(st.integers(1, 6)),
+        stop_sequences=tuple(draw(st.lists(_ANY_TEXT, max_size=3))),
+    )
+    return CompletionRequest(draw(_ANY_TEXT), config, draw(_ANY_TEXT))
+
+
+@settings(max_examples=400, deadline=None)
+@given(request=_requests(), sample_index=st.integers())
+@example(
+    request=CompletionRequest(
+        "\ud800\"\\\x00é", SamplingConfig(1e-7, top_p=0.1, stop_sequences=("ß", "\udfff")), "ép"
+    ),
+    sample_index=0,
+)
+def test_cache_keys_equal_one_canonical_dump_per_sample(request, sample_index):
+    assert cache_key(request, sample_index) == _canonical_key(request, sample_index)
+    assert cache_keys(request, range(request.config.n)) == tuple(
+        _canonical_key(request, i) for i in range(request.config.n)
     )
 
 

@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from sketchprove.harness import Problem, Split
 from sketchprove.prompting import (
     Category,
+    ExamplePool,
     ExampleQuad,
     MissingFullProof,
     PoolFormatError,
@@ -20,6 +25,7 @@ from sketchprove.prompting import (
     load_pool,
     select_examples,
 )
+from sketchprove.scheduler import sketch_request
 from sketchprove.sketch import count_comments, count_gaps, parse_sketch
 
 
@@ -247,6 +253,58 @@ def test_full_proof_mode_uses_complete_proof_header(pool):
     assert prompt.count("Formal Proof:") == 4
     assert "Formal Proof Sketch:" not in prompt
     assert "sledgehammer" not in prompt
+
+
+def _rebuilt_prompt(quads, problem, draft, config, seed):
+    """A sketch prompt as it was built before the pool kept tables: the
+    eligible examples filtered and every shown example rewritten and
+    rendered per request. The oracle for `sketch_request`."""
+    category = infer_category(problem.id)
+    eligible = [
+        q for q in quads
+        if (category is Category.UNKNOWN or q.category is category) and q.id != problem.id
+    ]
+    if len(eligible) < config.k_examples:
+        raise PoolTooSmall(config.k_examples, len(eligible))
+    examples = random.Random(seed).sample(eligible, config.k_examples)
+    return build_sketch_prompt([apply_mode(q, config.mode) for q in examples], problem, draft, config)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (PoolTooSmall, MissingFullProof) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(PromptMode),
+    seed=st.integers(0, 2**64 - 1),
+    k=st.integers(1, 11),
+    budget=st.one_of(st.none(), st.integers(0, 6000)),
+    target=st.integers(-20, 19),  # a golden problem, or (negative) a pool example itself
+    lacking=st.sets(st.integers(0, 19), max_size=4),  # examples without a full proof
+)
+def test_a_sketch_request_shows_the_examples_a_per_request_rewrite_shows(
+    problems, pool, mode, seed, k, budget, target, lacking
+):
+    quads = tuple(
+        dataclasses.replace(q, full_proof=None) if i in lacking else q for i, q in enumerate(pool.quads)
+    )
+    fresh = ExamplePool(quads)  # its tables start empty
+    if target >= 0:
+        problem = problems[target]
+    else:
+        quad = quads[target]
+        problem = Problem(
+            quad.id, Split.VALID, quad.category, quad.informal_statement, None, quad.formal_statement
+        )
+    config = PromptConfig(k_examples=k, mode=mode, max_prompt_chars=budget)
+    expected = _outcome(lambda: _rebuilt_prompt(quads, problem, "a draft", config, seed))
+    for _ in range(2):  # the first request fills the pool's tables, the second reads them
+        got = _outcome(lambda: sketch_request(fresh, problem, "a draft", config, seed, "ep").prompt)
+        assert got == expected
 
 
 def test_draft_prompt_zero_shot():

@@ -42,6 +42,7 @@ def test_read_text_returns_the_text_or_names_the_file(tmp_path):
 @pytest.mark.parametrize("data, why", [
     ("not json", "Expecting value"),
     (b'{"a": "\xff"}', "'utf-8' codec can't decode"),
+    (b'["\xed\xa0\x80"]', "'utf-8' codec can't decode"),  # an encoded lone surrogate
     (DEEP, "nested too deep"),
     (DEEP.encode(), "nested too deep"),
     ("1" * 5000, "integer string conversion"),

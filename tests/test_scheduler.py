@@ -3,11 +3,14 @@ import dataclasses
 import functools
 import gc
 import json
+import random
 import shlex
 import sys
 import tempfile
 import threading
 import time
+from collections import Counter
+from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
@@ -34,7 +37,11 @@ from sketchprove.prompting import (
     MissingFullProof,
     PromptConfig,
     PromptMode,
+    apply_mode,
+    build_sketch_prompt,
+    infer_category,
     load_pool,
+    select_examples,
 )
 from sketchprove.prover import (
     DEFAULT_TACTICS,
@@ -543,6 +550,51 @@ def test_early_stop_bounds_the_sketches_fetched_ahead(tmp_path, max_in_flight):
     assert len(CompletionCache(tmp_path / "cache.jsonl")) == 5 + 1
 
 
+class _LateCallbacks(Future):
+    """A future that keeps its done-callbacks until they are run by hand: a
+    completed future wakes the thread waiting on it before it runs them."""
+
+    def __init__(self):
+        super().__init__()
+        self.callbacks = []
+
+    def add_done_callback(self, fn):
+        self.callbacks.append(fn)
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_a_draft_callback_that_runs_after_the_worker_took_entry_0_starts_no_extra_sketch(
+    tmp_path, max_in_flight
+):
+    components = _components(tmp_path, lambda i: GOOD_SKETCH, max_in_flight=max_in_flight)
+    client = components.client
+    real_submit, real_collect = client.submit, client.collect
+    draft, submitted = _LateCallbacks(), []
+
+    def submit(build):
+        future = real_submit(build)
+        submitted.append(future)
+        if len(submitted) > 1:
+            return future
+        draft.set_result(future.result())  # the draft request, done at once
+        return draft
+
+    def collect(build, future):
+        if future is not draft:  # the worker has taken entry 0: now the callback runs
+            callbacks, draft.callbacks = draft.callbacks, []
+            for fn in callbacks:
+                fn(draft)
+        return real_collect(build, future)
+
+    client.submit, client.collect = submit, collect
+    policy = BudgetPolicy(drafts_per_problem=2, sketches_per_draft=4, stop_on_first_success=True)
+    with contextlib.closing(client):
+        result = run_problem(_problem(), policy, components)
+    assert result.first_success_index == 0
+    assert not draft.callbacks  # it ran
+    assert len(submitted) - 1 == 1 + max_in_flight  # sketch requests: entries 0 to max_in_flight
+
+
 def test_endpoint_error_on_a_sketch_fetched_ahead_fails_that_attempt_only(tmp_path):
     components = _components(
         tmp_path, lambda i: (403, {"error": "refused"}) if i == 2 else BAD_SKETCH
@@ -845,6 +897,55 @@ def test_a_sketch_prompt_is_built_only_when_an_endpoint_slot_sends_it(
     assert [len(r.attempts) for r in results] == [6, 6]
     assert all(a.success for r in results for a in r.attempts)
     assert len(built) == sum(kind == "sketch" for kind, _ in calls) == 12
+
+
+@pytest.mark.parametrize("mode", [PromptMode.NO_COMMENTS, PromptMode.NO_INFORMAL_PROOF])
+def test_an_ablation_run_parses_each_pool_example_once_and_sends_the_prompts_it_did(
+    tmp_path, monkeypatch, mode
+):
+    # the prompts a per-request rewrite of each shown example builds, from
+    # the same plans and drafts, made before parse_sketch is counted
+    import sketchprove.prompting as prompting_module
+
+    problems = [_problem(f"algebra_ablation{i}") for i in range(8)]
+    policy = BudgetPolicy(drafts_per_problem=2, sketches_per_draft=3, stop_on_first_success=False)
+    components = _components(tmp_path, lambda i: BAD_SKETCH, mode=mode)
+    config = components.prompt_config
+    drafts = ["first draft", "second draft"] if mode is PromptMode.NO_COMMENTS else [""]
+    expected = []
+    for problem in problems:
+        for d, _, seed in make_plan(policy, 0, problem.id).entries[: 3 * len(drafts)]:
+            examples = select_examples(
+                components.pool, problem.id, infer_category(problem.id), config, random.Random(seed)
+            )
+            shown = [apply_mode(q, mode) for q in examples]
+            expected.append(build_sketch_prompt(shown, problem, drafts[d], config))
+    parsed, sent = [], []
+    real_parse = prompting_module.parse_sketch
+    monkeypatch.setattr(prompting_module, "parse_sketch", lambda text: parsed.append(text) or real_parse(text))
+
+    def transport(url, headers, payload, timeout_s):
+        if payload["temperature"] > 0:
+            return 200, {"choices": [{"text": text} for text in drafts[: payload["n"]]]}
+        sent.append(payload["prompt"])
+        return 200, {"choices": [{"text": BAD_SKETCH}]}
+
+    # eight workers, more than the cores, with frequent thread switches: two
+    # that both found an example missing from the pool's table would parse it twice
+    components.client.transport = transport
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with contextlib.closing(components.client):
+            run = threading.Thread(target=run_experiment, args=(problems, policy, components, 8), daemon=True)
+            run.start()
+            run.join(timeout=60)
+            assert not run.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(sent) == sorted(expected)
+    sketches = {q.formal_sketch for q in components.pool.quads}
+    assert set(parsed) <= sketches and max(Counter(parsed).values()) == 1
 
 
 def test_an_entry_whose_examples_lack_a_full_proof_records_prompt_build_and_sends_nothing(tmp_path):
