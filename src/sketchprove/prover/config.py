@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Protocol, Sequence, Union
 
@@ -41,14 +40,6 @@ class ProverConfig:
             raise ValueError("tactic_list must not be empty")
         if min(self.tactic_timeout_ms, self.hammer_timeout_ms, self.per_gap_budget_ms) <= 0:
             raise ValueError("all timeouts must be positive")
-
-
-@functools.lru_cache(maxsize=256)
-def step_text(tactic: str) -> str:
-    """Render a cascade tactic as a closing step. Cached, since a cascade
-    renders the same few tactics for every gap; bounded, since the
-    reference server takes tactic names from the frames it is sent."""
-    return f"by ({tactic})" if " " in tactic else f"by {tactic}"
 
 
 # The gap results are slotted and built through `_slot_init`, since a client
@@ -179,43 +170,6 @@ def _closing_state(reply: BackendReply) -> str:
     return reply.state_id
 
 
-def run_cascade(
-    backend: Backend, base: str | ProverState, context: str, config: ProverConfig
-) -> GapResult:
-    """Run the cascade, one backend command at a time, on the open
-    conjecture that `context`, replayed on top of `base` (a theory name or
-    an earlier state), ends in. Wall time never exceeds the per-gap budget:
-    attempts that could overrun are not started. A context the backend
-    refuses fails the gap without a step, since a step would run against
-    whatever goal it held before. An ok closing reply without a state_id,
-    and an ok hammer reply without a reconstruction, raise SessionDead."""
-    reply = backend.init(base, context)
-    if reply.status != "ok":
-        return Failed((("init", reply.status),), 0)
-    elapsed = 0
-    attempts: list[tuple[str, str]] = []
-    for index, tactic in enumerate(config.tactic_list):
-        if elapsed + config.tactic_timeout_ms > config.per_gap_budget_ms:
-            return TimedOut(elapsed)
-        text = step_text(tactic)
-        reply = backend.step(text, config.tactic_timeout_ms)
-        elapsed += reply.elapsed_ms
-        if reply.status == "ok":
-            return Closed(text, index, elapsed, _closing_state(reply))
-        attempts.append((tactic, reply.status))
-    if elapsed + config.hammer_timeout_ms > config.per_gap_budget_ms:
-        return TimedOut(elapsed)
-    reply = backend.hammer(config.hammer_timeout_ms)
-    elapsed += reply.elapsed_ms
-    if reply.status == "ok":
-        if not reply.reconstruction:
-            # a failed attempt's outcome is "fail" or "timeout", never "ok"
-            raise SessionDead("an ok hammer reply carries no reconstruction")
-        return Closed(reply.reconstruction, None, elapsed, _closing_state(reply))
-    attempts.append((HAMMER_NAME, reply.status))
-    return Failed(tuple(attempts), elapsed)
-
-
 def _fits_the_proof(closing_step: str) -> bool:
     try:
         closing_step_text(closing_step)
@@ -227,17 +181,72 @@ def _fits_the_proof(closing_step: str) -> bool:
 def run_cascades(
     backend: Backend, base: str | ProverState, contexts: Sequence[str], config: ProverConfig
 ) -> list[GapResult]:
-    """Run the cascade (`run_cascade`) on a run of consecutive gaps: the
-    first of `contexts` replayed on top of `base`, each later one resumed
-    from the state in which the previous gap closed. Returns one result per
-    gap attempted. Stops after the first gap that does not close, and after
-    a gap whose closing step the proof text cannot hold (`closing_step_text`
-    rejects it), since the sketch fails at either."""
+    """Run the cascade, one backend command at a time, on a run of
+    consecutive gaps: the first of `contexts` replayed on top of `base` (a
+    theory name or an earlier state), each later one resumed from the state
+    in which the previous gap closed. Each gap tries the tactics in order,
+    then the hammer. Wall time per gap never exceeds the per-gap budget:
+    attempts that could overrun are not started. A context the backend
+    refuses fails the gap without a step, since a step would run against
+    whatever goal it held before. An ok closing reply without a state_id,
+    and an ok hammer reply without a reconstruction, raise SessionDead.
+
+    Returns one result per gap attempted. Stops after the first gap that
+    does not close, and after a gap whose closing step the proof text
+    cannot hold (`closing_step_text` rejects it), since the sketch fails at
+    either. The config is read, and each tactic's closing step rendered,
+    once per run rather than per gap."""
+    tactic_ms, hammer_ms = config.tactic_timeout_ms, config.hammer_timeout_ms
+    # an attempt starts only while the gap's elapsed time is at most its limit
+    tactic_limit = config.per_gap_budget_ms - tactic_ms
+    hammer_limit = config.per_gap_budget_ms - hammer_ms
+    steps = [
+        (index, tactic, f"by ({tactic})" if " " in tactic else f"by {tactic}")
+        for index, tactic in enumerate(config.tactic_list)
+    ]
+    init, step, hammer = backend.init, backend.step, backend.hammer
     results: list[GapResult] = []
     for context in contexts:
-        result = run_cascade(backend, base, context, config)
+        reply = init(base, context)
+        if reply.status != "ok":
+            results.append(Failed((("init", reply.status),), 0))
+            break
+        elapsed = 0
+        attempts: list[tuple[str, str]] = []
+        for index, tactic, text in steps:
+            if elapsed > tactic_limit:
+                result: GapResult = TimedOut(elapsed)
+                break
+            reply = step(text, tactic_ms)
+            elapsed += reply.elapsed_ms
+            if reply.status == "ok":
+                result = Closed(text, index, elapsed, _closing_state(reply))
+                break
+            attempts.append((tactic, reply.status))
+        else:
+            if elapsed > hammer_limit:
+                result = TimedOut(elapsed)
+            else:
+                reply = hammer(hammer_ms)
+                elapsed += reply.elapsed_ms
+                if reply.status != "ok":
+                    attempts.append((HAMMER_NAME, reply.status))
+                    result = Failed(tuple(attempts), elapsed)
+                elif not reply.reconstruction:
+                    # a failed attempt's outcome is "fail" or "timeout", never "ok"
+                    raise SessionDead("an ok hammer reply carries no reconstruction")
+                else:
+                    result = Closed(reply.reconstruction, None, elapsed, _closing_state(reply))
         results.append(result)
-        if not isinstance(result, Closed) or not _fits_the_proof(result.closing_step):
+        if type(result) is not Closed or not _fits_the_proof(result.closing_step):
             break
         base = ProverState(result.state_id)
     return results
+
+
+def run_cascade(
+    backend: Backend, base: str | ProverState, context: str, config: ProverConfig
+) -> GapResult:
+    """The cascade on the one gap that `context`, replayed on top of `base`,
+    ends in: `run_cascades` on a run of one."""
+    return run_cascades(backend, base, (context,), config)[0]

@@ -8,14 +8,14 @@ gap by gap in document order: each gap resumes from the prover state in
 which the previous gap closed, and a fully closed sketch gets one final
 end-to-end verification.
 
-The cascade is `run_cascade`, one implementation for every backend, and
-`run_cascades` runs it over a run of consecutive gaps: each gap resumes
-where the previous one closed, and the run stops after the first gap that
-does not close, or whose closing step the proof text cannot hold. The wire
-client sends a whole run as one `cascade` frame (its base, the gap
-contexts as `texts`, the tactic list, timeouts and per-gap budget), whose
-reply deadline is the per-gap budget times the number of contexts plus a
-grace. The bridge runs `run_cascades` next to the prover and answers with
+The cascade is `run_cascades`, one implementation for every backend, run
+over a run of consecutive gaps (`run_cascade` is its one-gap case): each
+gap resumes where the previous one closed, and the run stops after the
+first gap that does not close, or whose closing step the proof text cannot
+hold. The wire client sends a whole run as one `cascade` frame (its base,
+the gap contexts as `texts`, the tactic list, timeouts and per-gap
+budget), whose reply deadline is the per-gap budget times the number of
+contexts plus a grace. The bridge runs `run_cascades` next to the prover and answers with
 `results`, one per gap attempted: closed (closing step, tactic index,
 elapsed time, `state_id`), failed (the attempts and their outcomes) or
 timed out. A bridge may answer fewer results than the run would give; the

@@ -25,6 +25,10 @@ Script schema (JSON):
 Outcome kinds: tactic (the index-th cascade attempt succeeds), hammer (all
 tactics fail, the hammer returns `step`), fail, timeout (steps time out,
 optionally after `ms`).
+
+`ScriptedBackend` answers each `init`, `step`, `hammer` and `check_full`
+from a script; `run_cascades` drives it one command at a time, in process
+and behind the reference wire server alike.
 """
 
 from __future__ import annotations
@@ -60,13 +64,6 @@ class Rule:
     pattern: str
     outcome: Outcome
 
-    def matches(self, goal: str) -> bool:
-        if self.kind == "exact":
-            return goal == self.pattern
-        if self.kind == "substring":
-            return self.pattern in goal
-        return fnmatchcase(goal, self.pattern)
-
 
 @dataclass(frozen=True)
 class Latency:
@@ -85,7 +82,12 @@ class ProverScript:
 
     def outcome_for(self, goal: str) -> Outcome:
         for rule in self.rules:
-            if rule.matches(goal):
+            kind, pattern = rule.kind, rule.pattern
+            if (
+                goal == pattern if kind == "exact"
+                else pattern in goal if kind == "substring"
+                else fnmatchcase(goal, pattern)
+            ):
                 return rule.outcome
         return self.default
 
@@ -170,6 +172,11 @@ _QUOTED_RE = re.compile(r'"([^"]*)"')
 _TARGET_RE = re.compile(r"\?[A-Za-z_][A-Za-z0-9_']*")
 _STATE_ID_RE = re.compile(r"s([1-9][0-9]*)")
 
+# Builds a reply from all five of its fields in C, as the named tuple's own
+# `_make` does; calling `BackendReply(...)` first runs its Python-level
+# `__new__`, which costs most of a failed step
+_tuple_new = tuple.__new__
+
 
 def extract_goal(statement: str) -> str:
     """Matcher input for a proof context: the quoted proposition on the last
@@ -191,72 +198,88 @@ def extract_goal(statement: str) -> str:
 class ScriptedBackend:
     """In-process Backend that answers from a ProverScript. Elapsed times
     are logical (derived from the script), so replayed runs agree; with
-    real_sleep the backend also sleeps them away for wall-clock tests."""
+    real_sleep the backend also sleeps them away for wall-clock tests.
+
+    Each reply is built where it is answered. State ids are issued in
+    order, s1 to s{n}, so a state is known by its number and no per-state
+    memory is needed; a resume from any other id raises SessionDead."""
 
     script: ProverScript
     _ordinal: int = 0
     _states: int = 0
     _outcome: Outcome = field(init=False)  # the current goal's rule, found once per init
+    # the script's latency, read once
+    _step_ms: int = field(init=False)
+    _hammer_ms: int = field(init=False)
+    _sleeps: bool = field(init=False)
 
     def __post_init__(self) -> None:
         self._outcome = self.script.outcome_for("")  # a step before any init
-
-    def _reply(
-        self, status: str, elapsed_ms: int, state_id: str | None = None,
-        reconstruction: str | None = None, reason: str | None = None,
-    ) -> BackendReply:
-        if self.script.latency.real_sleep and elapsed_ms > 0:
-            time.sleep(elapsed_ms / 1000.0)
-        return BackendReply(status, elapsed_ms, state_id, reconstruction, reason)
-
-    def _next_state(self) -> str:
-        self._states += 1
-        return f"s{self._states}"
-
-    def _issued(self, state_id: str) -> bool:
-        # ids are issued in order, s1 to s{n}: no per-state memory is needed
-        issued = _STATE_ID_RE.fullmatch(state_id)
-        return issued is not None and int(issued.group(1)) <= self._states
+        latency = self.script.latency
+        self._step_ms, self._hammer_ms, self._sleeps = (
+            latency.step_ms, latency.hammer_ms, latency.real_sleep
+        )
 
     def init(self, base: str | ProverState, statement: str) -> BackendReply:
         if isinstance(base, ProverState):
-            if not self._issued(base.state_id):
+            issued = _STATE_ID_RE.fullmatch(base.state_id)
+            digits = issued[1] if issued else ""
+            # more digits than n has were never issued, and may be more than int() reads
+            if not digits or len(digits) > len(str(self._states)) or int(digits) > self._states:
                 raise SessionDead(f"unknown state {base.state_id!r}")
         self._outcome = self.script.outcome_for(extract_goal(statement))
         self._ordinal = 0
-        return BackendReply("ok", 0, self._next_state())
+        self._states += 1
+        return _tuple_new(BackendReply, ("ok", 0, f"s{self._states}", None, None))
 
     def step(self, text: str, timeout_ms: int) -> BackendReply:
         outcome = self._outcome
         ordinal = self._ordinal
-        self._ordinal += 1
-        cost = min(self.script.latency.step_ms, timeout_ms)
+        self._ordinal = ordinal + 1
+        cost = self._step_ms if self._step_ms < timeout_ms else timeout_ms
         if outcome.kind == "timeout":
             burn = timeout_ms if outcome.ms is None else min(outcome.ms, timeout_ms)
-            return self._reply("timeout", burn)
-        if outcome.kind == "tactic" and ordinal == outcome.index:
-            return self._reply("ok", cost, self._next_state())
-        return self._reply("fail", cost, None, None, "step does not close the goal")
+            reply = _tuple_new(BackendReply, ("timeout", burn, None, None, None))
+        elif outcome.kind == "tactic" and ordinal == outcome.index:
+            self._states += 1
+            reply = _tuple_new(BackendReply, ("ok", cost, f"s{self._states}", None, None))
+        else:
+            reply = _tuple_new(
+                BackendReply, ("fail", cost, None, None, "step does not close the goal"))
+        return _slept(reply) if self._sleeps else reply
 
     def hammer(self, timeout_ms: int) -> BackendReply:
         outcome = self._outcome
-        cost = min(self.script.latency.hammer_ms, timeout_ms)
+        cost = self._hammer_ms if self._hammer_ms < timeout_ms else timeout_ms
         if outcome.kind == "hammer":
-            return self._reply("ok", cost, self._next_state(), outcome.step)
-        if outcome.kind == "timeout":
+            self._states += 1
+            reply = _tuple_new(BackendReply, ("ok", cost, f"s{self._states}", outcome.step, None))
+        elif outcome.kind == "timeout":
             burn = timeout_ms if outcome.ms is None else min(outcome.ms, timeout_ms)
-            return self._reply("timeout", burn)
-        return self._reply("fail", cost, None, None, "no prover found a proof")
+            reply = _tuple_new(BackendReply, ("timeout", burn, None, None, None))
+        else:
+            reply = _tuple_new(BackendReply, ("fail", cost, None, None, "no prover found a proof"))
+        return _slept(reply) if self._sleeps else reply
 
     def check_full(self, proof_text: str, timeout_ms: int) -> BackendReply:
         reason = self.script.verify_accepts(proof_text)
-        cost = min(self.script.latency.step_ms, timeout_ms)
+        cost = self._step_ms if self._step_ms < timeout_ms else timeout_ms
         if reason is None:
-            return self._reply("ok", cost, self._next_state())
-        return self._reply("fail", cost, None, None, reason)
+            self._states += 1
+            reply = _tuple_new(BackendReply, ("ok", cost, f"s{self._states}", None, None))
+        else:
+            reply = _tuple_new(BackendReply, ("fail", cost, None, None, reason))
+        return _slept(reply) if self._sleeps else reply
 
     def quit(self) -> None:
         """Nothing to release: the backend holds no per-call state."""
+
+
+def _slept(reply: BackendReply) -> BackendReply:
+    """`reply`, once its elapsed time is slept away (for a script with real_sleep)."""
+    if reply.elapsed_ms > 0:
+        time.sleep(reply.elapsed_ms / 1000.0)
+    return reply
 
 
 def new_session_id() -> str:

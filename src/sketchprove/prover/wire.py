@@ -101,6 +101,7 @@ import subprocess
 import sys
 import threading
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Sequence
 
 from ..errors import decode_json
@@ -141,16 +142,29 @@ def _ms(value: object) -> int:
     raise SessionDead(f"elapsed_ms is not a non-negative number: {value!r}")
 
 
-def encode_gap_result(result: GapResult) -> dict:
-    """One gap's object in the `results` of a reply to `cascade`."""
-    if isinstance(result, Closed):
-        return {"kind": "closed", "closing_step": result.closing_step,
-                "tactic_index": result.tactic_index, "elapsed_ms": result.elapsed_ms,
-                "state_id": result.state_id}
-    if isinstance(result, Failed):
-        return {"kind": "failed", "attempts": [list(a) for a in result.attempts],
-                "elapsed_ms": result.elapsed_ms}
-    return {"kind": "timed_out", "elapsed_ms": result.elapsed_ms}
+# A cascade reply's gap results, each written from its template as
+# `json.dumps` writes the object: its fields in this order, and every string
+# escaped by `encode_basestring_ascii`, the escaper `json.dumps` uses
+_CLOSED = (
+    '{"kind": "closed", "closing_step": %s, "tactic_index": %s, "elapsed_ms": %d, "state_id": %s}'
+)
+_FAILED = '{"kind": "failed", "attempts": [%s], "elapsed_ms": %d}'
+_TIMED_OUT = '{"kind": "timed_out", "elapsed_ms": %d}'
+
+
+def encode_gap_result(result: GapResult) -> str:
+    """One gap's object in the `results` of a reply to `cascade`, as JSON text."""
+    if type(result) is Closed:
+        index = result.tactic_index
+        return _CLOSED % (
+            _quote(result.closing_step), "null" if index is None else index,
+            result.elapsed_ms, _quote(result.state_id),
+        )
+    if type(result) is Failed:
+        attempts = ", ".join(
+            f"[{_quote(tactic)}, {_quote(outcome)}]" for tactic, outcome in result.attempts)
+        return _FAILED % (attempts, result.elapsed_ms)
+    return _TIMED_OUT % result.elapsed_ms
 
 
 def decode_gap_result(raw: object, tactics: int) -> GapResult:
@@ -407,8 +421,9 @@ def _cascade_config(frame: dict) -> ProverConfig:
     )
 
 
-def _answer(backend: ScriptedBackend, frame: dict) -> dict:
-    """The reply to one well-formed frame, without its id."""
+def _answer(backend: ScriptedBackend, frame: dict) -> str:
+    """The reply to one well-formed frame, as the JSON text of an object
+    without its id."""
     cmd = frame["cmd"]
     try:
         if cmd == "cascade":
@@ -420,8 +435,9 @@ def _answer(backend: ScriptedBackend, frame: dict) -> dict:
             if not texts or not all(isinstance(text, str) for text in texts):
                 raise _BadFrame("'texts' must be a nonempty list of gap contexts")
             results = run_cascades(backend, base, texts, _cascade_config(frame))
-            return {"status": "ok", "results": [encode_gap_result(r) for r in results],
-                    "elapsed_ms": sum(r.elapsed_ms for r in results)}
+            return '{"status": "ok", "results": [%s], "elapsed_ms": %d}' % (
+                ", ".join(map(encode_gap_result, results)), sum(r.elapsed_ms for r in results)
+            )
         if cmd == "init":
             theory = _field(frame, "theory", str, "Main")
             reply = backend.init(theory, _field(frame, "statement", str, ""))
@@ -446,7 +462,7 @@ def _answer(backend: ScriptedBackend, frame: dict) -> dict:
         value = getattr(reply, key)
         if value is not None:
             payload[key] = value
-    return payload
+    return json.dumps(payload)
 
 
 def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]) -> None:
@@ -461,10 +477,11 @@ def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]
             if req_id is None or not isinstance(frame.get("cmd"), str):
                 raise _BadFrame("a frame is a JSON object with an id and a cmd")
             cmd = frame["cmd"]
-            payload = {"id": req_id, **_answer(backend, frame)}
+            reply = _answer(backend, frame)
         except _BadFrame as exc:
-            payload = {"id": req_id, "status": "fail", "reason": f"bad frame: {exc}"}
-        writer.write(json.dumps(payload) + "\n")
+            reply = json.dumps({"status": "fail", "reason": f"bad frame: {exc}"})
+        # the id goes first, as in a reply written whole by `json.dumps`
+        writer.write(f'{{"id": {json.dumps(req_id)}, {reply[1:]}\n')
         writer.flush()
         if cmd == "quit":
             return

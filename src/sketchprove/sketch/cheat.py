@@ -44,7 +44,8 @@ def check_no_cheat(source: str) -> CheatReport:
                 break
             continue
         if first != '"' and (keyword := _KEYWORD_RE.match(source, start)) is not None:
-            byte_pos += len(source[char_pos:start].encode("utf-8"))
+            # measured as a ParseError offset is: a lone surrogate counts 3 bytes
+            byte_pos += len(source[char_pos:start].encode("utf-8", "surrogatepass"))
             char_pos = start
             offending.append((keyword.group(1), byte_pos))
         pos = match.end()

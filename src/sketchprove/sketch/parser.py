@@ -556,7 +556,8 @@ def parse_sketch(source: str | bytes) -> SketchAst:
     try:
         return _Parser(text).parse()
     except _RawParseError as exc:
-        offset = len(text[: exc.pos].encode("utf-8"))
+        # a lone surrogate is text too: it counts its three UTF-8 bytes
+        offset = len(text[: exc.pos].encode("utf-8", "surrogatepass"))
         raise ParseError(offset, exc.message, exc.expected) from None
     except RecursionError:
         raise ParseError(0, "input nests too deeply") from None

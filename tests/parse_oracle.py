@@ -381,7 +381,7 @@ def parse_sketch(text: str) -> SketchAst:
     try:
         return Parser(text).parse()
     except _RawParseError as exc:
-        offset = len(text[: exc.pos].encode("utf-8"))
+        offset = len(text[: exc.pos].encode("utf-8", "surrogatepass"))
         raise ParseError(offset, exc.message, exc.expected) from None
     except RecursionError:
         raise ParseError(0, "input nests too deeply") from None

@@ -2,6 +2,7 @@
 and state ids as `run_cascades` in process, and a lost session on every
 fault."""
 
+import io
 import json
 import zlib
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cascade_oracle
 from ast_gen import AstGen
 from bridges import FAULTS, RelayBridge, serve_backend
 from conftest import FIXTURES, memo_state_ids, minimal_script
@@ -35,7 +37,7 @@ from sketchprove.prover import (
     run_cascades,
 )
 from sketchprove.prover import wire
-from sketchprove.prover.scripted import Outcome, ProverScript, Rule
+from sketchprove.prover.scripted import Latency, Outcome, ProverScript, Rule
 from sketchprove.scheduler import BudgetPolicy, PipelineComponents, SessionProvider, run_problem
 from sketchprove.sketch import parse_sketch, render_segments
 
@@ -176,6 +178,77 @@ def test_wire_cascade_matches_run_cascade_on_each_ending():
     ]
     outcomes = _same_cascades(GENERATED_SCRIPT, cases)
     assert [len(o) if isinstance(o, list) else None for o in outcomes] == [3, 2, 2, 1, 2, 1, 5, None]
+
+
+# -- the per-step oracle ---------------------------------------------------------------
+
+_GOALS = ("a = 1", "b mod 2", "?thesis", "a + b", "")
+_OUTCOMES = st.one_of(
+    st.builds(lambda index: Outcome("tactic", index=index), st.integers(0, 12)),
+    st.builds(lambda step: Outcome("hammer", step=step),
+              st.sampled_from(["by simp", "by (metis assms)", "by (metis", "sorry"])),
+    st.just(Outcome("fail")),
+    st.builds(lambda ms: Outcome("timeout", ms=ms), st.none() | st.integers(0, 400)),
+)
+_SCRIPTS = st.builds(
+    lambda rules, default, latency: ProverScript(tuple(rules), default, latency=latency),
+    st.lists(st.builds(Rule, st.sampled_from(["exact", "substring", "glob"]),
+                       st.sampled_from(["a = 1", "mod", "*+*", "?thesis", "b*", ""]), _OUTCOMES),
+             max_size=5),
+    _OUTCOMES,
+    st.builds(Latency, st.integers(0, 300), st.integers(0, 3000)),
+)
+# cascade tactics, some with a space (a parenthesised step) and some whose
+# step the proof text cannot hold, which ends the run
+_TACTICS = st.lists(st.sampled_from(DEFAULT_TACTICS + ("auto)", "simp add: x", "by", "(")),
+                    min_size=1, max_size=12)
+_CONFIGS = st.builds(ProverConfig, _TACTICS.map(tuple), st.integers(1, 300), st.integers(1, 3000),
+                     st.integers(1, 6000))
+_BASES = st.sampled_from(["Main", "closed", "closed", "closed", ProverState("s0"), ProverState("s9")])
+
+
+def _reply_line(req_id, outcome):
+    """The reference server's reply to a cascade frame, as `json.dumps` wrote
+    the dict of a run of the oracle."""
+    if isinstance(outcome, SessionDead):
+        return json.dumps({"id": req_id, "status": "fail", "elapsed_ms": 0, "reason": outcome.detail})
+    results = [cascade_oracle.encode_gap_result(result) for result, _ in outcome]
+    return json.dumps({"id": req_id, "status": "ok", "results": results,
+                       "elapsed_ms": sum(result.elapsed_ms for result, _ in outcome)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCRIPTS, st.lists(st.tuples(_BASES, st.lists(st.sampled_from(_GOALS), min_size=1, max_size=5),
+                                    _CONFIGS), min_size=1, max_size=6))
+def test_run_cascades_matches_the_per_step_oracle(script, runs):
+    """`run_cascades` over `ScriptedBackend` gives what the per-gap cascade
+    over the per-step backend gives, in process and as the reference
+    server's reply text: results, elapsed times, state ids and the final
+    state counter."""
+    backend, oracle = ScriptedBackend(script), cascade_oracle.ScriptedBackend(script)
+    frames, replies, last_closed = [], [], None
+    for req_id, (base, goals, config) in enumerate(runs, 1):
+        if base == "closed":
+            base = last_closed or "Main"
+        contexts = [f'  have c{i}: "{goal}"\n' for i, goal in enumerate(goals)]
+        got = _outcome(lambda: run_cascades(backend, base, contexts, config))
+        want = _outcome(lambda: cascade_oracle.run_cascades(oracle, base, contexts, config))
+        assert got == want
+        closed = [state for result, state in want if isinstance(result, Closed)] if isinstance(
+            want, list) else []
+        if closed:
+            last_closed = ProverState(closed[-1])
+        where = {"state": base.state_id} if isinstance(base, ProverState) else {"theory": base}
+        frames.append(json.dumps({
+            "id": req_id, "cmd": "cascade", **where, "texts": contexts, "tactics": config.tactic_list,
+            "tactic_timeout_ms": config.tactic_timeout_ms,
+            "hammer_timeout_ms": config.hammer_timeout_ms, "budget_ms": config.per_gap_budget_ms,
+        }))
+        replies.append(_reply_line(req_id, want))
+    assert backend._states == oracle._states
+    served = io.StringIO()
+    wire._serve_connection(ScriptedBackend(script), io.StringIO("\n".join(frames) + "\n"), served)
+    assert served.getvalue() == "".join(reply + "\n" for reply in replies)
 
 
 # -- one frame per run of gaps ---------------------------------------------------------

@@ -529,6 +529,27 @@ def test_torn_cache_tail_still_replays_golden(tmp_path):
     assert (tmp_path / "records.jsonl").read_bytes() == (FIXTURES / "golden" / "records.jsonl").read_bytes()
 
 
+def test_a_sketch_holding_a_lone_surrogate_fails_its_attempt_at_parse(tmp_path):
+    # "\\ud800" is valid JSON in a cache line: algebra_g01's first sketch
+    # gets one in its comment and a parse error after it, which fails that
+    # attempt at the parse stage instead of ending the run
+    lines = (FIXTURES / "cache" / "completions.jsonl").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if "theorem algebra_g01:" in line)
+    entry = json.loads(lines[first])
+    entry["text"] = entry["text"].replace("(* isolate", "(* \ud800 isolate", 1) + "qed qed\n"
+    lines[first] = json.dumps(entry)
+    cache = tmp_path / "completions.jsonl"
+    cache.write_text("\n".join(lines) + "\n")
+    flags = golden_flags(tmp_path)
+    flags[flags.index("--cache-file") + 1] = str(cache)
+    result = run_cli(*flags, "run")
+    assert result.returncode == 0, result.stderr
+    records = [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+    assert len(records) == 200
+    assert [(r["draft_index"], r["sketch_index"]) for r in records
+            if r["problem_id"] == "algebra_g01" and r["failure_stage"] == "parse"] == [(0, 0)]
+
+
 def test_prove_closes_its_session_when_proving_raises(tmp_path, monkeypatch):
     import sketchprove.cli as cli
     from sketchprove.prover import SessionDead, SessionState

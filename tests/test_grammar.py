@@ -289,14 +289,21 @@ def _blank_comments_and_strings(text: str) -> str:
 # delimiters twice over, so nested and unterminated comments come up often
 CHEAT_ALPHABET = ["(*", "(*", "*)", "*)", '"', "sorry", "oops", "(", ")", "*", "a_9", " ",
                   "\u00e9", "\u65e5", "\U0001f600"]
+# lone surrogates: a str may hold one (a JSON escape decodes to it), and a
+# byte offset counts it as the three bytes "surrogatepass" encodes it to
+SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+
+
+def _byte_len(text):
+    return len(text.encode("utf-8", "surrogatepass"))
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.sampled_from(CHEAT_ALPHABET), max_size=30).map("".join))
+@given(st.lists(st.sampled_from(CHEAT_ALPHABET) | SURROGATES, max_size=30).map("".join))
 def test_cheat_gate_matches_blanking_oracle(text):
     blank = _blank_comments_and_strings(text)
     expected = tuple(
-        (match.group(1), len(text[: match.start()].encode("utf-8")))
+        (match.group(1), _byte_len(text[: match.start()]))
         for match in re.finditer(r"\b(sorry|oops)\b", blank)
     )
     assert check_no_cheat(text) == CheatReport(not expected, expected)
@@ -351,6 +358,13 @@ def test_parse_stays_linear():
     assert elapsed < 2.0
 
 
+def test_a_lone_surrogate_counts_three_bytes_in_an_offset():
+    assert check_no_cheat("\ud800 sorry").offending == (("sorry", 4),)
+    with pytest.raises(ParseError) as exc:
+        parse_sketch('theorem t: shows "P"\nproof -\n  (* \ud800 *)\n  have c: "Q" sledgehammer\nqed qed\n')
+    assert exc.value.offset == len('theorem t: shows "P"\nproof -\n  (* \ud800 *)\n  have c: "Q" sledgehammer\nqed ') + 2
+
+
 def test_multibyte_offsets_are_bytes():
     text = '(* déjà *) sorry'
     report = check_no_cheat(text)
@@ -395,7 +409,7 @@ TOKEN_ALPHABET = [
 
 
 @settings(max_examples=800, deadline=None)
-@given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=40).map("".join))
+@given(st.lists(st.sampled_from(TOKEN_ALPHABET) | SURROGATES, max_size=40).map("".join))
 def test_tokenizer_matches_two_match_oracle(text):
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_oracle, text)
 
@@ -530,7 +544,9 @@ PARSE_ERROR_STEPS = (
 def parse_inputs(draw):
     """A generated, fixture, large-shaped, deeply nested or error-step
     sketch text: as is, with one character or word deleted, or with one of
-    PARSE_INSERTS inserted, bare or between spaces."""
+    PARSE_INSERTS or a lone surrogate inserted, bare or between spaces; and
+    half the time with a lone surrogate in its first string, so that an
+    error after it has its byte offset measured across it."""
     source = draw(st.sampled_from(("generated", "fixture", "large", "nested", "error_step")))
     if source == "generated":
         text = serialize(AstGen(draw(st.integers(0, 2**32))).sketch())
@@ -553,7 +569,10 @@ def parse_inputs(draw):
     elif mutation == "insert":
         at = draw(st.integers(0, len(text)))
         pad = draw(st.sampled_from(("", " ")))
-        text = text[:at] + pad + draw(st.sampled_from(PARSE_INSERTS)) + pad + text[at:]
+        text = text[:at] + pad + draw(st.sampled_from(PARSE_INSERTS) | SURROGATES) + pad + text[at:]
+    if draw(st.booleans()):
+        at = text.find('"') + 1
+        text = text[:at] + draw(SURROGATES) + text[at:]
     return text
 
 

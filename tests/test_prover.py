@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cascade_oracle
 from ast_gen import AstGen
 from gap_fill import fill
 from conftest import RecordingBackend, minimal_script, recording, retained_bytes
@@ -41,7 +42,7 @@ from sketchprove.prover import (
     prove_sketch,
     verify_full,
 )
-from sketchprove.prover.scripted import Outcome, Rule
+from sketchprove.prover.scripted import Latency, Outcome, ProverScript, Rule
 from sketchprove.scheduler import SessionProvider, baseline_sketch
 from sketchprove.sketch import (
     HaveStep,
@@ -288,6 +289,48 @@ def test_budget_enforced_with_real_latencies(tmp_path):
     assert isinstance(result, TimedOut)
     assert result.elapsed_ms <= 260
     assert wall_ms <= 260 + 150  # scheduling slack
+
+
+def test_real_sleep_sleeps_each_step_hammer_check_and_timeout_as_the_per_step_oracle(monkeypatch):
+    script = ProverScript(
+        rules=(
+            Rule("exact", "t", Outcome("timeout", ms=70)),
+            Rule("exact", "u", Outcome("timeout")),
+            Rule("exact", "z", Outcome("timeout", ms=0)),
+            Rule("exact", "h", Outcome("hammer", step="by simp")),
+            Rule("exact", "k", Outcome("tactic", index=1)),
+        ),
+        default=Outcome("fail"),
+        verify_reject_substrings=("poison",),
+        latency=Latency(step_ms=50, hammer_ms=600, real_sleep=True),
+    )
+
+    def calls(backend):
+        for goal, commands in [
+            ("t", [("step", 40), ("step", 100), ("hammer", 50)]),
+            ("u", [("step", 30), ("hammer", 1000)]),
+            ("z", [("step", 30), ("hammer", 1000)]),  # a zero wait is not slept
+            ("h", [("step", 10), ("hammer", 100), ("hammer", 1000)]),
+            ("f", [("step", 100), ("hammer", 5000)]),
+            ("k", [("step", 20), ("step", 80)]),
+        ]:
+            backend.init("Main", f'have c: "{goal}"')
+            for command, timeout_ms in commands:
+                if command == "step":
+                    backend.step("by auto", timeout_ms)
+                else:
+                    backend.hammer(timeout_ms)
+        backend.check_full("proof", 20)
+        backend.check_full("poison", 100)
+
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    calls(ScriptedBackend(script))
+    got, slept[:] = list(slept), []
+    calls(cascade_oracle.ScriptedBackend(script))
+    assert got == slept == [
+        0.04, 0.07, 0.05, 0.03, 1.0, 0.01, 0.1, 0.6, 0.05, 0.6, 0.02, 0.05, 0.02, 0.05,
+    ]
 
 
 def test_timeout_outcomes_recorded_but_cascade_continues(tmp_path):
@@ -700,7 +743,8 @@ def test_scripted_backend_resumes_only_issued_states(tmp_path):
     assert backend.step("by auto", 50).state_id == "s2"
     for issued in ("s1", "s2"):
         assert backend.init(ProverState(issued), 'have c: "g"').status == "ok"
-    for unknown in ("s5", "s0", "s01", "S1", "s1 ", "s", "1", "s\u0661"):
+    # the last has more digits than int() reads
+    for unknown in ("s5", "s0", "s01", "S1", "s1 ", "s", "1", "s\u0661", "s" + "1" * 5000):
         with pytest.raises(SessionDead, match="unknown state"):
             backend.init(ProverState(unknown), 'have c: "g"')
 

@@ -98,6 +98,7 @@ _FILE = st.one_of(
 @example(case=("bytes", DEEP.encode()))
 @example(case=("bytes", b'{"schema": "\xff"}'))
 @example(case=("bytes", b"1" * 5000))
+@example(case=("bytes", b'{"key": "k", "text": "(* \\ud800 *) sorry"}\n'))  # a lone surrogate, escaped
 @example(case=("edit", (0.5, 0, b"\xff")))
 @example(case=("edit", (0.5, 0, ("\n" + DEEP + "\n").encode())))
 def test_a_file_reader_loads_any_bytes_or_raises_its_typed_error_naming_the_file(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import cascade_oracle
 import decode_oracle
 from bridges import RelayBridge
 from conftest import minimal_script, retained_bytes
@@ -642,8 +643,28 @@ CLOSED = {"kind": "closed", "closing_step": "by auto", "tactic_index": 0, "elaps
 def test_wire_cascade_reply_decodes_each_result_kind(result):
     backend = WireBackend(fake_bridge(lambda frame: {"status": "ok", "results": [result]}))
     [got] = backend.cascade("Main", [FIRST_CONTEXT], FAST)
-    assert encode_gap_result(got) == result
+    assert json.loads(encode_gap_result(got)) == result
     backend.quit()
+
+
+# any text: every code point, lone surrogates included, with quotes,
+# backslashes and control characters drawn often
+_ANY_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    st.sampled_from('"\\\x00\x1f\x7f\u2028'),
+), max_size=12)
+_ANY_MS = st.integers() | st.integers(10**15, 10**40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.builds(Closed, _ANY_TEXT, st.none() | st.integers(), _ANY_MS, _ANY_TEXT),
+    st.builds(Failed, st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT), max_size=4).map(tuple), _ANY_MS),
+    st.builds(TimedOut, _ANY_MS),
+))
+def test_gap_result_template_writes_what_json_dumps_writes(result):
+    assert encode_gap_result(result) == json.dumps(cascade_oracle.encode_gap_result(result))
 
 
 @pytest.mark.parametrize("reply", [
@@ -716,7 +737,7 @@ def test_wire_cascade_reply_with_a_malformed_results_list_is_a_lost_session(repl
 def test_wire_cascade_reply_of_one_result_per_gap_attempted_is_accepted(results):
     backend = WireBackend(fake_bridge(lambda frame: {"status": "ok", "results": results}))
     got = backend.cascade("Main", [FIRST_CONTEXT, SECOND_CONTEXT], FAST)
-    assert [encode_gap_result(result) for result in got] == results
+    assert [json.loads(encode_gap_result(result)) for result in got] == results
     backend.quit()
 
 
@@ -897,6 +918,17 @@ BAD_FRAMES = [
 ]
 
 
+# frames from states the reference server never issued, two with more
+# digits than int() reads: (the frame, its state); each gets an
+# "unknown state" reply
+_LONG_STATE = "s" + "1" * 5000
+UNKNOWN_STATE_FRAMES = [
+    (json.dumps({"id": 40, "cmd": "resume", "state": _LONG_STATE, "text": ""}).encode(), _LONG_STATE),
+    (cascade_frame(41, drop=("theory",), state=_LONG_STATE), _LONG_STATE),
+    (cascade_frame(42, drop=("theory",), state="s9"), "s9"),
+]
+
+
 # each command's fields: (a well-formed value, whether the frame may leave it out)
 _FRAME_FIELDS = {
     "init": {"theory": ("Main", True), "statement": ('shows "x + 0 = x"', True)},
@@ -972,7 +1004,8 @@ def _bad_frame(draw):
 def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport, bad_frames):
     good = cascade_frame(20, texts=['have c1: "first goal"\n', '  have c2: "x + 0 = x"\n'],
                          tactics=["auto", "simp", "blast"])
-    lines = [line for line, _ in bad_frames] + [good, b'{"id": 21, "cmd": "quit"}']
+    unknown_states = [line for line, _ in UNKNOWN_STATE_FRAMES]
+    lines = [line for line, _ in bad_frames] + unknown_states + [good, b'{"id": 21, "cmd": "quit"}']
     data = b"".join(line + b"\n" for line in lines)
     if transport == "tcp":
         host, _, port = server.address.rpartition(":")
@@ -989,9 +1022,15 @@ def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport
         out = child.stdout
     replies = [json.loads(line) for line in out.splitlines()]
     assert len(replies) == len(lines)
-    *bad, answered, quit_reply = replies
+    bad, unknown = replies[: len(bad_frames)], replies[len(bad_frames) : -2]
+    answered, quit_reply = replies[-2:]
     assert [reply["id"] for reply in bad] == [req_id for _, req_id in bad_frames]
     assert all(reply["status"] == "fail" and reply["reason"].startswith("bad frame") for reply in bad)
+    assert unknown == [
+        {"id": json.loads(line)["id"], "status": "fail", "elapsed_ms": 0,
+         "reason": f"unknown state {state!r}"}
+        for line, state in UNKNOWN_STATE_FRAMES
+    ]
     assert answered["id"] == 20
     assert [(r["kind"], r["closing_step"]) for r in answered["results"]] == [
         ("closed", "by auto"), ("closed", "by blast")]
