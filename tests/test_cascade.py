@@ -234,8 +234,8 @@ def test_run_cascades_matches_the_per_step_oracle(script, runs):
         got = _outcome(lambda: run_cascades(backend, base, contexts, config))
         want = _outcome(lambda: cascade_oracle.run_cascades(oracle, base, contexts, config))
         assert got == want
-        closed = [state for result, state in want if isinstance(result, Closed)] if isinstance(
-            want, list) else []
+        closed = [] if isinstance(want, SessionDead) else [
+            state for result, state in want if isinstance(result, Closed)]
         if closed:
             last_closed = ProverState(closed[-1])
         where = {"state": base.state_id} if isinstance(base, ProverState) else {"theory": base}
