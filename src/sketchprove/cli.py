@@ -191,11 +191,28 @@ def cmd_draft(config: CliConfig, args: argparse.Namespace) -> int:
         for pid in wanted:
             drafts, sampled = sample_drafts(client, problems[pid], config.drafts)
             target = out_dir / pid
-            target.mkdir(parents=True, exist_ok=True)
+            files = []
             for i, text in enumerate(drafts):
-                (target / f"draft_{i:04d}.txt").write_text(text, encoding="utf-8")
+                path = target / f"draft_{i:04d}.txt"
+                files.append((path, _draft_bytes(text, pid, i, path)))
+            target.mkdir(parents=True, exist_ok=True)
+            for path, data in files:
+                path.write_bytes(data)
             print(f"{pid}: {len(drafts)} drafts ({sampled - len(drafts)} duplicates dropped)")
     return EXIT_OK
+
+
+def _draft_bytes(text: str, pid: str, index: int, path: Path) -> bytes:
+    """A draft as UTF-8, encoded before any file is written, so a draft that
+    cannot be (a lone surrogate, which a JSON escape in a completion can
+    give) is refused with no empty or partial file left behind."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(
+            f"cannot write draft {index} of {pid} to {path}: not UTF-8 (lone surrogate "
+            f"U+{ord(exc.object[exc.start]):04X} at character {exc.start})"
+        ) from None
 
 
 def cmd_sketch(config: CliConfig, args: argparse.Namespace) -> int:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence, Union
 
+from ..slots import _slot_init
 from ..sketch import (
     GAP_TOKEN,
     GapSite,
@@ -179,7 +180,10 @@ def close_gap(
         return run_cascades(backend, start, contexts, config)
 
 
-@dataclass(frozen=True)
+# The outcomes are slotted and built through `_slot_init`, as the gap
+# results are, since `prove_sketch` builds one per call, a memo hit included.
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class FullProofResult:
     proof_text: str
     per_gap: tuple[GapResult, ...]
@@ -189,7 +193,8 @@ class FullProofResult:
         return len(self.per_gap)
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class SketchFailure:
     failed_site: GapSite | None  # None: the whole proof failed (cheat gate or final check)
     partial: tuple[GapResult, ...]
@@ -246,15 +251,18 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     gaps all close is never walked.
 
     The cheat gate scans the whole text once, per call: the rendered
-    sketch, its segments joined by gap tokens. The final check scans only
-    the closing steps spliced into the gaps, joined by line breaks, and so
-    gives the verdict and reason `verify_full` would give on the proof
-    text. That is exact because every piece is lexically closed: a
-    rendered segment and a step that `closing_step_text` accepts each hold
-    whole comments and string literals only, so none runs across a
-    boundary, and a segment ends in a space before its gap and starts with
-    a line break after it, so word boundaries at the splice points are the
-    same as between the joined steps. The segments passed the gate, so the
+    sketch, its segments joined by gap tokens. A text without the letters
+    of either keyword passes at once, with no scan (`check_no_cheat`):
+    exact, since no comment, string or word boundary can make a keyword
+    out of a text without them. The final check scans only the closing
+    steps spliced into the gaps, joined by line breaks, and so gives the
+    verdict and reason `verify_full` would give on the proof text. That
+    is exact because every piece is lexically closed: a rendered segment
+    and a step that `closing_step_text` accepts each hold whole comments
+    and string literals only, so none runs across a boundary, and a
+    segment ends in a space before its gap and starts with a line break
+    after it, so word boundaries at the splice points are the same as
+    between the joined steps. The segments passed the gate, so the
     proof text holds exactly the cheat words of its steps."""
     segments = render_segments(ast)
     gaps = len(segments) - 1

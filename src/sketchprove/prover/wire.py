@@ -72,7 +72,9 @@ A server answers any other command with status "fail" and the reason
 issued with the reason "unknown state ...", and a frame it cannot read (not
 UTF-8, not a JSON object with an id and a cmd, or a field of the wrong
 type, or `texts` that is not a nonempty list of strings) with the reason
-"bad frame ..."; it keeps serving after each. A client treats a failed
+"bad frame ..."; a frame whose answer fails inside the server itself
+gets the reason "internal error: <type>: <message>" and one line on the
+server's standard error. It keeps serving after each. A client treats a failed
 `check`, `resume` or `cascade`, an ok `step` or `hammer` reply or a closed
 cascade result without a `state_id`, an ok `hammer` reply without a
 `reconstruction`, `results` that is not a nonempty list no longer than
@@ -480,6 +482,10 @@ def _serve_connection(backend: ScriptedBackend, reader: IO[str], writer: IO[str]
             reply = _answer(backend, frame)
         except _BadFrame as exc:
             reply = json.dumps({"status": "fail", "reason": f"bad frame: {exc}"})
+        except Exception as exc:  # a fault of the server's own: answered and logged, not fatal
+            reason = f"internal error: {type(exc).__name__}: {exc}"
+            print(f"wire server: {cmd!r} frame {req_id!r}: {reason}", file=sys.stderr, flush=True)
+            reply = json.dumps({"status": "fail", "reason": reason})
         # the id goes first, as in a reply written whole by `json.dumps`
         writer.write(f'{{"id": {json.dumps(req_id)}, {reply[1:]}\n')
         writer.flush()
@@ -508,7 +514,9 @@ class WireServer:
                 try:
                     _serve_connection(backend, reader, writer)
                 except (BrokenPipeError, ConnectionResetError, ValueError):
-                    pass  # client went away mid-conversation
+                    # only the streams raise here (`_serve_connection` answers its
+                    # own faults): the client went away mid-conversation
+                    pass
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True

@@ -29,9 +29,20 @@ class CheatReport:
     offending: tuple[tuple[str, int], ...]  # (keyword, byte offset)
 
 
+_CLEAN = CheatReport(True, ())
+
+
 def check_no_cheat(source: str) -> CheatReport:
     """Scan `source` for cheat keywords outside comments and strings, in one
-    regex pass: each search finds the next comment, string or keyword."""
+    regex pass: each search finds the next comment, string or keyword.
+
+    A text that holds neither keyword as a substring gets the one shared
+    clean report at once, without the scan. That is exact: a keyword
+    match, inside a comment or string or not, needs its letters in a row,
+    so no comment, string or word boundary can make one out of a text
+    without them."""
+    if "sorry" not in source and "oops" not in source:  # CHEAT_KEYWORDS, spelled out
+        return _CLEAN
     offending: list[tuple[str, int]] = []
     search = _EVENT_RE.search
     pos = char_pos = byte_pos = 0

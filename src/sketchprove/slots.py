@@ -1,6 +1,7 @@
 """A cheaper constructor for frozen, slotted dataclasses built in bulk: the
-sketch AST's nodes (one per step of every parsed sketch) and the prover's
-gap results (one per gap of every cascade reply)."""
+sketch AST's nodes (one per step of every parsed sketch), the prover's
+gap results (one per gap of every cascade reply) and its sketch outcomes
+(one per `prove_sketch` call)."""
 
 from __future__ import annotations
 

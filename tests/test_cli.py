@@ -550,6 +550,30 @@ def test_a_sketch_holding_a_lone_surrogate_fails_its_attempt_at_parse(tmp_path):
             if r["problem_id"] == "algebra_g01" and r["failure_stage"] == "parse"] == [(0, 0)]
 
 
+def test_a_draft_holding_a_lone_surrogate_is_refused_without_writing_it(tmp_path):
+    # "\\ud800" is valid JSON in a cache line, but a draft file is UTF-8: the
+    # error names the draft and its path, and no empty file is left behind
+    # for `sketch --draft-id 0` to read as an empty draft
+    lines = (FIXTURES / "cache" / "completions.jsonl").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if "(problem algebra_g01, variant 0)" in line)
+    entry = json.loads(lines[first])
+    entry["text"] = "\ud800" + entry["text"]
+    lines[first] = json.dumps(entry)
+    cache = tmp_path / "completions.jsonl"
+    cache.write_text("\n".join(lines) + "\n")
+    flags = golden_flags(tmp_path / "out")
+    flags[flags.index("--cache-file") + 1] = str(cache)
+    result = run_cli(*flags, "draft", "--problem-ids", "algebra_g01")
+    path = tmp_path / "out" / "drafts" / "algebra_g01" / "draft_0000.txt"
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == (
+        f"error[config]: cannot write draft 0 of algebra_g01 to {path}: "
+        "not UTF-8 (lone surrogate U+D800 at character 0)"
+    )
+    assert not path.exists()
+
+
 def test_prove_closes_its_session_when_proving_raises(tmp_path, monkeypatch):
     import sketchprove.cli as cli
     from sketchprove.prover import SessionDead, SessionState

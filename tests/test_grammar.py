@@ -16,6 +16,7 @@ from conftest import FIXTURES
 from gap_fill import fill
 from tokenize_oracle import tokenize as tokenize_oracle
 from walk_oracle import walk as walk_oracle
+from sketchprove.sketch import cheat
 from sketchprove.sketch import (
     GAP_TOKEN,
     CheatReport,
@@ -298,15 +299,53 @@ def _byte_len(text):
     return len(text.encode("utf-8", "surrogatepass"))
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.sampled_from(CHEAT_ALPHABET) | SURROGATES, max_size=30).map("".join))
-def test_cheat_gate_matches_blanking_oracle(text):
+def _oracle_report(text):
     blank = _blank_comments_and_strings(text)
     expected = tuple(
         (match.group(1), _byte_len(text[: match.start()]))
         for match in re.finditer(r"\b(sorry|oops)\b", blank)
     )
-    assert check_no_cheat(text) == CheatReport(not expected, expected)
+    return CheatReport(not expected, expected)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(CHEAT_ALPHABET) | SURROGATES, max_size=30).map("".join))
+def test_cheat_gate_matches_blanking_oracle(text):
+    assert check_no_cheat(text) == _oracle_report(text)
+
+
+# keyword fragments next to the delimiters, so that words split by a
+# comment or a string (`sor(* *)ry`, `so"rr"y`) and texts that hold no
+# keyword at all, which pass without the scan, both come up often
+FRAGMENT_ALPHABET = ["so", "rr", "y", "oo", "ps", "(*", "*)", '"', " ", "a", "\n"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENT_ALPHABET), max_size=30).map("".join))
+def test_cheat_gate_matches_blanking_oracle_on_keyword_fragments(text):
+    assert check_no_cheat(text) == _oracle_report(text)
+
+
+@pytest.mark.parametrize("text, scanned", [
+    ('theorem t: shows "P"\nproof -\n  (* so rr y *)\n  show ?thesis by auto\nqed\n', False),
+    ('sor(* *)ry so"rr"y oo ps', False),
+    ("", False),
+    ('"sorry"', True),
+    ("(* oops *)", True),
+    ("by auto sorry", True),
+])
+def test_only_a_text_holding_a_keyword_is_scanned(monkeypatch, text, scanned):
+    searched = []
+
+    class Recording:
+        def search(self, source, pos):
+            searched.append(pos)
+            return real.search(source, pos)
+
+    real = cheat._EVENT_RE
+    monkeypatch.setattr(cheat, "_EVENT_RE", Recording())
+    assert check_no_cheat(text) == _oracle_report(text)
+    assert bool(searched) is scanned
 
 
 @pytest.mark.parametrize(

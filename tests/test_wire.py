@@ -1037,6 +1037,56 @@ def test_server_answers_bad_frames_and_keeps_serving(server, tmp_path, transport
     assert quit_reply == {"id": 21, "status": "ok", "elapsed_ms": 0}
 
 
+# the reference server with a fault injected into `ScriptedBackend.init`:
+# a ValueError for the statement "boom", every other init answered as usual
+STDIO_WITH_INIT_FAULT = """
+import sys
+from sketchprove.prover import wire
+real_init = wire.ScriptedBackend.init
+def init(self, base, statement):
+    if statement == "boom":
+        raise ValueError("injected fault")
+    return real_init(self, base, statement)
+wire.ScriptedBackend.init = init
+sys.exit(wire.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("transport", ["tcp", "stdio"])
+def test_server_answers_its_own_fault_and_keeps_serving(server, tmp_path, monkeypatch, capfd, transport):
+    frames = [{"id": 1, "cmd": "init", "theory": "Main", "statement": "boom"},
+              {"id": 2, "cmd": "init", "theory": "Main", "statement": 'have c1: "first goal"'},
+              {"id": 3, "cmd": "quit"}]
+    data = b"".join(json.dumps(frame).encode() + b"\n" for frame in frames)
+    if transport == "tcp":
+        real_init = ScriptedBackend.init
+
+        def init(backend, base, statement):
+            if statement == "boom":
+                raise ValueError("injected fault")
+            return real_init(backend, base, statement)
+
+        monkeypatch.setattr(ScriptedBackend, "init", init)
+        host, _, port = server.address.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            conn.sendall(data)
+            out = conn.makefile("rb").read()
+        stderr = capfd.readouterr().err
+    else:
+        script_path = write_script(tmp_path, WIRE_SCRIPT, "stdio_script.json")
+        child = subprocess.run(
+            [sys.executable, "-c", STDIO_WITH_INIT_FAULT, "--script", script_path, "--stdio"],
+            input=data, capture_output=True, timeout=60,
+        )
+        assert child.returncode == 0
+        out, stderr = child.stdout, child.stderr.decode()
+    replies = [json.loads(line) for line in out.splitlines()]
+    assert replies[0] == {"id": 1, "status": "fail", "reason": "internal error: ValueError: injected fault"}
+    assert replies[1]["id"] == 2 and replies[1]["status"] == "ok" and replies[1]["state_id"]
+    assert replies[2] == {"id": 3, "status": "ok", "elapsed_ms": 0}
+    assert len(stderr.splitlines()) == 1 and "internal error: ValueError: injected fault" in stderr
+
+
 @pytest.mark.parametrize("content, message", [
     pytest.param(b"[]", "the script must be an object", id="not-an-object"),
     pytest.param(DEEP.encode(), "not valid JSON: nested too deep", id="nested-too-deep"),
