@@ -123,6 +123,13 @@ class ProverState(NamedTuple):
     state_id: str
 
 
+# Builds a named tuple from all of its fields in C, as the named tuple's own
+# `_make` does: calling `BackendReply(...)` or `ProverState(...)` first runs
+# its Python-level `__new__`, which doubles the cost of a build (a reply is
+# built per command, a state per closed gap)
+_tuple_new = tuple.__new__
+
+
 class BackendReply(NamedTuple):
     """One backend command's answer; a named tuple, built once per init,
     step and hammer."""
@@ -240,7 +247,7 @@ def run_cascades(
         results.append(result)
         if type(result) is not Closed or not _fits_the_proof(result.closing_step):
             break
-        base = ProverState(result.state_id)
+        base = _tuple_new(ProverState, (result.state_id,))
     return results
 
 

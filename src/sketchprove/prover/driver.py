@@ -52,6 +52,7 @@ from ..sketch import (
     check_no_cheat,
     closing_step_text,
     extract_gaps,
+    render_header,
     render_segments,
 )
 from .config import (
@@ -67,6 +68,7 @@ from .config import (
     SessionDead,
     TimedOut,
     Valid,
+    _tuple_new,
     run_cascades,
 )
 from .scripted import ScriptedBackend, load_script, new_session_id
@@ -97,11 +99,20 @@ class ProverMemo:
     """Prover work already done on a session for the theorem `header`:
     gap results keyed by (the state the context resumes from, or None for
     the theory; the context), and whole-proof verdicts keyed by proof
-    text. A Closed result's `state_id` is where the next gap resumes."""
+    text. A Closed result's `state_id` is where the next gap resumes.
+
+    It also holds `header_lines`, the header's canonical lines, rendered
+    once when the memo is made, so the header is rendered once per theorem
+    per session and dropped with the rest of the memo. Every sketch proved
+    on the memo has an equal header, and equal headers render equally."""
 
     header: TheoremHeader | None = None
     gaps: dict[tuple[ProverState | None, str], GapResult] = field(default_factory=dict)
     verdicts: dict[str, Valid | Invalid] = field(default_factory=dict)
+    header_lines: tuple[str, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.header_lines = () if self.header is None else render_header(self.header)
 
 
 class ProverSession:
@@ -217,12 +228,16 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     pass end-to-end verification. A sketch the cheat gate refuses fails as
     a whole proof before any backend call, like a failed final check.
 
-    The sketch is rendered once into the segments between its gaps. The
-    first gap starts from the theory with the first segment; each later gap
-    resumes from the state in which the previous gap closed and sends only
-    its own segment, so the text sent per gap does not grow with the
-    sketch. A segment ends with its gap's whole head line, so the backend
-    finds the same goal as in the full prefix.
+    The sketch is rendered once into the segments between its gaps. Its
+    header's lines come from the memo (`ProverMemo.header_lines`), so the
+    header is rendered once per theorem per session, not per call: exact,
+    since every sketch proved on the memo has an equal header, and equal
+    headers render equally. The first gap starts from the theory with the
+    first segment; each later gap resumes from the state in which the
+    previous gap closed and sends only its own segment, so the text sent
+    per gap does not grow with the sketch. A segment ends with its gap's
+    whole head line, so the backend finds the same goal as in the full
+    prefix.
 
     Work already in the session's memo is not sent again: a gap whose
     (base, context) was seen earlier in this theorem gets the memoised
@@ -230,18 +245,20 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     memoised state; a proof text already checked gets its memoised
     verdict. This is exact for a deterministic checker, and a memoised
     TimedOut is replayed, not retried. A sketch of another theorem drops
-    the memo first, so it holds one theorem's work; a dead session drops
-    it too.
+    the memo first, even one the cheat gate then refuses, so the memo
+    holds one theorem's work; a dead session drops it too.
 
     Each gap's context (its segment up to the gap, trailing space cut) is
     built once per call. At the first gap the memo does not hold, every
     remaining context goes to the prover in one `close_gap` call, since
-    each later gap resumes from a state the memo has not seen. Each result
-    that comes back is memoised under its own (base, context), and the
-    walk goes on through the memo.
-    A reply that stops at a closed gap leaves the next gap a miss, so the
-    rest goes out as the next run; results after a gap whose closing step
-    the proof cannot hold are never reached.
+    each later gap resumes from a state the memo has not seen. The walk
+    goes on through the results that come back, memoising each under its
+    own (base, context) as it reaches it, so none is looked up again and
+    each gap's next state is built once. A reply that stops at a closed
+    gap leaves the next gap a miss, so the rest goes out as the next run.
+    Results after a gap whose closing step the proof cannot hold are never
+    reached, so they are not memoised: only a walk through that gap, which
+    fails there, could look them up.
 
     Either outcome carries `gaps_total`, the sketch's gap count: one less
     than the number of segments of the one render, so neither this call
@@ -264,25 +281,30 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     after it, so word boundaries at the splice points are the same as
     between the joined steps. The segments passed the gate, so the
     proof text holds exactly the cheat words of its steps."""
-    segments = render_segments(ast)
+    memo = session.memo
+    if memo.header != ast.header:
+        memo = session.memo = ProverMemo(ast.header)
+    segments = render_segments(ast, memo.header_lines)
     gaps = len(segments) - 1
     cheat = _cheat_reason(GAP_TOKEN.join(segments))
     if cheat is not None:
         return SketchFailure(None, (), f"cheat gate: {cheat}", gaps)
 
-    memo = session.memo
-    if memo.header != ast.header:
-        memo = session.memo = ProverMemo(ast.header)
+    known = memo.gaps
     contexts = [segment.rstrip() + "\n" for segment in segments[:-1]]
     per_gap: list[GapResult] = []
     pieces: list[str] = []  # each gap's segment, then its closing step
     base: ProverState | None = None
+    fresh: Iterator[GapResult] = iter(())  # this call's latest results, not yet walked
     for index, context in enumerate(contexts):
-        result = memo.gaps.get((base, context))
-        if result is None:
-            run = contexts[index:]
-            _memoise(memo, base, run, close_gap(session, run, base))
-            result = memo.gaps[base, context]
+        result = next(fresh, None)
+        if result is not None:
+            known[base, context] = result
+        else:
+            result = known.get((base, context))
+            if result is None:
+                fresh = iter(close_gap(session, contexts[index:], base))
+                result = known[base, context] = next(fresh)
         if not isinstance(result, Closed):
             per_gap.append(result)
             site = extract_gaps(ast)[index]
@@ -298,7 +320,7 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
                 site, tuple(per_gap), f"{exc.reason} (gap: {site.proposition})", gaps
             )
         per_gap.append(result)
-        base = ProverState(result.state_id)
+        base = _tuple_new(ProverState, (result.state_id,))
 
     proof_text = "".join(pieces) + segments[-1]
     verdict = memo.verdicts.get(proof_text)
@@ -310,17 +332,6 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     if isinstance(verdict, Invalid):
         return SketchFailure(None, tuple(per_gap), f"final check: {verdict.reason}", gaps)
     return FullProofResult(proof_text, tuple(per_gap))
-
-
-def _memoise(
-    memo: ProverMemo, base: ProverState | None, contexts: Sequence[str],
-    results: Sequence[GapResult],
-) -> None:
-    """Memoise a run's results, each under the state its gap resumed from."""
-    for context, result in zip(contexts, results):
-        memo.gaps[base, context] = result
-        if isinstance(result, Closed):
-            base = ProverState(result.state_id)
 
 
 def verify_full(session: ProverSession, proof_text: str) -> Valid | Invalid:

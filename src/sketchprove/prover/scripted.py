@@ -34,15 +34,15 @@ and behind the reference wire server alike.
 from __future__ import annotations
 
 import functools
+import os
 import re
 import time
-import uuid
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 
 from ..errors import decode_json, read_text
-from .config import BackendReply, ProverState, ScriptError, SessionDead
+from .config import BackendReply, ProverState, ScriptError, SessionDead, _tuple_new
 
 SCRIPT_SCHEMA = "prover-script/1"
 
@@ -172,11 +172,6 @@ _QUOTED_RE = re.compile(r'"([^"]*)"')
 _TARGET_RE = re.compile(r"\?[A-Za-z_][A-Za-z0-9_']*")
 _STATE_ID_RE = re.compile(r"s([1-9][0-9]*)")
 
-# Builds a reply from all five of its fields in C, as the named tuple's own
-# `_make` does; calling `BackendReply(...)` first runs its Python-level
-# `__new__`, which costs most of a failed step
-_tuple_new = tuple.__new__
-
 
 def extract_goal(statement: str) -> str:
     """Matcher input for a proof context: the quoted proposition on the last
@@ -221,7 +216,10 @@ class ScriptedBackend:
         )
 
     def init(self, base: str | ProverState, statement: str) -> BackendReply:
-        if isinstance(base, ProverState):
+        # a resume from the id issued last, the next gap's usual base, needs no parse
+        if isinstance(base, ProverState) and not (
+            self._states and base.state_id == f"s{self._states}"
+        ):
             issued = _STATE_ID_RE.fullmatch(base.state_id)
             digits = issued[1] if issued else ""
             # more digits than n has were never issued, and may be more than int() reads
@@ -283,4 +281,7 @@ def _slept(reply: BackendReply) -> BackendReply:
 
 
 def new_session_id() -> str:
-    return uuid.uuid4().hex[:12]
+    """12 random hex characters; `uuid` is not used, since importing it
+    also imports `platform`, a cost every process that imports the prover
+    would pay."""
+    return os.urandom(6).hex()

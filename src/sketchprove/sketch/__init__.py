@@ -23,7 +23,7 @@ from .nodes import (
 )
 from .ops import count_comments, count_gaps, extract_gaps, strip_comments
 from .parser import ParseError, closing_step_text, parse_sketch
-from .render import render_segments, serialize
+from .render import render_header, render_segments, serialize
 
 __all__ = [
     "GAP_TOKEN",
@@ -51,6 +51,7 @@ __all__ = [
     "count_gaps",
     "extract_gaps",
     "parse_sketch",
+    "render_header",
     "render_segments",
     "serialize",
     "strip_comments",

@@ -8,6 +8,7 @@ round trip.
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 from .parser import RESERVED
 from .nodes import (
@@ -30,11 +31,13 @@ from .nodes import (
 _INDENT = "  "
 
 
-def _render_header(header: TheoremHeader, out: list[str | None]) -> None:
+def render_header(header: TheoremHeader) -> tuple[str, ...]:
+    """The canonical lines of a theorem header, which holds no gap. Equal
+    headers render to equal lines."""
     title = "theorem"
     if header.name:
         title += f" {header.name}:"
-    out.append(title)
+    out = [title]
     if header.fixes:
         groups: list[tuple[list[str], str]] = []
         for var, sort in header.fixes:
@@ -51,6 +54,7 @@ def _render_header(header: TheoremHeader, out: list[str | None]) -> None:
         prefix = f"{label}: " if label else ""
         out.append(f'{_INDENT}{keyword} {prefix}"{prop}"')
     out.append(f'{_INDENT}shows "{header.shows}"')
+    return tuple(out)
 
 
 def _quote_sort(sort: str) -> str:
@@ -131,18 +135,18 @@ def _render_block(block: ProofBlock, level: int, out: list[str | None]) -> None:
     out.append(f"{ind}qed")
 
 
-def render_segments(ast: SketchAst) -> list[str]:
+def render_segments(ast: SketchAst, header_lines: Sequence[str] | None = None) -> list[str]:
     """The canonical text between gap tokens, in document order: one more
     segment than the sketch has gaps, the k-th gap sitting right after
-    segment k."""
+    segment k. `header_lines`, when given, must be `render_header(ast.header)`;
+    a caller that proves many sketches of one theorem renders it once."""
     out: list[str | None] = []
-    _render_header(ast.header, out)
     for node in ast.body:
         _render_node(node, 0, out)
     if ast.root_justification is not None:
         _render_inline(_INDENT, ast.root_justification, out)
     segments: list[str] = []
-    lines: list[str] = []
+    lines = list(render_header(ast.header) if header_lines is None else header_lines)
     for line in out:
         if line is None:
             segments.append("\n".join(lines))

@@ -42,16 +42,21 @@ from sketchprove.prover import (
     prove_sketch,
     verify_full,
 )
+from sketchprove.prover import driver, scripted
+from sketchprove.prover.driver import ProverMemo
 from sketchprove.prover.scripted import Latency, Outcome, ProverScript, Rule
 from sketchprove.scheduler import SessionProvider, baseline_sketch
 from sketchprove.sketch import (
+    GAP_TOKEN,
     HaveStep,
     ProofBlock,
+    SketchAst,
     check_no_cheat,
     closing_step_text,
     count_gaps,
     extract_gaps,
     parse_sketch,
+    render_header,
     render_segments,
     serialize,
 )
@@ -92,6 +97,9 @@ def test_backend_reply_and_prover_state_are_immutable_hashable_values():
     assert BackendReply("ok") == BackendReply("ok", 0, None, None, None)
     assert state == ProverState("s1") and hash(state) == hash(ProverState("s1"))
     assert state != ProverState("s2")
+    # the driver and the cascade build states in C, skipping the Python __new__
+    built = tuple.__new__(ProverState, ("s1",))
+    assert type(built) is ProverState and built == state and hash(built) == hash(state)
     # a memo key on a state never collides with one on the theory
     assert ProverState("Main") != "Main"
     assert len({(ProverState("Main"), "ctx"), ("Main", "ctx"), (None, "ctx")}) == 3
@@ -1061,3 +1069,116 @@ def test_dead_or_closed_session_drops_its_memo(tmp_path, fig2_text):
     prove_sketch(live, parse_sketch(fig2_text))
     live.close()
     assert not live.memo.gaps and not live.memo.verdicts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+def test_memo_header_lines_and_a_body_render_the_whole_sketch(header_seed, body_seed):
+    # any sketch a memo serves has the memo's header, whatever its body
+    header = AstGen(header_seed).sketch().header
+    ast = replace(AstGen(body_seed).sketch(), header=header)
+    memo = ProverMemo(header)
+    assert memo.header_lines == render_header(header)
+    segments = render_segments(ast, memo.header_lines)
+    assert segments == render_segments(ast)
+    assert GAP_TOKEN.join(segments) == serialize(ast)
+    assert serialize(parse_sketch(serialize(ast))) == serialize(ast)
+    assert parse_sketch(serialize(ast)).header == header
+    assert serialize(SketchAst(header)) == "\n".join(memo.header_lines) + "\n"
+
+
+def test_each_memo_renders_its_theorem_header_once(tmp_path, fig2_text, monkeypatch):
+    rendered = []
+
+    def counting(header):
+        rendered.append(header)
+        return render_header(header)
+
+    monkeypatch.setattr(driver, "render_header", counting)
+    session = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
+    a = parse_sketch(fig2_text)
+    b = replace(a, header=replace(a.header, name="other"))
+    for ast in (a, a, b, b, a, a):
+        assert isinstance(prove_sketch(session, ast), FullProofResult)
+        assert session.memo.header == ast.header
+        assert session.memo.header_lines == render_header(ast.header)
+    # once per memo: A's lines are rendered again after B, never reused
+    assert rendered == [a.header, b.header, a.header]
+    assert render_header(a.header) != render_header(b.header)
+
+    with pytest.raises(SessionDead), session.exclusive():
+        raise SessionDead("injected")
+    assert session.memo.header is None and session.memo.header_lines == ()
+    reopened = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
+    for ast in (a, a):
+        assert isinstance(prove_sketch(reopened, ast), FullProofResult)
+    reopened.close()
+    assert reopened.memo.header is None and reopened.memo.header_lines == ()
+    assert rendered == [a.header, b.header, a.header, a.header]
+
+
+def test_a_new_theorem_the_cheat_gate_refuses_still_takes_the_memo(tmp_path, fig2_text):
+    session = open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST)
+    ast = parse_sketch(fig2_text)
+    assert isinstance(prove_sketch(session, ast), FullProofResult)
+    cheating = parse_sketch('theorem t: shows "G"\nproof -\n  show ?thesis sorry\nqed\n')
+    outcome = prove_sketch(session, cheating)
+    assert outcome.reason == "cheat gate: cheating keyword: sorry"
+    assert session.memo.header == cheating.header and not session.memo.gaps
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_results_fetched_in_one_run_are_walked_without_a_memo_lookup(tmp_path, fig2_text):
+    session = recording(open_session(ScriptedSpec(write_script(tmp_path, close_all_script())), FAST))
+    ast = parse_sketch(fig2_text)
+    gaps = len(extract_gaps(ast))
+    assert gaps > 1
+    session.memo = ProverMemo(ast.header, gaps=_CountingDict())
+    first = prove_sketch(session, ast)
+    assert isinstance(first, FullProofResult)
+    # the first gap misses; the run's later results come straight from the reply
+    assert session.memo.gaps.reads == 1 and len(session.memo.gaps) == gaps
+    assert [cmd for cmd, _ in session.backend.calls].count("init") == 1
+    assert prove_sketch(session, ast) == first
+    assert session.memo.gaps.reads == 1 + gaps  # a memo hit reads each gap once
+
+
+def test_scripted_backend_resumes_from_its_last_state_without_parsing_it(tmp_path, monkeypatch):
+    parsed = []
+    real = scripted._STATE_ID_RE
+
+    class CountingPattern:
+        def fullmatch(self, text):
+            parsed.append(text)
+            return real.fullmatch(text)
+
+    monkeypatch.setattr(scripted, "_STATE_ID_RE", CountingPattern())
+    backend = ScriptedBackend(load_script(write_script(tmp_path, close_all_script())))
+    for unissued in ("s0", "s1"):  # with no states issued, not even "s0"
+        with pytest.raises(SessionDead, match="unknown state"):
+            backend.init(ProverState(unissued), 'have c: "g"')
+    assert parsed == ["s0", "s1"]
+    del parsed[:]
+    assert backend.init("Main", 'have c: "g"').state_id == "s1"
+    assert backend.init(ProverState("s1"), 'have c: "g"').state_id == "s2"
+    assert backend.step("by auto", 50).state_id == "s3"
+    assert backend.init(ProverState("s3"), 'have c: "g"').state_id == "s4"
+    assert parsed == []  # each resume was from the id issued last
+    assert backend.init(ProverState("s2"), 'have c: "g"').state_id == "s5"
+    for unknown in ("s6", "s0", "s05", "s" + "5" * 5000):
+        with pytest.raises(SessionDead, match="unknown state"):
+            backend.init(ProverState(unknown), 'have c: "g"')
+    assert parsed == ["s2", "s6", "s0", "s05", "s" + "5" * 5000]

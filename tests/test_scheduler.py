@@ -1122,6 +1122,29 @@ def test_golden_replay_backend_calls_stay_memoised(tmp_path, problems, golden_co
     assert len(sent) <= 500
 
 
+def test_golden_replay_renders_each_theorem_header_once(problems, golden_config, monkeypatch):
+    # 190 sketches are proved, and every one states its problem's theorem:
+    # the session memo renders that header once, not once per sketch
+    import sketchprove.prover.driver as driver_module
+    import sketchprove.sketch.render as render_module
+
+    rendered = []
+    real = render_module.render_header
+
+    def counting(header):
+        rendered.append(header)
+        return real(header)
+
+    # where the memo renders a header, and where a whole sketch is rendered
+    monkeypatch.setattr(driver_module, "render_header", counting, raising=False)
+    monkeypatch.setattr(render_module, "render_header", counting, raising=False)
+    proved = _counting(monkeypatch, "prove_sketch", 1)
+    run_experiment(problems, _golden_policy(golden_config), _golden_components(), 1, golden_config["seed"])
+    assert len(proved) == 190
+    assert len(rendered) == len(problems) == 20
+    assert rendered == [parse_sketch(problem.formal_statement).header for problem in problems]
+
+
 @pytest.mark.parametrize("jobs", [1, 8])
 def test_golden_replay_parses_each_distinct_sketch_once_per_problem(problems, golden_config, monkeypatch, jobs):
     # the fixture corpus repeats texts: 194 sketch completions, 29 distinct
