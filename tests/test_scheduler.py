@@ -1136,8 +1136,8 @@ def test_golden_replay_renders_each_theorem_header_once(problems, golden_config,
         return real(header)
 
     # where the memo renders a header, and where a whole sketch is rendered
-    monkeypatch.setattr(driver_module, "render_header", counting, raising=False)
-    monkeypatch.setattr(render_module, "render_header", counting, raising=False)
+    monkeypatch.setattr(driver_module, "render_header", counting)
+    monkeypatch.setattr(render_module, "render_header", counting)
     proved = _counting(monkeypatch, "prove_sketch", 1)
     run_experiment(problems, _golden_policy(golden_config), _golden_components(), 1, golden_config["seed"])
     assert len(proved) == 190
