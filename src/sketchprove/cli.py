@@ -63,20 +63,20 @@ class CliConfig:
     cache_mode: str = "replay"
     cache_file: str = "fixtures/cache/completions.jsonl"
     endpoint_url: str | None = None
-    endpoint_id: str = "default"
+    endpoint_id: str = CompletionClient.endpoint_id
     auth_env: str = "COMPLETION_API_KEY"
     prover: str = "scripted:fixtures/prover/script.json"
     drafts: int = 5
     sketches_per_draft: int = 2
-    budget: int = 100
-    stop_on_first_success: bool = True
-    draft_source: str = "model"
-    k_examples: int = 3
-    mode: str = "full"
-    max_prompt_chars: int | None = None
-    tactic_timeout_ms: int = 10_000
-    hammer_timeout_ms: int = 120_000
-    per_gap_budget_ms: int = 235_000
+    budget: int = BudgetPolicy.total_budget
+    stop_on_first_success: bool = BudgetPolicy.stop_on_first_success
+    draft_source: str = BudgetPolicy.draft_source.value
+    k_examples: int = PromptConfig.k_examples
+    mode: str = PromptConfig.mode.value
+    max_prompt_chars: int | None = PromptConfig.max_prompt_chars
+    tactic_timeout_ms: int = ProverConfig.tactic_timeout_ms
+    hammer_timeout_ms: int = ProverConfig.hammer_timeout_ms
+    per_gap_budget_ms: int = ProverConfig.per_gap_budget_ms
     out: str = "out"
     seed: int = 0
     jobs: int = 1

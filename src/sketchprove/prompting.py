@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -94,15 +94,15 @@ class ExamplePool:
         return self._by_category[category]
 
     def blocks(self, quads: Sequence[ExampleQuad], mode: PromptMode) -> list[str]:
-        """The block each of this pool's `quads` shows in `mode`: rewritten
-        by `apply_mode` and rendered once per pool. An example that
-        `apply_mode` refuses raises on every request that shows it."""
+        """The block each of this pool's `quads` shows in `mode`
+        (`example_block`), rendered once per pool. An example that
+        `shown_sketch` refuses raises on every request that shows it."""
         table = self._blocks[mode]
         for quad in quads:
             if quad.id not in table:
                 with self._lock:
                     if quad.id not in table:
-                        table[quad.id] = _example_block(apply_mode(quad, mode), mode)
+                        table[quad.id] = example_block(quad, mode)
         return [table[quad.id] for quad in quads]
 
 
@@ -215,19 +215,16 @@ def select_examples(
     return rng.sample(eligible, config.k_examples)
 
 
-def apply_mode(quad: ExampleQuad, mode: PromptMode) -> ExampleQuad:
-    """Rewrite one example for an ablation mode."""
+def shown_sketch(quad: ExampleQuad, mode: PromptMode) -> str:
+    """The formal text one example shows in an ablation mode: its sketch,
+    its sketch without comments, or its gap-free full proof."""
     if mode is PromptMode.FULL:
-        return quad
+        return quad.formal_sketch
     if mode is PromptMode.FULL_PROOF:
         if quad.full_proof is None:
             raise MissingFullProof(quad.id)
-        return replace(quad, formal_sketch=quad.full_proof)
-    stripped = serialize(strip_comments(parse_sketch(quad.formal_sketch)))
-    if mode is PromptMode.NO_COMMENTS:
-        return replace(quad, formal_sketch=stripped)
-    assert mode is PromptMode.NO_INFORMAL_PROOF
-    return replace(quad, informal_proof="", formal_sketch=stripped)
+        return quad.full_proof
+    return serialize(strip_comments(parse_sketch(quad.formal_sketch)))
 
 
 class HasProblemFields(Protocol):
@@ -235,56 +232,41 @@ class HasProblemFields(Protocol):
     formal_statement: str
 
 
-_STATEMENT = "Informal Statement:"
-_PROOF = "Informal Proof:"
-_FORMAL = "Formal Statement:"
-_SKETCH = "Formal Proof Sketch:"
-_FULL = "Formal Proof:"
-
-
-def _sketch_section(mode: PromptMode) -> str:
-    return _FULL if mode is PromptMode.FULL_PROOF else _SKETCH
-
-
-def _example_block(quad: ExampleQuad, mode: PromptMode) -> str:
-    parts = [f"{_STATEMENT}\n{quad.informal_statement.rstrip()}"]
+def _layout(problem: HasProblemFields, informal_proof: str, mode: PromptMode) -> str:
+    """The sections of an example or of the target, up to the heading the
+    formal text follows; the informal proof is left out in the mode that
+    shows none."""
+    parts = [f"Informal Statement:\n{problem.informal_statement.rstrip()}"]
     if mode is not PromptMode.NO_INFORMAL_PROOF:
-        parts.append(f"{_PROOF}\n{quad.informal_proof.rstrip()}")
-    parts.append(f"{_FORMAL}\n{quad.formal_statement.rstrip()}")
-    parts.append(f"{_sketch_section(mode)}\n{quad.formal_sketch.rstrip()}")
+        parts.append(f"Informal Proof:\n{informal_proof.rstrip()}")
+    parts.append(f"Formal Statement:\n{problem.formal_statement.rstrip()}")
+    parts.append("Formal Proof:" if mode is PromptMode.FULL_PROOF else "Formal Proof Sketch:")
     return "\n\n".join(parts)
 
 
+def example_block(quad: ExampleQuad, mode: PromptMode) -> str:
+    """One example as a sketch prompt shows it in `mode`."""
+    return f"{_layout(quad, quad.informal_proof, mode)}\n{shown_sketch(quad, mode).rstrip()}"
+
+
 def build_sketch_prompt(
-    examples: Sequence[ExampleQuad | str],
+    blocks: Sequence[str],
     problem: HasProblemFields,
     draft: str,
     config: PromptConfig,
 ) -> str:
-    """Assemble the sketching prompt: example blocks, then the target
-    problem up to the point where the model must continue with the sketch.
-    An example is a quad, shown as it is, or its block already rendered for
-    the mode (`ExamplePool.blocks`). Whole examples are dropped from the
-    front if a character budget is set and exceeded."""
-    if not examples:
+    """Assemble the sketching prompt: the example blocks rendered for the
+    mode (`example_block`), then the target problem up to the point where
+    the model must continue with the sketch. Whole examples are dropped
+    from the front if a character budget is set and exceeded."""
+    if not blocks:
         raise ValueError("at least one example is required")
-    mode = config.mode
-
-    target_parts = [f"{_STATEMENT}\n{problem.informal_statement.rstrip()}"]
-    if mode is not PromptMode.NO_INFORMAL_PROOF:
-        target_parts.append(f"{_PROOF}\n{draft.rstrip()}")
-    target_parts.append(f"{_FORMAL}\n{problem.formal_statement.rstrip()}")
-    target_parts.append(_sketch_section(mode))
-    target = "\n\n".join(target_parts)
-
-    blocks = [q if isinstance(q, str) else _example_block(q, mode) for q in examples]
-    while True:
-        prompt = "\n\n".join(blocks + [target]) + "\n"
+    target = _layout(problem, draft, config.mode)
+    for start in range(len(blocks) + 1):
+        prompt = "\n\n".join([*blocks[start:], target]) + "\n"
         if config.max_prompt_chars is None or len(prompt) <= config.max_prompt_chars:
-            return prompt
-        if not blocks:
-            return prompt
-        blocks.pop(0)
+            break
+    return prompt
 
 
 DRAFT_CUE = "Proof:"

@@ -250,10 +250,3 @@ def run_cascades(
         base = _tuple_new(ProverState, (result.state_id,))
     return results
 
-
-def run_cascade(
-    backend: Backend, base: str | ProverState, context: str, config: ProverConfig
-) -> GapResult:
-    """The cascade on the one gap that `context`, replayed on top of `base`,
-    ends in: `run_cascades` on a run of one."""
-    return run_cascades(backend, base, (context,), config)[0]

@@ -9,10 +9,9 @@ which the previous gap closed, and a fully closed sketch gets one final
 end-to-end verification.
 
 The cascade is `run_cascades`, one implementation for every backend, run
-over a run of consecutive gaps (`run_cascade` is its one-gap case): each
-gap resumes where the previous one closed, and the run stops after the
-first gap that does not close, or whose closing step the proof text cannot
-hold. The wire client sends a whole run as one `cascade` frame (its base,
+over a run of consecutive gaps: each gap resumes where the previous one
+closed, and the run stops after the first gap that does not close, or
+whose closing step the proof text cannot hold. The wire client sends a whole run as one `cascade` frame (its base,
 the gap contexts as `texts`, the tactic list, timeouts and per-gap
 budget), whose reply deadline is the per-gap budget times the number of
 contexts plus a grace. The bridge runs `run_cascades` next to the prover and answers with
@@ -159,16 +158,21 @@ class ProverSession:
 
 
 def open_session(spec: BackendSpec, config: ProverConfig) -> ProverSession:
-    """Connect a backend and initialize the theory context."""
+    """Connect a backend and initialize the theory context. A handshake
+    that fails closes the connection, since no caller gets the session."""
     if isinstance(spec, ScriptedSpec):
         backend: Backend = ScriptedBackend(load_script(spec.script_path))
     else:
         backend = WireBackend(spec.address)
     session = ProverSession(backend, config)
-    with session.exclusive() as b:
-        reply = b.init(config.theory, "")
+    try:
+        with session.exclusive() as b:
+            reply = b.init(config.theory, "")
         if reply.status != "ok":
             raise ConnectError(getattr(spec, "address", "scripted"), reply.reason or "init failed")
+    except BaseException:
+        session.close()
+        raise
     return session
 
 

@@ -64,8 +64,8 @@ scripted backend. A bridge may answer fewer results than that, and the
 client sends the rest as its next `cascade`. A bridge that does not apply
 the closing-step rule only wastes prover work after such a gap: the client
 fails the sketch there and discards the later results. The client waits
-for the reply for the per-gap budget times the number of texts, plus a
-grace of `REPLY_GRACE_S`.
+for each reply for the prover time its command allows (for `cascade`, the
+per-gap budget times the number of texts) plus a grace of `REPLY_GRACE_S`.
 
 A server answers any other command with status "fail" and the reason
 "unknown command ...", a `resume` or `cascade` from a state it never
@@ -74,16 +74,18 @@ UTF-8, not a JSON object with an id and a cmd, or a field of the wrong
 type, or `texts` that is not a nonempty list of strings) with the reason
 "bad frame ..."; a frame whose answer fails inside the server itself
 gets the reason "internal error: <type>: <message>" and one line on the
-server's standard error. It keeps serving after each. A client treats a failed
-`check`, `resume` or `cascade`, an ok `step` or `hammer` reply or a closed
-cascade result without a `state_id`, an ok `hammer` reply without a
-`reconstruction`, `results` that is not a nonempty list no longer than
-`texts`, a result after one that is not closed, a missing or unknown
-`status` or failed-attempt outcome, a negative `elapsed_ms`, a
+server's standard error. It keeps serving after each. A client treats an
+"unknown command" or "unknown state" answer to `resume`, `step`, `hammer`,
+`check` or `cascade`, any failed `cascade`, an ok `step` or `hammer` reply
+or a closed cascade result without a `state_id`, an ok `hammer` reply
+without a `reconstruction`, `results` that is not a nonempty list no
+longer than `texts`, a result after one that is not closed, a missing or
+unknown `status` or failed-attempt outcome, a negative `elapsed_ms`, a
 `tactic_index` outside the `tactics` sent, and a reply that is not a
 well-formed object, as a lost session, not as an invalid proof or a failed
 gap. A resumed text the prover refuses fails its gap, as a refused `init`
-does.
+does; a new session whose first `init` fails, for any reason, could not
+connect.
 
 Run the reference server (scripted rules behind the wire protocol) with:
     python -m sketchprove.prover --script rules.json --port 9777
@@ -280,7 +282,7 @@ class WireBackend:
                 return b""
             self._inbox += chunk
 
-    def _roundtrip(self, cmd: str, reply_timeout_s: float = REPLY_GRACE_S, **fields) -> dict:
+    def _roundtrip(self, cmd: str, reply_timeout_s: float, **fields) -> dict:
         with self._lock:
             self._req_id += 1
             req_id = self._req_id
@@ -310,51 +312,36 @@ class WireBackend:
             self._broken = False
             return reply
 
-    @staticmethod
-    def _to_reply(raw: dict) -> BackendReply:
+    def _command(self, cmd: str, prover_ms: float = 0, **fields) -> tuple[BackendReply, object]:
+        """Send `cmd`, waiting `prover_ms` plus `REPLY_GRACE_S` for the reply,
+        and return the reply and its `results`. A malformed reply raises
+        SessionDead, as does an "unknown command" or "unknown state" failure
+        of any command but the handshake `init` (a ConnectError there)."""
+        raw = self._roundtrip(cmd, reply_timeout_s=prover_ms / 1000 + REPLY_GRACE_S, **fields)
         status = raw.get("status")
         texts = [raw.get(key) for key in ("state_id", "reconstruction", "reason")]
         if status not in _STATUSES or not all(t is None or isinstance(t, str) for t in texts):
             raise SessionDead(f"malformed reply: {json.dumps(raw)[:120]}")
-        return BackendReply(status, _ms(raw.get("elapsed_ms", 0)), *texts)
-
-    @staticmethod
-    def _supported(cmd: str, reply: BackendReply) -> BackendReply:
-        # a bridge that cannot run `cmd` must not turn its answers into verdicts
+        reply = BackendReply(status, _ms(raw.get("elapsed_ms", 0)), *texts)
         reason = reply.reason or ""
-        if reply.status == "fail" and reason.startswith(("unknown command", "unknown state")):
+        if cmd != "init" and status == "fail" and reason.startswith(("unknown command", "unknown state")):
+            # a bridge that cannot run `cmd` must not turn its answers into verdicts
             raise SessionDead(f"backend does not support {cmd!r}: {reason}")
-        return reply
+        return reply, raw.get("results")
 
     def init(self, base: str | ProverState, statement: str) -> BackendReply:
-        if not isinstance(base, ProverState):
-            return self._to_reply(self._roundtrip("init", theory=base, statement=statement))
-        reply = self._to_reply(self._roundtrip("resume", state=base.state_id, text=statement))
-        return self._supported("resume", reply)
+        if isinstance(base, ProverState):
+            return self._command("resume", state=base.state_id, text=statement)[0]
+        return self._command("init", theory=base, statement=statement)[0]
 
     def step(self, text: str, timeout_ms: int) -> BackendReply:
-        return self._to_reply(
-            self._roundtrip(
-                "step", reply_timeout_s=timeout_ms / 1000 + REPLY_GRACE_S, text=text,
-                timeout_ms=timeout_ms,
-            )
-        )
+        return self._command("step", timeout_ms, text=text, timeout_ms=timeout_ms)[0]
 
     def hammer(self, timeout_ms: int) -> BackendReply:
-        return self._to_reply(
-            self._roundtrip(
-                "hammer", reply_timeout_s=timeout_ms / 1000 + REPLY_GRACE_S, timeout_ms=timeout_ms
-            )
-        )
+        return self._command("hammer", timeout_ms, timeout_ms=timeout_ms)[0]
 
     def check_full(self, proof_text: str, timeout_ms: int) -> BackendReply:
-        reply = self._to_reply(
-            self._roundtrip(
-                "check", reply_timeout_s=timeout_ms / 1000 + REPLY_GRACE_S, text=proof_text,
-                timeout_ms=timeout_ms,
-            )
-        )
-        return self._supported("check", reply)
+        return self._command("check", timeout_ms, text=proof_text, timeout_ms=timeout_ms)[0]
 
     def cascade(
         self, base: str | ProverState, contexts: Sequence[str], config: ProverConfig
@@ -363,17 +350,15 @@ class WireBackend:
         bridge runs the cascades next to the prover. Its reply deadline is
         the per-gap budget for each context plus the grace."""
         where = {"state": base.state_id} if isinstance(base, ProverState) else {"theory": base}
-        raw = self._roundtrip(
-            "cascade",
-            reply_timeout_s=len(contexts) * config.per_gap_budget_ms / 1000 + REPLY_GRACE_S,
+        reply, results = self._command(
+            "cascade", len(contexts) * config.per_gap_budget_ms,
             **where, texts=contexts, tactics=config.tactic_list,
             tactic_timeout_ms=config.tactic_timeout_ms,
             hammer_timeout_ms=config.hammer_timeout_ms, budget_ms=config.per_gap_budget_ms,
         )
-        reply = self._supported("cascade", self._to_reply(raw))
         if reply.status != "ok":
             raise SessionDead(f"backend could not run the cascade: {reply.reason or reply.status}")
-        return decode_gap_results(raw.get("results"), len(contexts), len(config.tactic_list))
+        return decode_gap_results(results, len(contexts), len(config.tactic_list))
 
     def quit(self) -> None:
         """End the conversation and release the socket or child process;

@@ -53,7 +53,7 @@ def _reference_problem(problem, policy, pool, client, prompt_config, open_sessio
     except ParseError:
         statement = None
     attempts = []
-    for entry in make_plan(policy, seed, problem.id).entries:
+    for entry in make_plan(policy, seed, problem.id):
         if policy.stop_on_first_success and any(a.success for a in attempts):
             attempts.append(_record(problem.id, entry, FailureStage.NOT_RUN))
             continue

@@ -28,9 +28,10 @@ from sketchprove.prompting import (
     Category,
     PromptConfig,
     PromptMode,
-    apply_mode,
+    example_block,
     load_pool,
     select_examples,
+    shown_sketch,
 )
 from sketchprove.prover import (
     Closed,
@@ -341,12 +342,12 @@ def test_budget_arithmetic():
                 continue
             plan = make_plan(policy, 1, "p")
             checked += 1
-            assert len(plan.entries) == drafts * sketches
-            assert len(plan.entries) <= budget
-            seeds = [seed for _, _, seed in plan.entries]
+            assert len(plan) == drafts * sketches
+            assert len(plan) <= budget
+            seeds = [seed for _, _, seed in plan]
             assert len(set(seeds)) == len(seeds)
             if human:
-                assert all(d == 0 for d, _, _ in plan.entries)
+                assert all(d == 0 for d, _, _ in plan)
         assert checked > 300  # plenty of in-budget policies were exercised
         with pytest.raises(ValueError):
             BudgetPolicy(drafts_per_problem=2, sketches_per_draft=1, draft_source=DraftSource.HUMAN)
@@ -378,13 +379,13 @@ def test_prompt_statistics(pool):
         from sketchprove.sketch import count_comments
 
         for quad in pool.quads:
-            no_comments = apply_mode(quad, PromptMode.NO_COMMENTS)
-            assert count_comments(parse_sketch(no_comments.formal_sketch)) == 0
-            no_informal = apply_mode(quad, PromptMode.NO_INFORMAL_PROOF)
-            assert no_informal.informal_proof == ""
-            assert count_comments(parse_sketch(no_informal.formal_sketch)) == 0
-            full = apply_mode(quad, PromptMode.FULL_PROOF)
-            assert count_gaps(parse_sketch(full.formal_sketch)) == 0
+            no_comments = shown_sketch(quad, PromptMode.NO_COMMENTS)
+            assert count_comments(parse_sketch(no_comments)) == 0
+            assert "Informal Proof:" not in example_block(quad, PromptMode.NO_INFORMAL_PROOF)
+            no_informal = shown_sketch(quad, PromptMode.NO_INFORMAL_PROOF)
+            assert count_comments(parse_sketch(no_informal)) == 0
+            full = shown_sketch(quad, PromptMode.FULL_PROOF)
+            assert count_gaps(parse_sketch(full)) == 0
 
 
 # -- 8. live integration smoke test (non-gating) -----------------------------------------------

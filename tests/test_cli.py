@@ -38,6 +38,17 @@ def test_run_reproduces_golden_records(tmp_path):
     assert manifest["infra_errors"] == {}
 
 
+def test_the_golden_config_and_its_hash_are_pinned(golden_config):
+    # the CLI reads its prover, prompt, budget and endpoint defaults from the
+    # components that own them; the effective golden configuration, and so
+    # the hash its manifest records, must not move with them
+    from sketchprove.cli import CliConfig
+    from sketchprove.harness import config_hash
+
+    config = CliConfig(**golden_config).as_dict()
+    assert config_hash(config) == "bfad076d7d05737c8ff3ae52180e896981061ce56ff907d0662a59df63cd9ffb"
+
+
 def test_run_parallel_matches_golden(tmp_path):
     result = run_cli(*golden_flags(tmp_path / "b", jobs=8), "run")
     assert result.returncode == 0, result.stderr

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from collections import Counter
@@ -18,14 +19,15 @@ from sketchprove.prompting import (
     PoolTooSmall,
     PromptConfig,
     PromptMode,
-    apply_mode,
     build_draft_prompt,
     build_sketch_prompt,
+    example_block,
     infer_category,
     load_pool,
     select_examples,
+    shown_sketch,
 )
-from sketchprove.scheduler import sketch_request
+from sketchprove.scheduler import derive_seed, sketch_request
 from sketchprove.sketch import count_comments, count_gaps, parse_sketch
 
 
@@ -153,32 +155,35 @@ def test_selection_frequencies_uniform(pool):
 # -- ablation modes ----------------------------------------------------------------
 
 
-def test_apply_mode_full_is_identity(pool):
+def test_shown_sketch_full_is_the_sketch(pool):
     quad = pool.quads[0]
-    assert apply_mode(quad, PromptMode.FULL) is quad
+    assert shown_sketch(quad, PromptMode.FULL) == quad.formal_sketch
 
 
-def test_apply_mode_no_comments(pool):
+def test_shown_sketch_no_comments(pool):
     quad = pool.quads[0]
-    out = apply_mode(quad, PromptMode.NO_COMMENTS)
-    ast = parse_sketch(out.formal_sketch)
+    ast = parse_sketch(shown_sketch(quad, PromptMode.NO_COMMENTS))
     assert count_comments(ast) == 0
     assert count_gaps(ast) == count_gaps(parse_sketch(quad.formal_sketch))
-    assert out.informal_proof == quad.informal_proof
+    assert f"Informal Proof:\n{quad.informal_proof.rstrip()}" in example_block(quad, PromptMode.NO_COMMENTS)
 
 
-def test_apply_mode_no_informal_proof(pool):
-    out = apply_mode(pool.quads[0], PromptMode.NO_INFORMAL_PROOF)
-    assert out.informal_proof == ""
-    assert count_comments(parse_sketch(out.formal_sketch)) == 0
+def test_example_block_no_informal_proof(pool):
+    quad = pool.quads[0]
+    block = example_block(quad, PromptMode.NO_INFORMAL_PROOF)
+    assert "Informal Proof:" not in block
+    assert quad.informal_proof.rstrip() not in block
+    assert count_comments(parse_sketch(shown_sketch(quad, PromptMode.NO_INFORMAL_PROOF))) == 0
 
 
-def test_apply_mode_full_proof(pool):
-    out = apply_mode(pool.quads[0], PromptMode.FULL_PROOF)
-    assert count_gaps(parse_sketch(out.formal_sketch)) == 0
+def test_shown_sketch_full_proof(pool):
+    quad = pool.quads[0]
+    shown = shown_sketch(quad, PromptMode.FULL_PROOF)
+    assert count_gaps(parse_sketch(shown)) == 0
+    assert example_block(quad, PromptMode.FULL_PROOF).endswith(f"Formal Proof:\n{shown.rstrip()}")
 
 
-def test_apply_mode_full_proof_missing():
+def test_shown_sketch_full_proof_missing():
     quad = ExampleQuad(
         id="algebra_x",
         category=Category.ALGEBRA,
@@ -189,16 +194,17 @@ def test_apply_mode_full_proof_missing():
         full_proof=None,
     )
     with pytest.raises(MissingFullProof):
-        apply_mode(quad, PromptMode.FULL_PROOF)
+        shown_sketch(quad, PromptMode.FULL_PROOF)
+    with pytest.raises(MissingFullProof):
+        example_block(quad, PromptMode.FULL_PROOF)
 
 
 def test_mode_soundness_over_whole_pool(pool):
     for quad in pool.quads:
-        assert count_comments(parse_sketch(apply_mode(quad, PromptMode.NO_COMMENTS).formal_sketch)) == 0
-        no_informal = apply_mode(quad, PromptMode.NO_INFORMAL_PROOF)
-        assert no_informal.informal_proof == ""
-        assert count_comments(parse_sketch(no_informal.formal_sketch)) == 0
-        assert count_gaps(parse_sketch(apply_mode(quad, PromptMode.FULL_PROOF).formal_sketch)) == 0
+        assert count_comments(parse_sketch(shown_sketch(quad, PromptMode.NO_COMMENTS))) == 0
+        assert "Informal Proof:" not in example_block(quad, PromptMode.NO_INFORMAL_PROOF)
+        assert count_comments(parse_sketch(shown_sketch(quad, PromptMode.NO_INFORMAL_PROOF))) == 0
+        assert count_gaps(parse_sketch(shown_sketch(quad, PromptMode.FULL_PROOF))) == 0
 
 
 # -- prompt assembly ----------------------------------------------------------------
@@ -211,7 +217,8 @@ class FakeProblem:
 
 def test_sketch_prompt_counts(pool):
     examples = list(pool.quads[:3])
-    prompt = build_sketch_prompt(examples, FakeProblem(), "Add one to one.", PromptConfig())
+    blocks = [example_block(q, PromptMode.FULL) for q in examples]
+    prompt = build_sketch_prompt(blocks, FakeProblem(), "Add one to one.", PromptConfig())
     assert prompt.count("Informal Statement:") == 4
     assert prompt.count("Informal Proof:") == 4
     assert prompt.count("Formal Statement:") == 4
@@ -223,33 +230,34 @@ def test_sketch_prompt_counts(pool):
 
 
 def test_sketch_prompt_no_informal_sections(pool):
-    examples = [apply_mode(q, PromptMode.NO_INFORMAL_PROOF) for q in pool.quads[:3]]
+    blocks = [example_block(q, PromptMode.NO_INFORMAL_PROOF) for q in pool.quads[:3]]
     config = PromptConfig(mode=PromptMode.NO_INFORMAL_PROOF)
-    prompt = build_sketch_prompt(examples, FakeProblem(), "ignored draft", config)
+    prompt = build_sketch_prompt(blocks, FakeProblem(), "ignored draft", config)
     assert prompt.count("Informal Proof:") == 0
     assert "ignored draft" not in prompt
 
 
 def test_sketch_prompt_deterministic(pool):
-    examples = list(pool.quads[3:6])
-    first = build_sketch_prompt(examples, FakeProblem(), "d", PromptConfig())
-    second = build_sketch_prompt(examples, FakeProblem(), "d", PromptConfig())
+    blocks = [example_block(q, PromptMode.FULL) for q in pool.quads[3:6]]
+    first = build_sketch_prompt(blocks, FakeProblem(), "d", PromptConfig())
+    second = build_sketch_prompt(blocks, FakeProblem(), "d", PromptConfig())
     assert first == second
 
 
 def test_sketch_prompt_drops_whole_examples_when_over_budget(pool):
     examples = list(pool.quads[:3])
-    unbounded = build_sketch_prompt(examples, FakeProblem(), "d", PromptConfig())
+    blocks = [example_block(q, PromptMode.FULL) for q in examples]
+    unbounded = build_sketch_prompt(blocks, FakeProblem(), "d", PromptConfig())
     config = PromptConfig(max_prompt_chars=len(unbounded) - 1)
-    prompt = build_sketch_prompt(examples, FakeProblem(), "d", config)
+    prompt = build_sketch_prompt(blocks, FakeProblem(), "d", config)
     assert prompt.count("Formal Proof Sketch:") == 3  # dropped exactly one example
     assert examples[0].formal_sketch.rstrip() not in prompt
     assert examples[1].formal_sketch.rstrip() in prompt
 
 
 def test_full_proof_mode_uses_complete_proof_header(pool):
-    examples = [apply_mode(q, PromptMode.FULL_PROOF) for q in pool.quads[:3]]
-    prompt = build_sketch_prompt(examples, FakeProblem(), "d", PromptConfig(mode=PromptMode.FULL_PROOF))
+    blocks = [example_block(q, PromptMode.FULL_PROOF) for q in pool.quads[:3]]
+    prompt = build_sketch_prompt(blocks, FakeProblem(), "d", PromptConfig(mode=PromptMode.FULL_PROOF))
     assert prompt.count("Formal Proof:") == 4
     assert "Formal Proof Sketch:" not in prompt
     assert "sledgehammer" not in prompt
@@ -257,8 +265,8 @@ def test_full_proof_mode_uses_complete_proof_header(pool):
 
 def _rebuilt_prompt(quads, problem, draft, config, seed):
     """A sketch prompt as it was built before the pool kept tables: the
-    eligible examples filtered and every shown example rewritten and
-    rendered per request. The oracle for `sketch_request`."""
+    eligible examples filtered and every shown example rendered per
+    request. The oracle for `sketch_request`."""
     category = infer_category(problem.id)
     eligible = [
         q for q in quads
@@ -267,7 +275,7 @@ def _rebuilt_prompt(quads, problem, draft, config, seed):
     if len(eligible) < config.k_examples:
         raise PoolTooSmall(config.k_examples, len(eligible))
     examples = random.Random(seed).sample(eligible, config.k_examples)
-    return build_sketch_prompt([apply_mode(q, config.mode) for q in examples], problem, draft, config)
+    return build_sketch_prompt([example_block(q, config.mode) for q in examples], problem, draft, config)
 
 
 def _outcome(build):
@@ -305,6 +313,38 @@ def test_a_sketch_request_shows_the_examples_a_per_request_rewrite_shows(
     for _ in range(2):  # the first request fills the pool's tables, the second reads them
         got = _outcome(lambda: sketch_request(fresh, problem, "a draft", config, seed, "ep").prompt)
         assert got == expected
+
+
+# One SHA-256 per ablation mode over every prompt `sketch_request` builds for
+# the golden plan entries of the 20 fixture problems, each prompt followed by
+# a NUL byte. Recorded before the prompt layout was written once for the
+# examples and the target, so a refactor of the layout must keep them.
+PINNED_PROMPTS = {
+    PromptMode.FULL: "b7583d17ee92eeed199ae3c3643b4376589639c232a52613bdb69f73085a5417",
+    PromptMode.NO_COMMENTS: "8910cb97e9b4fe7376d2794528a0eb68d4c98c1e6d26c164a73851a0e5e975af",
+    PromptMode.NO_INFORMAL_PROOF: "062220d3b585fa638cda48f115062ce269ee1b1ad0349eba18a75220a17dc0c3",
+    PromptMode.FULL_PROOF: "c77a952984a62a094c77bfdece8f93a0e753dd1786fc95ddcf5d3bc5ac75f055",
+}
+
+
+@pytest.mark.parametrize("mode", PromptMode)
+def test_every_ablation_prompt_of_the_golden_plan_is_pinned(problems, pool, golden_config, mode):
+    cfg = golden_config
+    assert len(problems) == 20
+    drafts = [f"Draft {d}: add {d} to both sides, then simplify.\n\n" for d in range(cfg["drafts"])]
+    # a budget that drops examples from most prompts of every mode, but not all
+    config = PromptConfig(k_examples=cfg["k_examples"], mode=mode, max_prompt_chars=1800)
+    digest = hashlib.sha256()
+    shown = Counter()
+    for problem in problems:
+        for d in range(cfg["drafts"]):
+            for s in range(cfg["sketches_per_draft"]):
+                seed = derive_seed(cfg["seed"], problem.id, d, s)
+                prompt = sketch_request(pool, problem, drafts[d], config, seed, cfg["endpoint_id"]).prompt
+                shown[prompt.count("Informal Statement:") - 1] += 1
+                digest.update(prompt.encode("utf-8") + b"\0")
+    assert shown[3] and sum(shown.values()) > shown[3]
+    assert digest.hexdigest() == PINNED_PROMPTS[mode]
 
 
 def test_draft_prompt_zero_shot():

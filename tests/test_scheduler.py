@@ -37,8 +37,8 @@ from sketchprove.prompting import (
     MissingFullProof,
     PromptConfig,
     PromptMode,
-    apply_mode,
     build_sketch_prompt,
+    example_block,
     infer_category,
     load_pool,
     select_examples,
@@ -82,14 +82,14 @@ from sketchprove.sketch import SketchAst, count_gaps, parse_sketch, serialize
 def test_full_grid_plan():
     policy = BudgetPolicy(drafts_per_problem=25, sketches_per_draft=4, total_budget=100)
     plan = make_plan(policy, 0, "p")
-    assert len(plan.entries) == 100
+    assert len(plan) == 100
 
 
 def test_one_sketch_per_draft_plan():
     policy = BudgetPolicy(drafts_per_problem=100, sketches_per_draft=1, total_budget=100)
     plan = make_plan(policy, 0, "p")
-    assert len(plan.entries) == 100
-    assert [d for d, _, _ in plan.entries] == list(range(100))
+    assert len(plan) == 100
+    assert [d for d, _, _ in plan] == list(range(100))
 
 
 def test_human_plan_single_draft():
@@ -98,8 +98,8 @@ def test_human_plan_single_draft():
         draft_source=DraftSource.HUMAN,
     )
     plan = make_plan(policy, 0, "p")
-    assert len(plan.entries) == 100
-    assert all(d == 0 for d, _, _ in plan.entries)
+    assert len(plan) == 100
+    assert all(d == 0 for d, _, _ in plan)
 
 
 def test_human_policy_rejects_multiple_drafts():
@@ -116,10 +116,10 @@ def test_plan_respects_budget():
 def test_plan_is_draft_major_with_distinct_seeds():
     policy = BudgetPolicy(drafts_per_problem=3, sketches_per_draft=2, total_budget=100)
     plan = make_plan(policy, 7, "p")
-    assert [(d, s) for d, s, _ in plan.entries] == [
+    assert [(d, s) for d, s, _ in plan] == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)
     ]
-    seeds = [seed for _, _, seed in plan.entries]
+    seeds = [seed for _, _, seed in plan]
     assert len(set(seeds)) == len(seeds)
     assert make_plan(policy, 7, "p") == plan  # deterministic
     assert make_plan(policy, 8, "p") != plan  # seed-sensitive
@@ -914,11 +914,11 @@ def test_an_ablation_run_parses_each_pool_example_once_and_sends_the_prompts_it_
     drafts = ["first draft", "second draft"] if mode is PromptMode.NO_COMMENTS else [""]
     expected = []
     for problem in problems:
-        for d, _, seed in make_plan(policy, 0, problem.id).entries[: 3 * len(drafts)]:
+        for d, _, seed in make_plan(policy, 0, problem.id)[: 3 * len(drafts)]:
             examples = select_examples(
                 components.pool, problem.id, infer_category(problem.id), config, random.Random(seed)
             )
-            shown = [apply_mode(q, mode) for q in examples]
+            shown = [example_block(q, mode) for q in examples]
             expected.append(build_sketch_prompt(shown, problem, drafts[d], config))
     parsed, sent = [], []
     real_parse = prompting_module.parse_sketch
@@ -959,7 +959,7 @@ def test_an_entry_whose_examples_lack_a_full_proof_records_prompt_build_and_send
         for q in components.pool.quads
     ))
     policy = BudgetPolicy(drafts_per_problem=4, sketches_per_draft=2, stop_on_first_success=False)
-    plan = make_plan(policy, 0, "algebra_sched").entries
+    plan = make_plan(policy, 0, "algebra_sched")
 
     def buildable(entry):
         try:

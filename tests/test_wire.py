@@ -19,6 +19,7 @@ from bridges import RelayBridge
 from conftest import minimal_script, retained_bytes
 from sketchprove.prover import (
     Closed,
+    ConnectError,
     ExternalSpec,
     Failed,
     FullProofResult,
@@ -38,7 +39,7 @@ from sketchprove.prover import (
     load_script,
     open_session,
     prove_sketch,
-    run_cascade,
+    run_cascades,
     verify_full,
 )
 from sketchprove.prover import wire
@@ -390,7 +391,11 @@ def test_wire_resume_round_trip(server, tmp_path, transport):
     backend.init(ProverState(first.state_id), '\n  have c2: "x + 0 = x"\n')
     assert [backend.step(step, 50).status for step in ("by auto", "by simp", "by blast")] == [
         "fail", "fail", "ok"]
-    assert sent[2] == ("resume", {"state": closed.state_id, "text": "\n  show ?thesis using c1\n"})
+    # a resume replays text, and its reply deadline is the grace alone
+    assert sent[2] == ("resume", {
+        "reply_timeout_s": wire.REPLY_GRACE_S, "state": closed.state_id,
+        "text": "\n  show ?thesis using c1\n",
+    })
     assert [cmd for cmd, _ in sent] == [
         "init", "step", "resume", "hammer", "resume", "step", "step", "step"]
     backend.quit()
@@ -432,6 +437,32 @@ def test_wire_cascade_unknown_to_the_bridge_is_a_lost_session():
     session.close()
 
 
+@pytest.mark.parametrize("cmd", ["step", "hammer"])
+def test_wire_step_or_hammer_unknown_to_the_bridge_is_a_lost_session(cmd):
+    # driven one command at a time, a bridge without `step` or `hammer` must
+    # not turn each of its answers into a failed tactic
+    def answer(frame):
+        if frame["cmd"] == cmd:
+            return {"status": "fail", "reason": f"unknown command {cmd!r}"}
+        if frame["cmd"] == "step":
+            return {"status": "fail", "reason": "step does not close the goal"}
+        return {"status": "ok", "state_id": "s1"}
+
+    session = open_session(ExternalSpec(fake_bridge(answer)), FAST)
+    with pytest.raises(SessionDead, match=f"does not support '{cmd}': unknown command"):
+        with session.exclusive() as backend:
+            run_cascades(backend, "Main", [FIRST_CONTEXT], FAST)
+    assert session.state is SessionState.DEAD
+    session.close()
+
+
+def test_wire_init_unknown_to_the_bridge_is_a_connect_error():
+    # the handshake's refusal is reported as an unreachable backend
+    address = fake_bridge(lambda frame: {"status": "fail", "reason": "unknown command 'init'"})
+    with pytest.raises(ConnectError, match="unknown command 'init'"):
+        open_session(ExternalSpec(address), FAST)
+
+
 def test_wire_resume_from_an_unknown_state_is_a_lost_session(server):
     backend = WireBackend(server.address)
     with pytest.raises(SessionDead, match="unknown state 's1'"):
@@ -467,7 +498,7 @@ def test_wire_closing_reply_without_state_id_is_a_lost_session(closer):
 
 @pytest.mark.parametrize("closer", ["step", "hammer"])
 def test_step_by_step_closing_reply_without_state_id_is_a_lost_session(closer):
-    # the step protocol's closing replies, read by run_cascade over the wire
+    # the step protocol's closing replies, read by run_cascades over the wire
     def answer(frame):
         if frame["cmd"] == "step" and closer == "hammer":
             return {"status": "fail", "reason": "step does not close the goal"}
@@ -478,7 +509,7 @@ def test_step_by_step_closing_reply_without_state_id_is_a_lost_session(closer):
     backend = WireBackend(fake_bridge(answer))
     sent = counting_commands(backend)
     with pytest.raises(SessionDead, match="no state_id"):
-        run_cascade(backend, "Main", FIRST_CONTEXT, FAST)
+        run_cascades(backend, "Main", [FIRST_CONTEXT], FAST)[0]
     assert [cmd for cmd, _ in sent] == ["init", "step"] + ["step"] * 10 * (closer == "hammer") + [
         "hammer"] * (closer == "hammer")
     backend.quit()
@@ -626,7 +657,7 @@ def test_ok_hammer_reply_without_a_reconstruction_is_a_lost_session():
 
     backend = WireBackend(fake_bridge(answer))
     with pytest.raises(SessionDead, match="no reconstruction"):
-        run_cascade(backend, "Main", FIRST_CONTEXT, FAST)
+        run_cascades(backend, "Main", [FIRST_CONTEXT], FAST)[0]
     backend.quit()
 
 
