@@ -312,7 +312,7 @@ class WireBackend:
             self._broken = False
             return reply
 
-    def _command(self, cmd: str, prover_ms: float = 0, **fields) -> tuple[BackendReply, object]:
+    def _command(self, cmd: str, prover_ms: int = 0, **fields) -> tuple[BackendReply, object]:
         """Send `cmd`, waiting `prover_ms` plus `REPLY_GRACE_S` for the reply,
         and return the reply and its `results`. A malformed reply raises
         SessionDead, as does an "unknown command" or "unknown state" failure
