@@ -280,11 +280,12 @@ def cmd_run(config: CliConfig, args: argparse.Namespace) -> int:
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = out_dir / ("records_baseline.jsonl" if args.baseline else "records.jsonl")
+    suffix = "_baseline" if args.baseline else ""  # so either arm keeps the other's files
+    records_path = out_dir / f"records{suffix}.jsonl"
     harness.export_records(results, records_path)
     failures = infra_failures(results)
     harness.write_manifest(
-        out_dir / "manifest.json",
+        out_dir / f"manifest{suffix}.json",
         config=config.as_dict() | {"baseline": args.baseline},
         created_at=datetime.now(timezone.utc).isoformat(),
         timings_ms={"total": elapsed_ms},

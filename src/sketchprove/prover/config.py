@@ -72,7 +72,7 @@ GapResult = Union[Closed, Failed, TimedOut]
 
 @dataclass(frozen=True)
 class Valid:
-    proof_text: str | None = None
+    """The final check accepted the whole proof."""
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,9 @@ class SessionDead(InfraError):
         return f"prover backend lost: {self.detail}"
 
 
-@dataclass
 class SessionBusy(Exception):
-    session_id: str
-
     def __str__(self) -> str:
-        return f"session {self.session_id} already has a command in flight"
+        return "the session already has a command in flight"
 
 
 class ProverState(NamedTuple):

@@ -11,18 +11,12 @@ end-to-end verification.
 The cascade is `run_cascades`, one implementation for every backend, run
 over a run of consecutive gaps: each gap resumes where the previous one
 closed, and the run stops after the first gap that does not close, or
-whose closing step the proof text cannot hold. The wire client sends a whole run as one `cascade` frame (its base,
-the gap contexts as `texts`, the tactic list, timeouts and per-gap
-budget), whose reply deadline is the per-gap budget times the number of
-contexts plus a grace. The bridge runs `run_cascades` next to the prover and answers with
-`results`, one per gap attempted: closed (closing step, tactic index,
-elapsed time, `state_id`), failed (the attempts and their outcomes) or
-timed out. A bridge may answer fewer results than the run would give; the
-client sends the rest as the next run. A bridge that does not stop at a
-closing step the proof cannot hold only wastes prover work: the client
-fails the sketch at that gap and discards the later results. In-process
-backends, and any backend that only speaks `init`/`step`/`hammer`, are
-driven one command at a time by the same `run_cascades`.
+whose closing step the proof text cannot hold. The wire client sends a
+whole run as one `cascade` frame, which the bridge answers by running
+`run_cascades` next to the prover; `wire.py` specifies the frame, its
+reply deadline and how a bridge may answer. In-process backends, and any
+backend that only speaks `init`/`step`/`hammer`, are driven one command at
+a time by the same `run_cascades`.
 
 Every sketch of a problem states the same theorem, and sketches of one
 draft often share their opening steps, so a session memoises its prover
@@ -70,7 +64,7 @@ from .config import (
     _tuple_new,
     run_cascades,
 )
-from .scripted import ScriptedBackend, load_script, new_session_id
+from .scripted import ScriptedBackend, load_script
 from .wire import WireBackend
 
 
@@ -120,8 +114,7 @@ class ProverSession:
     session dead, since its conversation is then in an unknown state; a
     dead or closed session drops its memo."""
 
-    def __init__(self, backend: Backend, config: ProverConfig, session_id: str | None = None):
-        self.session_id = session_id or new_session_id()
+    def __init__(self, backend: Backend, config: ProverConfig):
         self.backend = backend
         self.config = config
         self.state = SessionState.IDLE
@@ -133,7 +126,7 @@ class ProverSession:
         if self.state is SessionState.DEAD:
             raise SessionDead("session is dead; reopen it")
         if self.state is SessionState.BUSY:
-            raise SessionBusy(self.session_id)
+            raise SessionBusy()
         self.state = SessionState.BUSY
         try:
             yield self.backend
@@ -354,7 +347,7 @@ def _check_full(session: ProverSession, proof_text: str) -> Valid | Invalid:
     with session.exclusive() as backend:
         reply = backend.check_full(proof_text, session.config.hammer_timeout_ms)
     if reply.status == "ok":
-        return Valid(proof_text)
+        return Valid()
     if reply.status == "timeout":
         return Invalid("verification timed out")
     return Invalid(reply.reason or "backend rejected the proof")

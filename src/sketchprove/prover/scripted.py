@@ -34,7 +34,6 @@ and behind the reference wire server alike.
 from __future__ import annotations
 
 import functools
-import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -279,9 +278,3 @@ def _slept(reply: BackendReply) -> BackendReply:
         time.sleep(reply.elapsed_ms / 1000.0)
     return reply
 
-
-def new_session_id() -> str:
-    """12 random hex characters; `uuid` is not used, since importing it
-    also imports `platform`, a cost every process that imports the prover
-    would pay."""
-    return os.urandom(6).hex()

@@ -392,46 +392,6 @@ class _ProblemQueue:
         self._draft_future = None  # its done-callback refers back to this queue
 
 
-class _DraftsAhead:
-    """Makes problems' queues, and so starts their draft requests, before a
-    worker reaches them: when a worker takes a problem, the queues of the
-    next `depth` problems are made too. `close` closes those no worker
-    took."""
-
-    def __init__(
-        self, problems: Sequence[Problem], policy: BudgetPolicy | None,
-        components: PipelineComponents, experiment_seed: int, depth: int,
-    ):
-        self._problems = problems
-        self._depth = depth
-        self._queue = functools.partial(
-            _ProblemQueue, policy=policy, components=components, seed=experiment_seed,
-            lock=threading.Lock(),
-        )
-        self._lock = threading.Lock()  # guards the fields below
-        self._queues: dict[int, _ProblemQueue] = {}  # made, not taken yet
-        self._next = 0  # every problem before it has a queue
-
-    def take(self, index: int) -> _ProblemQueue:
-        """Problem `index`'s queue. Makes it, and those of the next `depth`
-        problems, if they are not made yet; a plan over budget raises
-        BudgetExceeded before any request starts."""
-        with self._lock:
-            made = [self._queue(p) for p in self._problems[self._next:index + self._depth + 1]]
-            self._queues.update(zip(itertools.count(self._next), made))
-            self._next += len(made)
-            taken = self._queues.pop(index)
-        for queue in made:  # once every draft request is queued ahead of them
-            queue.start_on_draft()
-        return taken
-
-    def close(self) -> None:
-        with self._lock:
-            left, self._queues = list(self._queues.values()), {}
-        for queue in left:
-            queue.close()
-
-
 def _run_attempt(
     problem_id: str,
     entry: tuple[int, int, int],
@@ -487,21 +447,20 @@ def run_problem(
     policy: BudgetPolicy,
     components: PipelineComponents,
     experiment_seed: int = 0,
-    take_ahead: Callable[[], _ProblemQueue] | None = None,
+    queue: _ProblemQueue | None = None,
 ) -> ProblemResult:
     """Execute the attempt plan for one problem, in plan order, with later
-    sketch completions fetched ahead. `take_ahead` gives the problem's
-    queue (`run_experiment` makes it ahead, a direct call makes its own).
+    sketch completions fetched ahead through `queue`, the problem's queue
+    (`run_experiment` makes and starts it ahead, a direct call its own).
     Early stop (when enabled)
     marks the remaining entries as NotRun; infrastructure trouble aborts
     the problem with an error note instead of fake attempt records. Only a
     sketch of the problem's own theorem header is proved; no sketch proves
     a statement that does not parse."""
     statement = _statement_header(problem.formal_statement)
-    queue = (
-        take_ahead() if take_ahead is not None
-        else _DraftsAhead([problem], policy, components, experiment_seed, 0).take(0)
-    )
+    if queue is None:
+        queue = _ProblemQueue(problem, policy, components, experiment_seed, threading.Lock())
+        queue.start_on_draft()
     attempts: list[AttemptRecord] = []
     reopens = itertools.count(1)
     parses: dict[str, SketchAst | None] = {}
@@ -573,15 +532,29 @@ def run_experiment(
     took is cancelled, when it returns or raises."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    # it makes no queue until a worker takes a problem, so the baseline makes none
-    drafts_ahead = _DraftsAhead(problems, policy, components, experiment_seed, parallelism)
+    lock = threading.Lock()  # guards `ahead` and every queue's fields, so queues start in turn
+    ahead: dict[int, _ProblemQueue] = {}  # made, not taken yet
+    next_index = 0  # every problem before it has a queue
 
     def run_one(index: int) -> ProblemResult:
+        nonlocal next_index
         problem = problems[index]
         if policy is None:
             return run_problem_direct(problem, components)
-        take = functools.partial(drafts_ahead.take, index)
-        return run_problem(problem, policy, components, experiment_seed, take)
+        # make this queue and those of the next `parallelism` problems if
+        # they are not made yet; a plan over budget raises BudgetExceeded
+        # before any request starts
+        with lock:
+            made = [
+                _ProblemQueue(p, policy, components, experiment_seed, lock)
+                for p in problems[next_index:index + parallelism + 1]
+            ]
+            ahead.update(zip(itertools.count(next_index), made))
+            next_index += len(made)
+            queue = ahead.pop(index)
+        for queued in made:  # once every draft request is queued ahead of them
+            queued.start_on_draft()
+        return run_problem(problem, policy, components, experiment_seed, queue)
 
     try:
         # no pool for one worker: a one-thread pool replayed the golden run in
@@ -592,7 +565,8 @@ def run_experiment(
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(run_one, range(len(problems))))
     finally:
-        drafts_ahead.close()
+        for queue in ahead.values():  # no worker runs now to take one
+            queue.close()
         components.sessions.close()
 
 

@@ -171,11 +171,10 @@ class GapSite(NamedTuple):
 
 @dataclass
 class InvalidSite(Exception):
-    path: tuple[int, ...]
     reason: str
 
     def __str__(self) -> str:
-        return f"{self.reason} (path {list(self.path)})"
+        return self.reason
 
 
 def walk(ast: SketchAst) -> Iterator[tuple[tuple[int, ...], ProofNode]]:

@@ -573,8 +573,8 @@ def closing_step_text(text: str) -> str:
     try:
         probe = parse_sketch(f'theorem t: shows "True"\n  {text}\n')
     except ParseError as exc:
-        raise InvalidSite((), f"closing step does not parse: {exc}") from None
+        raise InvalidSite(f"closing step does not parse: {exc}") from None
     just = probe.root_justification
     if not isinstance(just, Tactic):
-        raise InvalidSite((), "closing step must be a concrete justification")
+        raise InvalidSite("closing step must be a concrete justification")
     return just.text

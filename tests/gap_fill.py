@@ -26,12 +26,12 @@ def fill(ast: SketchAst, site: GapSite, closing_step: str) -> SketchAst:
     tactic = Tactic(closing_step_text(closing_step))
     if site.path == ():
         if not isinstance(ast.root_justification, Gap):
-            raise InvalidSite(site.path, "path does not address a gap")
+            raise InvalidSite(f"path {list(site.path)} does not address a gap")
         return replace(ast, root_justification=tactic)
     try:
         return replace(ast, body=_fill_in(ast.body, site.path, tactic))
     except LookupError:
-        raise InvalidSite(site.path, "path does not address a gap") from None
+        raise InvalidSite(f"path {list(site.path)} does not address a gap") from None
 
 
 def _fill_in(nodes: tuple[ProofNode, ...], path: tuple[int, ...], tactic: Tactic):

@@ -1,9 +1,12 @@
 """`tools/bench.py` summarises `perfbench/run.py` result lines into the
 figures of a `BENCH_<N>.json`; fed canned lines, it gives known medians and
-quartiles, and keeps only the four sketch layers of a scaling report."""
+quartiles, and keeps only the four sketch layers of a scaling report. Run
+with a fake runner, it starts every child with no bytecode writing, and it
+refuses a checkout that holds bytecode caches before it starts any."""
 
 import importlib.util
 import json
+import subprocess
 
 import pytest
 
@@ -85,3 +88,36 @@ def test_quartiles_of_one_or_two_runs(values, expected):
     got = _load_bench().quartiles(values)
     assert (got["q1"], got["median"], got["q3"]) == expected
 
+
+
+def _checkout(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
+    return tmp_path
+
+
+def test_every_child_runs_without_writing_bytecode(tmp_path, monkeypatch):
+    bench = _load_bench()
+    monkeypatch.setattr(bench, "ROOT", tmp_path)  # where BENCH_<N>.json is written
+    envs = []
+
+    def runner(command, cwd, env=None, **kwargs):
+        envs.append(env)
+        line = json.dumps(SCALING) if command[1].endswith("scaling.py") else _run_line(100.0, 4.0)
+        return subprocess.CompletedProcess(command, 0, RUN_TEXT + line + "\n")
+
+    assert bench.main(["--pr", "1", "--runs", "2", "--repo", str(_checkout(tmp_path))], runner) == 0
+    assert len(envs) == 3 and all(env["PYTHONDONTWRITEBYTECODE"] == "1" for env in envs)
+    assert json.loads((tmp_path / "BENCH_1.json").read_text())["runs"] == 2
+
+
+def test_a_checkout_holding_bytecode_caches_is_refused_before_any_run(tmp_path):
+    repo = _checkout(tmp_path)
+    (repo / "src" / "pkg" / "__pycache__").mkdir()
+    (repo / "perfbench" / "__pycache__").mkdir()
+    started = []
+    with pytest.raises(SystemExit) as exc:
+        _load_bench().main(["--pr", "1", "--repo", str(repo)], lambda *a, **k: started.append(a))
+    assert "perfbench/__pycache__ src/pkg/__pycache__" in str(exc.value)
+    assert started == []

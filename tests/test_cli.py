@@ -63,6 +63,15 @@ def test_run_baseline(tmp_path):
     assert produced == (FIXTURES / "golden" / "records_baseline.jsonl").read_bytes()
 
 
+def test_run_and_baseline_into_one_directory_keep_both_manifests(tmp_path):
+    for extra in ((), ("--baseline",)):
+        result = run_cli(*golden_flags(tmp_path), "run", *extra)
+        assert result.returncode == 0, result.stderr
+    for name, baseline in (("manifest.json", False), ("manifest_baseline.json", True)):
+        manifest = json.loads((tmp_path / name).read_text())
+        assert manifest["config"]["baseline"] is baseline
+
+
 def test_eval_prints_exact_fractions(tmp_path):
     result = run_cli(
         "--dataset", str(FIXTURES / "datasets" / "mini.jsonl"),

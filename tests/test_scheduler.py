@@ -473,7 +473,7 @@ def test_session_reopened_after_death(tmp_path, monkeypatch):
 
     def counting_get():
         session = original_get()
-        opened.append(session.session_id)
+        opened.append(session)
         return session
 
     def flaky_prove(session, ast):
@@ -850,6 +850,49 @@ def test_a_plan_over_budget_starts_no_request_ahead(tmp_path):
     with contextlib.closing(components.client), pytest.raises(BudgetExceeded):
         run_experiment(problems, policy, components, parallelism=2)
     assert calls == []
+
+
+def test_each_problems_first_proof_sees_the_drafts_of_the_window_ahead_and_every_queue_closes(
+    tmp_path, monkeypatch
+):
+    # one worker: when problem i is first proved, draft requests have been
+    # submitted for problems 0 to i + 1 (the last problem has none after
+    # it); once the run returns, every queue it made has been closed
+    import sketchprove.scheduler as scheduler_module
+
+    count = 6
+    problems, components, calls = _ahead_run(tmp_path, count)
+    policy = BudgetPolicy(drafts_per_problem=1, sketches_per_draft=2, stop_on_first_success=False)
+    drafted, seen, made, closed = set(), {}, [], []
+    real_submit, real_prove = CompletionClient.submit, scheduler_module._prove_attempt
+    real_init, real_close = scheduler_module._ProblemQueue.__init__, scheduler_module._ProblemQueue.close
+
+    def submit(client, build):
+        if getattr(build, "func", None) is scheduler_module.draft_request:
+            drafted.add(problems.index(build.args[0]))
+        return real_submit(client, build)
+
+    def prove(problem_id, entry, *rest):
+        seen.setdefault(int(problem_id.removeprefix("algebra_ahead")), set(drafted))
+        return real_prove(problem_id, entry, *rest)
+
+    def init(queue, *args, **kwargs):
+        made.append(queue)
+        real_init(queue, *args, **kwargs)
+
+    def close(queue):
+        closed.append(queue)
+        real_close(queue)
+
+    monkeypatch.setattr(CompletionClient, "submit", submit)
+    monkeypatch.setattr(scheduler_module, "_prove_attempt", prove)
+    monkeypatch.setattr(scheduler_module._ProblemQueue, "__init__", init)
+    monkeypatch.setattr(scheduler_module._ProblemQueue, "close", close)
+    with contextlib.closing(components.client):
+        results = run_experiment(problems, policy, components, parallelism=1)
+    assert [r.solved for r in results] == [True] * count
+    assert seen == {i: set(range(min(i + 2, count))) for i in range(count)}
+    assert len(made) == count and set(map(id, closed)) == set(map(id, made))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1633,7 +1676,7 @@ def _dying_direct_prove(monkeypatch, deaths):
     handed = []
 
     def flaky(session, ast):
-        handed.append(session.session_id)
+        handed.append(session)
         if len(handed) <= deaths:
             session.state = scheduler_module.SessionState.DEAD
             raise SessionDead("injected")

@@ -19,12 +19,19 @@ growth exponents of `parse_sketch`, `check_no_cheat`, `extract_gaps` and
 `serialize`; the `prove_sketch` row is left out, since it times only
 session memo hits. Standard library only. Nothing here is a gate: the
 bounds stay in `BENCHMARK.json`.
+
+Every child runs with `PYTHONDONTWRITEBYTECODE=1`, and a checkout that
+holds a `__pycache__` under `src/` or `perfbench/` is refused: bytecode
+left by an earlier run, possibly of other sources, would change what the
+first run's setup costs. (`PYTHONPYCACHEPREFIX` is not used instead: it
+also makes every standard-library import compile from source.)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import re
 import statistics
@@ -89,8 +96,19 @@ def summarise(runs: list[dict], scales: list[dict[str, float]], scaling: dict) -
     }
 
 
-def _result_line(command: list[str], repo: Path) -> tuple[dict, str]:
-    proc = subprocess.run(command, cwd=repo, stdout=subprocess.PIPE, text=True)
+def bytecode_caches(repo: Path) -> list[str]:
+    """The `__pycache__` directories under the checkout's `src/` and
+    `perfbench/`, relative to it."""
+    return sorted(
+        str(path.relative_to(repo))
+        for top in ("src", "perfbench")
+        for path in (repo / top).rglob("__pycache__")
+    )
+
+
+def _result_line(command: list[str], repo: Path, run=subprocess.run) -> tuple[dict, str]:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = run(command, cwd=repo, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
         raise SystemExit(f"error: {' '.join(command)} exited {proc.returncode}")
@@ -102,13 +120,16 @@ def _git(repo: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, run=subprocess.run) -> int:
+    """`run` starts each child, as `subprocess.run` does."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
     parser.add_argument("--runs", type=int, default=5, help="runs of every workload (default 5)")
     parser.add_argument("--repo", type=Path, default=ROOT, help="the checkout to measure")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
+    if caches := bytecode_caches(repo):
+        raise SystemExit(f"error: remove the bytecode caches in {repo} first: {' '.join(caches)}")
     seconds = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     python = sys.executable
     runs, scales = [], []
@@ -116,11 +137,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"run {k + 1} of {args.runs}", file=sys.stderr, flush=True)
         result, stdout = _result_line(
             [python, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
-             "--seconds", str(seconds)], repo)
+             "--seconds", str(seconds)], repo, run)
         runs.append(result)
         scales.append(host_scales(stdout))
     print("scaling report", file=sys.stderr, flush=True)
-    scaling, _ = _result_line([python, "perfbench/scaling.py", "--seed", str(SEED)], repo)
+    scaling, _ = _result_line([python, "perfbench/scaling.py", "--seed", str(SEED)], repo, run)
     status = _git(repo, "status", "--porcelain")
     bench = {
         "pr": args.pr,
