@@ -89,7 +89,6 @@ def test_quartiles_of_one_or_two_runs(values, expected):
     assert (got["q1"], got["median"], got["q3"]) == expected
 
 
-
 def _checkout(tmp_path):
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     (tmp_path / "perfbench").mkdir()

@@ -861,7 +861,7 @@ def test_each_problems_first_proof_sees_the_drafts_of_the_window_ahead_and_every
     import sketchprove.scheduler as scheduler_module
 
     count = 6
-    problems, components, calls = _ahead_run(tmp_path, count)
+    problems, components, _ = _ahead_run(tmp_path, count)
     policy = BudgetPolicy(drafts_per_problem=1, sketches_per_draft=2, stop_on_first_success=False)
     drafted, seen, made, closed = set(), {}, [], []
     real_submit, real_prove = CompletionClient.submit, scheduler_module._prove_attempt
