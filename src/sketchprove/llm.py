@@ -108,8 +108,9 @@ class SamplingConfig:
         return f',{head[1:-1]},"prompt":', f",{tail[1:]}"
 
 
+@functools.cache
 def draft_preset(n: int = 1, max_tokens: int = 1024) -> SamplingConfig:
-    """Nucleus sampling settings for informal proof drafts."""
+    """Nucleus sampling settings for informal proof drafts, shared per arguments."""
     return SamplingConfig(temperature=0.6, top_p=0.95, max_tokens=max_tokens, n=n)
 
 

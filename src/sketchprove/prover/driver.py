@@ -20,10 +20,10 @@ a time by the same `run_cascades`.
 
 Every sketch of a problem states the same theorem, and sketches of one
 draft often share their opening steps, so a session memoises its prover
-work (`ProverMemo`): a gap context it has already closed, failed or timed
-out, and a proof text it has already checked, cost no backend call. The
-memo is exact for a deterministic checker: a context is keyed by the state
-it resumes from, so equal keys replay the same prover work. A memoised
+work (`ProverMemo`): a gap it has already closed, failed or timed out, and
+a proof text it has already checked, cost no backend call. The memo is
+exact for a deterministic checker: a gap is keyed by the state it resumes
+from and its segment, so equal keys replay the same prover work. A memoised
 `TimedOut` is replayed, not retried. The memo holds one theorem's work at a
 time, and a dead session drops it, so no state id outlives its connection.
 """
@@ -90,8 +90,8 @@ class SessionState(Enum):
 @dataclass
 class ProverMemo:
     """Prover work already done on a session for the theorem `header`:
-    gap results keyed by (the state the context resumes from, or None for
-    the theory; the context), and whole-proof verdicts keyed by proof
+    gap results keyed by (the state the gap resumes from, or None for the
+    theory; the gap's segment), and whole-proof verdicts keyed by proof
     text. A Closed result's `state_id` is where the next gap resumes.
 
     It also holds `header_lines`, the header's canonical lines, rendered
@@ -225,11 +225,11 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     pass end-to-end verification. A sketch the cheat gate refuses fails as
     a whole proof before any backend call, like a failed final check.
 
-    The sketch is rendered once into the segments between its gaps. Its
-    header's lines come from the memo (`ProverMemo.header_lines`), so the
-    header is rendered once per theorem per session, not per call: exact,
-    since every sketch proved on the memo has an equal header, and equal
-    headers render equally. The first gap starts from the theory with the
+    Every call, a memo hit included, renders the body in one pass into the
+    segments between its gaps. The header's lines come from the memo
+    (`ProverMemo.header_lines`), so the header is rendered once per theorem
+    per session: exact, since every sketch proved on the memo has an equal
+    header, and equal headers render equally. The first gap starts from the theory with the
     first segment; each later gap resumes from the state in which the
     previous gap closed and sends only its own segment, so the text sent
     per gap does not grow with the sketch. A segment ends with its gap's
@@ -237,7 +237,7 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     prefix.
 
     Work already in the session's memo is not sent again: a gap whose
-    (base, context) was seen earlier in this theorem gets the memoised
+    (base, segment) was seen earlier in this theorem gets the memoised
     result, elapsed time included, and the next gap resumes from its
     memoised state; a proof text already checked gets its memoised
     verdict. This is exact for a deterministic checker, and a memoised
@@ -245,12 +245,13 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     the memo first, even one the cheat gate then refuses, so the memo
     holds one theorem's work; a dead session drops it too.
 
-    Each gap's context (its segment up to the gap, trailing space cut) is
-    built once per call. At the first gap the memo does not hold, every
-    remaining context goes to the prover in one `close_gap` call, since
-    each later gap resumes from a state the memo has not seen. The walk
-    goes on through the results that come back, memoising each under its
-    own (base, context) as it reaches it, so none is looked up again and
+    A gap the memo holds builds no context. At the first gap it does not
+    hold, the contexts of that gap and every later one (each its segment,
+    trailing space cut) go to the prover in one `close_gap` call, since
+    each later gap resumes from a state the memo has not seen. Keying by
+    segment is exact, as the context is a function of it. The walk goes on
+    through the results that come back, memoising each under its own
+    (base, segment) as it reaches it, so none is looked up again and
     each gap's next state is built once. A reply that stops at a closed
     gap leaves the next gap a miss, so the rest goes out as the next run.
     Results after a gap whose closing step the proof cannot hold are never
@@ -288,27 +289,27 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
         return SketchFailure(None, (), f"cheat gate: {cheat}", gaps)
 
     known = memo.gaps
-    contexts = [segment.rstrip() + "\n" for segment in segments[:-1]]
     per_gap: list[GapResult] = []
     pieces: list[str] = []  # each gap's segment, then its closing step
     base: ProverState | None = None
     fresh: Iterator[GapResult] = iter(())  # this call's latest results, not yet walked
-    for index, context in enumerate(contexts):
+    for index, segment in enumerate(segments[:-1]):
         result = next(fresh, None)
         if result is not None:
-            known[base, context] = result
+            known[base, segment] = result
         else:
-            result = known.get((base, context))
+            result = known.get((base, segment))
             if result is None:
-                fresh = iter(close_gap(session, contexts[index:], base))
-                result = known[base, context] = next(fresh)
+                contexts = [s.rstrip() + "\n" for s in segments[index:-1]]
+                fresh = iter(close_gap(session, contexts, base))
+                result = known[base, segment] = next(fresh)
         if not isinstance(result, Closed):
             per_gap.append(result)
             site = extract_gaps(ast)[index]
             kind = "timed out" if isinstance(result, TimedOut) else "failed"
             return SketchFailure(site, tuple(per_gap), f"gap {kind}: {site.proposition}", gaps)
         try:
-            pieces += (segments[index], closing_step_text(result.closing_step))
+            pieces += (segment, closing_step_text(result.closing_step))
         except InvalidSite as exc:
             # the proof text cannot hold the step, so the gap stays open
             per_gap.append(Failed((("closing_step", "unparseable"),), result.elapsed_ms))

@@ -29,6 +29,8 @@ from .nodes import (
 )
 
 _INDENT = "  "
+# a `show` target written bare: one whole `?name` token (the tokenizer's qident)
+_QIDENT = re.compile(r"\?[A-Za-z_][A-Za-z0-9_']*")
 
 
 def render_header(header: TheoremHeader) -> tuple[str, ...]:
@@ -63,96 +65,89 @@ def _quote_sort(sort: str) -> str:
     return f'"{sort}"'
 
 
-def _render_inline(head: str, just: Justification, out: list[str | None]) -> None:
+def _end_line(head: str, just: Justification, lines: list[str], segments: list[str]) -> None:
     """Append a line ending in an inline justification. A gap line ends at
-    `head` and is followed by a None marker where the gap token goes."""
-    if isinstance(just, Gap):
-        out.extend((head, None))
-    elif isinstance(just, Tactic):
-        out.append(head + just.text)
+    `head`, where the gap token goes, and closes the current segment."""
+    kind = type(just)
+    if kind is Gap:
+        lines.append(head)
+        segments.append("\n".join(lines))
+        lines[:] = [""]  # the next line starts after the gap's line break
+    elif kind is Tactic:
+        lines.append(head + just.text)
     else:
         raise TypeError(f"not an inline justification: {just!r}")
 
 
-def _step_clauses(uses: tuple[str, ...], unfolds: tuple[str, ...]) -> str:
-    text = ""
-    if uses:
-        text += " using " + " ".join(uses)
-    if unfolds:
-        text += " unfolding " + " ".join(unfolds)
-    return text
-
-
-def _render_node(node: ProofNode, level: int, out: list[str | None]) -> None:
+def _render_node(node: ProofNode, level: int, lines: list[str], segments: list[str]) -> None:
     ind = _INDENT * level
-    if isinstance(node, Comment):
-        out.append(f"{ind}(* {node.text} *)")
+    kind = type(node)
+    if kind is Comment:
+        lines.append(f"{ind}(* {node.text} *)")
         return
-    if isinstance(node, ProofBlock):
-        _render_block(node, level, out)
+    if kind is ProofBlock:
+        _render_block(node, level, lines, segments)
         return
-    if isinstance(node, AssumeStep):
+    if kind is HaveStep:
+        prefix = f"{node.label}: " if node.label else ""
+        line = f'have {prefix}"{node.proposition}"'
+    elif kind is ShowStep:
+        target = node.target if _QIDENT.fullmatch(node.target) else f'"{node.target}"'
+        line = f"show {target}"
+    elif kind is ObtainStep:
+        prefix = f"{node.label}: " if node.label else ""
+        line = f'obtain {" ".join(node.bound_vars)} where {prefix}"{node.proposition}"'
+    elif kind is AssumeStep:
         if node.preceding_comment is not None:
-            out.append(f"{ind}(* {node.preceding_comment} *)")
+            lines.append(f"{ind}(* {node.preceding_comment} *)")
         prefix = f"{node.label}: " if node.label else ""
-        out.append(f'{ind}assume {prefix}"{node.proposition}"')
+        lines.append(f'{ind}assume {prefix}"{node.proposition}"')
         return
-
-    if node.preceding_comment is not None:
-        out.append(f"{ind}(* {node.preceding_comment} *)")
-    head = f"{node.chain} " if node.chain else ""
-    if isinstance(node, HaveStep):
-        prefix = f"{node.label}: " if node.label else ""
-        line = f'{head}have {prefix}"{node.proposition}"'
-    elif isinstance(node, ShowStep):
-        target = node.target if node.target.startswith("?") else f'"{node.target}"'
-        line = f"{head}show {target}"
-    elif isinstance(node, ObtainStep):
-        prefix = f"{node.label}: " if node.label else ""
-        line = f'{head}obtain {" ".join(node.bound_vars)} where {prefix}"{node.proposition}"'
     else:
         raise TypeError(f"unknown node: {node!r}")
-    line += _step_clauses(node.uses, node.unfolds)
 
-    if isinstance(node.justification, Nested):
-        out.append(ind + line)
-        _render_block(node.justification.block, level, out)
+    if node.preceding_comment is not None:
+        lines.append(f"{ind}(* {node.preceding_comment} *)")
+    line = f"{ind}{node.chain} {line}" if node.chain else ind + line
+    if node.uses:
+        line += " using " + " ".join(node.uses)
+    if node.unfolds:
+        line += " unfolding " + " ".join(node.unfolds)
+    if type(node.justification) is Nested:
+        lines.append(line)
+        _render_block(node.justification.block, level, lines, segments)
     else:
-        _render_inline(ind + line + " ", node.justification, out)
+        _end_line(line + " ", node.justification, lines, segments)
 
 
-def _render_block(block: ProofBlock, level: int, out: list[str | None]) -> None:
+def _render_block(block: ProofBlock, level: int, lines: list[str], segments: list[str]) -> None:
     ind = _INDENT * level
-    out.append(f"{ind}proof {block.method}" if block.method else f"{ind}proof")
+    lines.append(f"{ind}proof {block.method}" if block.method else f"{ind}proof")
     for child in block.children:
-        _render_node(child, level + 1, out)
+        _render_node(child, level + 1, lines, segments)
     for i, (name, body) in enumerate(block.cases):
         if i > 0:
-            out.append(f"{ind}next")
-        out.append(f"{ind}case {name}")
+            lines.append(f"{ind}next")
+        lines.append(f"{ind}case {name}")
         for child in body:
-            _render_node(child, level + 1, out)
-    out.append(f"{ind}qed")
+            _render_node(child, level + 1, lines, segments)
+    lines.append(f"{ind}qed")
 
 
 def render_segments(ast: SketchAst, header_lines: Sequence[str] | None = None) -> list[str]:
     """The canonical text between gap tokens, in document order: one more
     segment than the sketch has gaps, the k-th gap sitting right after
     segment k. `header_lines`, when given, must be `render_header(ast.header)`;
-    a caller that proves many sketches of one theorem renders it once."""
-    out: list[str | None] = []
-    for node in ast.body:
-        _render_node(node, 0, out)
-    if ast.root_justification is not None:
-        _render_inline(_INDENT, ast.root_justification, out)
+    a caller that proves many sketches of one theorem renders it once.
+
+    One pass over the tree: lines are appended to the current segment, and
+    each gap, the root gap included, closes it."""
     segments: list[str] = []
     lines = list(render_header(ast.header) if header_lines is None else header_lines)
-    for line in out:
-        if line is None:
-            segments.append("\n".join(lines))
-            lines = [""]  # the next line starts after the gap's line break
-        else:
-            lines.append(line)
+    for node in ast.body:
+        _render_node(node, 0, lines, segments)
+    if ast.root_justification is not None:
+        _end_line(_INDENT, ast.root_justification, lines, segments)
     segments.append("\n".join(lines) + "\n")
     return segments
 

@@ -95,11 +95,8 @@ class AstGen:
                 preceding_comment=comment,
             )
         if roll < 0.7:
-            target = r.choice(["?thesis", "?case", self.prop()])
-            if target.startswith("?") and target not in ("?thesis", "?case"):
-                target = "?thesis"  # bare ?-props are not representable as quoted targets
             return ShowStep(
-                target=target,
+                target=r.choice(["?thesis", "?case", self.prop()]),
                 uses=self.facts(),
                 unfolds=(),
                 justification=self.justification(depth),

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parse_oracle
+import render_oracle
 from ast_gen import AstGen, generate
 from conftest import FIXTURES
 from gap_fill import fill
@@ -26,6 +28,7 @@ from sketchprove.sketch import (
     Nested,
     ParseError,
     ProofBlock,
+    ShowStep,
     SketchAst,
     StepNode,
     Tactic,
@@ -36,6 +39,7 @@ from sketchprove.sketch import (
     count_gaps,
     extract_gaps,
     parse_sketch,
+    render_header,
     render_segments,
     serialize,
     strip_comments,
@@ -789,6 +793,81 @@ def test_serialize_joins_segments_with_gap_tokens(seed):
         filled = serialize(fill(ast, site, "by auto"))
         before = GAP_TOKEN.join(segments[: k + 1])
         assert filled == before + "by auto" + GAP_TOKEN.join(segments[k + 1 :])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_one_pass_render_equals_the_two_pass_oracle(seed):
+    ast = AstGen(seed).sketch()
+    assert render_segments(ast) == render_oracle.render_segments(ast)
+    lines = render_header(ast.header)
+    assert render_segments(ast, lines) == render_oracle.render_segments(ast, lines)
+
+
+def test_generated_sketches_hold_every_shape_the_render_dispatches_on():
+    # the property above draws from these: nested blocks, cases,
+    # obtain/assume, bare and quoted ?-targets, a root gap and a root tactic
+    asts = generate(400, seed=11)
+    nodes = [node for ast in asts for _, node in walk(ast)]
+    kinds = {type(node).__name__ for node in nodes}
+    assert {"HaveStep", "ShowStep", "ObtainStep", "AssumeStep", "Comment", "ProofBlock"} <= kinds
+    assert any(isinstance(node, ProofBlock) and node.cases for node in nodes)
+    assert any(isinstance(getattr(node, "justification", None), Nested) for node in nodes)
+    targets = {node.target for node in nodes if isinstance(node, ShowStep)}
+    assert "?thesis" in targets and any(t.startswith("?P ") for t in targets)
+    roots = {type(ast.root_justification) for ast in asts}
+    assert {Gap, Tactic, type(None)} <= roots
+
+
+def _parsed_fixture_texts(sketch_files, pool) -> list[SketchAst]:
+    """Every fixture sketch, pool example and golden completion that parses."""
+    texts = [path.read_text() for path in sketch_files]
+    texts += [quad.formal_sketch for quad in pool.quads]
+    texts += [quad.full_proof for quad in pool.quads if quad.full_proof]
+    cache = (FIXTURES / "cache" / "completions.jsonl").read_text().splitlines()
+    texts += [json.loads(line)["text"] for line in cache]
+    asts = []
+    for text in texts:
+        try:
+            asts.append(parse_sketch(text))
+        except ParseError:
+            pass
+    return asts
+
+
+def test_one_pass_render_equals_the_oracle_on_every_fixture_text(sketch_files, pool):
+    asts = _parsed_fixture_texts(sketch_files, pool)
+    assert len(asts) == 260
+    for ast in asts:
+        assert render_segments(ast) == render_oracle.render_segments(ast)
+
+
+def test_render_refuses_a_node_or_justification_of_another_type():
+    header = TheoremHeader("t", (), (), "P")
+
+    class Step(HaveStep):
+        __slots__ = ()
+
+    step = Step("c1", "x = 1", (), (), Gap())
+    with pytest.raises(TypeError, match="unknown node"):
+        render_segments(SketchAst(header, (ProofBlock("-", (step,)),)))
+    with pytest.raises(TypeError, match="not an inline justification"):
+        render_segments(SketchAst(header, (), Nested(ProofBlock("-", ()))))
+
+
+@pytest.mark.parametrize("target", ["?P x", "?P \\<longrightarrow> ?Q", "?thesis'.x", "? x", "x = ?y"])
+def test_a_quoted_show_target_that_is_not_one_qident_keeps_its_quotes(target):
+    text = f'theorem t:\n  shows "P"\nproof -\n  show "{target}" sledgehammer\nqed\n'
+    ast = parse_sketch(text)
+    assert ast.body[0].children[0].target == target
+    assert serialize(ast) == text
+    assert parse_sketch(serialize(ast)) == ast
+
+
+def test_a_qident_show_target_is_written_bare():
+    ast = parse_sketch('theorem t: shows "P"\nproof -\n  show "?thesis" sledgehammer\nqed\n')
+    assert serialize(ast) == 'theorem t:\n  shows "P"\nproof -\n  show ?thesis sledgehammer\nqed\n'
+    assert parse_sketch(serialize(ast)) == ast
 
 
 def test_each_fixture_sketch_renders_one_segment_more_than_its_gaps(sketch_files):

@@ -36,6 +36,17 @@ def test_presets_pin_the_sampling_parameters():
     assert (sketch.temperature, sketch.max_tokens, sketch.n) == (0.0, 2048, 1)
 
 
+def test_equal_preset_arguments_give_one_config_and_the_same_cache_keys():
+    # the presets are cached, so each config's key frame is made once
+    assert draft_preset(n=4) is draft_preset(n=4) and sketch_preset() is sketch_preset()
+    assert draft_preset(n=4) is not draft_preset(n=5)
+    fresh = SamplingConfig(temperature=0.6, top_p=0.95, max_tokens=1024, n=4)
+    assert draft_preset(n=4) == fresh
+    shared = CompletionRequest("prompt", draft_preset(n=4), "ep")
+    assert cache_keys(shared, range(4)) == cache_keys(CompletionRequest("prompt", fresh, "ep"), range(4))
+    assert draft_preset(n=4)._key_frame is draft_preset(n=4)._key_frame
+
+
 def test_greedy_with_multiple_samples_rejected():
     with pytest.raises(ValueError, match="greedy"):
         SamplingConfig(temperature=0.0, n=3)

@@ -1165,6 +1165,32 @@ def test_golden_replay_backend_calls_stay_memoised(tmp_path, problems, golden_co
     assert len(sent) <= 500
 
 
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_golden_replay_backend_work_is_pinned(problems, golden_config, monkeypatch, jobs):
+    # 190 sketches are proved, but the session memo (keyed by each gap's
+    # base and segment) answers most gaps: a key that lost hits would send
+    # more runs or contexts, and one that found false hits fewer
+    import sketchprove.prover.driver as driver
+
+    runs, checks = [], []  # list.append is atomic under 8 jobs
+    real_close, real_check = driver.close_gap, driver._check_full
+
+    def counting_close(session, contexts, base=None):
+        runs.append(len(contexts))
+        return real_close(session, contexts, base)
+
+    def counting_check(session, proof_text):
+        checks.append(None)
+        return real_check(session, proof_text)
+
+    monkeypatch.setattr(driver, "close_gap", counting_close)
+    monkeypatch.setattr(driver, "_check_full", counting_check)
+    proved = _counting(monkeypatch, "prove_sketch", 1)
+    run_experiment(problems, _golden_policy(golden_config), _golden_components(), jobs, golden_config["seed"])
+    assert len(proved) == 190
+    assert (len(runs), sum(runs), len(checks)) == (27, 55, 16)
+
+
 def test_golden_replay_renders_each_theorem_header_once(problems, golden_config, monkeypatch):
     # 190 sketches are proved, and every one states its problem's theorem:
     # the session memo renders that header once, not once per sketch

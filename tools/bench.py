@@ -5,6 +5,7 @@ layers' scaling exponents for one checkout, in one command.
     python3 tools/bench.py --pr 8                   # this checkout
     python3 tools/bench.py --pr 7 --repo ../parent  # another checkout
     python3 tools/bench.py --pr 8 --runs 3          # fewer runs, wider quartiles
+    python3 tools/bench.py --pr 8 --against HEAD~1  # HEAD paired with its parent
 
 It runs `perfbench/run.py --workload all` K times (seed 1, for the
 `run_seconds` that checkout's `BENCHMARK.json` sets) and
@@ -25,11 +26,24 @@ holds a `__pycache__` under `src/` or `perfbench/` is refused: bytecode
 left by an earlier run, possibly of other sources, would change what the
 first run's setup costs. (`PYTHONPYCACHEPREFIX` is not used instead: it
 also makes every standard-library import compile from source.)
+
+With `--against REV`, the commits REV (the parent) and HEAD (the change)
+of `--repo`'s git history are each extracted with `git archive` into a
+temporary directory, so the working tree's uncommitted edits are not
+measured. `--pairs K` pairs of runs alternate them, the parent first in
+odd pairs, and the change's runs give the figures above (its scaling
+report too). The file then also holds a `pairs` section: per workload and
+metric, each side's runs, both medians, the parent's quartiles, the
+relative change of the median, in how many pairs the change did better,
+and, for an end-to-end metric of `BENCHMARK.json`, whether the change's
+median is worse than the parent's by no more than its bound. The bounds
+are read from the change's `BENCHMARK.json`, never written.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -37,6 +51,8 @@ import re
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,39 +136,117 @@ def _git(repo: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def checkout(repo: Path, rev: str, dest: Path) -> str:
+    """Extract `git archive` of commit `rev` of `repo` into `dest`; returns
+    the commit's hash."""
+    commit = _git(repo, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
+    if not commit:
+        raise SystemExit(f"error: {repo} has no commit {rev}")
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=repo,
+                         stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return commit
+
+
+def paired(parent: list[dict], change: list[dict], benchmark: dict) -> dict:
+    """The `pairs` section from the result lines of the parent's and the
+    change's runs, run k of each side making pair k. A metric missing from
+    any run is listed under `incomplete` and not compared."""
+    ends = {end["name"]: end for end in benchmark["end_to_end"]}
+    workloads: dict[str, dict] = {}
+    names = {name for run in parent + change for name in run["metrics"]}
+    complete = sorted(name for name in names if all(name in run["metrics"] for run in parent + change))
+    for name in complete:
+        workload, _, metric = name.partition(".")
+        before = [run["metrics"][name]["value"] for run in parent]
+        after = [run["metrics"][name]["value"] for run in change]
+        base, q = quartiles(before), quartiles(after)
+        end = ends.get(metric, {})
+        better, bound = end.get("better"), end.get("bound")
+        sign = {"lower": -1, "higher": 1}.get(better)
+        rel = (q["median"] - base["median"]) / base["median"] if base["median"] else None
+        entry = {
+            "unit": parent[0]["metrics"][name]["unit"],
+            "better": better,
+            "parent": before,
+            "change": after,
+            "parent_median": base["median"],
+            "change_median": q["median"],
+            "parent_iqr": [base["q1"], base["q3"]],
+            "change_rel": rel,
+            "wins": None if sign is None else sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+            "gain_beyond_parent_iqr": None if sign is None else
+                sign * (q["median"] - base["median"]) > base["q3"] - base["q1"],
+            "bound": bound,
+            "within_bound": None if bound is None or rel is None else -sign * rel <= bound,
+        }
+        workloads.setdefault(workload, {})[metric] = entry
+    return {
+        "pairs": len(parent),
+        "order": "parent first in odd pairs",
+        "attempted": {"parent": sum(r["attempted"] for r in parent), "change": sum(r["attempted"] for r in change)},
+        "failed": {"parent": sum(r["failed"] for r in parent), "change": sum(r["failed"] for r in change)},
+        "incomplete": sorted(names - set(complete)),
+        "workloads": workloads,
+    }
+
+
 def main(argv: list[str] | None = None, run=subprocess.run) -> int:
     """`run` starts each child, as `subprocess.run` does."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
     parser.add_argument("--runs", type=int, default=5, help="runs of every workload (default 5)")
     parser.add_argument("--repo", type=Path, default=ROOT, help="the checkout to measure")
+    parser.add_argument("--against", metavar="REV", help="pair HEAD's runs with this commit's")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs with --against (default 10)")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
-    if caches := bytecode_caches(repo):
-        raise SystemExit(f"error: remove the bytecode caches in {repo} first: {' '.join(caches)}")
-    seconds = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
-    python = sys.executable
-    runs, scales = [], []
-    for k in range(args.runs):
-        print(f"run {k + 1} of {args.runs}", file=sys.stderr, flush=True)
-        result, stdout = _result_line(
-            [python, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
-             "--seconds", str(seconds)], repo, run)
-        runs.append(result)
-        scales.append(host_scales(stdout))
-    print("scaling report", file=sys.stderr, flush=True)
-    scaling, _ = _result_line([python, "perfbench/scaling.py", "--seed", str(SEED)], repo, run)
-    status = _git(repo, "status", "--porcelain")
-    bench = {
-        "pr": args.pr,
-        "commit": _git(repo, "rev-parse", "HEAD"),
-        "dirty": None if status is None else bool(status),
-        "python": platform.python_version(),
-        "seed": SEED,
-        "seconds": seconds,
-        "runs": args.runs,
-        **summarise(runs, scales, scaling),
-    }
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        if args.against:
+            parent_dir, measured = Path(tmp) / "parent", Path(tmp) / "change"
+            against = checkout(repo, args.against, parent_dir)
+            commit, dirty = checkout(repo, "HEAD", measured), False
+            sides = [("parent", parent_dir), ("change", measured)]
+            count = args.pairs
+        else:
+            measured, against = repo, None
+            status = _git(repo, "status", "--porcelain")
+            commit, dirty = _git(repo, "rev-parse", "HEAD"), None if status is None else bool(status)
+            sides = [("change", measured)]
+            count = args.runs
+        for _, checkout_dir in sides:
+            if caches := bytecode_caches(checkout_dir):
+                raise SystemExit(f"error: remove the bytecode caches in {checkout_dir} first: {' '.join(caches)}")
+        benchmark = json.loads((measured / "BENCHMARK.json").read_text(encoding="utf-8"))
+        seconds = benchmark["run_seconds"]
+        runs: dict[str, list[dict]] = {side: [] for side, _ in sides}
+        scales = []
+        for k in range(count):
+            # the parent first in odd pairs (k counts from 0)
+            for side, checkout_dir in sides if k % 2 == 0 else sides[::-1]:
+                print(f"run {k + 1} of {count}: {side}", file=sys.stderr, flush=True)
+                result, stdout = _result_line(
+                    [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
+                     "--seconds", str(seconds)], checkout_dir, run)
+                runs[side].append(result)
+                if side == "change":
+                    scales.append(host_scales(stdout))
+        print("scaling report", file=sys.stderr, flush=True)
+        scaling, _ = _result_line(
+            [sys.executable, "perfbench/scaling.py", "--seed", str(SEED)], measured, run)
+        bench = {
+            "pr": args.pr,
+            "commit": commit,
+            "dirty": dirty,
+            "python": platform.python_version(),
+            "seed": SEED,
+            "seconds": seconds,
+            "runs": count,
+            **summarise(runs["change"], scales, scaling),
+        }
+        if against:
+            bench["pairs"] = {"against": against, **paired(runs["parent"], runs["change"], benchmark)}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
