@@ -79,58 +79,58 @@ def _end_line(head: str, just: Justification, lines: list[str], segments: list[s
         raise TypeError(f"not an inline justification: {just!r}")
 
 
-def _render_node(node: ProofNode, level: int, lines: list[str], segments: list[str]) -> None:
-    ind = _INDENT * level
-    kind = type(node)
-    if kind is Comment:
-        lines.append(f"{ind}(* {node.text} *)")
-        return
-    if kind is ProofBlock:
-        _render_block(node, level, lines, segments)
-        return
-    if kind is HaveStep:
-        prefix = f"{node.label}: " if node.label else ""
-        line = f'have {prefix}"{node.proposition}"'
-    elif kind is ShowStep:
-        target = node.target if _QIDENT.fullmatch(node.target) else f'"{node.target}"'
-        line = f"show {target}"
-    elif kind is ObtainStep:
-        prefix = f"{node.label}: " if node.label else ""
-        line = f'obtain {" ".join(node.bound_vars)} where {prefix}"{node.proposition}"'
-    elif kind is AssumeStep:
+def _render_nodes(
+    nodes: Sequence[ProofNode], ind: str, lines: list[str], segments: list[str]
+) -> None:
+    for node in nodes:
+        kind = type(node)
+        if kind is HaveStep:
+            prefix = f"{node.label}: " if node.label else ""
+            line = f'have {prefix}"{node.proposition}"'
+        elif kind is ShowStep:
+            target = node.target if _QIDENT.fullmatch(node.target) else f'"{node.target}"'
+            line = f"show {target}"
+        elif kind is ObtainStep:
+            prefix = f"{node.label}: " if node.label else ""
+            line = f'obtain {" ".join(node.bound_vars)} where {prefix}"{node.proposition}"'
+        elif kind is Comment:
+            lines.append(f"{ind}(* {node.text} *)")
+            continue
+        elif kind is ProofBlock:
+            _render_block(node, ind, lines, segments)
+            continue
+        elif kind is AssumeStep:
+            if node.preceding_comment is not None:
+                lines.append(f"{ind}(* {node.preceding_comment} *)")
+            prefix = f"{node.label}: " if node.label else ""
+            lines.append(f'{ind}assume {prefix}"{node.proposition}"')
+            continue
+        else:
+            raise TypeError(f"unknown node: {node!r}")
+
         if node.preceding_comment is not None:
             lines.append(f"{ind}(* {node.preceding_comment} *)")
-        prefix = f"{node.label}: " if node.label else ""
-        lines.append(f'{ind}assume {prefix}"{node.proposition}"')
-        return
-    else:
-        raise TypeError(f"unknown node: {node!r}")
-
-    if node.preceding_comment is not None:
-        lines.append(f"{ind}(* {node.preceding_comment} *)")
-    line = f"{ind}{node.chain} {line}" if node.chain else ind + line
-    if node.uses:
-        line += " using " + " ".join(node.uses)
-    if node.unfolds:
-        line += " unfolding " + " ".join(node.unfolds)
-    if type(node.justification) is Nested:
-        lines.append(line)
-        _render_block(node.justification.block, level, lines, segments)
-    else:
-        _end_line(line + " ", node.justification, lines, segments)
+        line = f"{ind}{node.chain} {line}" if node.chain else ind + line
+        if node.uses:
+            line += " using " + " ".join(node.uses)
+        if node.unfolds:
+            line += " unfolding " + " ".join(node.unfolds)
+        if type(node.justification) is Nested:
+            lines.append(line)
+            _render_block(node.justification.block, ind, lines, segments)
+        else:
+            _end_line(line + " ", node.justification, lines, segments)
 
 
-def _render_block(block: ProofBlock, level: int, lines: list[str], segments: list[str]) -> None:
-    ind = _INDENT * level
+def _render_block(block: ProofBlock, ind: str, lines: list[str], segments: list[str]) -> None:
     lines.append(f"{ind}proof {block.method}" if block.method else f"{ind}proof")
-    for child in block.children:
-        _render_node(child, level + 1, lines, segments)
+    inner = ind + _INDENT
+    _render_nodes(block.children, inner, lines, segments)
     for i, (name, body) in enumerate(block.cases):
         if i > 0:
             lines.append(f"{ind}next")
         lines.append(f"{ind}case {name}")
-        for child in body:
-            _render_node(child, level + 1, lines, segments)
+        _render_nodes(body, inner, lines, segments)
     lines.append(f"{ind}qed")
 
 
@@ -144,8 +144,7 @@ def render_segments(ast: SketchAst, header_lines: Sequence[str] | None = None) -
     each gap, the root gap included, closes it."""
     segments: list[str] = []
     lines = list(render_header(ast.header) if header_lines is None else header_lines)
-    for node in ast.body:
-        _render_node(node, 0, lines, segments)
+    _render_nodes(ast.body, "", lines, segments)
     if ast.root_justification is not None:
         _end_line(_INDENT, ast.root_justification, lines, segments)
     segments.append("\n".join(lines) + "\n")
