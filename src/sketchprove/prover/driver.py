@@ -229,12 +229,12 @@ def prove_sketch(session: ProverSession, ast: SketchAst) -> FullProofResult | Sk
     segments between its gaps. The header's lines come from the memo
     (`ProverMemo.header_lines`), so the header is rendered once per theorem
     per session: exact, since every sketch proved on the memo has an equal
-    header, and equal headers render equally. The first gap starts from the theory with the
-    first segment; each later gap resumes from the state in which the
-    previous gap closed and sends only its own segment, so the text sent
-    per gap does not grow with the sketch. A segment ends with its gap's
-    whole head line, so the backend finds the same goal as in the full
-    prefix.
+    header, and equal headers render equally. The first gap starts from
+    the theory with the first segment; each later gap resumes from the
+    state in which the previous gap closed and sends only its own segment,
+    so the text sent per gap does not grow with the sketch. A segment ends
+    with its gap's whole head line, so the backend finds the same goal as
+    in the full prefix.
 
     Work already in the session's memo is not sent again: a gap whose
     (base, segment) was seen earlier in this theorem gets the memoised

@@ -85,15 +85,17 @@ _Token = tuple[str, str, int, int]
 # survive only inside opaque regions, method parentheses and <ATP> spans; the
 # parser rejects them elsewhere). It is \S, not `.`, so trailing whitespace
 # fails to match instead of backtracking into a token. Group names are token
-# kinds, except the three groups the loop handles itself.
+# kinds, except the three groups the loop handles itself. A `qident` is
+# also the one `show` target the renderer writes without quotes.
+QIDENT = re.compile(r"\?[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<ident>[A-Za-z_][A-Za-z0-9_'.]*)
       | (?P<comment_open>\(\*)
       | (?P<string>"[^"]*")
       | (?P<quote>")
       | (?P<symbol><ATP>|</ATP>|<\.\.\.>|::|:|\(|\)|-)
-      | (?P<qident>\?[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<qident>{QIDENT.pattern})
       | (?P<number>[0-9]+)
       | (?P<other>\S)
     )""",

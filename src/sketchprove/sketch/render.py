@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .parser import RESERVED
+from .parser import QIDENT, RESERVED
 from .nodes import (
     GAP_TOKEN,
     AssumeStep,
@@ -29,8 +29,6 @@ from .nodes import (
 )
 
 _INDENT = "  "
-# a `show` target written bare: one whole `?name` token (the tokenizer's qident)
-_QIDENT = re.compile(r"\?[A-Za-z_][A-Za-z0-9_']*")
 
 
 def render_header(header: TheoremHeader) -> tuple[str, ...]:
@@ -88,7 +86,7 @@ def _render_nodes(
             prefix = f"{node.label}: " if node.label else ""
             line = f'have {prefix}"{node.proposition}"'
         elif kind is ShowStep:
-            target = node.target if _QIDENT.fullmatch(node.target) else f'"{node.target}"'
+            target = node.target if QIDENT.fullmatch(node.target) else f'"{node.target}"'
             line = f"show {target}"
         elif kind is ObtainStep:
             prefix = f"{node.label}: " if node.label else ""
