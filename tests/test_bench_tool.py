@@ -197,7 +197,7 @@ def test_against_alternates_archived_checkouts_of_the_parent_and_head(tmp_path, 
         line = _run_line(200.0, 4.0) if marker == "change" else _run_line(100.0, 5.0)
         return subprocess.CompletedProcess(command, 0, RUN_TEXT + line + "\n")
 
-    argv = ["--pr", "3", "--repo", str(repo), "--against", "HEAD~1", "--pairs", "3"]
+    argv = ["--pr", "3", "--repo", str(repo), "--against", "HEAD~1", "--runs", "3"]
     assert bench.main(argv, runner) == 0
     assert order == ["parent", "change", "change", "parent", "parent", "change", "scaling change"]
     assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" for env in envs)
@@ -223,7 +223,7 @@ def test_against_refuses_a_commit_holding_bytecode_caches_before_any_run(tmp_pat
     subprocess.run(git + ["commit", "-q", "-m", "cache"], cwd=repo, check=True)
     started = []
     with pytest.raises(SystemExit) as exc:
-        _load_bench().main(["--pr", "1", "--repo", str(repo), "--against", "HEAD~1", "--pairs", "1"],
+        _load_bench().main(["--pr", "1", "--repo", str(repo), "--against", "HEAD~1", "--runs", "1"],
                            lambda *a, **k: started.append(a))
     assert "perfbench/__pycache__" in str(exc.value) and started == []
 

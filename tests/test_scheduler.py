@@ -1147,48 +1147,37 @@ def test_parallelism_invariance_on_golden_corpus(problems, golden_config):
 
 
 @pytest.mark.parametrize("jobs", [1, 8])
-def test_golden_replay_backend_calls_stay_memoised(tmp_path, problems, golden_config, jobs):
-    # the session memo answers the prover work that recurs across a
-    # problem's attempts; without it the golden replay sends 3,420 calls
-    opened = []
-
-    def open_recorded():
-        opened.append(recording(_open_golden_session()))
-        return opened[-1]
-
-    components = _golden_components()
-    components.sessions = SessionProvider(open_recorded)
-    results = run_experiment(problems, _golden_policy(golden_config), components, jobs, golden_config["seed"])
-    export_records(results, tmp_path / "records.jsonl")
-    assert (tmp_path / "records.jsonl").read_bytes() == (FIXTURES / "golden" / "records.jsonl").read_bytes()
-    sent = [cmd for session in opened for cmd, _ in session.backend.calls if cmd != "quit"]
-    assert len(sent) <= 500
-
-
-@pytest.mark.parametrize("jobs", [1, 8])
-def test_golden_replay_backend_work_is_pinned(problems, golden_config, monkeypatch, jobs):
+def test_golden_replay_backend_calls_stay_memoised(tmp_path, problems, golden_config, monkeypatch, jobs):
     # 190 sketches are proved, but the session memo (keyed by each gap's
-    # base and segment) answers most gaps: a key that lost hits would send
-    # more runs or contexts, and one that found false hits fewer
+    # base and segment) answers the prover work that recurs across a
+    # problem's attempts: a key that lost hits would send more runs,
+    # contexts or commands, and one that found false hits fewer. Without
+    # the memo the golden replay sends 3,420 commands
     import sketchprove.prover.driver as driver
 
-    runs, checks = [], []  # list.append is atomic under 8 jobs
-    real_close, real_check = driver.close_gap, driver._check_full
+    opened, runs = [], []  # list.append is atomic under 8 jobs
+    real_close = driver.close_gap
 
     def counting_close(session, contexts, base=None):
         runs.append(len(contexts))
         return real_close(session, contexts, base)
 
-    def counting_check(session, proof_text):
-        checks.append(None)
-        return real_check(session, proof_text)
+    def open_recorded():
+        opened.append(recording(_open_golden_session()))
+        return opened[-1]
 
     monkeypatch.setattr(driver, "close_gap", counting_close)
-    monkeypatch.setattr(driver, "_check_full", counting_check)
     proved = _counting(monkeypatch, "prove_sketch", 1)
-    run_experiment(problems, _golden_policy(golden_config), _golden_components(), jobs, golden_config["seed"])
+    components = _golden_components()
+    components.sessions = SessionProvider(open_recorded)
+    results = run_experiment(problems, _golden_policy(golden_config), components, jobs, golden_config["seed"])
+    export_records(results, tmp_path / "records.jsonl")
+    assert (tmp_path / "records.jsonl").read_bytes() == (FIXTURES / "golden" / "records.jsonl").read_bytes()
+    sent = Counter(cmd for session in opened for cmd, _ in session.backend.calls if cmd != "quit")
     assert len(proved) == 190
-    assert (len(runs), sum(runs), len(checks)) == (27, 55, 16)
+    assert (len(runs), sum(runs), sent["check_full"]) == (27, 55, 16)
+    # a run stops at the first gap that fails, so 44 of the 55 contexts are replayed
+    assert sent == {"init": 27, "resume": 17, "step": 402, "hammer": 31, "check_full": 16}
 
 
 def test_golden_replay_renders_each_theorem_header_once(problems, golden_config, monkeypatch):

@@ -5,9 +5,9 @@ layers' scaling exponents for one checkout, in one command.
     python3 tools/bench.py --pr 8                   # this checkout
     python3 tools/bench.py --pr 7 --repo ../parent  # another checkout
     python3 tools/bench.py --pr 8 --runs 3          # fewer runs, wider quartiles
-    python3 tools/bench.py --pr 8 --against HEAD~1  # HEAD paired with its parent
+    python3 tools/bench.py --pr 8 --against HEAD~1 --runs 10  # HEAD paired with its parent
 
-It runs `perfbench/run.py --workload all` K times (seed 1, for the
+It runs `perfbench/run.py --workload all` `--runs` times (seed 1, for the
 `run_seconds` that checkout's `BENCHMARK.json` sets) and
 `perfbench/scaling.py` once (seed 1), each on the checkout named by
 `--repo` (by default the one this file is in), and writes the file into
@@ -18,7 +18,8 @@ for every workload and end-to-end metric its median and quartiles over the
 runs, with each run's value. Of the scaling report it keeps the rows and
 growth exponents of `parse_sketch`, `check_no_cheat`, `extract_gaps` and
 `serialize`; the `prove_sketch` row is left out, since it times only
-session memo hits. Standard library only. Nothing here is a gate: the
+session memo hits. Standard library only, with `git` and `tar` for
+`--against`. Nothing here is a gate: the
 bounds stay in `BENCHMARK.json`.
 
 Every child runs with `PYTHONDONTWRITEBYTECODE=1`, and a checkout that
@@ -30,7 +31,7 @@ also makes every standard-library import compile from source.)
 With `--against REV`, the commits REV (the parent) and HEAD (the change)
 of `--repo`'s git history are each extracted with `git archive` into a
 temporary directory, so the working tree's uncommitted edits are not
-measured. `--pairs K` pairs of runs alternate them, the parent first in
+measured. `--runs` pairs of runs alternate them, the parent first in
 odd pairs, and the change's runs give the figures above (its scaling
 report too). The file then also holds a `pairs` section: per workload and
 metric, each side's runs, both medians, the parent's quartiles, the
@@ -43,7 +44,6 @@ are read from the change's `BENCHMARK.json`, never written.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -51,7 +51,6 @@ import re
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -144,8 +143,8 @@ def checkout(repo: Path, rev: str, dest: Path) -> str:
         raise SystemExit(f"error: {repo} has no commit {rev}")
     tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=repo,
                          stdout=subprocess.PIPE, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
     return commit
 
 
@@ -196,10 +195,10 @@ def main(argv: list[str] | None = None, run=subprocess.run) -> int:
     """`run` starts each child, as `subprocess.run` does."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
-    parser.add_argument("--runs", type=int, default=5, help="runs of every workload (default 5)")
+    parser.add_argument("--runs", type=int, default=5,
+                        help="runs of every workload, or pairs of runs with --against (default 5)")
     parser.add_argument("--repo", type=Path, default=ROOT, help="the checkout to measure")
     parser.add_argument("--against", metavar="REV", help="pair HEAD's runs with this commit's")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs with --against (default 10)")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
@@ -208,13 +207,11 @@ def main(argv: list[str] | None = None, run=subprocess.run) -> int:
             against = checkout(repo, args.against, parent_dir)
             commit, dirty = checkout(repo, "HEAD", measured), False
             sides = [("parent", parent_dir), ("change", measured)]
-            count = args.pairs
         else:
             measured, against = repo, None
             status = _git(repo, "status", "--porcelain")
             commit, dirty = _git(repo, "rev-parse", "HEAD"), None if status is None else bool(status)
             sides = [("change", measured)]
-            count = args.runs
         for _, checkout_dir in sides:
             if caches := bytecode_caches(checkout_dir):
                 raise SystemExit(f"error: remove the bytecode caches in {checkout_dir} first: {' '.join(caches)}")
@@ -222,10 +219,10 @@ def main(argv: list[str] | None = None, run=subprocess.run) -> int:
         seconds = benchmark["run_seconds"]
         runs: dict[str, list[dict]] = {side: [] for side, _ in sides}
         scales = []
-        for k in range(count):
+        for k in range(args.runs):
             # the parent first in odd pairs (k counts from 0)
             for side, checkout_dir in sides if k % 2 == 0 else sides[::-1]:
-                print(f"run {k + 1} of {count}: {side}", file=sys.stderr, flush=True)
+                print(f"run {k + 1} of {args.runs}: {side}", file=sys.stderr, flush=True)
                 result, stdout = _result_line(
                     [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
                      "--seconds", str(seconds)], checkout_dir, run)
@@ -242,7 +239,7 @@ def main(argv: list[str] | None = None, run=subprocess.run) -> int:
             "python": platform.python_version(),
             "seed": SEED,
             "seconds": seconds,
-            "runs": count,
+            "runs": args.runs,
             **summarise(runs["change"], scales, scaling),
         }
         if against:
