@@ -19,8 +19,7 @@ runs, with each run's value. Of the scaling report it keeps the rows and
 growth exponents of `parse_sketch`, `check_no_cheat`, `extract_gaps` and
 `serialize`; the `prove_sketch` row is left out, since it times only
 session memo hits. Standard library only, with `git` and `tar` for
-`--against`. Nothing here is a gate: the
-bounds stay in `BENCHMARK.json`.
+`--against`. Nothing here is a gate: the bounds stay in `BENCHMARK.json`.
 
 Every child runs with `PYTHONDONTWRITEBYTECODE=1`, and a checkout that
 holds a `__pycache__` under `src/` or `perfbench/` is refused: bytecode
